@@ -25,7 +25,6 @@ from .evaluate import (
     SplitConfig,
     compare_models,
     evaluate_model,
-    evaluate_pipeline,
     pearson,
     split,
 )
@@ -72,6 +71,7 @@ from .oracle import (
     find_optimal_params,
     generate_dataset,
     logical_error_rate,
+    rate_grid,
     sample_profiles,
 )
 

@@ -93,7 +93,7 @@ def _stage2_grid(base: ForestConfig) -> list[ForestConfig]:
 
 def cmd_train(args) -> int:
     from .ml.ensemble import fit_boosted, fit_forest
-    from .ml.pipeline import stage1_features
+    from .ml.pipeline import stage1_features, stage2_features
     import numpy as np
 
     config = _config_from_args(args)
@@ -116,11 +116,7 @@ def cmd_train(args) -> int:
                                 fitter=lambda cfg, X, y: fit_boosted(X, y, cfg),
                                 seed=config.cv_seed)
             stage1_config = found.best_config
-            stage1 = fit_boosted(mat1, y1, stage1_config)
-            raw = np.maximum(stage1.predict(mat1), 1e-6)
-            from .core import round_distance
-            rounded = np.asarray([round_distance(float(v)) for v in raw])
-            mat2 = np.column_stack([rounded, mat1[:, 4]])
+            _, mat2 = stage2_features(fit_boosted(mat1, y1, stage1_config), mat1)
             y2 = np.asarray([case.rounds for case in cases], dtype=np.float64)
             found2 = grid_search(mat2, y2, _stage2_grid(stage2_config), folds=5,
                                  fitter=lambda cfg, X, y: fit_forest(X, y, cfg),

@@ -56,6 +56,11 @@ def _check_positive_finite(value: float, name: str) -> float:
     return float(value)
 
 
+# Raw stage outputs are clipped here before rounding, so rounding always sees
+# a positive value.
+RAW_FLOOR = 1e-6
+
+
 def round_distance(raw: float) -> int:
     """Smallest odd integer >= max(raw, 3).
 

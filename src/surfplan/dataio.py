@@ -41,18 +41,27 @@ def _fmt(value: float) -> str:
 
 
 def write_dataset_csv(records: Iterable[DatasetRecord], path: str | os.PathLike) -> int:
-    """Write records; returns the row count. Output is byte-deterministic."""
+    """Write records; returns the row count. Output is byte-deterministic.
+
+    The profile cells are formatted once per run of records that share one
+    profile object, and each run's rows are written in one call.
+    """
     count = 0
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(DATASET_HEADER) + "\n")
+        noise, prefix, rows = None, "", []
         for record in records:
-            noise = record.noise
-            handle.write(",".join([
-                _fmt(noise.depolarizing), _fmt(noise.gate), _fmt(noise.reset),
-                _fmt(noise.readout), str(record.params.distance),
-                str(record.params.rounds), _fmt(record.logical_error_rate),
-            ]) + "\n")
-            count += 1
+            if record.noise is not noise:
+                handle.write("".join(rows))
+                count += len(rows)
+                noise, rows = record.noise, []
+                prefix = ",".join([_fmt(noise.depolarizing), _fmt(noise.gate),
+                                   _fmt(noise.reset), _fmt(noise.readout), ""])
+            params = record.params
+            rows.append(f"{prefix}{params.distance!s},{params.rounds!s},"
+                        f"{_fmt(record.logical_error_rate)}\n")
+        handle.write("".join(rows))
+        count += len(rows)
     return count
 
 
@@ -67,8 +76,17 @@ def _parse_cell(row_number: int, column: str, text: str, kind: type):
 
 
 def read_dataset_csv(path: str | os.PathLike) -> list[DatasetRecord]:
-    """Parse and validate a dataset CSV; errors carry the row and column."""
+    """Parse and validate a dataset CSV; errors carry the row and column.
+
+    Cells are parsed in column order and the first bad cell is reported;
+    domain checks follow. Parsed profiles and (distance, rounds) pairs are
+    reused across rows with the same cell text, so the records of one
+    profile share one NoiseProfile; every row still builds and validates
+    its own DatasetRecord.
+    """
     records = []
+    profiles: dict[tuple[str, ...], NoiseProfile] = {}
+    code_points: dict[tuple[str, str], CodeParams] = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -84,18 +102,25 @@ def read_dataset_csv(path: str | os.PathLike) -> list[DatasetRecord]:
             if len(row) != len(DATASET_HEADER):
                 raise DataFormatError(
                     f"row {row_number}: expected {len(DATASET_HEADER)} fields, got {len(row)}")
-            values = {}
-            for column, text in zip(DATASET_HEADER, row):
-                kind = int if column in ("distance", "rounds") else float
-                values[column] = _parse_cell(row_number, column, text, kind)
+            profile_text = tuple(row[:4])
+            noise = profiles.get(profile_text)
+            if noise is None:
+                noise = NoiseProfile(*[
+                    _parse_cell(row_number, column, text, float)
+                    for column, text in zip(DATASET_HEADER[:4], profile_text)])
+                profiles[profile_text] = noise
+            point_text = (row[4], row[5])
+            params = code_points.get(point_text)
+            if params is None:
+                distance = _parse_cell(row_number, "distance", row[4], int)
+                rounds = _parse_cell(row_number, "rounds", row[5], int)
+            ler = _parse_cell(row_number, "logical_error_rate", row[6], float)
             try:
-                records.append(DatasetRecord(
-                    noise=NoiseProfile(
-                        depolarizing=values["depolarizing"], gate=values["gate"],
-                        reset=values["reset"], readout=values["readout"]),
-                    params=CodeParams(distance=values["distance"], rounds=values["rounds"]),
-                    logical_error_rate=values["logical_error_rate"],
-                ))
+                if params is None:
+                    params = code_points[point_text] = CodeParams(
+                        distance=distance, rounds=rounds)
+                records.append(DatasetRecord(noise=noise, params=params,
+                                             logical_error_rate=ler))
             except ValidationError as exc:
                 raise DataFormatError(f"row {row_number}: {exc}") from exc
     return records

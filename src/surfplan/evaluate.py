@@ -153,10 +153,6 @@ def evaluate_model(model, cases: list[LabeledCase],
     )
 
 
-# Backwards-friendly alias matching the operation name.
-evaluate_pipeline = evaluate_model
-
-
 @dataclass(frozen=True)
 class ComparisonRow:
     model: str

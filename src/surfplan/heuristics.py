@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    RAW_FLOOR,
     DatasetRecord,
     HeuristicWeights,
     NoiseProfile,
@@ -44,8 +45,6 @@ HEURISTIC_METHODS = ("range_search", "linear_interp", "poly_interp", "multivaria
 
 IDW_NEIGHBORS = 8
 IDW_POWER = 2.0
-
-_RAW_FLOOR = 1e-6  # raw stage outputs are clipped here before rounding
 
 
 @dataclass(frozen=True)
@@ -295,10 +294,10 @@ class HeuristicModel:
         if effective_error(request.noise, self.oracle) >= self.oracle.threshold:
             raise AboveThresholdError(
                 "profile is at or above the oracle threshold; request is infeasible")
-        raw_distance = max(self._stage1_raw(request), _RAW_FLOOR)
+        raw_distance = max(self._stage1_raw(request), RAW_FLOOR)
         rounded_distance = round_distance(raw_distance)
         log_target = math.log10(request.target_logical_error_rate)
-        raw_rounds = max(self._stage2_raw(rounded_distance, log_target), _RAW_FLOOR)
+        raw_rounds = max(self._stage2_raw(rounded_distance, log_target), RAW_FLOOR)
         return PredictionResult(
             raw_distance=float(raw_distance),
             rounded_distance=rounded_distance,

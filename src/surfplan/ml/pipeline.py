@@ -2,10 +2,13 @@
 
 Training labels are constructed from the ground-truth grid search: every
 distinct profile in the dataset is paired with each target in the menu, and
-find_optimal_params supplies the optimal (distance, rounds); infeasible pairs
-are dropped. Stage one learns distance from the four noise rates plus log10 of
-the target; stage two learns rounds from the *rounded* stage-one prediction
-plus log10 of the target, at train and inference time alike.
+the label is the lexicographically smallest (distance, rounds) on the sweep
+grid that reaches the target; infeasible pairs are dropped. Each profile's
+grid is evaluated as one array with ``rate_grid``, and the property tests
+check the labels against the scalar ``find_optimal_params`` exactly. Stage
+one learns distance from the four noise rates plus log10 of the target; stage
+two learns rounds from the *rounded* stage-one prediction plus log10 of the
+target, at train and inference time alike.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Union
 import numpy as np
 
 from ..core import (
+    RAW_FLOOR,
     DatasetRecord,
     NoiseProfile,
     PredictionRequest,
@@ -30,7 +34,8 @@ from ..oracle import (
     OracleConfig,
     SweepConfig,
     effective_error,
-    find_optimal_params,
+    meets_target,
+    rate_grid,
 )
 from .ensemble import BoostConfig, BoostedModel, ForestConfig, ForestModel, fit_boosted, fit_forest
 from .linear import LinearModel, fit_linear
@@ -40,8 +45,6 @@ DEFAULT_TARGET_MENU = (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9)
 
 STAGE1_SCHEMA = ("depolarizing", "gate", "reset", "readout", "log10_target")
 STAGE2_SCHEMA = ("rounded_distance", "log10_target")
-
-_RAW_FLOOR = 1e-6
 
 StageModel = Union[TreeModel, ForestModel, BoostedModel, LinearModel]
 
@@ -67,18 +70,29 @@ def build_training_cases(records: list[DatasetRecord],
                          sweep: SweepConfig = SweepConfig(),
                          oracle: OracleConfig = OracleConfig(),
                          menu: tuple[float, ...] = DEFAULT_TARGET_MENU) -> list[LabeledCase]:
-    """Label every (profile, menu target) pair via the ground-truth search."""
+    """Label every (profile, menu target) pair via the ground-truth search.
+
+    The label is the first grid point, in (distance, rounds) order, whose
+    rate meets the target; the same answer ``find_optimal_params`` gives.
+    """
     if not records:
         raise ValidationError("cannot build training cases from an empty dataset")
+    rounds = sweep.rounds()
     cases = []
     for profile in distinct_profiles(records):
-        for target in menu:
-            request = PredictionRequest(noise=profile, target_logical_error_rate=target)
-            optimal = find_optimal_params(request, sweep, oracle)
-            if optimal is not None:
+        requests = [PredictionRequest(noise=profile, target_logical_error_rate=target)
+                    for target in menu]
+        if not requests:
+            continue
+        targets = np.asarray([request.target_logical_error_rate for request in requests])
+        grid = rate_grid(profile, sweep.distances, rounds, oracle)
+        feasible = meets_target(grid.ravel()[None, :], targets[:, None])
+        for request, row, first in zip(requests, feasible, feasible.argmax(axis=1).tolist()):
+            if row[first]:
+                d_index, r_index = divmod(first, len(rounds))
                 cases.append(LabeledCase(request=request,
-                                         distance=optimal.distance,
-                                         rounds=optimal.rounds))
+                                         distance=sweep.distances[d_index],
+                                         rounds=rounds[r_index]))
     return cases
 
 
@@ -86,6 +100,17 @@ def stage1_features(requests: list[PredictionRequest]) -> np.ndarray:
     rows = [(r.noise.depolarizing, r.noise.gate, r.noise.reset, r.noise.readout,
              math.log10(r.target_logical_error_rate)) for r in requests]
     return np.asarray(rows, dtype=np.float64)
+
+
+def stage2_features(stage1: StageModel, mat1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Floored raw stage-one distances, and the stage-two matrix built from them.
+
+    Stage two sees the *rounded* stage-one prediction beside log10 of the
+    target, at train and inference time alike.
+    """
+    raw = np.maximum(stage1.predict(mat1), RAW_FLOOR)
+    rounded = np.asarray([round_distance(float(v)) for v in raw], dtype=np.float64)
+    return raw, np.column_stack([rounded, mat1[:, 4]])
 
 
 @dataclass
@@ -111,10 +136,10 @@ class PipelineModel:
         log_target = math.log10(request.target_logical_error_rate)
         row1 = np.asarray([request.noise.depolarizing, request.noise.gate,
                            request.noise.reset, request.noise.readout, log_target])
-        raw_distance = max(float(self.stage1.predict_row(row1)), _RAW_FLOOR)
+        raw_distance = max(float(self.stage1.predict_row(row1)), RAW_FLOOR)
         rounded_distance = round_distance(raw_distance)
         row2 = np.asarray([float(rounded_distance), log_target])
-        raw_rounds = max(float(self.stage2.predict_row(row2)), _RAW_FLOOR)
+        raw_rounds = max(float(self.stage2.predict_row(row2)), RAW_FLOOR)
         return PredictionResult(
             raw_distance=raw_distance,
             rounded_distance=rounded_distance,
@@ -130,17 +155,14 @@ class PipelineModel:
             if effective_error(request.noise, self.oracle) >= self.oracle.threshold:
                 raise AboveThresholdError(
                     "profile is at or above the oracle threshold; request is infeasible")
-        mat1 = stage1_features(requests)
-        raw_distance = np.maximum(self.stage1.predict(mat1), _RAW_FLOOR)
-        rounded = [round_distance(float(v)) for v in raw_distance]
-        mat2 = np.column_stack([np.asarray(rounded, dtype=np.float64), mat1[:, 4]])
-        raw_rounds = np.maximum(self.stage2.predict(mat2), _RAW_FLOOR)
+        raw_distance, mat2 = stage2_features(self.stage1, stage1_features(requests))
+        raw_rounds = np.maximum(self.stage2.predict(mat2), RAW_FLOOR)
         return [PredictionResult(
                     raw_distance=float(rd),
                     rounded_distance=int(dd),
                     raw_rounds=float(rr),
                     rounded_rounds=round_rounds(float(rr)))
-                for rd, dd, rr in zip(raw_distance, rounded, raw_rounds)]
+                for rd, dd, rr in zip(raw_distance, mat2[:, 0], raw_rounds)]
 
 
 def fit_pipeline_cases(cases: list[LabeledCase],
@@ -167,9 +189,7 @@ def fit_pipeline_cases(cases: list[LabeledCase],
         stage1 = stage1_fit(mat1, y_distance)
 
     # Stage two consumes the rounded stage-one predictions, not the labels.
-    raw = np.maximum(stage1.predict(mat1), _RAW_FLOOR)
-    rounded = np.asarray([round_distance(float(v)) for v in raw], dtype=np.float64)
-    mat2 = np.column_stack([rounded, mat1[:, 4]])
+    _, mat2 = stage2_features(stage1, mat1)
     if stage2_fit is None:
         stage2 = fit_forest(mat2, y_rounds, stage2_config)
     else:

@@ -7,9 +7,12 @@ when too few rounds are run, and adds a decoherence penalty that grows with
 every round past the code distance. The resulting landscape falls steeply with
 rounds up to r = d, then climbs again: the sweet spot sits at r = d.
 
-Also provides the exhaustive grid search used as ground truth when labeling
-training data: the lexicographically smallest (distance, rounds) pair on the
-sweep grid that reaches the target rate.
+``rate_grid`` evaluates a profile's whole (distance, rounds) grid as one
+array, bit for bit equal to ``logical_error_rate`` at every point; dataset
+generation and training-label construction use it, and the property tests
+check it against the scalar oracle. ``find_optimal_params`` is the scalar
+ground-truth search: the lexicographically smallest (distance, rounds) pair on
+the sweep grid that reaches the target rate.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -42,8 +45,11 @@ class AboveThresholdError(ValueError):
 TARGET_REL_TOL = 1e-12
 
 
-def meets_target(rate: float, target: float) -> bool:
-    """True when ``rate`` reaches ``target`` up to TARGET_REL_TOL."""
+def meets_target(rate, target):
+    """True when ``rate`` reaches ``target`` up to TARGET_REL_TOL.
+
+    Works elementwise (with broadcasting) on numpy arrays.
+    """
     return rate <= target * (1.0 + TARGET_REL_TOL)
 
 
@@ -155,6 +161,15 @@ def _check_code_point(distance: int, rounds: int) -> None:
         raise ValidationError(f"rounds must be >= 1, got {rounds}")
 
 
+def _below_threshold_error(profile: NoiseProfile, config: OracleConfig) -> float:
+    """The effective rate; raises AboveThresholdError at or above threshold."""
+    p_eff = effective_error(profile, config)
+    if p_eff >= config.threshold:
+        raise AboveThresholdError(
+            f"effective error {p_eff:.3e} is at or above threshold {config.threshold:.3e}")
+    return p_eff
+
+
 def logical_error_rate(distance: int, rounds: int, profile: NoiseProfile,
                        config: OracleConfig = OracleConfig()) -> float:
     """Synthetic logical error rate for one (distance, rounds, noise) point.
@@ -162,15 +177,41 @@ def logical_error_rate(distance: int, rounds: int, profile: NoiseProfile,
     Raises AboveThresholdError when the effective rate reaches the threshold.
     """
     _check_code_point(distance, rounds)
-    p_eff = effective_error(profile, config)
-    if p_eff >= config.threshold:
-        raise AboveThresholdError(
-            f"effective error {p_eff:.3e} is at or above threshold {config.threshold:.3e}")
+    p_eff = _below_threshold_error(profile, config)
     exponent = (min(distance, rounds) + 1) / 2
     base = config.amplitude * (p_eff / config.threshold) ** exponent
     penalty = 1.0 + config.decoherence * max(0, rounds - distance) * (
         profile.depolarizing / config.threshold)
     return min(max(base * penalty, config.floor), 1.0)
+
+
+def rate_grid(profile: NoiseProfile, distances: Sequence[int], rounds: Sequence[int],
+              config: OracleConfig = OracleConfig()) -> np.ndarray:
+    """``logical_error_rate`` at every (distance, rounds) pair, as one array.
+
+    Entry [i, j] is the rate at (distances[i], rounds[j]) and equals the
+    scalar oracle bit for bit: the suppression base comes from Python ``**``
+    once per distinct min(d, r), because ``np.power`` can differ in the last
+    ulp, and the penalty and clamp repeat the scalar operation order
+    elementwise. Raises AboveThresholdError like the scalar oracle.
+    """
+    # Every (d, r) pair is a valid code point iff each d and each r is.
+    for distance in distances:
+        _check_code_point(distance, 1)
+    for count in rounds:
+        _check_code_point(3, count)
+    p_eff = _below_threshold_error(profile, config)
+    d = np.asarray(distances, dtype=np.int64)[:, None]
+    r = np.asarray(rounds, dtype=np.int64)[None, :]
+    shortest_grid = np.minimum(d, r)
+    shortest, index = np.unique(shortest_grid.ravel(), return_inverse=True)
+    ratio = p_eff / config.threshold
+    bases = np.asarray([config.amplitude * ratio ** ((int(m) + 1) / 2) for m in shortest],
+                       dtype=np.float64)
+    penalty = 1.0 + config.decoherence * np.maximum(r - d, 0) * (
+        profile.depolarizing / config.threshold)
+    rates = bases[index].reshape(shortest_grid.shape) * penalty
+    return np.minimum(np.maximum(rates, config.floor), 1.0)
 
 
 def sample_profiles(sweep: SweepConfig, count: Optional[int] = None,
@@ -198,10 +239,14 @@ def generate_dataset(sweep: SweepConfig = SweepConfig(),
     in range is recorded. Once any (d, r) reaches the termination rate, the
     current distance's round sweep is finished and no further distances are
     visited for that profile. Profiles at or above threshold are skipped with
-    a warning. Deterministic given the sweep seed.
+    a warning. Deterministic given the sweep seed. Each profile's grid is
+    evaluated as one array by ``rate_grid``, and the records at one grid
+    point share a CodeParams.
     """
     if profiles is None:
         profiles = sample_profiles(sweep)
+    distances, rounds = sweep.distances, sweep.rounds()
+    params = [[CodeParams(distance=d, rounds=r) for r in rounds] for d in distances]
     records: list[DatasetRecord] = []
     for index, profile in enumerate(profiles):
         validate_profile(profile)
@@ -209,19 +254,12 @@ def generate_dataset(sweep: SweepConfig = SweepConfig(),
             logger.warning("profile %d is at or above threshold, skipped: %s",
                            index, profile)
             continue
-        for distance in sweep.distances:
-            terminated = False
-            for rounds in sweep.rounds():
-                ler = logical_error_rate(distance, rounds, profile, config)
-                records.append(DatasetRecord(
-                    noise=profile,
-                    params=CodeParams(distance=distance, rounds=rounds),
-                    logical_error_rate=ler,
-                ))
-                if meets_target(ler, sweep.termination_rate):
-                    terminated = True
-            if terminated:
-                break
+        grid = rate_grid(profile, distances, rounds, config)
+        terminated = meets_target(grid, sweep.termination_rate).any(axis=1)
+        stop = int(terminated.argmax()) + 1 if terminated.any() else len(distances)
+        for row_params, row_rates in zip(params[:stop], grid[:stop].tolist()):
+            records.extend(DatasetRecord(noise=profile, params=point, logical_error_rate=ler)
+                           for point, ler in zip(row_params, row_rates))
     return records
 
 

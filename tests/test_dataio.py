@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
-from surfplan import SweepConfig, generate_dataset
+from surfplan import SweepConfig, build_training_cases, generate_dataset
+from surfplan.config import load_config
 from surfplan.dataio import (
     DataFormatError,
     read_calibration,
@@ -54,6 +56,30 @@ class TestDatasetCsv:
         with pytest.raises(DataFormatError, match="row 3.*gate"):
             read_dataset_csv(path)
 
+    @pytest.mark.parametrize("cells, match", [
+        ("3,3,oops", "row 4, column 'logical_error_rate'"),
+        ("x,3,oops", "row 4, column 'distance'"),
+    ])
+    def test_bad_cell_of_seen_profile_reports_row_and_column(self, tmp_path, cells, match):
+        path = tmp_path / "bad.csv"
+        lines = ["depolarizing,gate,reset,readout,distance,rounds,logical_error_rate",
+                 "1e-4,2e-3,1e-4,3e-3,3,1,1e-3",
+                 "1e-4,2e-3,1e-4,3e-3,3,2,1e-3",
+                 "1e-4,2e-3,1e-4,3e-3," + cells]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=match):
+            read_dataset_csv(path)
+
+    def test_new_invalid_distance_after_valid_rows_reported(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        lines = ["depolarizing,gate,reset,readout,distance,rounds,logical_error_rate",
+                 "1e-4,2e-3,1e-4,3e-3,3,1,1e-3",
+                 "1e-4,2e-3,1e-4,3e-3,5,1,1e-3",
+                 "1e-4,2e-3,1e-4,3e-3,4,1,1e-3"]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match="row 4.*odd"):
+            read_dataset_csv(path)
+
     def test_wrong_field_count_reported(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("depolarizing,gate,reset,readout,distance,rounds,"
@@ -67,6 +93,24 @@ class TestDatasetCsv:
                         "logical_error_rate\n1e-4,2e-3,1e-4,3e-3,4,1,1e-3\n")
         with pytest.raises(DataFormatError, match="row 2.*odd"):
             read_dataset_csv(path)
+
+
+def test_default_dataset_and_labels_are_pinned(tmp_path):
+    # SHA-256 of the default-config CSV and of its labels as produced by the
+    # scalar oracle, one logical_error_rate call per grid point. A last-ulp
+    # drift in the oracle or in the float formatting changes them.
+    config = load_config(None)
+    path = tmp_path / "data.csv"
+    write_dataset_csv(generate_dataset(config.sweep, config.oracle), path)
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "71d87eadd2d3b6cf2902eab29dccdceb3982ea8fb045a923881bee46455bc99e")
+    cases = build_training_cases(read_dataset_csv(path), config.sweep, config.oracle,
+                                 config.targets)
+    labels = "\n".join(repr((case.request.noise.as_tuple(),
+                             case.request.target_logical_error_rate,
+                             case.distance, case.rounds)) for case in cases)
+    assert (hashlib.sha256(labels.encode()).hexdigest()
+            == "86be97e2a3616092ecfae35888d1d404009f71dc3d4f0810d5d321d57631c80c")
 
 
 class TestCalibration:

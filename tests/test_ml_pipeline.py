@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfplan import (
+    DEFAULT_TARGET_MENU,
     AboveThresholdError,
     BoostConfig,
     ForestConfig,
@@ -11,6 +14,7 @@ from surfplan import (
     PredictionRequest,
     SweepConfig,
     build_training_cases,
+    find_optimal_params,
     fit_pipeline,
     fit_pipeline_cases,
     generate_dataset,
@@ -19,12 +23,24 @@ from surfplan import (
     round_distance,
 )
 from surfplan.ml.ensemble import fit_boosted, fit_forest
-from surfplan.ml.pipeline import stage1_features
+from surfplan.ml.pipeline import distinct_profiles, stage1_features, stage2_features
 
 
 def _case(profile, target, d, r):
     return LabeledCase(request=PredictionRequest(
         noise=profile, target_logical_error_rate=target), distance=d, rounds=r)
+
+
+def _scalar_labels(records, sweep, oracle, menu):
+    """Training cases labeled one scalar find_optimal_params call per pair."""
+    cases = []
+    for profile in distinct_profiles(records):
+        for target in menu:
+            request = PredictionRequest(noise=profile, target_logical_error_rate=target)
+            optimal = find_optimal_params(request, sweep, oracle)
+            if optimal is not None:
+                cases.append(_case(profile, target, optimal.distance, optimal.rounds))
+    return cases
 
 
 @pytest.fixture(scope="module")
@@ -44,12 +60,28 @@ class TestLabelConstruction:
             assert case.distance in sweep.distances
             assert sweep.rounds_min <= case.rounds <= sweep.rounds_max
 
-    def test_labels_are_grid_optima(self, small_run):
-        from surfplan import find_optimal_params
+    @given(data=st.data())
+    @settings(max_examples=30)
+    def test_labels_are_grid_optima(self, small_run, data):
+        # Every (profile, target) pair gets the scalar search's answer, and a
+        # pair is dropped exactly when that search finds nothing. Targets on,
+        # just inside and just outside TARGET_REL_TOL of a grid rate probe
+        # the tolerance.
         sweep, oracle, records, cases = small_run
-        for case in cases[:10]:
-            optimal = find_optimal_params(case.request, sweep, oracle)
-            assert (optimal.distance, optimal.rounds) == (case.distance, case.rounds)
+        assert cases == _scalar_labels(records, sweep, oracle, DEFAULT_TARGET_MENU)
+        extra = data.draw(st.lists(st.builds(
+            NoiseProfile, depolarizing=st.floats(0.0, 5e-3), gate=st.floats(1e-5, 1e-2),
+            reset=st.floats(0.0, 1e-2), readout=st.floats(0.0, 1e-2)), max_size=2))
+        records = records + generate_dataset(sweep, oracle, profiles=extra)
+        grid_rate = st.builds(
+            lambda record, factor: record.logical_error_rate * factor,
+            st.sampled_from(records),
+            st.sampled_from([1.0, 1.0 - 5e-13, 1.0 + 5e-13, 1.0 - 3e-12, 1.0 + 3e-12]))
+        random_target = st.floats(-15.0, -1.0).map(lambda e: 10.0 ** e)
+        menu = tuple(data.draw(st.lists(st.one_of(grid_rate, random_target),
+                                        min_size=1, max_size=6)))
+        assert (build_training_cases(records, sweep, oracle, menu)
+                == _scalar_labels(records, sweep, oracle, menu))
 
 
 class TestFitPipeline:
@@ -71,10 +103,9 @@ class TestFitPipeline:
         mat1 = stage1_features([case.request for case in cases])
         y1 = np.asarray([case.distance for case in cases], dtype=float)
         stage1 = fit_boosted(mat1, y1, stage1_cfg)
-        raw = np.maximum(stage1.predict(mat1), 1e-6)
-        rounded = np.asarray([round_distance(float(v)) for v in raw], dtype=float)
-        assert not np.array_equal(raw, rounded), "fixture failed to exercise rounding"
-        mat2 = np.column_stack([rounded, mat1[:, 4]])
+        raw, mat2 = stage2_features(stage1, mat1)
+        assert not np.array_equal(raw, mat2[:, 0]), "fixture failed to exercise rounding"
+        assert all(value == round_distance(float(r)) for value, r in zip(mat2[:, 0], raw))
         y2 = np.asarray([case.rounds for case in cases], dtype=float)
         stage2 = fit_forest(mat2, y2, stage2_cfg)
         probe = np.column_stack([np.array([3.0, 9.0, 15.0]), np.array([-4.0, -6.0, -9.0])])
