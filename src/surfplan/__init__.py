@@ -49,7 +49,6 @@ from .ml import (
     PipelineModel,
     TreeConfig,
     TreeModel,
-    active_kernel,
     build_training_cases,
     fit_boosted,
     fit_forest,

@@ -313,7 +313,7 @@ def main(argv=None) -> int:
     except (AboveThresholdError, InfeasibleRequestError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ConfigError, ModelIOError, ValidationError) as exc:
+    except (ConfigError, ModelIOError, ValidationError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:

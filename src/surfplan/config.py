@@ -66,6 +66,13 @@ def _reject_unknown(section: str, data: dict, allowed: tuple[str, ...]) -> None:
             f"unknown key(s) {unknown} in '{section}' section; allowed: {list(allowed)}")
 
 
+def _section(data: dict, name: str) -> dict:
+    section = data[name]
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{name}' section must be a JSON object, got {section!r}")
+    return dict(section)
+
+
 def _tree_config(section: str, data: dict, defaults: TreeConfig) -> TreeConfig:
     allowed = ("max_depth", "min_samples_split", "min_child_weight", "gamma")
     picked = {key: data.pop(key) for key in list(data) if key in allowed}
@@ -86,14 +93,14 @@ def _build_config(data: dict) -> ToolConfig:
         config = replace(config, seed=data["seed"])
 
     if "oracle" in data:
-        section = dict(data["oracle"])
+        section = _section(data, "oracle")
         _reject_unknown("oracle", section, (
             "amplitude", "threshold", "gate_weight", "depolarizing_weight",
             "readout_weight", "reset_weight", "decoherence", "floor"))
         config = replace(config, oracle=replace(config.oracle, **section))
 
     if "sweep" in data:
-        section = dict(data["sweep"])
+        section = _section(data, "sweep")
         _reject_unknown("sweep", section, (
             "distances", "rounds_min", "rounds_max", "termination_rate",
             "depolarizing_range", "gate_range", "readout_range", "reset_range",
@@ -105,26 +112,26 @@ def _build_config(data: dict) -> ToolConfig:
         config = replace(config, sweep=replace(config.sweep, **section))
 
     if "heuristic_weights" in data:
-        section = dict(data["heuristic_weights"])
+        section = _section(data, "heuristic_weights")
         _reject_unknown("heuristic_weights", section,
                         ("w_gate", "w_depol", "w_readout", "w_reset"))
         config = replace(config,
                          heuristic_weights=replace(config.heuristic_weights, **section))
 
     if "stage1" in data:
-        section = dict(data["stage1"])
+        section = _section(data, "stage1")
         tree = _tree_config("stage1", section, config.stage1.tree)
         _reject_unknown("stage1", section, ("n_estimators", "learning_rate", "base_score"))
         config = replace(config, stage1=replace(config.stage1, tree=tree, **section))
 
     if "stage2" in data:
-        section = dict(data["stage2"])
+        section = _section(data, "stage2")
         tree = _tree_config("stage2", section, config.stage2.tree)
         _reject_unknown("stage2", section, ("n_estimators", "bootstrap"))
         config = replace(config, stage2=replace(config.stage2, tree=tree, **section))
 
     if "split" in data:
-        section = dict(data["split"])
+        section = _section(data, "split")
         _reject_unknown("split", section, ("test_fraction",))
         config = replace(config, split=replace(config.split, **section))
 
@@ -139,7 +146,7 @@ def _build_config(data: dict) -> ToolConfig:
         config = replace(config, targets=tuple(float(v) for v in targets))
 
     if "paths" in data:
-        section = dict(data["paths"])
+        section = _section(data, "paths")
         _reject_unknown("paths", section, ("out_dir",))
         if "out_dir" in section:
             config = replace(config, out_dir=str(section["out_dir"]))

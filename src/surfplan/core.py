@@ -56,6 +56,14 @@ def _check_positive_finite(value: float, name: str) -> float:
     return float(value)
 
 
+def check_int(name: str, value, minimum: int) -> None:
+    """Reject bools, non-integers and integers below ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
+
+
 # Raw stage outputs are clipped here before rounding, so rounding always sees
 # a positive value.
 RAW_FLOOR = 1e-6

@@ -192,8 +192,6 @@ class HeuristicModel:
     stage1_scaler: Standardizer
     stage2_scaler: Standardizer
 
-    model_kind = "heuristic"
-
     # -- feature spaces ----------------------------------------------------
 
     def _stage1_matrix(self) -> np.ndarray:

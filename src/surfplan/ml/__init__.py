@@ -1,6 +1,5 @@
 """Tree, ensemble, and pipeline learners plus persistence."""
 
-from ._kernels import active_kernel
 from .ensemble import BoostConfig, BoostedModel, ForestConfig, ForestModel, fit_boosted, fit_forest
 from .linear import LinearModel, fit_linear
 from .pipeline import (
@@ -34,6 +33,6 @@ __all__ = [
     "fit_pipeline", "fit_pipeline_cases", "fit_linear_pipeline",
     "build_training_cases", "distinct_profiles", "stage1_features",
     "predict", "predict_many", "grid_search", "kfold_indices",
-    "save_model", "load_model", "active_kernel",
+    "save_model", "load_model",
     "ModelIOError", "ModelVersionError", "CorruptModelError",
 ]

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core import ValidationError
+from ..core import ValidationError, check_int
 from .tree import TreeConfig, TreeModel, _as_feature_matrix, _as_targets, fit_tree
 
 
@@ -28,8 +28,9 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_estimators < 1:
-            raise ValidationError(f"n_estimators must be >= 1, got {self.n_estimators!r}")
+        check_int("n_estimators", self.n_estimators, 1)
+        if not isinstance(self.bootstrap, bool):
+            raise ValidationError(f"bootstrap must be true or false, got {self.bootstrap!r}")
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,7 @@ class BoostConfig:
     base_score: Optional[float] = None  # None: use the training-target mean
 
     def __post_init__(self):
-        if self.n_estimators < 1:
-            raise ValidationError(f"n_estimators must be >= 1, got {self.n_estimators!r}")
+        check_int("n_estimators", self.n_estimators, 1)
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValidationError(
                 f"learning_rate must be in (0, 1], got {self.learning_rate!r}")
@@ -52,8 +52,6 @@ class BoostConfig:
 class ForestModel:
     trees: tuple[TreeModel, ...]
     n_features: int
-
-    kind = "forest"
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         features = _as_feature_matrix(features, self.n_features)
@@ -72,8 +70,6 @@ class BoostedModel:
     learning_rate: float
     base_score: float
     n_features: int
-
-    kind = "boosted"
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         features = _as_feature_matrix(features, self.n_features)

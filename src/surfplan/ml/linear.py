@@ -22,8 +22,6 @@ class LinearModel:
     intercept: float
     n_features: int
 
-    kind = "linear"
-
     def predict(self, features: np.ndarray) -> np.ndarray:
         features = _as_feature_matrix(features, self.n_features)
         return features @ self.coefficients + self.intercept

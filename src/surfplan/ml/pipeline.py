@@ -125,8 +125,6 @@ class PipelineModel:
     stage1_schema: tuple[str, ...] = STAGE1_SCHEMA
     stage2_schema: tuple[str, ...] = STAGE2_SCHEMA
 
-    model_kind = "pipeline"
-
     def predict_result(self, request: PredictionRequest) -> PredictionResult:
         if effective_error(request.noise, self.oracle) >= self.oracle.threshold:
             raise AboveThresholdError(

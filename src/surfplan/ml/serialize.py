@@ -20,7 +20,7 @@ from ..oracle import OracleConfig
 from .ensemble import BoostedModel, ForestModel
 from .linear import LinearModel
 from .pipeline import PipelineModel
-from .tree import TreeModel
+from .tree import LEAF, TreeModel
 
 FORMAT_TAG = "surfplan-model"
 FORMAT_VERSION = 1
@@ -50,15 +50,60 @@ def _tree_to_dict(tree: TreeModel) -> dict:
     }
 
 
-def _tree_from_dict(data: dict) -> TreeModel:
-    return TreeModel(
-        feature=np.asarray(data["feature"], dtype=np.int64),
-        threshold=np.asarray(data["threshold"], dtype=np.float64),
-        left=np.asarray(data["left"], dtype=np.int64),
-        right=np.asarray(data["right"], dtype=np.int64),
-        value=np.asarray(data["value"], dtype=np.float64),
-        n_features=int(data["n_features"]),
-    )
+def _trees_from_dicts(items: list, n_features: int) -> tuple[TreeModel, ...]:
+    """Parse one stage's trees, checking their structure in one vectorized
+    pass over the concatenated node arrays.
+
+    Every node array of a tree has the same nonzero length; a leaf has no
+    children; an internal node splits on a feature below ``n_features`` and
+    its children come after it in the same tree, so prediction always ends at
+    a leaf; thresholds and values are finite.
+    """
+    if not items:
+        raise CorruptModelError("stage has no trees")
+    counts = [len(item["feature"]) for item in items]
+    if min(counts) < 1:
+        raise CorruptModelError("tree has no nodes")
+    for name in ("threshold", "left", "right", "value"):
+        if [len(item[name]) for item in items] != counts:
+            raise CorruptModelError(f"tree '{name}' array does not match its node count")
+    if any(int(item["n_features"]) != n_features for item in items):
+        raise CorruptModelError(f"tree n_features does not match the stage's {n_features}")
+
+    def column(name, kinds, dtype):
+        flat = []
+        for item in items:
+            flat += item[name]
+        # Parse without a dtype first, so that a fractional index or a quoted
+        # number is rejected instead of silently truncated or converted.
+        array = np.asarray(flat)
+        if array.dtype.kind not in kinds:
+            raise CorruptModelError(f"tree '{name}' has a non-numeric or fractional entry")
+        return array.astype(dtype, copy=False)
+
+    feature, left, right = (column(name, "i", np.int64) for name in ("feature", "left", "right"))
+    threshold, value = (column(name, "if", np.float64) for name in ("threshold", "value"))
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    local = np.arange(ends[-1]) - np.repeat(starts, counts)
+    size = np.repeat(counts, counts)
+    well_formed = np.where(
+        feature == LEAF,
+        (left == LEAF) & (right == LEAF),
+        (feature >= 0) & (feature < n_features)
+        & (left > local) & (left < size) & (right > local) & (right < size))
+    if not well_formed.all():
+        bad = int(np.argmin(well_formed))
+        tree = int(np.searchsorted(ends, bad, side="right"))
+        raise CorruptModelError(
+            f"tree {tree} node {int(local[bad])} has an invalid feature or child index")
+    if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
+        raise CorruptModelError("tree thresholds and values must be finite")
+
+    return tuple(
+        TreeModel(feature=feature[lo:hi], threshold=threshold[lo:hi], left=left[lo:hi],
+                  right=right[lo:hi], value=value[lo:hi], n_features=n_features)
+        for lo, hi in zip(starts.tolist(), ends.tolist()))
 
 
 def stage_to_dict(model) -> dict:
@@ -81,15 +126,17 @@ def stage_to_dict(model) -> dict:
 def stage_from_dict(data: dict):
     kind = data.get("kind")
     if kind == "tree":
-        return _tree_from_dict(data)
+        return _trees_from_dicts([data], int(data["n_features"]))[0]
     if kind == "forest":
-        return ForestModel(trees=tuple(_tree_from_dict(t) for t in data["trees"]),
-                           n_features=int(data["n_features"]))
+        n_features = int(data["n_features"])
+        return ForestModel(trees=_trees_from_dicts(data["trees"], n_features),
+                           n_features=n_features)
     if kind == "boosted":
-        return BoostedModel(trees=tuple(_tree_from_dict(t) for t in data["trees"]),
+        n_features = int(data["n_features"])
+        return BoostedModel(trees=_trees_from_dicts(data["trees"], n_features),
                             learning_rate=float(data["learning_rate"]),
                             base_score=float(data["base_score"]),
-                            n_features=int(data["n_features"]))
+                            n_features=n_features)
     if kind == "linear":
         return LinearModel(coefficients=np.asarray(data["coefficients"], dtype=np.float64),
                            intercept=float(data["intercept"]),

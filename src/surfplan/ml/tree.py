@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import ValidationError
-from . import _kernels
+from ..core import ValidationError, check_int
 
 LEAF = -1
 
@@ -31,14 +30,9 @@ class TreeConfig:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.max_depth < 1:
-            raise ValidationError(f"max_depth must be >= 1, got {self.max_depth!r}")
-        if self.min_samples_split < 2:
-            raise ValidationError(
-                f"min_samples_split must be >= 2, got {self.min_samples_split!r}")
-        if self.min_child_weight < 1:
-            raise ValidationError(
-                f"min_child_weight must be >= 1, got {self.min_child_weight!r}")
+        check_int("max_depth", self.max_depth, 1)
+        check_int("min_samples_split", self.min_samples_split, 2)
+        check_int("min_child_weight", self.min_child_weight, 1)
         if not self.gamma >= 0.0:
             raise ValidationError(f"gamma must be >= 0, got {self.gamma!r}")
 
@@ -53,8 +47,6 @@ class TreeModel:
     right: np.ndarray
     value: np.ndarray
     n_features: int
-
-    kind = "tree"
 
     @property
     def node_count(self) -> int:
@@ -113,6 +105,35 @@ def _as_targets(targets, n_rows: int) -> np.ndarray:
     return vec
 
 
+def _best_split(values: np.ndarray, targets: np.ndarray, min_leaf: int):
+    """Best split of a sorted column. Returns (gain, threshold).
+
+    ``values`` must be sorted ascending with ``targets`` aligned. Candidates
+    are midpoints between consecutive distinct values whose children both hold
+    at least ``min_leaf`` samples; gain is the reduction in the sum of squared
+    errors. Ties keep the lowest threshold. Gain is -inf when no candidate
+    exists.
+    """
+    n = values.shape[0]
+    csum = np.cumsum(targets)
+    total = csum[-1]
+    parent_term = total * total / n
+    left_n = np.arange(1, n)
+    right_n = n - left_n
+    left_sum = csum[:-1]
+    right_sum = total - left_sum
+    gains = left_sum * left_sum / left_n + right_sum * right_sum / right_n - parent_term
+    thresholds = (values[:-1] + values[1:]) * 0.5
+    valid = (values[1:] > values[:-1]) & (left_n >= min_leaf) & (right_n >= min_leaf)
+    # A midpoint that rounds up to the right-hand value cannot separate the two.
+    valid &= thresholds < values[1:]
+    if not valid.any():
+        return float("-inf"), 0.0
+    gains = np.where(valid, gains, -np.inf)
+    best = int(np.argmax(gains))
+    return float(gains[best]), float(thresholds[best])
+
+
 @dataclass
 class _Builder:
     features: np.ndarray
@@ -143,11 +164,7 @@ class _Builder:
         for f in range(self.features.shape[1]):
             column = self.features[index, f]
             order = np.argsort(column, kind="stable")
-            gain, threshold, _ = _kernels.best_split_column(
-                np.ascontiguousarray(column[order]),
-                np.ascontiguousarray(y[order]),
-                cfg.min_child_weight,
-            )
+            gain, threshold = _best_split(column[order], y[order], cfg.min_child_weight)
             if gain > best_gain:
                 best_gain = gain
                 best_feature = f

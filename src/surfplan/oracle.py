@@ -30,6 +30,7 @@ from .core import (
     NoiseProfile,
     PredictionRequest,
     ValidationError,
+    check_int,
     validate_profile,
 )
 
@@ -124,9 +125,11 @@ class SweepConfig:
                 raise ValidationError(f"distances must be odd integers >= 3, got {d!r}")
         if list(self.distances) != sorted(set(self.distances)):
             raise ValidationError("distances must be strictly increasing")
-        if not 1 <= self.rounds_min <= self.rounds_max:
+        check_int("rounds_min", self.rounds_min, 1)
+        check_int("rounds_max", self.rounds_max, 1)
+        if self.rounds_min > self.rounds_max:
             raise ValidationError(
-                f"need 1 <= rounds_min <= rounds_max, got {self.rounds_min}..{self.rounds_max}")
+                f"need rounds_min <= rounds_max, got {self.rounds_min}..{self.rounds_max}")
         if not 0.0 < self.termination_rate < 1.0:
             raise ValidationError(
                 f"termination_rate must be in (0, 1), got {self.termination_rate!r}")
@@ -134,9 +137,7 @@ class SweepConfig:
         _check_range("gate_range", self.gate_range)
         _check_range("readout_range", self.readout_range)
         _check_range("reset_range", self.reset_range)
-        if self.profiles_per_run < 1:
-            raise ValidationError(
-                f"profiles_per_run must be >= 1, got {self.profiles_per_run!r}")
+        check_int("profiles_per_run", self.profiles_per_run, 1)
 
     def rounds(self) -> range:
         return range(self.rounds_min, self.rounds_max + 1)

@@ -77,6 +77,29 @@ class TestGenerate:
         assert code == 2
         assert "sweeps" in err
 
+    @pytest.mark.parametrize("payload", [
+        {"oracle": "ab"},
+        {"sweep": [["profiles_per_run", 2]]},
+        {"sweep": {"profiles_per_run": 1.5}},
+        {"sweep": {"rounds_max": 10.5}},
+        {"sweep": {"rounds_min": True}},
+        {"stage1": {"n_estimators": 2.5}},
+        {"stage1": {"max_depth": 3.0}},
+        {"stage2": {"n_estimators": True}},
+        {"stage2": {"min_samples_split": 10.0}},
+        {"stage2": {"min_child_weight": 1.0}},
+        {"stage2": {"bootstrap": 1}},
+    ], ids=repr)
+    def test_malformed_config_value_exits_2(self, capsys, tmp_path, payload):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(payload))
+        out_path = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "generate", "--config", str(config),
+                               "--out", str(out_path))
+        assert code == 2
+        assert "Traceback" not in err
+        assert not out_path.exists()
+
     def test_default_scale(self, capsys, tmp_path):
         out_path = tmp_path / "default.csv"
         code, out, _ = run_cli(capsys, "generate", "--out", str(out_path))
@@ -194,6 +217,24 @@ class TestPredict:
                                "--depol", "2e-4", "--target", "1e-6")
         assert code == 2
         assert "--gate" in err
+
+
+@pytest.mark.parametrize("kind", ["data", "calibration", "config", "model"])
+def test_non_utf8_input_exits_2(capsys, tmp_path, trained_model, kind):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe{}")
+    rates = ["--depol", "2e-4", "--gate", "1.2e-3", "--reset", "5e-4",
+             "--readout", "3e-3", "--target", "1e-6"]
+    argv = {
+        "data": ["train", "--data", str(bad), "--out-model", str(tmp_path / "m.json")],
+        "calibration": ["predict", "--model", trained_model, "--calibration", str(bad),
+                        "--target", "1e-6"],
+        "config": ["generate", "--config", str(bad), "--out", str(tmp_path / "x.csv")],
+        "model": ["predict", "--model", str(bad), *rates],
+    }[kind]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err
 
 
 class TestEvaluateAndCompare:

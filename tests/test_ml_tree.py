@@ -3,7 +3,7 @@ import pytest
 
 from helpers import reference_best_split, verify_tree_node
 from surfplan import TreeConfig, ValidationError, fit_tree
-from surfplan.ml import _kernels
+from surfplan.ml.tree import _best_split
 
 
 class TestFitTreeExamples:
@@ -131,53 +131,13 @@ class TestTreeProperties:
             tree.predict(np.zeros((3, 5)))
 
 
-class TestKernelParity:
-    @pytest.mark.skipif(_kernels.compiled_best_split is None,
-                        reason="compiled kernel not built")
-    @pytest.mark.parametrize("seed", range(6))
-    def test_compiled_equals_pure_exactly(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 200))
-        values = np.sort(rng.choice([0.0, 0.25, 0.5, 1.0, 2.0], size=n)
-                         if seed % 2 else rng.normal(size=n))
-        targets = rng.normal(size=n)
-        for min_leaf in (1, 2, 5):
-            pure = _kernels.pure_best_split(values, targets, min_leaf)
-            fast = _kernels.compiled_best_split(values, targets, min_leaf)
-            assert pure == fast
-
+class TestSplitScan:
     def test_reference_agrees_single_column(self):
         rng = np.random.default_rng(5)
         values = np.sort(rng.normal(size=40))
         targets = rng.normal(size=40)
-        gain, threshold, _ = _kernels.pure_best_split(values, targets, 1)
+        gain, threshold = _best_split(values, targets, 1)
         ref = reference_best_split(values.reshape(-1, 1), targets, 1)
         assert ref is not None
         assert threshold == pytest.approx(ref[2], rel=1e-12)
         assert gain == pytest.approx(ref[0], rel=1e-9)
-
-    @pytest.mark.skipif(_kernels.compiled_best_split is None,
-                        reason="compiled kernel not built")
-    def test_whole_model_identical_across_kernels(self):
-        from surfplan import BoostConfig, fit_boosted
-
-        rng = np.random.default_rng(12)
-        features = rng.normal(size=(120, 4))
-        targets = features @ np.array([1.0, -0.5, 2.0, 0.0]) + rng.normal(size=120)
-        config = BoostConfig(n_estimators=20, learning_rate=0.2)
-
-        saved = _kernels._active, _kernels._active_name
-        try:
-            _kernels._active, _kernels._active_name = _kernels.pure_best_split, "pure"
-            pure_model = fit_boosted(features, targets, config)
-            _kernels._active, _kernels._active_name = (
-                _kernels.compiled_best_split, "compiled")
-            fast_model = fit_boosted(features, targets, config)
-        finally:
-            _kernels._active, _kernels._active_name = saved
-
-        assert len(pure_model.trees) == len(fast_model.trees)
-        for a, b in zip(pure_model.trees, fast_model.trees):
-            assert np.array_equal(a.feature, b.feature)
-            assert np.array_equal(a.threshold, b.threshold)
-            assert np.array_equal(a.value, b.value)

@@ -120,6 +120,41 @@ class TestFailureModes:
         with pytest.raises(CorruptModelError):
             load_model(path)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("left", 99),                 # child index past the end of the tree
+        ("right", 0),                 # child pointing back at the root: a cycle
+        ("feature", 5),               # stage-1 trees have 5 features
+        ("feature", -1),              # a leaf that still has children
+        ("feature", 1.5),             # would be truncated to a valid index
+        ("threshold", "0.5"),         # would be parsed from the string
+        ("threshold", float("nan")),  # json.load accepts NaN
+        ("value", float("inf")),
+    ])
+    def test_corrupt_tree_node_rejected(self, training_setup, tmp_path, field, bad):
+        path = self._saved_pipeline(training_setup, tmp_path)
+        data = json.loads(path.read_text())
+        tree = data["model"]["stage1"]["trees"][1]
+        node = next(i for i, f in enumerate(tree["feature"]) if i > 0 and f >= 0)
+        tree[field][node] = bad
+        path.write_text(json.dumps(data))
+        with pytest.raises(CorruptModelError):
+            load_model(path)
+
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda stage: stage["trees"][1]["value"].pop(), id="truncated_value"),
+        pytest.param(lambda stage: [stage["trees"][1][key].clear() for key in
+                                    ("feature", "threshold", "left", "right", "value")],
+                     id="tree_without_nodes"),
+        pytest.param(lambda stage: stage["trees"].clear(), id="no_trees"),
+    ])
+    def test_corrupt_tree_arrays_rejected(self, training_setup, tmp_path, corrupt):
+        path = self._saved_pipeline(training_setup, tmp_path)
+        data = json.loads(path.read_text())
+        corrupt(data["model"]["stage1"])
+        path.write_text(json.dumps(data))
+        with pytest.raises(CorruptModelError):
+            load_model(path)
+
     def test_unknown_stage_kind_rejected(self, training_setup, tmp_path):
         path = self._saved_pipeline(training_setup, tmp_path)
         data = json.loads(path.read_text())
