@@ -28,6 +28,10 @@ SEED_CV_OFFSET = 4
 DEFAULT_SEED = 42
 
 
+_ORACLE_KEYS = ("amplitude", "threshold", "gate_weight", "depolarizing_weight",
+               "readout_weight", "reset_weight", "decoherence", "floor")
+
+
 class ConfigError(ValidationError):
     """The config file is missing, unparseable, or violates the schema."""
 
@@ -73,9 +77,36 @@ def _section(data: dict, name: str) -> dict:
     return dict(section)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_numbers(section: str, data: dict, keys: tuple[str, ...],
+                   nullable: tuple[str, ...] = ()) -> None:
+    """Reject a present key whose value is not a JSON number (bools included)."""
+    for key in keys:
+        if key not in data or (data[key] is None and key in nullable):
+            continue
+        if not _is_number(data[key]):
+            raise ConfigError(f"'{section}.{key}' must be a number, got {data[key]!r}")
+
+
+def _tuple_field(section: str, data: dict, key: str, pair: bool = False) -> None:
+    """Turn a present list field into a tuple; a pair must hold two numbers."""
+    if key not in data:
+        return
+    value = data[key]
+    if not isinstance(value, list):
+        raise ConfigError(f"'{section}.{key}' must be a list, got {value!r}")
+    if pair and not (len(value) == 2 and all(_is_number(v) for v in value)):
+        raise ConfigError(f"'{section}.{key}' must be a list of two numbers, got {value!r}")
+    data[key] = tuple(value)
+
+
 def _tree_config(section: str, data: dict, defaults: TreeConfig) -> TreeConfig:
     allowed = ("max_depth", "min_samples_split", "min_child_weight", "gamma")
     picked = {key: data.pop(key) for key in list(data) if key in allowed}
+    _check_numbers(section, picked, ("gamma",))
     return replace(defaults, **picked)
 
 
@@ -94,9 +125,8 @@ def _build_config(data: dict) -> ToolConfig:
 
     if "oracle" in data:
         section = _section(data, "oracle")
-        _reject_unknown("oracle", section, (
-            "amplitude", "threshold", "gate_weight", "depolarizing_weight",
-            "readout_weight", "reset_weight", "decoherence", "floor"))
+        _reject_unknown("oracle", section, _ORACLE_KEYS)
+        _check_numbers("oracle", section, _ORACLE_KEYS)
         config = replace(config, oracle=replace(config.oracle, **section))
 
     if "sweep" in data:
@@ -105,16 +135,17 @@ def _build_config(data: dict) -> ToolConfig:
             "distances", "rounds_min", "rounds_max", "termination_rate",
             "depolarizing_range", "gate_range", "readout_range", "reset_range",
             "profiles_per_run"))
-        for key in ("distances", "depolarizing_range", "gate_range",
-                    "readout_range", "reset_range"):
-            if key in section:
-                section[key] = tuple(section[key])
+        _check_numbers("sweep", section, ("termination_rate",))
+        _tuple_field("sweep", section, "distances")
+        for key in ("depolarizing_range", "gate_range", "readout_range", "reset_range"):
+            _tuple_field("sweep", section, key, pair=True)
         config = replace(config, sweep=replace(config.sweep, **section))
 
     if "heuristic_weights" in data:
         section = _section(data, "heuristic_weights")
-        _reject_unknown("heuristic_weights", section,
-                        ("w_gate", "w_depol", "w_readout", "w_reset"))
+        weights = ("w_gate", "w_depol", "w_readout", "w_reset")
+        _reject_unknown("heuristic_weights", section, weights)
+        _check_numbers("heuristic_weights", section, weights)
         config = replace(config,
                          heuristic_weights=replace(config.heuristic_weights, **section))
 
@@ -122,6 +153,8 @@ def _build_config(data: dict) -> ToolConfig:
         section = _section(data, "stage1")
         tree = _tree_config("stage1", section, config.stage1.tree)
         _reject_unknown("stage1", section, ("n_estimators", "learning_rate", "base_score"))
+        _check_numbers("stage1", section, ("learning_rate", "base_score"),
+                       nullable=("base_score",))
         config = replace(config, stage1=replace(config.stage1, tree=tree, **section))
 
     if "stage2" in data:
@@ -133,6 +166,7 @@ def _build_config(data: dict) -> ToolConfig:
     if "split" in data:
         section = _section(data, "split")
         _reject_unknown("split", section, ("test_fraction",))
+        _check_numbers("split", section, ("test_fraction",))
         config = replace(config, split=replace(config.split, **section))
 
     if "targets" in data:

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ..core import ValidationError, check_int
-from .tree import TreeConfig, TreeModel, _as_feature_matrix, _as_targets, fit_tree
+from .tree import TreeConfig, TreeModel, _as_feature_matrix, _as_targets, grow_tree, presort
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,8 @@ class BoostedModel:
 
 
 def fit_forest(features, targets, config: ForestConfig = ForestConfig()) -> ForestModel:
-    """Bagged trees; resamples are drawn with replacement at full size."""
+    """Bagged trees; resamples are drawn with replacement at full size, and
+    each is presorted once for its tree."""
     mat = _as_feature_matrix(features)
     if mat.shape[0] == 0:
         raise ValidationError("cannot fit a forest on an empty dataset")
@@ -94,27 +95,34 @@ def fit_forest(features, targets, config: ForestConfig = ForestConfig()) -> Fore
     n = mat.shape[0]
     trees = []
     for i in range(config.n_estimators):
+        sample, sample_y = mat, y
         if config.bootstrap:
             rng = np.random.default_rng((config.seed, i))
             take = rng.integers(0, n, size=n)
-            trees.append(fit_tree(mat[take], y[take], config.tree))
-        else:
-            trees.append(fit_tree(mat, y, config.tree))
+            sample, sample_y = mat[take], y[take]
+        trees.append(grow_tree(sample, sample_y, presort(sample), config.tree)[0])
     return ForestModel(trees=tuple(trees), n_features=mat.shape[1])
 
 
 def fit_boosted(features, targets, config: BoostConfig = BoostConfig()) -> BoostedModel:
-    """Stagewise squared-loss boosting on residuals."""
+    """Stagewise squared-loss boosting on residuals.
+
+    Only the residuals change between stages, so the features are presorted
+    once, and each stage updates the training prediction from the leaf that
+    every row fell in while its tree grew.
+    """
     mat = _as_feature_matrix(features)
     if mat.shape[0] == 0:
         raise ValidationError("cannot fit a boosted model on an empty dataset")
     y = _as_targets(targets, mat.shape[0])
     base = float(np.mean(y)) if config.base_score is None else float(config.base_score)
     prediction = np.full(mat.shape[0], base)
+    order = presort(mat)
     trees = []
     for _ in range(config.n_estimators):
-        tree = fit_tree(mat, y - prediction, config.tree)
-        prediction += config.learning_rate * tree.predict(mat)
+        tree, leaf = grow_tree(mat, _as_targets(y - prediction, mat.shape[0]), order,
+                               config.tree)
+        prediction += config.learning_rate * tree.value[leaf]
         trees.append(tree)
     return BoostedModel(trees=tuple(trees), learning_rate=config.learning_rate,
                         base_score=base, n_features=mat.shape[1])

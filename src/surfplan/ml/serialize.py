@@ -144,6 +144,55 @@ def stage_from_dict(data: dict):
     raise CorruptModelError(f"unknown stage model kind {kind!r}")
 
 
+def _finite_array(value, name: str) -> np.ndarray:
+    # Parse without a dtype first, so that a quoted number is rejected
+    # instead of silently converted.
+    array = np.asarray(value)
+    if array.dtype.kind not in "if" or not np.isfinite(array).all():
+        raise CorruptModelError(f"heuristic '{name}' must hold finite numbers")
+    return array.astype(np.float64, copy=False)
+
+
+def _scaler_from_dict(data: dict, name: str, width: int) -> Standardizer:
+    mean = _finite_array(data["mean"], f"{name}.mean")
+    scale = _finite_array(data["scale"], f"{name}.scale")
+    if mean.shape != (width,) or scale.shape != (width,):
+        raise CorruptModelError(f"heuristic '{name}' must have {width} means and scales")
+    if not (scale > 0.0).all():
+        raise CorruptModelError(f"heuristic '{name}' scales must be > 0")
+    return Standardizer(mean=tuple(mean.tolist()), scale=tuple(scale.tolist()))
+
+
+def _heuristic_from_dict(data: dict) -> HeuristicModel:
+    """Parse a heuristic model, checking the embedded training records and the
+    scalers: one noise row of four rates per record, equal-length record
+    arrays, finite values, and positive scales of the width each stage uses.
+    """
+    kind = HeuristicKind.parse(data["heuristic"])
+    noise = _finite_array(data["noise"], "noise")
+    if noise.ndim != 2 or noise.shape[0] == 0 or noise.shape[1] != 4:
+        raise CorruptModelError(
+            f"heuristic 'noise' must be a non-empty list of 4 rates per record, "
+            f"got shape {noise.shape}")
+    records = {name: _finite_array(data[name], name)
+               for name in ("log_ler", "distance", "rounds")}
+    for name, array in records.items():
+        if array.shape != (noise.shape[0],):
+            raise CorruptModelError(
+                f"heuristic '{name}' must have one entry per noise row "
+                f"({noise.shape[0]}), got shape {array.shape}")
+    return HeuristicModel(
+        kind=kind,
+        weights=HeuristicWeights(**data["weights"]),
+        oracle=OracleConfig(**data["oracle"]),
+        noise=noise,
+        **records,
+        stage1_scaler=_scaler_from_dict(data["stage1_scaler"], "stage1_scaler",
+                                        2 if kind.weighted else 5),
+        stage2_scaler=_scaler_from_dict(data["stage2_scaler"], "stage2_scaler", 2),
+    )
+
+
 def model_to_dict(model) -> dict:
     envelope = {"format": FORMAT_TAG, "version": FORMAT_VERSION}
     if isinstance(model, PipelineModel):
@@ -197,21 +246,7 @@ def model_from_dict(envelope: dict):
                 stage2_schema=tuple(data["stage2_schema"]),
             )
         if kind == "heuristic":
-            return HeuristicModel(
-                kind=HeuristicKind.parse(data["heuristic"]),
-                weights=HeuristicWeights(**data["weights"]),
-                oracle=OracleConfig(**data["oracle"]),
-                noise=np.asarray(data["noise"], dtype=np.float64),
-                log_ler=np.asarray(data["log_ler"], dtype=np.float64),
-                distance=np.asarray(data["distance"], dtype=np.float64),
-                rounds=np.asarray(data["rounds"], dtype=np.float64),
-                stage1_scaler=Standardizer(
-                    mean=tuple(data["stage1_scaler"]["mean"]),
-                    scale=tuple(data["stage1_scaler"]["scale"])),
-                stage2_scaler=Standardizer(
-                    mean=tuple(data["stage2_scaler"]["mean"]),
-                    scale=tuple(data["stage2_scaler"]["scale"])),
-            )
+            return _heuristic_from_dict(data)
         return stage_from_dict(data)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CorruptModelError(f"malformed model file: {exc}") from exc

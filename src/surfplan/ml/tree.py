@@ -7,11 +7,23 @@ a leaf when the depth or size limits bite, when no split clears the minimum
 gain, or when every candidate would starve a child below the minimum leaf
 size. Zero-gain splits are never taken, so constant targets yield a single
 leaf.
+
+Trees grow level by level from one presort per fit, after the exact greedy
+algorithm's presorted column blocks (Chen & Guestrin 2016, arXiv:1603.02754,
+section 4.1). ``presort`` stable-sorts each feature once. At every depth the
+presorted rows are stably regrouped by node, so each node sees its rows in
+feature order with ties in row order, and one padded (nodes x features x
+rows) scan scores every candidate split of the level. One pass then moves
+the rows of all split nodes to their children. Each node's prefix sums start
+at its own first row and its value is the mean of its targets taken in row
+order, so a tree is bit-identical to one grown a node at a time. Nodes are
+stored in pre-order: a node, then its left subtree, then its right subtree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,90 +117,166 @@ def _as_targets(targets, n_rows: int) -> np.ndarray:
     return vec
 
 
-def _best_split(values: np.ndarray, targets: np.ndarray, min_leaf: int):
-    """Best split of a sorted column. Returns (gain, threshold).
+def presort(features: np.ndarray) -> np.ndarray:
+    """Row orders that every tree grown on ``features`` starts from.
 
-    ``values`` must be sorted ascending with ``targets`` aligned. Candidates
-    are midpoints between consecutive distinct values whose children both hold
-    at least ``min_leaf`` samples; gain is the reduction in the sum of squared
-    errors. Ties keep the lowest threshold. Gain is -inf when no candidate
-    exists.
+    Row ``f`` of the result lists the training rows by ascending feature
+    ``f``, ties in row order; the last row lists them in row order.
     """
-    n = values.shape[0]
-    csum = np.cumsum(targets)
-    total = csum[-1]
-    parent_term = total * total / n
-    left_n = np.arange(1, n)
-    right_n = n - left_n
-    left_sum = csum[:-1]
+    n_rows, n_features = features.shape
+    order = np.empty((n_features + 1, n_rows), dtype=np.intp)
+    order[:n_features] = np.argsort(features, axis=0, kind="stable").T
+    order[n_features] = np.arange(n_rows)
+    return order
+
+
+def _level_splits(values: np.ndarray, targets: np.ndarray, counts: np.ndarray,
+                  min_leaf: int):
+    """Best split of every node of one level.
+
+    ``values`` and ``targets`` are (nodes, features, width) arrays: for each
+    feature, node k's ``counts[k]`` rows in ascending feature order (ties in
+    row order), padded on the right to the common width. Candidates are
+    midpoints between consecutive distinct values whose children both hold at
+    least ``min_leaf`` >= 1 rows, so the padding is never a candidate; gain is
+    the reduction in the sum of squared errors. Gain ties go to the lower
+    feature, then the lower threshold, and a feature with a NaN gain (from
+    overflowing targets) is passed over. Returns (feature, threshold, gain)
+    arrays with one entry per node; gain is -inf where no candidate exists.
+    """
+    n_nodes, _, width = values.shape
+    node = np.arange(n_nodes)
+    # Each node's prefix sums start at its own first row, as a per-node
+    # cumsum would; past its last row they run on into the padding.
+    csum = np.cumsum(targets, axis=2)
+    total = csum[node, :, counts - 1][:, :, None]
+    parent_term = total * total / counts[:, None, None]
+    left_n = np.arange(1, width)
+    right_n = counts[:, None, None] - left_n
+    left_sum = csum[:, :, :-1]
     right_sum = total - left_sum
-    gains = left_sum * left_sum / left_n + right_sum * right_sum / right_n - parent_term
-    thresholds = (values[:-1] + values[1:]) * 0.5
-    valid = (values[1:] > values[:-1]) & (left_n >= min_leaf) & (right_n >= min_leaf)
+    with np.errstate(all="ignore"):
+        gains = left_sum * left_sum / left_n + right_sum * right_sum / right_n - parent_term
+        thresholds = (values[:, :, :-1] + values[:, :, 1:]) * 0.5
     # A midpoint that rounds up to the right-hand value cannot separate the two.
-    valid &= thresholds < values[1:]
-    if not valid.any():
-        return float("-inf"), 0.0
-    gains = np.where(valid, gains, -np.inf)
-    best = int(np.argmax(gains))
-    return float(gains[best]), float(thresholds[best])
+    valid = ((values[:, :, 1:] > values[:, :, :-1]) & (thresholds < values[:, :, 1:])
+             & ((left_n >= min_leaf) & (right_n >= min_leaf)))
+    gains = np.where(valid, gains, -np.inf).reshape(n_nodes, -1)
+    # The first maximum over (feature, threshold) pairs is the lowest threshold
+    # of the lowest feature among the best.
+    best = gains.argmax(axis=1)
+    gain = gains[node, best]
+    if math.isnan(gain.sum()):
+        # argmax stops at the first NaN, so drop every feature that has one.
+        # (+inf and -inf gains also sum to NaN; redoing the argmax is harmless.)
+        per_feature = gains.reshape(n_nodes, -1, width - 1)
+        per_feature[np.isnan(per_feature.max(axis=2))] = -np.inf
+        best = gains.argmax(axis=1)
+        gain = gains[node, best]
+    return best // (width - 1), thresholds.reshape(n_nodes, -1)[node, best], gain
 
 
-@dataclass
-class _Builder:
-    features: np.ndarray
-    targets: np.ndarray
-    config: TreeConfig
-    feature_col: list = field(default_factory=list)
-    threshold_col: list = field(default_factory=list)
-    left_col: list = field(default_factory=list)
-    right_col: list = field(default_factory=list)
-    value_col: list = field(default_factory=list)
+def _preorder(left: list, right: list) -> np.ndarray:
+    """Node ids in pre-order: a node, then its left subtree, then its right."""
+    order = []
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if left[node] != LEAF:
+            stack.append(right[node])
+            stack.append(left[node])
+    return np.asarray(order)
 
-    def grow(self, index: np.ndarray, depth: int) -> int:
-        node = len(self.feature_col)
-        y = self.targets[index]
-        self.feature_col.append(LEAF)
-        self.threshold_col.append(0.0)
-        self.left_col.append(LEAF)
-        self.right_col.append(LEAF)
-        self.value_col.append(float(np.mean(y)))
 
-        cfg = self.config
-        if depth >= cfg.max_depth or index.shape[0] < cfg.min_samples_split:
-            return node
+def grow_tree(features: np.ndarray, targets: np.ndarray, order: np.ndarray,
+              config: TreeConfig) -> tuple[TreeModel, np.ndarray]:
+    """Grow one tree level by level from ``order = presort(features)``.
 
-        best_gain = float("-inf")
-        best_feature = LEAF
-        best_threshold = 0.0
-        for f in range(self.features.shape[1]):
-            column = self.features[index, f]
-            order = np.argsort(column, kind="stable")
-            gain, threshold = _best_split(column[order], y[order], cfg.min_child_weight)
-            if gain > best_gain:
-                best_gain = gain
-                best_feature = f
-                best_threshold = threshold
+    ``features`` and ``targets`` must already be validated. Returns the tree
+    and the pre-order id of the leaf that each training row falls in.
+    """
+    n_rows, n_features = features.shape
+    order_axis = np.arange(n_features + 1)[:, None]
+    feature_axis = np.arange(n_features)[:, None]
+    rows = order  # the level's rows, grouped by node in every order
+    counts = np.array([n_rows])
+    key = np.empty(n_rows, dtype=np.intp)
+    leaf = np.empty(n_rows, dtype=np.intp)
+    feature, threshold, value, left = [], [], [], []  # per level, level order
+    first = 0  # id of the level's first node; ids count in level order
+    depth = 0
+    while True:
+        n_nodes = counts.size
+        ends = counts.cumsum()
+        starts = ends - counts
+        by_id = rows[-1]
+        in_row_order = targets[by_id]
+        # np.mean's arithmetic: a pairwise sum over the node's rows in row
+        # order, then one division (a segmented np.add.reduceat sums in
+        # another order and differs in the last bits).
+        value += [float(np.add.reduce(in_row_order[lo:hi]) / (hi - lo))
+                  for lo, hi in zip(starts.tolist(), ends.tolist())]
+        node_of = np.repeat(np.arange(n_nodes), counts)
+        leaf[by_id] = first + node_of
 
-        if best_feature == LEAF or best_gain <= 0.0 or best_gain < cfg.gamma:
-            return node
+        split_feature = np.full(n_nodes, LEAF, dtype=np.int64)
+        split_threshold = np.zeros(n_nodes)
+        if depth < config.max_depth:
+            open_nodes = np.flatnonzero(counts >= config.min_samples_split)
+            if open_nodes.size:
+                sizes = counts[open_nodes]
+                # Each node's window in every feature's order, as indices into
+                # ``rows.ravel()``; the row-order copy comes last, so a window
+                # never runs off the end.
+                window = (starts[open_nodes, None, None] + feature_axis * rows.shape[1]
+                          + np.arange(sizes.max()))
+                grid = rows.ravel()[window]
+                best, cut, gain = _level_splits(features[grid, feature_axis], targets[grid],
+                                                sizes, config.min_child_weight)
+                taken = (gain > 0.0) & (gain >= config.gamma)
+                split_feature[open_nodes[taken]] = best[taken]
+                split_threshold[open_nodes[taken]] = cut[taken]
 
-        go_left = self.features[index, best_feature] <= best_threshold
-        self.feature_col[node] = best_feature
-        self.threshold_col[node] = best_threshold
-        self.left_col[node] = self.grow(index[go_left], depth + 1)
-        self.right_col[node] = self.grow(index[~go_left], depth + 1)
-        return node
+        is_split = split_feature != LEAF
+        child = 2 * (is_split.cumsum() - 1)
+        feature.append(split_feature)
+        threshold.append(split_threshold)
+        left.append(np.where(is_split, first + n_nodes + child, LEAF))
+        n_split = np.count_nonzero(is_split)
+        if not n_split:
+            break
 
-    def finish(self) -> TreeModel:
-        return TreeModel(
-            feature=np.asarray(self.feature_col, dtype=np.int64),
-            threshold=np.asarray(self.threshold_col, dtype=np.float64),
-            left=np.asarray(self.left_col, dtype=np.int64),
-            right=np.asarray(self.right_col, dtype=np.int64),
-            value=np.asarray(self.value_col, dtype=np.float64),
-            n_features=self.features.shape[1],
-        )
+        # Each row of a split node gets its child's index on the next level;
+        # rows of leaves get a negative key. Thresholds and features are never
+        # NaN, so > is the exact complement of the <= that predict uses.
+        goes_right = features[by_id, split_feature[node_of]] > split_threshold[node_of]
+        key[by_id] = np.where(is_split, child, -2)[node_of] + goes_right
+        keys = key[rows]
+        # A stable regroup by key keeps every order sorted within each child.
+        kept = int(counts[is_split].sum())
+        regroup = keys.argsort(axis=1, kind="stable")[:, keys.shape[1] - kept:]
+        rows = rows[order_axis, regroup]
+        counts = np.bincount(keys[-1, regroup[-1]], minlength=2 * n_split)
+        first += n_nodes
+        depth += 1
+
+    feature = np.concatenate(feature)
+    left = np.concatenate(left)
+    right = np.where(left == LEAF, LEAF, left + 1)
+    nodes = _preorder(left.tolist(), right.tolist())
+    rank = np.empty_like(nodes)
+    rank[nodes] = np.arange(nodes.size)
+    internal = feature[nodes] != LEAF
+    tree = TreeModel(
+        feature=feature[nodes],
+        threshold=np.concatenate(threshold)[nodes],
+        left=np.where(internal, rank[left[nodes]], LEAF),
+        right=np.where(internal, rank[right[nodes]], LEAF),
+        value=np.asarray(value, dtype=np.float64)[nodes],
+        n_features=n_features,
+    )
+    return tree, rank[leaf]
 
 
 def fit_tree(features, targets, config: TreeConfig = TreeConfig()) -> TreeModel:
@@ -197,6 +285,4 @@ def fit_tree(features, targets, config: TreeConfig = TreeConfig()) -> TreeModel:
     if mat.shape[0] == 0:
         raise ValidationError("cannot fit a tree on an empty dataset")
     y = _as_targets(targets, mat.shape[0])
-    builder = _Builder(features=mat, targets=y, config=config)
-    builder.grow(np.arange(mat.shape[0]), 0)
-    return builder.finish()
+    return grow_tree(mat, y, presort(mat), config)[0]

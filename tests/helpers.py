@@ -2,12 +2,17 @@
 
 These deliberately avoid the library's code paths: gains are computed from
 explicit sum-of-squares loops rather than prefix sums, and pearson is the
-textbook formula over Python floats.
+textbook formula over Python floats. ``reference_fit_tree`` is the
+node-at-a-time recursive builder that the level-wise grower replaced; the
+grower must reproduce its trees bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from surfplan.ml.ensemble import BoostedModel, ForestModel
+from surfplan.ml.tree import LEAF, TreeModel
 
 
 def sse(values) -> float:
@@ -103,6 +108,106 @@ def verify_tree_node(tree, node, features, targets, config, depth):
     checked += verify_tree_node(tree, tree.right[node], features[~left_mask],
                                 targets[~left_mask], config, depth + 1)
     return checked
+
+
+def _reference_split_scan(values, targets, min_leaf):
+    """Best split of one sorted column by prefix sums: (gain, threshold)."""
+    n = values.shape[0]
+    csum = np.cumsum(targets)
+    total = csum[-1]
+    parent_term = total * total / n
+    left_n = np.arange(1, n)
+    right_n = n - left_n
+    left_sum = csum[:-1]
+    right_sum = total - left_sum
+    gains = left_sum * left_sum / left_n + right_sum * right_sum / right_n - parent_term
+    thresholds = (values[:-1] + values[1:]) * 0.5
+    valid = (values[1:] > values[:-1]) & (left_n >= min_leaf) & (right_n >= min_leaf)
+    valid &= thresholds < values[1:]
+    if not valid.any():
+        return float("-inf"), 0.0
+    gains = np.where(valid, gains, -np.inf)
+    best = int(np.argmax(gains))
+    return float(gains[best]), float(thresholds[best])
+
+
+def reference_fit_tree(features, targets, config):
+    """Recursive CART builder: one node at a time, each feature argsorted at
+    every node, nodes numbered in pre-order."""
+    features = np.asarray(features, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    columns = {name: [] for name in ("feature", "threshold", "left", "right", "value")}
+
+    def grow(index, depth):
+        node = len(columns["feature"])
+        y = targets[index]
+        columns["feature"].append(LEAF)
+        columns["threshold"].append(0.0)
+        columns["left"].append(LEAF)
+        columns["right"].append(LEAF)
+        columns["value"].append(float(np.mean(y)))
+        if depth >= config.max_depth or index.shape[0] < config.min_samples_split:
+            return node
+        best_gain, best_feature, best_threshold = float("-inf"), LEAF, 0.0
+        for f in range(features.shape[1]):
+            column = features[index, f]
+            order = np.argsort(column, kind="stable")
+            with np.errstate(all="ignore"):
+                gain, threshold = _reference_split_scan(column[order], y[order],
+                                                        config.min_child_weight)
+            if gain > best_gain:
+                best_gain, best_feature, best_threshold = gain, f, threshold
+        if best_feature == LEAF or best_gain <= 0.0 or best_gain < config.gamma:
+            return node
+        go_left = features[index, best_feature] <= best_threshold
+        columns["feature"][node] = best_feature
+        columns["threshold"][node] = best_threshold
+        columns["left"][node] = grow(index[go_left], depth + 1)
+        columns["right"][node] = grow(index[~go_left], depth + 1)
+        return node
+
+    grow(np.arange(features.shape[0]), 0)
+    return TreeModel(
+        feature=np.asarray(columns["feature"], dtype=np.int64),
+        threshold=np.asarray(columns["threshold"], dtype=np.float64),
+        left=np.asarray(columns["left"], dtype=np.int64),
+        right=np.asarray(columns["right"], dtype=np.int64),
+        value=np.asarray(columns["value"], dtype=np.float64),
+        n_features=features.shape[1])
+
+
+def reference_fit_forest(features, targets, config):
+    """Bagging loop over ``reference_fit_tree``, with fit_forest's seeding."""
+    n = features.shape[0]
+    trees = []
+    for i in range(config.n_estimators):
+        take = np.arange(n)
+        if config.bootstrap:
+            take = np.random.default_rng((config.seed, i)).integers(0, n, size=n)
+        trees.append(reference_fit_tree(features[take], targets[take], config.tree))
+    return ForestModel(trees=tuple(trees), n_features=features.shape[1])
+
+
+def reference_fit_boosted(features, targets, config):
+    """Boosting loop over ``reference_fit_tree``, predicting with each tree."""
+    base = float(np.mean(targets)) if config.base_score is None else float(config.base_score)
+    prediction = np.full(features.shape[0], base)
+    trees = []
+    for _ in range(config.n_estimators):
+        tree = reference_fit_tree(features, targets - prediction, config.tree)
+        prediction += config.learning_rate * tree.predict(features)
+        trees.append(tree)
+    return BoostedModel(trees=tuple(trees), learning_rate=config.learning_rate,
+                        base_score=base, n_features=features.shape[1])
+
+
+def assert_same_tree(actual, expected):
+    """All five node arrays equal bit for bit (and in dtype)."""
+    for name in ("feature", "threshold", "left", "right", "value"):
+        a, b = getattr(actual, name), getattr(expected, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), f"{name}: {a} != {b}"
+    assert actual.n_features == expected.n_features
 
 
 def pearson_reference(x, y) -> float:

@@ -89,6 +89,18 @@ class TestGenerate:
         {"stage2": {"min_samples_split": 10.0}},
         {"stage2": {"min_child_weight": 1.0}},
         {"stage2": {"bootstrap": 1}},
+        {"stage1": {"gamma": "x"}},
+        {"stage2": {"gamma": None}},
+        {"stage1": {"learning_rate": True}},
+        {"stage1": {"base_score": "1"}},
+        {"oracle": {"amplitude": "0.1"}},
+        {"oracle": {"floor": True}},
+        {"heuristic_weights": {"w_gate": None}},
+        {"sweep": {"termination_rate": "1e-3"}},
+        {"split": {"test_fraction": [0.2]}},
+        {"sweep": {"distances": 5}},
+        {"sweep": {"gate_range": "ab"}},
+        {"sweep": {"reset_range": [0.001, 0.002, 0.003]}},
     ], ids=repr)
     def test_malformed_config_value_exits_2(self, capsys, tmp_path, payload):
         config = tmp_path / "bad.json"
@@ -99,6 +111,10 @@ class TestGenerate:
         assert code == 2
         assert "Traceback" not in err
         assert not out_path.exists()
+        # The message names the offending key (or the section, when the
+        # section itself is malformed).
+        section, value = next(iter(payload.items()))
+        assert (next(iter(value)) if isinstance(value, dict) else section) in err
 
     def test_default_scale(self, capsys, tmp_path):
         out_path = tmp_path / "default.csv"

@@ -1,9 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from helpers import reference_best_split, verify_tree_node
-from surfplan import TreeConfig, ValidationError, fit_tree
-from surfplan.ml.tree import _best_split
+from helpers import (
+    assert_same_tree,
+    reference_best_split,
+    reference_fit_boosted,
+    reference_fit_forest,
+    reference_fit_tree,
+    verify_tree_node,
+)
+from surfplan import (
+    BoostConfig,
+    ForestConfig,
+    TreeConfig,
+    ValidationError,
+    fit_boosted,
+    fit_forest,
+    fit_tree,
+)
+from surfplan.ml.tree import LEAF, _level_splits, grow_tree, presort
 
 
 class TestFitTreeExamples:
@@ -136,8 +154,120 @@ class TestSplitScan:
         rng = np.random.default_rng(5)
         values = np.sort(rng.normal(size=40))
         targets = rng.normal(size=40)
-        gain, threshold = _best_split(values, targets, 1)
+        feature, threshold, gain = _level_splits(
+            values.reshape(1, 1, -1), targets.reshape(1, 1, -1), np.array([40]), 1)
+        feature, threshold, gain = int(feature[0]), float(threshold[0]), float(gain[0])
         ref = reference_best_split(values.reshape(-1, 1), targets, 1)
         assert ref is not None
+        assert feature == ref[1] == 0
         assert threshold == pytest.approx(ref[2], rel=1e-12)
         assert gain == pytest.approx(ref[0], rel=1e-9)
+
+
+# Feature columns: continuous, quantized to a few levels, or heavy with
+# duplicates and signed zeros.
+_feature_values = (
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.integers(min_value=-3, max_value=3).map(float),
+    st.sampled_from([0.0, -0.0, 1.0, 1.0 + 2.0 ** -52, 2.5]),
+)
+# Targets: small, large enough that squared sums overflow, and negative.
+_target_values = (
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.floats(min_value=-1e200, max_value=1e200),
+    st.sampled_from([0.0, -0.0, -1.5, 1e154, -1e154, 1e308, -1e308]),
+)
+_tree_configs = st.builds(
+    TreeConfig,
+    max_depth=st.integers(min_value=1, max_value=10),
+    min_samples_split=st.integers(min_value=2, max_value=70),
+    min_child_weight=st.integers(min_value=1, max_value=6),
+    gamma=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0)),
+)
+
+
+@st.composite
+def _problems(draw, targets=_target_values, max_rows=60):
+    n_rows = draw(st.integers(min_value=1, max_value=max_rows))
+    n_features = draw(st.integers(min_value=1, max_value=5))
+    features = draw(arrays(np.float64, (n_rows, n_features),
+                           elements=draw(st.sampled_from(_feature_values))))
+    return features, draw(arrays(np.float64, n_rows, elements=draw(st.sampled_from(targets))))
+
+
+def _leaf_of(tree, features):
+    leaves = []
+    for row in features:
+        node = 0
+        while tree.feature[node] != LEAF:
+            go_left = row[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        leaves.append(node)
+    return np.asarray(leaves)
+
+
+class TestMatchesRecursiveBuilder:
+    """The level-wise grower must give the recursive builder's trees, bit for
+    bit and in the same pre-order node layout."""
+
+    def test_gain_equal_to_gamma_splits(self):
+        # The split's gain is exactly 2.0; only a gain below gamma blocks it.
+        features, targets = np.array([[0.0], [1.0]]), np.array([0.0, 2.0])
+        tree = fit_tree(features, targets, TreeConfig(max_depth=1, gamma=2.0))
+        assert_same_tree(tree, reference_fit_tree(features, targets,
+                                                  TreeConfig(max_depth=1, gamma=2.0)))
+        assert tree.node_count == 3
+
+    def test_feature_with_nan_gain_is_passed_over(self):
+        # Feature 0's prefix sums overflow to inf, so its gains are NaN; the
+        # split must come from feature 1, whose sums stay finite.
+        features = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+        targets = np.array([1e308, -1e308, -1e308, 1e308])
+        config = TreeConfig(max_depth=1)
+        with np.errstate(all="ignore"):
+            tree = fit_tree(features, targets, config)
+            assert_same_tree(tree, reference_fit_tree(features, targets, config))
+        assert (tree.feature[0], tree.threshold[0]) == (1, 0.5)
+
+    @given(problem=_problems(), config=_tree_configs)
+    @settings(max_examples=400)
+    def test_fit_tree_exact(self, problem, config):
+        features, targets = problem
+        with np.errstate(all="ignore"):
+            expected = reference_fit_tree(features, targets, config)
+            tree, leaf = grow_tree(features, targets, presort(features), config)
+            assert_same_tree(fit_tree(features, targets, config), expected)
+        assert_same_tree(tree, expected)
+        assert np.array_equal(leaf, _leaf_of(tree, features))
+
+    @given(problem=_problems(targets=(st.floats(min_value=-1e6, max_value=1e6),), max_rows=40),
+           config=_tree_configs, n_estimators=st.integers(min_value=1, max_value=6),
+           learning_rate=st.floats(min_value=0.01, max_value=1.0),
+           base_score=st.one_of(st.none(), st.floats(min_value=-10.0, max_value=10.0)))
+    @settings(max_examples=60)
+    def test_fit_boosted_exact(self, problem, config, n_estimators, learning_rate,
+                               base_score):
+        features, targets = problem
+        boost = BoostConfig(n_estimators=n_estimators, learning_rate=learning_rate,
+                            tree=config, base_score=base_score)
+        actual = fit_boosted(features, targets, boost)
+        expected = reference_fit_boosted(features, targets, boost)
+        assert (actual.base_score, actual.learning_rate) == (
+            expected.base_score, expected.learning_rate)
+        assert len(actual.trees) == len(expected.trees)
+        for got, want in zip(actual.trees, expected.trees):
+            assert_same_tree(got, want)
+
+    @given(problem=_problems(targets=(st.floats(min_value=-1e6, max_value=1e6),), max_rows=40),
+           config=_tree_configs, n_estimators=st.integers(min_value=1, max_value=6),
+           bootstrap=st.booleans(), seed=st.integers(min_value=0, max_value=2 ** 32))
+    @settings(max_examples=60)
+    def test_fit_forest_exact(self, problem, config, n_estimators, bootstrap, seed):
+        features, targets = problem
+        forest = ForestConfig(n_estimators=n_estimators, tree=config,
+                              bootstrap=bootstrap, seed=seed)
+        actual = fit_forest(features, targets, forest)
+        expected = reference_fit_forest(features, targets, forest)
+        assert len(actual.trees) == len(expected.trees)
+        for got, want in zip(actual.trees, expected.trees):
+            assert_same_tree(got, want)

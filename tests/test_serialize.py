@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -21,8 +22,10 @@ from surfplan import (
     load_model,
     save_model,
 )
+from surfplan.config import load_config
 from surfplan.ml import build_training_cases
 from surfplan.ml.serialize import CorruptModelError, ModelVersionError
+from surfplan.models import fit_named_model
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +82,21 @@ class TestRoundTrips:
             save_model(model, path)
             loaded = load_model(path)
             assert np.array_equal(loaded.predict(queries), model.predict(queries))
+
+
+def test_default_pipeline_model_is_pinned(tmp_path):
+    # SHA-256 of the saved default-config (seed 42) pipeline model as the
+    # node-at-a-time recursive tree builder grew it. A drift in any tree's
+    # bits or node order changes it.
+    config = load_config(None)
+    model = fit_named_model(
+        "pipeline", records=generate_dataset(config.sweep, config.oracle),
+        sweep=config.sweep, oracle=config.oracle, stage1_config=config.stage1,
+        stage2_config=config.stage2, menu=config.targets)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "b226cc9600bc834ccf340acf979b7af89fc1ed178dfd144890f7f9a185613a16")
 
 
 class TestFailureModes:
@@ -151,6 +169,29 @@ class TestFailureModes:
         path = self._saved_pipeline(training_setup, tmp_path)
         data = json.loads(path.read_text())
         corrupt(data["model"]["stage1"])
+        path.write_text(json.dumps(data))
+        with pytest.raises(CorruptModelError):
+            load_model(path)
+
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda model: model.update(log_ler=model["log_ler"][:3]),
+                     id="truncated_log_ler"),
+        pytest.param(lambda model: [model[key].clear() for key in
+                                    ("noise", "log_ler", "distance", "rounds")],
+                     id="empty_records"),
+        pytest.param(lambda model: model["stage1_scaler"]["scale"].__setitem__(0, 0),
+                     id="zero_scale"),
+        pytest.param(lambda model: model.update(noise=[row[:3] for row in model["noise"]]),
+                     id="noise_rows_of_three"),
+        pytest.param(lambda model: model["stage2_scaler"]["mean"].pop(),
+                     id="short_scaler_mean"),
+    ])
+    def test_corrupt_heuristic_rejected(self, training_setup, tmp_path, corrupt):
+        records, _, _ = training_setup
+        path = tmp_path / "model.json"
+        save_model(fit_heuristic(records, HeuristicKind.parse("range_search_w")), path)
+        data = json.loads(path.read_text())
+        corrupt(data["model"])
         path.write_text(json.dumps(data))
         with pytest.raises(CorruptModelError):
             load_model(path)
