@@ -18,12 +18,24 @@ the training records are filtered to the decade of achieved error rate nearest
 the requested target (widening to neighboring decades until enough distinct
 abscissae exist). Duplicate abscissae are aggregated by mean before
 interpolating.
+
+A fitted model derives its training state once, when it is built or loaded:
+the standardized training features of both stages as one contiguous column
+per feature, or, for the interpolators, both stages' axes and each record's
+decade. A request then standardizes only the query and makes one distance
+pass over the training columns, adding squared differences column by column
+in feature order, which is numpy's row-sum order; the interpolators look up
+the aggregated pairs of a decade selection, memoised per model. The k nearest
+neighbors come from a partition instead of a full sort. Ties still go to the
+lower record index, so predictions are those of the plain per-request
+computation, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -42,6 +54,9 @@ from .core import (
 from .oracle import AboveThresholdError, OracleConfig, effective_error
 
 HEURISTIC_METHODS = ("range_search", "linear_interp", "poly_interp", "multivariate_interp")
+# Methods that search the standardized feature space; the others interpolate
+# along a 1-D axis.
+NEIGHBOR_METHODS = ("range_search", "multivariate_interp")
 
 IDW_NEIGHBORS = 8
 IDW_POWER = 2.0
@@ -97,17 +112,67 @@ class Standardizer:
         return (features - np.asarray(self.mean)) / np.asarray(self.scale)
 
 
-def range_search(features, labels, query) -> float:
-    """Label of the training point nearest the query; index breaks ties."""
+def _distances(columns, query) -> np.ndarray:
+    """Euclidean distance from every training point to ``query``.
+
+    ``columns`` holds one array per feature. The squared differences are added
+    column by column in feature order, the order in which numpy sums a row of
+    fewer than eight features, so the result equals
+    ``np.sqrt(((features - query) ** 2).sum(axis=1))`` bit for bit.
+    """
+    total = (columns[0] - query[0]) ** 2
+    for column, value in zip(columns[1:], query[1:]):
+        total += (column - value) ** 2
+    return np.sqrt(total)
+
+
+def _k_nearest(distances: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k smallest distances, ordered by (distance, index).
+
+    Equal to the first k entries of a full lexsort: only the candidates at or
+    below the k-th smallest distance are sorted. When k covers every point or
+    the k-th distance is not finite, the full lexsort is used.
+    """
+    n = distances.shape[0]
+    if k < n:
+        kth = np.partition(distances, k - 1)[k - 1]
+        if np.isfinite(kth):
+            candidates = np.flatnonzero(distances <= kth)
+            return candidates[np.lexsort((candidates, distances[candidates]))][:k]
+    return np.lexsort((np.arange(n), distances))[:k]
+
+
+def _nearest_label(columns, labels: np.ndarray, query: np.ndarray) -> float:
+    return float(labels[int(np.argmin(_distances(columns, query)))])
+
+
+def _idw(columns, labels: np.ndarray, query: np.ndarray, k: int, power: float) -> float:
+    distances = _distances(columns, query)
+    exact = np.flatnonzero(distances == 0.0)
+    if exact.size:
+        return float(labels[exact[0]])
+    order = _k_nearest(distances, min(k, distances.shape[0]))
+    weights = 1.0 / distances[order] ** power
+    return float(np.dot(weights, labels[order]) / weights.sum())
+
+
+def _training_columns(features, labels, query, name: str):
     features = np.asarray(features, dtype=np.float64)
     if features.ndim == 1:
         features = features.reshape(-1, 1)
-    labels = np.asarray(labels, dtype=np.float64)
     if features.shape[0] == 0:
-        raise ValidationError("range_search needs a non-empty training set")
+        raise ValidationError(f"{name} needs a non-empty training set")
     query = np.asarray(query, dtype=np.float64).reshape(-1)
-    distances = np.sqrt(((features - query) ** 2).sum(axis=1))
-    return float(labels[int(np.argmin(distances))])
+    if features.shape[1] == 0 or query.shape[0] != features.shape[1]:
+        raise ValidationError(
+            f"{name} query has {query.shape[0]} features, training points have "
+            f"{features.shape[1]}")
+    return tuple(features.T), np.asarray(labels, dtype=np.float64), query
+
+
+def range_search(features, labels, query) -> float:
+    """Label of the training point nearest the query; index breaks ties."""
+    return _nearest_label(*_training_columns(features, labels, query, "range_search"))
 
 
 def _nearest_order(xs: np.ndarray, x: float) -> np.ndarray:
@@ -162,25 +227,46 @@ def multivariate_interp(features, labels, query,
 
     An exact feature match returns that point's label directly.
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim == 1:
-        features = features.reshape(-1, 1)
-    labels = np.asarray(labels, dtype=np.float64)
-    if features.shape[0] == 0:
-        raise ValidationError("multivariate_interp needs a non-empty training set")
-    query = np.asarray(query, dtype=np.float64).reshape(-1)
-    distances = np.sqrt(((features - query) ** 2).sum(axis=1))
-    exact = np.nonzero(distances == 0.0)[0]
-    if exact.size:
-        return float(labels[exact[0]])
-    order = np.lexsort((np.arange(len(distances)), distances))[:min(k, len(distances))]
-    weights = 1.0 / distances[order] ** power
-    return float(np.dot(weights, labels[order]) / weights.sum())
+    if k < 1:
+        raise ValidationError(f"multivariate_interp needs k >= 1, got {k}")
+    columns, labels, query = _training_columns(features, labels, query,
+                                               "multivariate_interp")
+    return _idw(columns, labels, query, k, power)
 
 
-@dataclass
+def _scalarized(weights: HeuristicWeights, noise: np.ndarray) -> np.ndarray:
+    # Same term order as core.scalarize so an exact-match query produces
+    # bit-identical features.
+    return (weights.w_gate * noise[:, 1]
+            + weights.w_depol * noise[:, 0]
+            + weights.w_readout * noise[:, 3]
+            + weights.w_reset * noise[:, 2])
+
+
+def _stage1_columns(weighted: bool, weights: HeuristicWeights,
+                    noise: np.ndarray, log_ler: np.ndarray) -> list[np.ndarray]:
+    """Stage-1 features: the scalarized error (weighted) or the four rates,
+    then the log10 rate."""
+    rates = [_scalarized(weights, noise)] if weighted else list(noise.T)
+    return rates + [log_ler]
+
+
+def _standardized_columns(columns, scaler: Standardizer) -> tuple[np.ndarray, ...]:
+    # Column by column, the arithmetic of Standardizer.transform without its
+    # (n, features) temporaries; each result is a fresh contiguous array.
+    return tuple((np.asarray(column, dtype=np.float64) - mean) / scale
+                 for column, mean, scale in zip(columns, scaler.mean, scaler.scale))
+
+
+@dataclass(frozen=True)
 class HeuristicModel:
-    """A fitted two-stage heuristic; training records are embedded verbatim."""
+    """A fitted two-stage heuristic; training records are embedded verbatim.
+
+    ``__post_init__`` derives the per-stage training state once, so fitting
+    and loading pay for it and a request does not: the standardized feature
+    columns (range search, multivariate) or the 1-D axes and record decades
+    (linear, polynomial). None of it is serialized.
+    """
 
     kind: HeuristicKind
     weights: HeuristicWeights
@@ -192,26 +278,38 @@ class HeuristicModel:
     stage1_scaler: Standardizer
     stage2_scaler: Standardizer
 
-    # -- feature spaces ----------------------------------------------------
+    # Per stage: (training inputs, labels). The inputs are the standardized
+    # feature columns for the neighbor methods and the 1-D axis for the
+    # interpolators.
+    _stages: tuple = field(init=False, repr=False, compare=False)
+    # Interpolators only: each record's rint(log10 rate), the distinct
+    # decades, and the aggregated (x, mean y) pairs per (stage, decades).
+    _decades: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    _decade_values: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _pairs: dict = field(init=False, repr=False, compare=False)
 
-    def _stage1_matrix(self) -> np.ndarray:
-        if self.kind.weighted:
-            scalar = self._scalarized()
-            return np.column_stack([scalar, self.log_ler])
-        return np.column_stack([self.noise, self.log_ler])
+    def __post_init__(self):
+        distance = np.asarray(self.distance, dtype=np.float64)
+        rounds = np.asarray(self.rounds, dtype=np.float64)
+        decades, decade_values = None, ()
+        if self.kind.method in NEIGHBOR_METHODS:
+            stage1 = _standardized_columns(
+                _stage1_columns(self.kind.weighted, self.weights, self.noise, self.log_ler),
+                self.stage1_scaler)
+            stage2 = _standardized_columns([self.distance, self.log_ler], self.stage2_scaler)
+        else:
+            stage1 = (_scalarized(self.weights, self.noise) if self.kind.weighted
+                      else np.sqrt((self.noise ** 2).sum(axis=1)))
+            stage2 = distance
+            decades = np.rint(self.log_ler).astype(np.int64)
+            decade_values = tuple(np.unique(decades).tolist())
+        derive = object.__setattr__
+        derive(self, "_stages", ((stage1, distance), (stage2, rounds)))
+        derive(self, "_decades", decades)
+        derive(self, "_decade_values", decade_values)
+        derive(self, "_pairs", {})
 
-    def _scalarized(self) -> np.ndarray:
-        # Same term order as core.scalarize so an exact-match query produces
-        # bit-identical features.
-        return (self.weights.w_gate * self.noise[:, 1]
-                + self.weights.w_depol * self.noise[:, 0]
-                + self.weights.w_readout * self.noise[:, 3]
-                + self.weights.w_reset * self.noise[:, 2])
-
-    def _stage1_axis(self) -> np.ndarray:
-        if self.kind.weighted:
-            return self._scalarized()
-        return np.sqrt((self.noise ** 2).sum(axis=1))
+    # -- queries ------------------------------------------------------------
 
     def _stage1_query(self, request: PredictionRequest) -> np.ndarray:
         profile = request.noise
@@ -229,31 +327,35 @@ class HeuristicModel:
 
     # -- decade filtering for the 1-D interpolators ------------------------
 
-    def _decade_pairs(self, axis: np.ndarray, labels: np.ndarray,
-                      log_target: float, need: int) -> np.ndarray:
-        decades = np.rint(self.log_ler).astype(np.int64)
-        available = np.unique(decades)
-        by_closeness = sorted(available, key=lambda d: (abs(d - log_target), d))
+    def _decade_pairs(self, stage: int, chosen: list[int]) -> np.ndarray:
+        """(x, mean y) over the stage's records in the chosen decades, with
+        duplicate abscissae aggregated by mean so interpolation stays defined."""
+        key = (stage, tuple(sorted(chosen)))
+        pairs = self._pairs.get(key)
+        if pairs is None:
+            axis, labels = self._stages[stage]
+            mask = np.isin(self._decades, chosen)
+            unique_x, inverse = np.unique(axis[mask], return_inverse=True)
+            sums = np.zeros(unique_x.size)
+            counts = np.zeros(unique_x.size)
+            np.add.at(sums, inverse, labels[mask])
+            np.add.at(counts, inverse, 1.0)
+            pairs = np.column_stack([unique_x, sums / counts])
+            pairs.flags.writeable = False
+            self._pairs[key] = pairs
+        return pairs
+
+    def _interp_1d(self, stage: int, log_target: float, x_query: float) -> float:
+        """Interpolate over the decades nearest the target, widening until
+        enough distinct abscissae exist (or every decade is in)."""
+        need = 3 if self.kind.method == "poly_interp" else 2
+        by_closeness = sorted(self._decade_values, key=lambda d: (abs(d - log_target), d))
         chosen: list[int] = []
         for decade in by_closeness:
-            chosen.append(int(decade))
-            mask = np.isin(decades, chosen)
-            if np.unique(axis[mask]).size >= need:
+            chosen.append(decade)
+            pairs = self._decade_pairs(stage, chosen)
+            if pairs.shape[0] >= need:
                 break
-        mask = np.isin(decades, chosen)
-        xs, ys = axis[mask], labels[mask]
-        # Aggregate duplicate abscissae by mean so interpolation stays defined.
-        unique_x, inverse = np.unique(xs, return_inverse=True)
-        sums = np.zeros(unique_x.size)
-        counts = np.zeros(unique_x.size)
-        np.add.at(sums, inverse, ys)
-        np.add.at(counts, inverse, 1.0)
-        return np.column_stack([unique_x, sums / counts])
-
-    def _interp_1d(self, axis: np.ndarray, labels: np.ndarray,
-                   log_target: float, x_query: float) -> float:
-        need = 3 if self.kind.method == "poly_interp" else 2
-        pairs = self._decade_pairs(axis, labels, log_target, need)
         if pairs.shape[0] == 1:
             return float(pairs[0, 1])
         if self.kind.method == "poly_interp":
@@ -262,31 +364,24 @@ class HeuristicModel:
 
     # -- prediction ---------------------------------------------------------
 
+    def _neighbor_raw(self, stage: int, query: np.ndarray) -> float:
+        columns, labels = self._stages[stage]
+        if self.kind.method == "range_search":
+            return _nearest_label(columns, labels, query)
+        return _idw(columns, labels, query, IDW_NEIGHBORS, IDW_POWER)
+
     def _stage1_raw(self, request: PredictionRequest) -> float:
-        method = self.kind.method
-        log_target = math.log10(request.target_logical_error_rate)
-        if method in ("range_search", "multivariate_interp"):
-            train = self.stage1_scaler.transform(self._stage1_matrix())
-            query = self.stage1_scaler.transform(self._stage1_query(request))
-            if method == "range_search":
-                return range_search(train, self.distance, query)
-            return multivariate_interp(train, self.distance, query)
-        axis = self._stage1_axis()
-        return self._interp_1d(axis, self.distance, log_target,
+        if self.kind.method in NEIGHBOR_METHODS:
+            return self._neighbor_raw(
+                0, self.stage1_scaler.transform(self._stage1_query(request)))
+        return self._interp_1d(0, math.log10(request.target_logical_error_rate),
                                self._stage1_axis_query(request.noise))
 
     def _stage2_raw(self, rounded_distance: int, log_target: float) -> float:
-        method = self.kind.method
-        if method in ("range_search", "multivariate_interp"):
-            train = self.stage2_scaler.transform(
-                np.column_stack([self.distance, self.log_ler]))
-            query = self.stage2_scaler.transform(
-                np.asarray([float(rounded_distance), log_target]))
-            if method == "range_search":
-                return range_search(train, self.rounds, query)
-            return multivariate_interp(train, self.rounds, query)
-        return self._interp_1d(self.distance.astype(np.float64), self.rounds,
-                               log_target, float(rounded_distance))
+        if self.kind.method in NEIGHBOR_METHODS:
+            return self._neighbor_raw(1, self.stage2_scaler.transform(
+                np.asarray([float(rounded_distance), log_target])))
+        return self._interp_1d(1, log_target, float(rounded_distance))
 
     def predict_result(self, request: PredictionRequest) -> PredictionResult:
         if effective_error(request.noise, self.oracle) >= self.oracle.threshold:
@@ -314,15 +409,13 @@ def fit_heuristic(records: list[DatasetRecord], kind: HeuristicKind,
     log_ler = np.asarray([math.log10(r.logical_error_rate) for r in records])
     distance = np.asarray([r.params.distance for r in records], dtype=np.float64)
     rounds = np.asarray([r.params.rounds for r in records], dtype=np.float64)
-    model = HeuristicModel(
+    return HeuristicModel(
         kind=kind, weights=weights, oracle=oracle,
         noise=noise, log_ler=log_ler, distance=distance, rounds=rounds,
-        stage1_scaler=Standardizer(mean=(0.0,), scale=(1.0,)),
-        stage2_scaler=Standardizer(mean=(0.0,), scale=(1.0,)),
+        stage1_scaler=Standardizer.fit(
+            np.column_stack(_stage1_columns(kind.weighted, weights, noise, log_ler))),
+        stage2_scaler=Standardizer.fit(np.column_stack([distance, log_ler])),
     )
-    model.stage1_scaler = Standardizer.fit(model._stage1_matrix())
-    model.stage2_scaler = Standardizer.fit(np.column_stack([distance, log_ler]))
-    return model
 
 
 def heuristic_predict(kind: HeuristicKind, records: list[DatasetRecord],

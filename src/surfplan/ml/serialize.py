@@ -19,7 +19,7 @@ from ..heuristics import HeuristicKind, HeuristicModel, Standardizer
 from ..oracle import OracleConfig
 from .ensemble import BoostedModel, ForestModel
 from .linear import LinearModel
-from .pipeline import PipelineModel
+from .pipeline import STAGE1_SCHEMA, STAGE2_SCHEMA, PipelineModel
 from .tree import LEAF, TreeModel
 
 FORMAT_TAG = "surfplan-model"
@@ -138,18 +138,34 @@ def stage_from_dict(data: dict):
                             base_score=float(data["base_score"]),
                             n_features=n_features)
     if kind == "linear":
-        return LinearModel(coefficients=np.asarray(data["coefficients"], dtype=np.float64),
-                           intercept=float(data["intercept"]),
-                           n_features=int(data["n_features"]))
+        return _linear_from_dict(data)
     raise CorruptModelError(f"unknown stage model kind {kind!r}")
 
 
-def _finite_array(value, name: str) -> np.ndarray:
-    # Parse without a dtype first, so that a quoted number is rejected
-    # instead of silently converted.
+def _linear_from_dict(data: dict) -> LinearModel:
+    """Parse a linear stage: exactly ``n_features`` finite coefficients and a
+    finite intercept, all JSON numbers."""
+    n_features = data["n_features"]
+    if not isinstance(n_features, int) or isinstance(n_features, bool) or n_features < 1:
+        raise CorruptModelError(
+            f"linear stage 'n_features' must be a positive integer, got {n_features!r}")
+    coefficients = _finite_array(data["coefficients"], "coefficients", "linear stage")
+    if coefficients.shape != (n_features,):
+        raise CorruptModelError(
+            f"linear stage must have {n_features} coefficients, got shape {coefficients.shape}")
+    intercept = _finite_array(data["intercept"], "intercept", "linear stage")
+    if intercept.shape != ():
+        raise CorruptModelError("linear stage 'intercept' must be one number")
+    return LinearModel(coefficients=coefficients, intercept=float(intercept),
+                       n_features=n_features)
+
+
+def _finite_array(value, name: str, owner: str = "heuristic") -> np.ndarray:
+    # Parse without a dtype first, so that a quoted number (or a bool, or an
+    # integer too large for a float) is rejected instead of silently converted.
     array = np.asarray(value)
     if array.dtype.kind not in "if" or not np.isfinite(array).all():
-        raise CorruptModelError(f"heuristic '{name}' must hold finite numbers")
+        raise CorruptModelError(f"{owner} '{name}' must hold finite numbers")
     return array.astype(np.float64, copy=False)
 
 
@@ -236,9 +252,17 @@ def model_from_dict(envelope: dict):
         data = envelope["model"]
         kind = data["kind"]
         if kind == "pipeline":
+            stage1 = stage_from_dict(data["stage1"])
+            stage2 = stage_from_dict(data["stage2"])
+            if (stage1.n_features, stage2.n_features) != (len(STAGE1_SCHEMA),
+                                                           len(STAGE2_SCHEMA)):
+                raise CorruptModelError(
+                    f"pipeline stages must take {len(STAGE1_SCHEMA)} and "
+                    f"{len(STAGE2_SCHEMA)} features, got {stage1.n_features} and "
+                    f"{stage2.n_features}")
             return PipelineModel(
-                stage1=stage_from_dict(data["stage1"]),
-                stage2=stage_from_dict(data["stage2"]),
+                stage1=stage1,
+                stage2=stage2,
                 oracle=OracleConfig(**data["oracle"]),
                 min_target=float(data["min_target"]),
                 max_target=float(data["max_target"]),

@@ -4,15 +4,22 @@ These deliberately avoid the library's code paths: gains are computed from
 explicit sum-of-squares loops rather than prefix sums, and pearson is the
 textbook formula over Python floats. ``reference_fit_tree`` is the
 node-at-a-time recursive builder that the level-wise grower replaced; the
-grower must reproduce its trees bit for bit.
+grower must reproduce its trees bit for bit. ``reference_heuristic_predict``
+is the per-request heuristic computation that the models' derived state
+replaced: it re-standardizes every training row, takes row-sum distances, a
+full lexsort for the k nearest and an uncached decade filter, and the models
+must reproduce its predictions bit for bit.
 """
 
 import math
 
 import numpy as np
 
+from surfplan.core import RAW_FLOOR, PredictionResult, round_distance, round_rounds, scalarize
+from surfplan.heuristics import IDW_NEIGHBORS, IDW_POWER, linear_interp, poly_interp
 from surfplan.ml.ensemble import BoostedModel, ForestModel
 from surfplan.ml.tree import LEAF, TreeModel
+from surfplan.oracle import AboveThresholdError, effective_error
 
 
 def sse(values) -> float:
@@ -218,3 +225,104 @@ def pearson_reference(x, y) -> float:
     den_x = sum((a - mean_x) ** 2 for a in x)
     den_y = sum((b - mean_y) ** 2 for b in y)
     return num / math.sqrt(den_x * den_y)
+
+
+def _reference_range_search(features, labels, query):
+    distances = np.sqrt(((features - query) ** 2).sum(axis=1))
+    return float(labels[int(np.argmin(distances))])
+
+
+def _reference_multivariate(features, labels, query, k=IDW_NEIGHBORS, power=IDW_POWER):
+    distances = np.sqrt(((features - query) ** 2).sum(axis=1))
+    exact = np.nonzero(distances == 0.0)[0]
+    if exact.size:
+        return float(labels[exact[0]])
+    order = np.lexsort((np.arange(len(distances)), distances))[:min(k, len(distances))]
+    weights = 1.0 / distances[order] ** power
+    return float(np.dot(weights, labels[order]) / weights.sum())
+
+
+def _reference_scalarized(model):
+    noise, weights = model.noise, model.weights
+    return (weights.w_gate * noise[:, 1] + weights.w_depol * noise[:, 0]
+            + weights.w_readout * noise[:, 3] + weights.w_reset * noise[:, 2])
+
+
+def _reference_decade_pairs(model, axis, labels, log_target, need):
+    decades = np.rint(model.log_ler).astype(np.int64)
+    available = np.unique(decades)
+    by_closeness = sorted(available, key=lambda d: (abs(d - log_target), d))
+    chosen = []
+    for decade in by_closeness:
+        chosen.append(int(decade))
+        mask = np.isin(decades, chosen)
+        if np.unique(axis[mask]).size >= need:
+            break
+    mask = np.isin(decades, chosen)
+    xs, ys = axis[mask], labels[mask]
+    unique_x, inverse = np.unique(xs, return_inverse=True)
+    sums = np.zeros(unique_x.size)
+    counts = np.zeros(unique_x.size)
+    np.add.at(sums, inverse, ys)
+    np.add.at(counts, inverse, 1.0)
+    return np.column_stack([unique_x, sums / counts])
+
+
+def _reference_interp_1d(model, axis, labels, log_target, x_query):
+    need = 3 if model.kind.method == "poly_interp" else 2
+    pairs = _reference_decade_pairs(model, axis, labels, log_target, need)
+    if pairs.shape[0] == 1:
+        return float(pairs[0, 1])
+    if model.kind.method == "poly_interp":
+        return poly_interp(pairs, x_query)
+    return linear_interp(pairs, x_query)
+
+
+def _reference_neighbor(model, features, labels, query):
+    if model.kind.method == "range_search":
+        return _reference_range_search(features, labels, query)
+    return _reference_multivariate(features, labels, query)
+
+
+def reference_heuristic_predict(model, request):
+    """A heuristic model's prediction, recomputed from its embedded records
+    and scalers on every call."""
+    if effective_error(request.noise, model.oracle) >= model.oracle.threshold:
+        raise AboveThresholdError(
+            "profile is at or above the oracle threshold; request is infeasible")
+    profile = request.noise
+    log_target = math.log10(request.target_logical_error_rate)
+    neighbor = model.kind.method in ("range_search", "multivariate_interp")
+    if neighbor:
+        if model.kind.weighted:
+            train = np.column_stack([_reference_scalarized(model), model.log_ler])
+            query = np.asarray([scalarize(profile, model.weights), log_target])
+        else:
+            train = np.column_stack([model.noise, model.log_ler])
+            query = np.asarray([profile.depolarizing, profile.gate, profile.reset,
+                                profile.readout, log_target])
+        raw_distance = _reference_neighbor(
+            model, model.stage1_scaler.transform(train), model.distance,
+            model.stage1_scaler.transform(query))
+    else:
+        if model.kind.weighted:
+            axis = _reference_scalarized(model)
+            x_query = scalarize(profile, model.weights)
+        else:
+            axis = np.sqrt((model.noise ** 2).sum(axis=1))
+            x_query = math.sqrt(profile.depolarizing ** 2 + profile.gate ** 2
+                                + profile.reset ** 2 + profile.readout ** 2)
+        raw_distance = _reference_interp_1d(model, axis, model.distance, log_target, x_query)
+    raw_distance = max(raw_distance, RAW_FLOOR)
+    rounded_distance = round_distance(raw_distance)
+    if neighbor:
+        raw_rounds = _reference_neighbor(
+            model, model.stage2_scaler.transform(np.column_stack([model.distance, model.log_ler])),
+            model.rounds,
+            model.stage2_scaler.transform(np.asarray([float(rounded_distance), log_target])))
+    else:
+        raw_rounds = _reference_interp_1d(model, model.distance.astype(np.float64),
+                                          model.rounds, log_target, float(rounded_distance))
+    raw_rounds = max(raw_rounds, RAW_FLOOR)
+    return PredictionResult(raw_distance=float(raw_distance), rounded_distance=rounded_distance,
+                            raw_rounds=float(raw_rounds), rounded_rounds=round_rounds(raw_rounds))

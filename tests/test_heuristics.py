@@ -1,7 +1,13 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from helpers import reference_heuristic_predict
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from surfplan import (
     CodeParams,
@@ -18,7 +24,9 @@ from surfplan import (
     poly_interp,
     range_search,
 )
-from surfplan.heuristics import Standardizer, all_kinds
+from surfplan.heuristics import Standardizer, _distances, _k_nearest, all_kinds
+from surfplan.ml.serialize import model_from_dict, model_to_dict
+from surfplan.oracle import AboveThresholdError
 
 
 class TestRangeSearch:
@@ -210,3 +218,119 @@ class TestHeuristicModel:
         kind = HeuristicKind(method="range_search", weighted=True)
         with pytest.raises(ValidationError):
             fit_heuristic([], kind)
+
+    def test_fitted_model_is_frozen(self, small_records):
+        model = fit_heuristic(small_records, HeuristicKind("multivariate_interp", False))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.stage1_scaler = Standardizer(mean=(0.0,) * 5, scale=(1.0,) * 5)
+
+
+class TestNeighborHelpers:
+    @given(distances=arrays(np.float64, st.integers(1, 40), elements=st.one_of(
+               st.sampled_from([0.0, 0.5, 1.0, 2.0, np.inf, np.nan]),
+               st.floats(min_value=0.0, max_value=10.0))),
+           k=st.integers(1, 45))
+    @settings(max_examples=300)
+    def test_k_nearest_is_the_head_of_a_full_lexsort(self, distances, k):
+        # Ties, infinities and NaNs included: the partition shortcut must
+        # return the first k of the (distance, index) order.
+        expected = np.lexsort((np.arange(distances.shape[0]), distances))[:k]
+        assert np.array_equal(_k_nearest(distances, k), expected)
+
+    @given(features=arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 7)),
+                           elements=st.floats(min_value=-1e200, max_value=1e200)),
+           data=st.data())
+    @settings(max_examples=200)
+    def test_distances_equal_the_row_sum(self, features, data):
+        query = data.draw(arrays(np.float64, features.shape[1],
+                                 elements=st.floats(min_value=-1e200, max_value=1e200)))
+        with np.errstate(all="ignore"):
+            expected = np.sqrt(((features - query) ** 2).sum(axis=1))
+            actual = _distances(tuple(features.T), query)
+        assert actual.tobytes() == expected.tobytes()
+
+    def test_query_width_must_match(self):
+        with pytest.raises(ValidationError, match="features"):
+            range_search([[0.0, 1.0]], [1.0], [0.0])
+        with pytest.raises(ValidationError, match="k >= 1"):
+            multivariate_interp([[0.0]], [1.0], [0.0], k=0)
+
+
+_RATES = st.one_of(st.sampled_from([1e-4, 5e-4, 1e-3, 2e-3]),
+                   st.floats(min_value=1e-5, max_value=4e-3))
+_PROFILES = st.builds(NoiseProfile, _RATES, _RATES, _RATES, _RATES)
+_TARGETS = st.one_of(st.floats(min_value=-14.0, max_value=-1.0).map(lambda e: 10.0 ** e),
+                     st.sampled_from([1e-14, 1e-9, 1e-3, 1e-1]))
+
+
+@st.composite
+def _heuristic_problems(draw):
+    """Records with repeated profiles and records (distance ties), a kind,
+    weights, optionally tiny scaler scales, and requests that include exact
+    record matches and targets outside the trained decades."""
+    profiles = draw(st.lists(_PROFILES, min_size=1, max_size=6))
+    records = []
+    for _ in range(draw(st.integers(2, 60))):
+        if records and draw(st.integers(0, 4)) == 0:
+            records.append(records[draw(st.integers(0, len(records) - 1))])
+            continue
+        records.append(DatasetRecord(
+            noise=profiles[draw(st.integers(0, len(profiles) - 1))],
+            params=CodeParams(distance=draw(st.sampled_from([3, 5, 7, 9, 11, 13])),
+                              rounds=draw(st.integers(1, 15))),
+            logical_error_rate=10.0 ** draw(st.floats(min_value=-12.0, max_value=-2.0))))
+    kind = draw(st.sampled_from(all_kinds()))
+    weights = draw(st.sampled_from([HeuristicWeights(), HeuristicWeights(0.5, 0.25, 0.15, 0.1)]))
+    requests = [PredictionRequest(noise=draw(_PROFILES), target_logical_error_rate=draw(_TARGETS))
+                for _ in range(draw(st.integers(1, 6)))]
+    for _ in range(draw(st.integers(0, 3))):
+        record = records[draw(st.integers(0, len(records) - 1))]
+        requests.append(PredictionRequest(noise=record.noise,
+                                          target_logical_error_rate=record.logical_error_rate))
+    return records, kind, weights, requests
+
+
+def _outcome(predict, request):
+    """Every float field as float.hex, or the exception raised."""
+    try:
+        result = predict(request)
+    except (ValidationError, AboveThresholdError) as exc:
+        return type(exc).__name__, str(exc)
+    return (result.raw_distance.hex(), result.rounded_distance,
+            result.raw_rounds.hex(), result.rounded_rounds)
+
+
+def _reloaded(model, scale=None):
+    """The model after a JSON round trip, optionally with every scaler scale
+    replaced, so that standardized differences overflow."""
+    data = json.loads(json.dumps(model_to_dict(model)))
+    if scale is not None:
+        for name in ("stage1_scaler", "stage2_scaler"):
+            scaler = data["model"][name]
+            scaler["scale"] = [scale] * len(scaler["scale"])
+    return model_from_dict(data)
+
+
+class TestMatchesPerRequestReference:
+    @given(problem=_heuristic_problems())
+    @settings(max_examples=300)
+    def test_fitted_and_reloaded_models(self, problem):
+        records, kind, weights, requests = problem
+        model = fit_heuristic(records, kind, weights)
+        reloaded = _reloaded(model)
+        for request in requests:
+            expected = _outcome(lambda r: reference_heuristic_predict(model, r), request)
+            assert _outcome(model.predict_result, request) == expected
+            assert _outcome(reloaded.predict_result, request) == expected
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(problem=_heuristic_problems(), scale=st.sampled_from([1e-160, 5e-324]))
+    @settings(max_examples=150)
+    def test_overflowing_distances(self, problem, scale):
+        # A scale of 1e-160 squares standardized differences to inf; 5e-324
+        # makes the standardized values themselves inf, so inf - inf = NaN.
+        records, kind, weights, requests = problem
+        model = _reloaded(fit_heuristic(records, kind, weights), scale)
+        for request in requests:
+            assert (_outcome(model.predict_result, request)
+                    == _outcome(lambda r: reference_heuristic_predict(model, r), request))

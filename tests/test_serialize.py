@@ -23,9 +23,10 @@ from surfplan import (
     save_model,
 )
 from surfplan.config import load_config
+from surfplan.evaluate import evaluate_model, split
 from surfplan.ml import build_training_cases
 from surfplan.ml.serialize import CorruptModelError, ModelVersionError
-from surfplan.models import fit_named_model
+from surfplan.models import HEURISTIC_NAMES, fit_named_model
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +98,27 @@ def test_default_pipeline_model_is_pinned(tmp_path):
     save_model(model, path)
     assert (hashlib.sha256(path.read_bytes()).hexdigest()
             == "b226cc9600bc834ccf340acf979b7af89fc1ed178dfd144890f7f9a185613a16")
+
+
+def test_default_heuristic_predictions_are_pinned():
+    # SHA-256 over the eight heuristics' predictions (raw and rounded distance
+    # and rounds, as repr) on the default config's (seed 42) compare split, as
+    # the per-request computation made them before the models derived their
+    # training state once. A drift in any prediction's bits changes it.
+    config = load_config(None)
+    records = generate_dataset(config.sweep, config.oracle)
+    cases = build_training_cases(records, config.sweep, config.oracle, config.targets)
+    _, test_cases = split(cases, config.split)
+    digest = hashlib.sha256()
+    for name in HEURISTIC_NAMES:
+        model = fit_named_model(name, records=records, oracle=config.oracle,
+                                weights=config.heuristic_weights)
+        report = evaluate_model(model, test_cases, config.oracle)
+        for values in (report.predicted_raw_distance, report.predicted_distance,
+                       report.predicted_raw_rounds, report.predicted_rounds):
+            digest.update(repr(values).encode())
+    assert (digest.hexdigest()
+            == "95f56362806869ac91b5db0b67f6b88da66281d49e434a07b5bfe254e2e1a251")
 
 
 class TestFailureModes:
@@ -192,6 +214,27 @@ class TestFailureModes:
         save_model(fit_heuristic(records, HeuristicKind.parse("range_search_w")), path)
         data = json.loads(path.read_text())
         corrupt(data["model"])
+        path.write_text(json.dumps(data))
+        with pytest.raises(CorruptModelError):
+            load_model(path)
+
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda stage: stage.update(coefficients=stage["coefficients"][:2]),
+                     id="two_coefficients"),
+        pytest.param(lambda stage: stage.update(intercept="nan"), id="quoted_nan_intercept"),
+        pytest.param(lambda stage: stage["coefficients"].__setitem__(0, "1.5"),
+                     id="quoted_coefficient"),
+        pytest.param(lambda stage: stage.update(n_features=4), id="n_features_below_coefficients"),
+        pytest.param(lambda stage: stage.update(n_features=4,
+                                                coefficients=stage["coefficients"][:4]),
+                     id="pipeline_stage_of_width_4"),
+    ])
+    def test_corrupt_linear_stage_rejected(self, training_setup, tmp_path, corrupt):
+        _, cases, _ = training_setup
+        path = tmp_path / "model.json"
+        save_model(fit_named_model("linear", cases=cases), path)
+        data = json.loads(path.read_text())
+        corrupt(data["model"]["stage1"])
         path.write_text(json.dumps(data))
         with pytest.raises(CorruptModelError):
             load_model(path)
