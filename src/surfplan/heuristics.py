@@ -265,7 +265,8 @@ class HeuristicModel:
     ``__post_init__`` derives the per-stage training state once, so fitting
     and loading pay for it and a request does not: the standardized feature
     columns (range search, multivariate) or the 1-D axes and record decades
-    (linear, polynomial). None of it is serialized.
+    (linear, polynomial). None of it is serialized. Scalers whose standardized
+    columns, or squared spreads of them, are not finite are rejected.
     """
 
     kind: HeuristicKind
@@ -292,11 +293,23 @@ class HeuristicModel:
         distance = np.asarray(self.distance, dtype=np.float64)
         rounds = np.asarray(self.rounds, dtype=np.float64)
         decades, decade_values = None, ()
+        # A scale far below the data's spread (a model file can hold 1e-160)
+        # would overflow every squared distance to inf.
+        with np.errstate(over="ignore", invalid="ignore"):
+            standardized = (
+                _standardized_columns(
+                    _stage1_columns(self.kind.weighted, self.weights, self.noise, self.log_ler),
+                    self.stage1_scaler),
+                _standardized_columns([self.distance, self.log_ler], self.stage2_scaler))
+            for stage, columns in enumerate(standardized, 1):
+                for column in columns:
+                    spread = column.max() - column.min()
+                    if not (np.isfinite(column).all() and np.isfinite(spread * spread)):
+                        raise ValidationError(
+                            f"stage{stage}_scaler scales overflow the standardized "
+                            "training features")
         if self.kind.method in NEIGHBOR_METHODS:
-            stage1 = _standardized_columns(
-                _stage1_columns(self.kind.weighted, self.weights, self.noise, self.log_ler),
-                self.stage1_scaler)
-            stage2 = _standardized_columns([self.distance, self.log_ler], self.stage2_scaler)
+            stage1, stage2 = standardized
         else:
             stage1 = (_scalarized(self.weights, self.noise) if self.kind.weighted
                       else np.sqrt((self.noise ** 2).sum(axis=1)))

@@ -16,7 +16,16 @@ from typing import Optional
 import numpy as np
 
 from ..core import ValidationError, check_int
-from .tree import TreeConfig, TreeModel, _as_feature_matrix, _as_targets, grow_tree, presort
+from .tree import (
+    PackedTrees,
+    TreeConfig,
+    TreeModel,
+    _as_feature_matrix,
+    _as_targets,
+    grow_tree,
+    pack_trees,
+    presort,
+)
 
 
 @dataclass(frozen=True)
@@ -52,16 +61,15 @@ class BoostConfig:
 class ForestModel:
     trees: tuple[TreeModel, ...]
     n_features: int
+    # Derived at fit and at load; never serialized.
+    _packed: PackedTrees = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._packed = pack_trees(self.trees)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         features = _as_feature_matrix(features, self.n_features)
-        acc = np.zeros(features.shape[0])
-        for tree in self.trees:
-            acc += tree.predict(features)
-        return acc / len(self.trees)
-
-    def predict_row(self, row: np.ndarray) -> float:
-        return sum(tree.predict_row(row) for tree in self.trees) / len(self.trees)
+        return self._packed.predict(features, 0.0) / len(self.trees)
 
 
 @dataclass
@@ -70,19 +78,15 @@ class BoostedModel:
     learning_rate: float
     base_score: float
     n_features: int
+    # Derived at fit and at load; never serialized.
+    _packed: PackedTrees = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._packed = pack_trees(self.trees)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         features = _as_feature_matrix(features, self.n_features)
-        acc = np.full(features.shape[0], self.base_score)
-        for tree in self.trees:
-            acc += self.learning_rate * tree.predict(features)
-        return acc
-
-    def predict_row(self, row: np.ndarray) -> float:
-        out = self.base_score
-        for tree in self.trees:
-            out += self.learning_rate * tree.predict_row(row)
-        return out
+        return self._packed.predict(features, self.base_score, self.learning_rate)
 
 
 def fit_forest(features, targets, config: ForestConfig = ForestConfig()) -> ForestModel:

@@ -24,10 +24,9 @@ class LinearModel:
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         features = _as_feature_matrix(features, self.n_features)
-        return features @ self.coefficients + self.intercept
-
-    def predict_row(self, row: np.ndarray) -> float:
-        return float(np.dot(row, self.coefficients) + self.intercept)
+        # One dot product per row: a matrix product rounds a row differently
+        # depending on how many rows come with it.
+        return np.vecdot(features, self.coefficients) + self.intercept
 
 
 def fit_linear(features, targets) -> LinearModel:

@@ -126,27 +126,11 @@ class PipelineModel:
     stage2_schema: tuple[str, ...] = STAGE2_SCHEMA
 
     def predict_result(self, request: PredictionRequest) -> PredictionResult:
-        if effective_error(request.noise, self.oracle) >= self.oracle.threshold:
-            raise AboveThresholdError(
-                "profile is at or above the oracle threshold; request is infeasible")
-        if len(self.stage1_schema) != 5 or len(self.stage2_schema) != 2:
-            raise ValidationError("schema mismatch: unexpected pipeline schemas")
-        log_target = math.log10(request.target_logical_error_rate)
-        row1 = np.asarray([request.noise.depolarizing, request.noise.gate,
-                           request.noise.reset, request.noise.readout, log_target])
-        raw_distance = max(float(self.stage1.predict_row(row1)), RAW_FLOOR)
-        rounded_distance = round_distance(raw_distance)
-        row2 = np.asarray([float(rounded_distance), log_target])
-        raw_rounds = max(float(self.stage2.predict_row(row2)), RAW_FLOOR)
-        return PredictionResult(
-            raw_distance=raw_distance,
-            rounded_distance=rounded_distance,
-            raw_rounds=raw_rounds,
-            rounded_rounds=round_rounds(raw_rounds),
-        )
+        return self.predict_many([request])[0]
 
     def predict_many(self, requests: list[PredictionRequest]) -> list[PredictionResult]:
-        """Batch variant of predict_result (vectorized stage evaluations)."""
+        """One result per request; a request's result does not depend on the
+        batch it comes in."""
         if not requests:
             return []
         for request in requests:

@@ -260,14 +260,22 @@ def model_from_dict(envelope: dict):
                     f"pipeline stages must take {len(STAGE1_SCHEMA)} and "
                     f"{len(STAGE2_SCHEMA)} features, got {stage1.n_features} and "
                     f"{stage2.n_features}")
+            stage1_schema = tuple(data["stage1_schema"])
+            stage2_schema = tuple(data["stage2_schema"])
+            if (len(stage1_schema), len(stage2_schema)) != (len(STAGE1_SCHEMA),
+                                                             len(STAGE2_SCHEMA)):
+                raise CorruptModelError(
+                    f"pipeline schemas must name {len(STAGE1_SCHEMA)} and "
+                    f"{len(STAGE2_SCHEMA)} features, got {len(stage1_schema)} and "
+                    f"{len(stage2_schema)}")
             return PipelineModel(
                 stage1=stage1,
                 stage2=stage2,
                 oracle=OracleConfig(**data["oracle"]),
                 min_target=float(data["min_target"]),
                 max_target=float(data["max_target"]),
-                stage1_schema=tuple(data["stage1_schema"]),
-                stage2_schema=tuple(data["stage2_schema"]),
+                stage1_schema=stage1_schema,
+                stage2_schema=stage2_schema,
             )
         if kind == "heuristic":
             return _heuristic_from_dict(data)

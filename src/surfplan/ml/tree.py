@@ -30,6 +30,8 @@ import numpy as np
 from ..core import ValidationError, check_int
 
 LEAF = -1
+# Rows walked together at prediction; bounds each step's temporaries.
+BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -64,33 +66,109 @@ class TreeModel:
     def node_count(self) -> int:
         return len(self.feature)
 
-    def predict_row(self, row: np.ndarray) -> float:
-        node = 0
-        while self.feature[node] != LEAF:
-            if row[self.feature[node]] <= self.threshold[node]:
-                node = self.left[node]
-            else:
-                node = self.right[node]
-        return float(self.value[node])
-
     def predict(self, features: np.ndarray) -> np.ndarray:
-        features = _as_feature_matrix(features, self.n_features)
-        n = features.shape[0]
-        current = np.zeros(n, dtype=np.int64)
-        rows = np.arange(n)
-        while True:
-            split_feature = self.feature[current]
-            internal = split_feature != LEAF
-            if not internal.any():
-                break
-            idx = rows[internal]
-            nodes = current[internal]
-            go_left = features[idx, self.feature[nodes]] <= self.threshold[nodes]
-            current[internal] = np.where(go_left, self.left[nodes], self.right[nodes])
-        return self.value[current].copy()
+        # Packed per call: a tree inside an ensemble is predicted through its
+        # ensemble's packing, so only a stand-alone tree comes here.
+        return pack_trees((self,)).predict(_as_feature_matrix(features, self.n_features))
 
     def leaf_values(self) -> np.ndarray:
         return self.value[self.feature == LEAF]
+
+
+@dataclass(frozen=True)
+class PackedTrees:
+    """Trees laid out for prediction: every node of every tree in one set of
+    flat arrays.
+
+    Child indices are absolute, and a leaf's children are the leaf itself on
+    feature 0, so one step moves every row of every tree down a level or
+    leaves it where it is. ``roots`` lists the trees deepest first, and
+    ``order`` gives each one's place among the trees. Step ``s`` advances only
+    the first ``active[s]`` trees, those deeper than ``s``; a tree that is a
+    single leaf is never walked.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    order: np.ndarray
+    active: tuple[int, ...]
+
+    def _leaf_values(self, block: np.ndarray, out: np.ndarray) -> None:
+        """Write the leaf value that row ``r`` of ``block`` reaches in tree
+        ``t`` to ``out[t, r]``."""
+        rows = np.arange(block.shape[0])
+        deep = self.active[0] if self.active else 0
+        current = np.repeat(self.roots[:deep, None], rows.size, axis=1)
+        for count in self.active:
+            nodes = current[:count]
+            go_left = block[rows, self.feature[nodes]] <= self.threshold[nodes]
+            current[:count] = np.where(go_left, self.left[nodes], self.right[nodes])
+        out[self.order[:deep]] = self.value[current]
+        out[self.order[deep:]] = self.value[self.roots[deep:], None]
+
+    def predict(self, features: np.ndarray, base: float | None = None,
+                weight: float = 1.0) -> np.ndarray:
+        """``base`` plus ``weight`` times each tree's leaf value, added in
+        tree order, for every row of ``features``; with no ``base``, the leaf
+        values of the one packed tree.
+
+        Rows are walked ``BLOCK_ROWS`` at a time, so the working set does not
+        grow with the batch. The sum is a running sum down a (trees + 1,
+        rows) stack, the order in which a per-tree loop adds (``np.sum``
+        would add a one-row block pairwise), so a row's answer is the same
+        bits alone and inside any batch.
+        """
+        out = np.empty(features.shape[0])
+        for start in range(0, features.shape[0], BLOCK_ROWS):
+            block = features[start:start + BLOCK_ROWS]
+            stack = np.empty((self.roots.size + 1, block.shape[0]))
+            self._leaf_values(block, stack[1:])
+            if base is None:
+                out[start:start + BLOCK_ROWS] = stack[1]
+                continue
+            stack[0] = base
+            stack[1:] *= weight
+            out[start:start + BLOCK_ROWS] = np.cumsum(stack, axis=0, out=stack)[-1]
+        return out
+
+
+def pack_trees(trees) -> PackedTrees:
+    """Concatenate the trees' node arrays into one ``PackedTrees``.
+
+    A tree's depth is its longest root-to-leaf path, found one level at a time
+    for all trees at once. A level holds each node once, so a malformed tree
+    whose nodes share children cannot blow up the frontier.
+    """
+    counts = np.asarray([tree.node_count for tree in trees])
+    starts = np.cumsum(counts) - counts
+    feature = np.concatenate([tree.feature for tree in trees])
+    leaf = feature == LEAF
+    node = np.arange(feature.size)
+    offset = np.repeat(starts, counts)
+    left = np.where(leaf, node, np.concatenate([tree.left for tree in trees]) + offset)
+    right = np.where(leaf, node, np.concatenate([tree.right for tree in trees]) + offset)
+
+    tree_of = np.repeat(np.arange(counts.size), counts)
+    depth = np.zeros(counts.size, dtype=np.int64)
+    frontier, level = starts, 0
+    while frontier.size:
+        depth[tree_of[frontier]] = level
+        inner = frontier[~leaf[frontier]]
+        reached = np.zeros(feature.size, dtype=bool)
+        reached[left[inner]] = reached[right[inner]] = True
+        frontier = np.flatnonzero(reached)
+        level += 1
+    order = np.argsort(-depth, kind="stable")
+    active = np.count_nonzero(depth[:, None] > np.arange(depth.max()), axis=0)
+    return PackedTrees(
+        feature=np.where(leaf, 0, feature),
+        threshold=np.concatenate([tree.threshold for tree in trees]),
+        left=left, right=right, value=np.concatenate([tree.value for tree in trees]),
+        roots=starts[order], order=order, active=tuple(active.tolist()))
 
 
 def _as_feature_matrix(features, n_features: int | None = None) -> np.ndarray:

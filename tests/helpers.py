@@ -8,7 +8,10 @@ grower must reproduce its trees bit for bit. ``reference_heuristic_predict``
 is the per-request heuristic computation that the models' derived state
 replaced: it re-standardizes every training row, takes row-sum distances, a
 full lexsort for the k nearest and an uncached decade filter, and the models
-must reproduce its predictions bit for bit.
+must reproduce its predictions bit for bit. ``reference_predict`` and
+``reference_predict_row`` are the per-tree batch loops and the one-row walks
+that the packed traversal replaced; the stage models must reproduce both bit
+for bit.
 """
 
 import math
@@ -18,6 +21,7 @@ import numpy as np
 from surfplan.core import RAW_FLOOR, PredictionResult, round_distance, round_rounds, scalarize
 from surfplan.heuristics import IDW_NEIGHBORS, IDW_POWER, linear_interp, poly_interp
 from surfplan.ml.ensemble import BoostedModel, ForestModel
+from surfplan.ml.linear import LinearModel
 from surfplan.ml.tree import LEAF, TreeModel
 from surfplan.oracle import AboveThresholdError, effective_error
 
@@ -202,10 +206,73 @@ def reference_fit_boosted(features, targets, config):
     trees = []
     for _ in range(config.n_estimators):
         tree = reference_fit_tree(features, targets - prediction, config.tree)
-        prediction += config.learning_rate * tree.predict(features)
+        prediction += config.learning_rate * reference_tree_predict(tree, features)
         trees.append(tree)
     return BoostedModel(trees=tuple(trees), learning_rate=config.learning_rate,
                         base_score=base, n_features=features.shape[1])
+
+
+def reference_tree_predict_row(tree, row) -> float:
+    """Walk one row from the root until a leaf."""
+    node = 0
+    while tree.feature[node] != LEAF:
+        if row[tree.feature[node]] <= tree.threshold[node]:
+            node = tree.left[node]
+        else:
+            node = tree.right[node]
+    return float(tree.value[node])
+
+
+def reference_tree_predict(tree, features) -> np.ndarray:
+    """Move every row that is still on an internal node down one level, until
+    all rows are on leaves."""
+    features = np.asarray(features, dtype=np.float64)
+    n = features.shape[0]
+    current = np.zeros(n, dtype=np.int64)
+    rows = np.arange(n)
+    while True:
+        internal = tree.feature[current] != LEAF
+        if not internal.any():
+            break
+        idx = rows[internal]
+        nodes = current[internal]
+        go_left = features[idx, tree.feature[nodes]] <= tree.threshold[nodes]
+        current[internal] = np.where(go_left, tree.left[nodes], tree.right[nodes])
+    return tree.value[current].copy()
+
+
+def reference_predict(model, features) -> np.ndarray:
+    """A stage model's batch prediction, one tree at a time."""
+    features = np.asarray(features, dtype=np.float64)
+    if isinstance(model, TreeModel):
+        return reference_tree_predict(model, features)
+    if isinstance(model, ForestModel):
+        acc = np.zeros(features.shape[0])
+        for tree in model.trees:
+            acc += reference_tree_predict(tree, features)
+        return acc / len(model.trees)
+    if isinstance(model, BoostedModel):
+        acc = np.full(features.shape[0], model.base_score)
+        for tree in model.trees:
+            acc += model.learning_rate * reference_tree_predict(tree, features)
+        return acc
+    raise TypeError(f"no batch reference for {type(model).__name__}")
+
+
+def reference_predict_row(model, row) -> float:
+    """A stage model's prediction for one row, one tree at a time."""
+    if isinstance(model, TreeModel):
+        return reference_tree_predict_row(model, row)
+    if isinstance(model, ForestModel):
+        return sum(reference_tree_predict_row(tree, row) for tree in model.trees) / len(model.trees)
+    if isinstance(model, BoostedModel):
+        out = model.base_score
+        for tree in model.trees:
+            out += model.learning_rate * reference_tree_predict_row(tree, row)
+        return out
+    if isinstance(model, LinearModel):
+        return float(np.dot(row, model.coefficients) + model.intercept)
+    raise TypeError(f"no row reference for {type(model).__name__}")
 
 
 def assert_same_tree(actual, expected):

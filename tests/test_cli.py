@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from surfplan import HeuristicKind, fit_heuristic, save_model
 from surfplan.cli import main
 from surfplan.dataio import read_dataset_csv
 
@@ -250,6 +251,30 @@ def test_non_utf8_input_exits_2(capsys, tmp_path, trained_model, kind):
     }[kind]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("corrupt", ["short_stage1_schema", "scale_1e-160", "scale_5e-324"])
+def test_corrupt_model_exits_2_at_load(capsys, tmp_path, trained_model, small_dataset,
+                                       corrupt):
+    if corrupt == "short_stage1_schema":
+        with open(trained_model, encoding="utf-8") as handle:
+            data = json.load(handle)
+        data["model"]["stage1_schema"] = data["model"]["stage1_schema"][:4]
+    else:
+        save_model(fit_heuristic(read_dataset_csv(small_dataset),
+                                 HeuristicKind.parse("range_search_w")), tmp_path / "h.json")
+        data = json.loads((tmp_path / "h.json").read_text())
+        scale = float(corrupt.split("_")[1])
+        for name in ("stage1_scaler", "stage2_scaler"):
+            data["model"][name]["scale"] = [scale] * len(data["model"][name]["scale"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "predict", "--model", str(bad), "--depol", "2e-4",
+                             "--gate", "1.2e-3", "--reset", "5e-4", "--readout", "3e-3",
+                             "--target", "1e-6")
+    assert code == 2
+    assert out == ""
     assert "Traceback" not in err
 
 

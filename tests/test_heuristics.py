@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import reference_heuristic_predict
+from helpers import _reference_scalarized, reference_heuristic_predict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -25,7 +25,7 @@ from surfplan import (
     range_search,
 )
 from surfplan.heuristics import Standardizer, _distances, _k_nearest, all_kinds
-from surfplan.ml.serialize import model_from_dict, model_to_dict
+from surfplan.ml.serialize import CorruptModelError, model_from_dict, model_to_dict
 from surfplan.oracle import AboveThresholdError
 
 
@@ -311,6 +311,19 @@ def _reloaded(model, scale=None):
     return model_from_dict(data)
 
 
+def _standardized_overflow(model, scale) -> bool:
+    """Whether either stage's training features, standardized with every
+    scale set to ``scale``, hold a value or a squared column spread that is
+    not finite."""
+    rates = _reference_scalarized(model) if model.kind.weighted else model.noise
+    stages = ((np.column_stack([rates, model.log_ler]), model.stage1_scaler),
+              (np.column_stack([model.distance, model.log_ler]), model.stage2_scaler))
+    with np.errstate(all="ignore"):
+        standardized = [(train - np.asarray(scaler.mean)) / scale for train, scaler in stages]
+        return not all(np.isfinite(z).all() and np.isfinite(np.ptp(z, axis=0) ** 2).all()
+                       for z in standardized)
+
+
 class TestMatchesPerRequestReference:
     @given(problem=_heuristic_problems())
     @settings(max_examples=300)
@@ -327,10 +340,17 @@ class TestMatchesPerRequestReference:
     @given(problem=_heuristic_problems(), scale=st.sampled_from([1e-160, 5e-324]))
     @settings(max_examples=150)
     def test_overflowing_distances(self, problem, scale):
-        # A scale of 1e-160 squares standardized differences to inf; 5e-324
-        # makes the standardized values themselves inf, so inf - inf = NaN.
+        # A scale of 1e-160 squares standardized spreads to inf; 5e-324 makes
+        # the standardized values themselves inf. Such a model must fail to
+        # load. One whose training columns do not spread at all still loads,
+        # and predicts as the per-request computation does.
         records, kind, weights, requests = problem
-        model = _reloaded(fit_heuristic(records, kind, weights), scale)
+        fitted = fit_heuristic(records, kind, weights)
+        if _standardized_overflow(fitted, scale):
+            with pytest.raises(CorruptModelError, match="overflow"):
+                _reloaded(fitted, scale)
+            return
+        model = _reloaded(fitted, scale)
         for request in requests:
             assert (_outcome(model.predict_result, request)
                     == _outcome(lambda r: reference_heuristic_predict(model, r), request))

@@ -24,6 +24,7 @@ from surfplan import (
 )
 from surfplan.ml.ensemble import fit_boosted, fit_forest
 from surfplan.ml.pipeline import distinct_profiles, stage1_features, stage2_features
+from surfplan.models import fit_named_model
 
 
 def _case(profile, target, d, r):
@@ -159,9 +160,10 @@ class TestPredict:
         with pytest.raises(AboveThresholdError):
             model.predict_result(hot)
 
-    def test_predict_many_matches_scalar_path(self, small_run):
+    @pytest.mark.parametrize("name", ["pipeline", "linear"])
+    def test_predict_many_matches_scalar_path(self, small_run, name):
         sweep, oracle, records, cases = small_run
-        model = fit_pipeline_cases(cases, oracle=oracle)
+        model = fit_named_model(name, cases=cases, oracle=oracle)
         requests = [case.request for case in cases[:10]]
         batch = predict_many(model, requests)
         single = [model.predict_result(request) for request in requests]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,9 @@ from helpers import (
     reference_fit_boosted,
     reference_fit_forest,
     reference_fit_tree,
+    reference_predict,
+    reference_predict_row,
+    reference_tree_predict_row,
     verify_tree_node,
 )
 from surfplan import (
@@ -21,7 +26,8 @@ from surfplan import (
     fit_forest,
     fit_tree,
 )
-from surfplan.ml.tree import LEAF, _level_splits, grow_tree, presort
+from surfplan.ml.serialize import model_from_dict, model_to_dict
+from surfplan.ml.tree import BLOCK_ROWS, LEAF, _level_splits, grow_tree, presort
 
 
 class TestFitTreeExamples:
@@ -139,7 +145,7 @@ class TestTreeProperties:
         tree = fit_tree(features, targets, TreeConfig(max_depth=4))
         queries = rng.normal(size=(20, 3))
         batch = tree.predict(queries)
-        rows = [tree.predict_row(q) for q in queries]
+        rows = [reference_tree_predict_row(tree, q) for q in queries]
         assert np.array_equal(batch, np.asarray(rows))
 
     def test_schema_mismatch_rejected(self):
@@ -271,3 +277,52 @@ class TestMatchesRecursiveBuilder:
         assert len(actual.trees) == len(expected.trees)
         for got, want in zip(actual.trees, expected.trees):
             assert_same_tree(got, want)
+
+
+@st.composite
+def _stage_models(draw):
+    """A small fitted tree, forest or boosted model, and query rows for it."""
+    features, targets = draw(_problems(targets=(st.floats(min_value=-1e6, max_value=1e6),),
+                                       max_rows=40))
+    config = draw(_tree_configs)
+    kind = draw(st.sampled_from(["tree", "forest", "boosted"]))
+    # Past eight trees a pairwise sum would add in another order than a loop.
+    n_estimators = st.integers(min_value=1, max_value=12)
+    if kind == "tree":
+        model = fit_tree(features, targets, config)
+    elif kind == "forest":
+        model = fit_forest(features, targets, ForestConfig(
+            n_estimators=draw(n_estimators), tree=config,
+            seed=draw(st.integers(min_value=0, max_value=2 ** 32))))
+    else:
+        model = fit_boosted(features, targets, BoostConfig(
+            n_estimators=draw(n_estimators),
+            learning_rate=draw(st.floats(min_value=0.01, max_value=1.0)), tree=config))
+    # One row, one short batch, and batches that cross a block boundary.
+    n_queries = draw(st.sampled_from([1, 8, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 7]))
+    queries = draw(arrays(np.float64, (n_queries, features.shape[1]),
+                          elements=draw(st.sampled_from(_feature_values))))
+    # Training rows first, then drawn ones.
+    return model, np.vstack([features, queries])[:n_queries]
+
+
+class TestPackedPrediction:
+    """The packed traversal must give the per-tree loops' and the one-row
+    walks' answers bit for bit, for every row alone and inside any batch,
+    before and after a save/load."""
+
+    @given(problem=_stage_models(), data=st.data())
+    @settings(max_examples=150)
+    def test_matches_references_at_every_batch_size(self, problem, data):
+        model, queries = problem
+        expected = reference_predict(model, queries)
+        rows = np.asarray([reference_predict_row(model, q) for q in queries])
+        assert expected.tobytes() == rows.tobytes()
+        reloaded = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+        start = data.draw(st.integers(min_value=0, max_value=len(queries) - 1))
+        for candidate in (model, reloaded):
+            batch = candidate.predict(queries)
+            assert batch.tobytes() == expected.tobytes()
+            assert candidate.predict(queries[start:]).tobytes() == expected[start:].tobytes()
+            alone = np.concatenate([candidate.predict(q[None, :]) for q in queries])
+            assert alone.tobytes() == expected.tobytes()

@@ -20,6 +20,7 @@ from surfplan import (
     fit_tree,
     generate_dataset,
     load_model,
+    predict_many,
     save_model,
 )
 from surfplan.config import load_config
@@ -85,19 +86,46 @@ class TestRoundTrips:
             assert np.array_equal(loaded.predict(queries), model.predict(queries))
 
 
-def test_default_pipeline_model_is_pinned(tmp_path):
-    # SHA-256 of the saved default-config (seed 42) pipeline model as the
-    # node-at-a-time recursive tree builder grew it. A drift in any tree's
-    # bits or node order changes it.
+@pytest.fixture(scope="module")
+def default_pipeline():
+    """The default-config (seed 42) pipeline model, as ``surfplan train`` fits it."""
     config = load_config(None)
-    model = fit_named_model(
+    return config, fit_named_model(
         "pipeline", records=generate_dataset(config.sweep, config.oracle),
         sweep=config.sweep, oracle=config.oracle, stage1_config=config.stage1,
         stage2_config=config.stage2, menu=config.targets)
+
+
+def test_default_pipeline_model_is_pinned(default_pipeline, tmp_path):
+    # SHA-256 of the saved default-config (seed 42) pipeline model as the
+    # node-at-a-time recursive tree builder grew it. A drift in any tree's
+    # bits or node order changes it.
+    _, model = default_pipeline
     path = tmp_path / "model.json"
     save_model(model, path)
     assert (hashlib.sha256(path.read_bytes()).hexdigest()
             == "b226cc9600bc834ccf340acf979b7af89fc1ed178dfd144890f7f9a185613a16")
+
+
+def test_default_pipeline_predictions_are_pinned(default_pipeline):
+    # SHA-256 over the reprs of predict_many's rows for 1024 seeded in-range
+    # requests, as the per-tree prediction loops made them before the trees
+    # were packed into one traversal. A drift in any prediction's bits
+    # changes it.
+    config, model = default_pipeline
+    sweep = config.sweep
+    rng = np.random.default_rng(1024)
+    requests = [PredictionRequest(
+        noise=NoiseProfile(
+            depolarizing=float(rng.uniform(*sweep.depolarizing_range)),
+            gate=float(rng.uniform(*sweep.gate_range)),
+            reset=float(rng.uniform(*sweep.reset_range)),
+            readout=float(rng.uniform(*sweep.readout_range))),
+        target_logical_error_rate=float(10 ** rng.uniform(-9, -3)))
+        for _ in range(1024)]
+    rows = predict_many(model, requests)
+    assert (hashlib.sha256(repr(rows).encode()).hexdigest()
+            == "7452cd1f84ea3977ef9f82e8d1c9dcddeae087e2511b727b32a960638b2dcef0")
 
 
 def test_default_heuristic_predictions_are_pinned():
@@ -207,6 +235,12 @@ class TestFailureModes:
                      id="noise_rows_of_three"),
         pytest.param(lambda model: model["stage2_scaler"]["mean"].pop(),
                      id="short_scaler_mean"),
+        # Standardized squared spreads overflow to inf.
+        pytest.param(lambda model: model["stage1_scaler"].update(scale=[1e-160] * 2),
+                     id="tiny_stage1_scale"),
+        # Standardized values themselves are inf.
+        pytest.param(lambda model: model["stage2_scaler"].update(scale=[5e-324] * 2),
+                     id="subnormal_stage2_scale"),
     ])
     def test_corrupt_heuristic_rejected(self, training_setup, tmp_path, corrupt):
         records, _, _ = training_setup
@@ -237,6 +271,14 @@ class TestFailureModes:
         corrupt(data["model"]["stage1"])
         path.write_text(json.dumps(data))
         with pytest.raises(CorruptModelError):
+            load_model(path)
+
+    def test_short_schema_rejected(self, training_setup, tmp_path):
+        path = self._saved_pipeline(training_setup, tmp_path)
+        data = json.loads(path.read_text())
+        data["model"]["stage1_schema"] = data["model"]["stage1_schema"][:4]
+        path.write_text(json.dumps(data))
+        with pytest.raises(CorruptModelError, match="schemas"):
             load_model(path)
 
     def test_unknown_stage_kind_rejected(self, training_setup, tmp_path):
