@@ -8,12 +8,14 @@ from external simulators via the dataset CSV.
 
 from .core import (
     CodeParams,
+    Dataset,
     DatasetRecord,
     HeuristicWeights,
     NoiseProfile,
     PredictionRequest,
     PredictionResult,
     ValidationError,
+    as_dataset,
     round_distance,
     round_rounds,
     scalarize,

@@ -4,12 +4,19 @@ Distances are odd integers >= 3 throughout: the training sweep only visits odd
 values and every raw distance prediction is rounded up to the next odd number.
 Rounds are rounded up to the next whole number, never down, so a recommendation
 errs on the side of more protection rather than less.
+
+A dataset travels as a ``Dataset``: one column per field, checked column by
+column, rather than one ``DatasetRecord`` object per row.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -122,6 +129,166 @@ class DatasetRecord:
             raise ValidationError(f"logical_error_rate must be a number, got {ler!r}")
         if not math.isfinite(ler) or not 0.0 < ler <= 1.0:
             raise ValidationError(f"logical_error_rate out of range (0, 1]: {ler!r}")
+
+
+def _frozen(value, dtype) -> np.ndarray:
+    array = np.array(value, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+def _integer_column(name: str, value) -> np.ndarray:
+    array = np.asarray(value)
+    if array.size and array.dtype.kind not in "iu":
+        raise ValidationError(f"{name} must be an integer column, got dtype {array.dtype}")
+    return _frozen(array, np.int64)
+
+
+class Dataset(Sequence):
+    """Dataset records as a frozen struct of arrays.
+
+    ``profiles`` is a (p, 4) float64 table in ``PROFILE_FIELDS`` order with one
+    row per block of consecutive records that share a profile, and
+    ``profile_index`` gives each record's row in it: it starts at 0 and steps
+    by 0 or 1. ``distance`` and ``rounds`` are int64 columns and
+    ``logical_error_rate`` is a float64 column. Every array is a read-only
+    copy of what was passed in, and every column is checked once, as a whole,
+    against the rules of ``validate_profile``, ``CodeParams`` and
+    ``DatasetRecord``; the first bad record is rebuilt as a ``DatasetRecord``
+    so that its own message is raised.
+
+    As a ``Sequence`` the dataset yields ``DatasetRecord`` views, built on
+    demand, and it compares equal to a list exactly when its list of records
+    would. Slices and ``+`` give new datasets.
+    """
+
+    __slots__ = ("profiles", "profile_index", "distance", "rounds", "logical_error_rate")
+
+    def __init__(self, profiles, profile_index, distance, rounds, logical_error_rate):
+        table = _frozen(profiles, np.float64)
+        index = _integer_column("profile_index", profile_index)
+        columns = (index, _integer_column("distance", distance),
+                   _integer_column("rounds", rounds),
+                   _frozen(logical_error_rate, np.float64))
+        if table.ndim != 2 or table.shape[1] != len(PROFILE_FIELDS):
+            raise ValidationError(f"profiles must have shape (p, 4), got {table.shape}")
+        if any(column.shape != index.shape for column in columns) or index.ndim != 1:
+            raise ValidationError("dataset columns must be one-dimensional and of equal length")
+        blocks = (index[0] == 0 and index[-1] == table.shape[0] - 1
+                  and np.isin(np.diff(index), (0, 1)).all()) if index.size else not table.size
+        if not blocks:
+            raise ValidationError(
+                "profile_index must start at 0 and step by 0 or 1 to the last profile")
+        for name, column in zip(self.__slots__, (table,) + columns):
+            object.__setattr__(self, name, column)
+        self._validate()
+
+    def _validate(self) -> None:
+        table, index = self.profiles, self.profile_index
+        bad_profile = (~np.isfinite(table).all(axis=1)
+                       | ((table < 0.0) | (table >= 1.0)).any(axis=1)
+                       | (table == 0.0).all(axis=1))
+        ler = self.logical_error_rate
+        bad = ((self.distance < 3) | (self.distance % 2 == 0) | (self.rounds < 1)
+               | bad_profile[index] | ~((ler > 0.0) & (ler <= 1.0)))
+        if bad.any():
+            self[int(np.argmax(bad))]  # raises the record's own message
+            raise ValidationError("dataset record failed validation")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Dataset is frozen; cannot set {name!r}")
+
+    @classmethod
+    def from_rows(cls, noise, distance, rounds, logical_error_rate) -> "Dataset":
+        """A dataset from per-record (n, 4) rates; consecutive records whose
+        rates have the same bits share one profile row, so a signed zero
+        keeps its sign."""
+        noise = np.ascontiguousarray(noise, dtype=np.float64).reshape(-1, len(PROFILE_FIELDS))
+        bits = noise.view(np.uint64)
+        starts = np.ones(noise.shape[0], dtype=bool)
+        starts[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+        return cls(noise[starts], np.cumsum(starts) - 1, distance, rounds, logical_error_rate)
+
+    def noise(self) -> np.ndarray:
+        """Each record's rates, shape (n, 4)."""
+        return self.profiles[self.profile_index]
+
+    def block_bounds(self) -> np.ndarray:
+        """Offsets of the profile blocks: block i is rows bounds[i]:bounds[i + 1]."""
+        return np.searchsorted(self.profile_index, np.arange(self.profiles.shape[0] + 1))
+
+    def __len__(self) -> int:
+        return self.distance.shape[0]
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Dataset.from_rows(self.noise()[key], self.distance[key], self.rounds[key],
+                                     self.logical_error_rate[key])
+        row = operator.index(key)
+        if row < 0:
+            row += len(self)
+        if not 0 <= row < len(self):
+            raise IndexError("dataset index out of range")
+        params = CodeParams(distance=int(self.distance[row]), rounds=int(self.rounds[row]))
+        return DatasetRecord(noise=NoiseProfile(*self.profiles[self.profile_index[row]].tolist()),
+                             params=params,
+                             logical_error_rate=float(self.logical_error_rate[row]))
+
+    def __iter__(self):
+        # Views of one block share a NoiseProfile, and views at one grid
+        # point share a CodeParams.
+        profiles = [NoiseProfile(*row) for row in self.profiles.tolist()]
+        points: dict[tuple[int, int], CodeParams] = {}
+        for profile, distance, rounds, ler in zip(
+                self.profile_index.tolist(), self.distance.tolist(), self.rounds.tolist(),
+                self.logical_error_rate.tolist()):
+            params = points.get((distance, rounds))
+            if params is None:
+                params = points[distance, rounds] = CodeParams(distance=distance, rounds=rounds)
+            yield DatasetRecord(noise=profiles[profile], params=params, logical_error_rate=ler)
+
+    def __eq__(self, other):
+        if isinstance(other, Dataset):
+            return (len(self) == len(other)
+                    and np.array_equal(self.distance, other.distance)
+                    and np.array_equal(self.rounds, other.rounds)
+                    and np.array_equal(self.logical_error_rate, other.logical_error_rate)
+                    and np.array_equal(self.noise(), other.noise()))
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    __hash__ = None
+
+    def __add__(self, other):
+        if not isinstance(other, (Dataset, list)):
+            return NotImplemented
+        other = as_dataset(other)
+        return Dataset.from_rows(
+            np.concatenate([self.noise(), other.noise()]),
+            np.concatenate([self.distance, other.distance]),
+            np.concatenate([self.rounds, other.rounds]),
+            np.concatenate([self.logical_error_rate, other.logical_error_rate]))
+
+    def __repr__(self) -> str:
+        return f"Dataset({len(self)} records, {self.profiles.shape[0]} profile blocks)"
+
+
+def as_dataset(records) -> Dataset:
+    """``records`` as a Dataset: a Dataset is returned as it is, and any other
+    iterable of DatasetRecord is converted once."""
+    if isinstance(records, Dataset):
+        return records
+    records = list(records)
+    try:
+        distance = np.array([record.params.distance for record in records], dtype=np.int64)
+        rounds = np.array([record.params.rounds for record in records], dtype=np.int64)
+    except OverflowError:
+        raise ValidationError("distance and rounds must fit in a signed 64-bit integer") from None
+    return Dataset.from_rows(
+        np.array([record.noise.as_tuple() for record in records], dtype=np.float64),
+        distance, rounds,
+        np.array([record.logical_error_rate for record in records], dtype=np.float64))
 
 
 @dataclass(frozen=True)

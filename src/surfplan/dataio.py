@@ -6,8 +6,10 @@ Dataset CSV schema (header mandatory, column order fixed):
 
 Rates and error rates are written in scientific notation with 17 digits after
 the point, which round-trips float64 exactly; distance and rounds are plain
-integers. Calibration snapshots are flat JSON objects with keys ``device``,
-``timestamp``, ``depolarizing``, ``gate``, ``reset``, ``readout``.
+integers. The reader parses a valid body in one ``np.loadtxt`` call; any file
+that fails that parse or a check is read again row by row, and that reader
+alone words the errors. Calibration snapshots are flat JSON objects with keys
+``device``, ``timestamp``, ``depolarizing``, ``gate``, ``reset``, ``readout``.
 """
 
 from __future__ import annotations
@@ -15,19 +17,28 @@ from __future__ import annotations
 import csv
 import json
 import os
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .core import (
     CodeParams,
+    Dataset,
     DatasetRecord,
     NoiseProfile,
     ValidationError,
+    as_dataset,
 )
 from .evaluate import ComparisonRow, EvalReport
 
 DATASET_HEADER = ("depolarizing", "gate", "reset", "readout",
                   "distance", "rounds", "logical_error_rate")
+
+# One body row: the four rates, distance, rounds, logical_error_rate.
+_ROW_DTYPE = np.dtype([("noise", np.float64, (4,)), ("distance", np.int64),
+                       ("rounds", np.int64), ("logical_error_rate", np.float64)])
 
 CALIBRATION_KEYS = ("device", "timestamp", "depolarizing", "gate", "reset", "readout")
 
@@ -40,29 +51,24 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17e")
 
 
-def write_dataset_csv(records: Iterable[DatasetRecord], path: str | os.PathLike) -> int:
+def write_dataset_csv(records: Dataset | Iterable[DatasetRecord],
+                      path: str | os.PathLike) -> int:
     """Write records; returns the row count. Output is byte-deterministic.
 
-    The profile cells are formatted once per run of records that share one
-    profile object, and each run's rows are written in one call.
+    The profile cells are formatted once per profile block, and each block's
+    rows are written in one call.
     """
-    count = 0
+    dataset = as_dataset(records)
+    bounds = dataset.block_bounds().tolist()
+    distance, rounds = dataset.distance.tolist(), dataset.rounds.tolist()
+    ler = dataset.logical_error_rate.tolist()
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(DATASET_HEADER) + "\n")
-        noise, prefix, rows = None, "", []
-        for record in records:
-            if record.noise is not noise:
-                handle.write("".join(rows))
-                count += len(rows)
-                noise, rows = record.noise, []
-                prefix = ",".join([_fmt(noise.depolarizing), _fmt(noise.gate),
-                                   _fmt(noise.reset), _fmt(noise.readout), ""])
-            params = record.params
-            rows.append(f"{prefix}{params.distance!s},{params.rounds!s},"
-                        f"{_fmt(record.logical_error_rate)}\n")
-        handle.write("".join(rows))
-        count += len(rows)
-    return count
+        for profile, start, stop in zip(dataset.profiles.tolist(), bounds, bounds[1:]):
+            prefix = ",".join([_fmt(value) for value in profile] + [""])
+            handle.write("".join([f"{prefix}{d},{r},{v:.17e}\n" for d, r, v in zip(
+                distance[start:stop], rounds[start:stop], ler[start:stop])]))
+    return len(dataset)
 
 
 def _parse_cell(row_number: int, column: str, text: str, kind: type):
@@ -75,14 +81,41 @@ def _parse_cell(row_number: int, column: str, text: str, kind: type):
             f"row {row_number}, column '{column}': cannot parse {text!r}") from exc
 
 
-def read_dataset_csv(path: str | os.PathLike) -> list[DatasetRecord]:
+def read_dataset_csv(path: str | os.PathLike) -> Dataset:
     """Parse and validate a dataset CSV; errors carry the row and column.
 
-    Cells are parsed in column order and the first bad cell is reported;
-    domain checks follow. Parsed profiles and (distance, rounds) pairs are
-    reused across rows with the same cell text, so the records of one
-    profile share one NoiseProfile; every row still builds and validates
-    its own DatasetRecord.
+    The body is parsed in one ``np.loadtxt`` call and checked column by
+    column. ``loadtxt`` is stricter than ``int``/``float`` and ``csv``
+    (``3.0``, ``3_0`` and quoted cells fail it), so a file that fails the
+    bulk parse or any check is read again by the row-wise reader, which
+    raises the error or returns the records.
+    """
+    dataset = _read_columns(path)
+    return dataset if dataset is not None else as_dataset(_read_rows(path))
+
+
+def _read_columns(path: str | os.PathLike) -> Optional[Dataset]:
+    """The dataset from one bulk parse, or None when the header, any cell or
+    any check fails."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            if next(csv.reader(handle), None) != list(DATASET_HEADER):
+                return None
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(handle, dtype=_ROW_DTYPE, delimiter=",", comments=None,
+                                  ndmin=1)
+        return Dataset.from_rows(rows["noise"], rows["distance"], rows["rounds"],
+                                 rows["logical_error_rate"])
+    except (ValueError, csv.Error):
+        return None
+
+
+def _read_rows(path: str | os.PathLike) -> list[DatasetRecord]:
+    """The row-wise reader: cells are parsed in column order, the first bad
+    cell is reported, and domain checks follow. Parsed profiles and
+    (distance, rounds) pairs are reused across rows with the same cell text;
+    every row builds and validates its own DatasetRecord.
     """
     records = []
     profiles: dict[tuple[str, ...], NoiseProfile] = {}

@@ -41,12 +41,14 @@ import numpy as np
 
 from .core import (
     RAW_FLOOR,
+    Dataset,
     DatasetRecord,
     HeuristicWeights,
     NoiseProfile,
     PredictionRequest,
     PredictionResult,
     ValidationError,
+    as_dataset,
     round_distance,
     round_rounds,
     scalarize,
@@ -412,16 +414,18 @@ class HeuristicModel:
         )
 
 
-def fit_heuristic(records: list[DatasetRecord], kind: HeuristicKind,
+def fit_heuristic(records: Dataset | list[DatasetRecord], kind: HeuristicKind,
                   weights: HeuristicWeights = HeuristicWeights(),
                   oracle: OracleConfig = OracleConfig()) -> HeuristicModel:
     """Freeze the training records and standardization stats into a model."""
+    records = as_dataset(records)
     if not records:
         raise ValidationError("cannot fit a heuristic on an empty training set")
-    noise = np.asarray([r.noise.as_tuple() for r in records], dtype=np.float64)
-    log_ler = np.asarray([math.log10(r.logical_error_rate) for r in records])
-    distance = np.asarray([r.params.distance for r in records], dtype=np.float64)
-    rounds = np.asarray([r.params.rounds for r in records], dtype=np.float64)
+    noise = records.noise()
+    # math.log10, not np.log10: the two differ in the last bit on some rates.
+    log_ler = np.asarray([math.log10(v) for v in records.logical_error_rate.tolist()])
+    distance = records.distance.astype(np.float64)
+    rounds = records.rounds.astype(np.float64)
     return HeuristicModel(
         kind=kind, weights=weights, oracle=oracle,
         noise=noise, log_ler=log_ler, distance=distance, rounds=rounds,
@@ -431,7 +435,7 @@ def fit_heuristic(records: list[DatasetRecord], kind: HeuristicKind,
     )
 
 
-def heuristic_predict(kind: HeuristicKind, records: list[DatasetRecord],
+def heuristic_predict(kind: HeuristicKind, records: Dataset | list[DatasetRecord],
                       request: PredictionRequest,
                       weights: HeuristicWeights = HeuristicWeights(),
                       oracle: OracleConfig = OracleConfig()) -> PredictionResult:

@@ -21,11 +21,13 @@ import numpy as np
 
 from ..core import (
     RAW_FLOOR,
+    Dataset,
     DatasetRecord,
     NoiseProfile,
     PredictionRequest,
     PredictionResult,
     ValidationError,
+    as_dataset,
     round_distance,
     round_rounds,
 )
@@ -58,15 +60,14 @@ class LabeledCase:
     rounds: int
 
 
-def distinct_profiles(records: list[DatasetRecord]) -> list[NoiseProfile]:
-    """Unique profiles in first-appearance order."""
-    seen: dict[tuple, NoiseProfile] = {}
-    for record in records:
-        seen.setdefault(record.noise.as_tuple(), record.noise)
-    return list(seen.values())
+def distinct_profiles(records: Dataset | list[DatasetRecord]) -> list[NoiseProfile]:
+    """Unique profiles by value, in first-appearance order: a walk over the
+    dataset's profile table, which holds one row per profile block."""
+    seen = dict.fromkeys(tuple(row) for row in as_dataset(records).profiles.tolist())
+    return [NoiseProfile(*row) for row in seen]
 
 
-def build_training_cases(records: list[DatasetRecord],
+def build_training_cases(records: Dataset | list[DatasetRecord],
                          sweep: SweepConfig = SweepConfig(),
                          oracle: OracleConfig = OracleConfig(),
                          menu: tuple[float, ...] = DEFAULT_TARGET_MENU) -> list[LabeledCase]:
@@ -75,6 +76,7 @@ def build_training_cases(records: list[DatasetRecord],
     The label is the first grid point, in (distance, rounds) order, whose
     rate meets the target; the same answer ``find_optimal_params`` gives.
     """
+    records = as_dataset(records)
     if not records:
         raise ValidationError("cannot build training cases from an empty dataset")
     rounds = sweep.rounds()
@@ -182,7 +184,7 @@ def fit_pipeline_cases(cases: list[LabeledCase],
                          min_target=min(targets), max_target=max(targets))
 
 
-def fit_pipeline(records: list[DatasetRecord],
+def fit_pipeline(records: Dataset | list[DatasetRecord],
                  stage1_config: BoostConfig = BoostConfig(),
                  stage2_config: ForestConfig = ForestConfig(),
                  sweep: SweepConfig = SweepConfig(),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import DatasetRecord, HeuristicWeights, ValidationError
+from .core import Dataset, DatasetRecord, HeuristicWeights, ValidationError
 from .heuristics import HeuristicKind, all_kinds, fit_heuristic
 from .ml.ensemble import BoostConfig, ForestConfig
 from .ml.pipeline import (
@@ -26,7 +26,7 @@ MODEL_NAMES = ("pipeline", "linear") + HEURISTIC_NAMES
 
 
 def fit_named_model(name: str,
-                    records: Optional[list[DatasetRecord]] = None,
+                    records: Optional[Dataset | list[DatasetRecord]] = None,
                     cases: Optional[list[LabeledCase]] = None,
                     sweep: SweepConfig = SweepConfig(),
                     oracle: OracleConfig = OracleConfig(),

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import (
     CodeParams,
-    DatasetRecord,
+    Dataset,
     NoiseProfile,
     PredictionRequest,
     ValidationError,
@@ -233,22 +233,22 @@ def sample_profiles(sweep: SweepConfig, count: Optional[int] = None,
 
 def generate_dataset(sweep: SweepConfig = SweepConfig(),
                      config: OracleConfig = OracleConfig(),
-                     profiles: Optional[list[NoiseProfile]] = None) -> list[DatasetRecord]:
+                     profiles: Optional[list[NoiseProfile]] = None) -> Dataset:
     """Run the sweep protocol and return the records in (profile, d, r) order.
 
     For each profile, distances are visited in ascending order and every round
     in range is recorded. Once any (d, r) reaches the termination rate, the
     current distance's round sweep is finished and no further distances are
     visited for that profile. Profiles at or above threshold are skipped with
-    a warning. Deterministic given the sweep seed. Each profile's grid is
-    evaluated as one array by ``rate_grid``, and the records at one grid
-    point share a CodeParams.
+    a warning. Deterministic given the sweep seed. Each profile is validated
+    once and its grid is evaluated as one array by ``rate_grid``; a profile's
+    records are a prefix of that grid in row-major order, and they fill one
+    block of the Dataset's columns.
     """
     if profiles is None:
         profiles = sample_profiles(sweep)
     distances, rounds = sweep.distances, sweep.rounds()
-    params = [[CodeParams(distance=d, rounds=r) for r in rounds] for d in distances]
-    records: list[DatasetRecord] = []
+    table, blocks = [], []
     for index, profile in enumerate(profiles):
         validate_profile(profile)
         if effective_error(profile, config) >= config.threshold:
@@ -258,10 +258,18 @@ def generate_dataset(sweep: SweepConfig = SweepConfig(),
         grid = rate_grid(profile, distances, rounds, config)
         terminated = meets_target(grid, sweep.termination_rate).any(axis=1)
         stop = int(terminated.argmax()) + 1 if terminated.any() else len(distances)
-        for row_params, row_rates in zip(params[:stop], grid[:stop].tolist()):
-            records.extend(DatasetRecord(noise=profile, params=point, logical_error_rate=ler)
-                           for point, ler in zip(row_params, row_rates))
-    return records
+        table.append(profile.as_tuple())
+        blocks.append(grid[:stop].ravel())
+    sizes = np.asarray([block.size for block in blocks], dtype=np.int64)
+    # Each record's position inside its profile's flattened grid.
+    position = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return Dataset(
+        profiles=np.asarray(table, dtype=np.float64).reshape(-1, 4),
+        profile_index=np.repeat(np.arange(len(table)), sizes),
+        distance=np.repeat(np.asarray(distances, dtype=np.int64), len(rounds))[position],
+        rounds=np.tile(np.asarray(rounds, dtype=np.int64), len(distances))[position],
+        logical_error_rate=np.concatenate(blocks) if blocks else np.empty(0),
+    )
 
 
 def find_optimal_params(request: PredictionRequest,

@@ -143,6 +143,25 @@ class TestEvaluateModel:
                                           case.request.noise, oracle)
             assert report.dler[i] == expected
 
+    def test_predicts_all_cases_in_one_batch(self, labeled_setup):
+        sweep, oracle, cases = labeled_setup
+        model = fit_pipeline_cases(cases, oracle=oracle)
+        batches, predict_many = [], model.predict_many
+
+        def counted(requests):
+            batches.append(len(requests))
+            return predict_many(requests)
+
+        model.predict_many = counted
+        report = evaluate_model(model, cases, oracle)
+        assert batches == [len(cases)]
+        singles = [model.predict_result(case.request) for case in cases]
+        assert report.predicted_raw_distance == [r.raw_distance for r in singles]
+        assert report.predicted_distance == [r.rounded_distance for r in singles]
+        assert report.predicted_raw_rounds == [r.raw_rounds for r in singles]
+        assert report.predicted_rounds == [r.rounded_rounds for r in singles]
+        assert report.latency_std_ms == 0.0
+
     def test_latency_statistics_present(self, labeled_setup):
         sweep, oracle, cases = labeled_setup
         report = evaluate_model(_Constant(), cases, oracle)
