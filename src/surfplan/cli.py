@@ -101,28 +101,28 @@ def cmd_train(args) -> int:
     if not records:
         raise ValidationError(f"dataset {args.data} contains no records")
 
+    # Every model kind is evaluated on the labeled cases, so they are built
+    # (and an unreachable target menu rejected) before anything is fitted.
+    cases = build_training_cases(records, config.sweep, config.oracle, config.targets)
+    if not cases:
+        raise ValidationError(
+            "no feasible (profile, target) pairs to train on; every menu "
+            "target is out of reach for the dataset's profiles")
     stage1_config, stage2_config = config.stage1, config.stage2
-    cases = None
-    if not args.model.startswith("heuristic:"):
-        cases = build_training_cases(records, config.sweep, config.oracle, config.targets)
-        if not cases:
-            raise ValidationError(
-                "no feasible (profile, target) pairs to train on; every menu "
-                "target is out of reach for the dataset's profiles")
-        if args.tune and args.model == "pipeline":
-            mat1 = stage1_features([case.request for case in cases])
-            y1 = np.asarray([case.distance for case in cases], dtype=np.float64)
-            found = grid_search(mat1, y1, _stage1_grid(stage1_config), folds=5,
-                                fitter=lambda cfg, X, y: fit_boosted(X, y, cfg),
-                                seed=config.cv_seed)
-            stage1_config = found.best_config
-            _, mat2 = stage2_features(fit_boosted(mat1, y1, stage1_config), mat1)
-            y2 = np.asarray([case.rounds for case in cases], dtype=np.float64)
-            found2 = grid_search(mat2, y2, _stage2_grid(stage2_config), folds=5,
-                                 fitter=lambda cfg, X, y: fit_forest(X, y, cfg),
-                                 seed=config.cv_seed)
-            stage2_config = found2.best_config
-            logger.info("tuned stage1=%s stage2=%s", stage1_config, stage2_config)
+    if args.tune and args.model == "pipeline":
+        mat1 = stage1_features([case.request for case in cases])
+        y1 = np.asarray([case.distance for case in cases], dtype=np.float64)
+        found = grid_search(mat1, y1, _stage1_grid(stage1_config), folds=5,
+                            fitter=lambda cfg, X, y: fit_boosted(X, y, cfg),
+                            seed=config.cv_seed)
+        stage1_config = found.best_config
+        _, mat2 = stage2_features(fit_boosted(mat1, y1, stage1_config), mat1)
+        y2 = np.asarray([case.rounds for case in cases], dtype=np.float64)
+        found2 = grid_search(mat2, y2, _stage2_grid(stage2_config), folds=5,
+                             fitter=lambda cfg, X, y: fit_forest(X, y, cfg),
+                             seed=config.cv_seed)
+        stage2_config = found2.best_config
+        logger.info("tuned stage1=%s stage2=%s", stage1_config, stage2_config)
 
     model = fit_named_model(
         args.model, records=records, cases=cases,
@@ -130,9 +130,6 @@ def cmd_train(args) -> int:
         stage1_config=stage1_config, stage2_config=stage2_config,
         weights=config.heuristic_weights, menu=config.targets)
     save_model(model, args.out_model)
-
-    if cases is None:
-        cases = build_training_cases(records, config.sweep, config.oracle, config.targets)
     report = evaluate_model(model, cases, config.oracle)
     print(f"model={args.model}")
     print(f"training_cases={len(cases)}")

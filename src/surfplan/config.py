@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
-from .core import HeuristicWeights, ValidationError
+from .core import HeuristicWeights, ValidationError, check_int
 from .evaluate import SplitConfig
 from .ml.ensemble import BoostConfig, ForestConfig
 from .ml.pipeline import DEFAULT_TARGET_MENU
-from .ml.tree import TreeConfig
 from .oracle import OracleConfig, SweepConfig
 
 SEED_SWEEP_OFFSET = 1
@@ -26,10 +25,6 @@ SEED_FOREST_OFFSET = 3
 SEED_CV_OFFSET = 4
 
 DEFAULT_SEED = 42
-
-
-_ORACLE_KEYS = ("amplitude", "threshold", "gate_weight", "depolarizing_weight",
-               "readout_weight", "reset_weight", "decoherence", "floor")
 
 
 class ConfigError(ValidationError):
@@ -48,8 +43,19 @@ class ToolConfig:
     targets: tuple[float, ...] = DEFAULT_TARGET_MENU
     out_dir: str = "runs"
 
+    def __post_init__(self):
+        check_int("seed", self.seed, 0)
+        if not isinstance(self.targets, tuple) or not self.targets:
+            raise ValidationError("targets must be a non-empty list of rates")
+        for value in self.targets:
+            if not isinstance(value, float) or not 0.0 < value < 1.0:
+                raise ValidationError(f"target {value!r} out of range (0, 1)")
+        if not isinstance(self.out_dir, str):
+            raise ValidationError(f"out_dir must be a string, got {self.out_dir!r}")
+
     def with_seed(self, seed: int) -> "ToolConfig":
         """Re-derive every sub-seed from a new master seed."""
+        check_int("seed", seed, 0)
         return replace(
             self,
             seed=seed,
@@ -77,114 +83,53 @@ def _section(data: dict, name: str) -> dict:
     return dict(section)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _as_value(value):
+    """A JSON value as a config value: lists become tuples."""
+    return tuple(value) if isinstance(value, list) else value
 
 
-def _check_numbers(section: str, data: dict, keys: tuple[str, ...],
-                   nullable: tuple[str, ...] = ()) -> None:
-    """Reject a present key whose value is not a JSON number (bools included)."""
-    for key in keys:
-        if key not in data or (data[key] is None and key in nullable):
-            continue
-        if not _is_number(data[key]):
-            raise ConfigError(f"'{section}.{key}' must be a number, got {data[key]!r}")
+def _keys(config) -> tuple[str, ...]:
+    """A config dataclass's keys in its section: its fields, less ``seed``
+    (derived from the master seed) and ``tree`` (whose keys sit flat in the
+    section beside its owner's)."""
+    return tuple(item.name for item in fields(config) if item.name not in ("seed", "tree"))
 
 
-def _tuple_field(section: str, data: dict, key: str, pair: bool = False) -> None:
-    """Turn a present list field into a tuple; a pair must hold two numbers."""
-    if key not in data:
-        return
-    value = data[key]
-    if not isinstance(value, list):
-        raise ConfigError(f"'{section}.{key}' must be a list, got {value!r}")
-    if pair and not (len(value) == 2 and all(_is_number(v) for v in value)):
-        raise ConfigError(f"'{section}.{key}' must be a list of two numbers, got {value!r}")
-    data[key] = tuple(value)
-
-
-def _tree_config(section: str, data: dict, defaults: TreeConfig) -> TreeConfig:
-    allowed = ("max_depth", "min_samples_split", "min_child_weight", "gamma")
-    picked = {key: data.pop(key) for key in list(data) if key in allowed}
-    _check_numbers(section, picked, ("gamma",))
-    return replace(defaults, **picked)
+def _section_config(name: str, current, section: dict):
+    """``current`` with the values of its config section."""
+    tree = getattr(current, "tree", None)
+    tree_keys = _keys(tree) if tree is not None else ()
+    _reject_unknown(name, section, _keys(current) + tree_keys)
+    values = {key: _as_value(value) for key, value in section.items()}
+    try:
+        if tree is not None:
+            values["tree"] = replace(
+                tree, **{key: values.pop(key) for key in tree_keys if key in values})
+        return replace(current, **values)
+    except ValidationError as exc:
+        raise ConfigError(f"'{name}' section: {exc}") from exc
 
 
 def _build_config(data: dict) -> ToolConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    allowed = ("seed", "oracle", "sweep", "heuristic_weights", "stage1",
-               "stage2", "split", "targets", "paths")
-    _reject_unknown("top-level", data, allowed)
     config = ToolConfig()
-
-    if "seed" in data:
-        if not isinstance(data["seed"], int) or isinstance(data["seed"], bool):
-            raise ConfigError(f"seed must be an integer, got {data['seed']!r}")
-        config = replace(config, seed=data["seed"])
-
-    if "oracle" in data:
-        section = _section(data, "oracle")
-        _reject_unknown("oracle", section, _ORACLE_KEYS)
-        _check_numbers("oracle", section, _ORACLE_KEYS)
-        config = replace(config, oracle=replace(config.oracle, **section))
-
-    if "sweep" in data:
-        section = _section(data, "sweep")
-        _reject_unknown("sweep", section, (
-            "distances", "rounds_min", "rounds_max", "termination_rate",
-            "depolarizing_range", "gate_range", "readout_range", "reset_range",
-            "profiles_per_run"))
-        _check_numbers("sweep", section, ("termination_rate",))
-        _tuple_field("sweep", section, "distances")
-        for key in ("depolarizing_range", "gate_range", "readout_range", "reset_range"):
-            _tuple_field("sweep", section, key, pair=True)
-        config = replace(config, sweep=replace(config.sweep, **section))
-
-    if "heuristic_weights" in data:
-        section = _section(data, "heuristic_weights")
-        weights = ("w_gate", "w_depol", "w_readout", "w_reset")
-        _reject_unknown("heuristic_weights", section, weights)
-        _check_numbers("heuristic_weights", section, weights)
-        config = replace(config,
-                         heuristic_weights=replace(config.heuristic_weights, **section))
-
-    if "stage1" in data:
-        section = _section(data, "stage1")
-        tree = _tree_config("stage1", section, config.stage1.tree)
-        _reject_unknown("stage1", section, ("n_estimators", "learning_rate", "base_score"))
-        _check_numbers("stage1", section, ("learning_rate", "base_score"),
-                       nullable=("base_score",))
-        config = replace(config, stage1=replace(config.stage1, tree=tree, **section))
-
-    if "stage2" in data:
-        section = _section(data, "stage2")
-        tree = _tree_config("stage2", section, config.stage2.tree)
-        _reject_unknown("stage2", section, ("n_estimators", "bootstrap"))
-        config = replace(config, stage2=replace(config.stage2, tree=tree, **section))
-
-    if "split" in data:
-        section = _section(data, "split")
-        _reject_unknown("split", section, ("test_fraction",))
-        _check_numbers("split", section, ("test_fraction",))
-        config = replace(config, split=replace(config.split, **section))
-
-    if "targets" in data:
-        targets = data["targets"]
-        if not isinstance(targets, list) or not targets:
-            raise ConfigError("targets must be a non-empty list of rates")
-        for value in targets:
-            if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                    or not 0.0 < value < 1.0:
-                raise ConfigError(f"target {value!r} out of range (0, 1)")
-        config = replace(config, targets=tuple(float(v) for v in targets))
-
-    if "paths" in data:
-        section = _section(data, "paths")
-        _reject_unknown("paths", section, ("out_dir",))
-        if "out_dir" in section:
-            config = replace(config, out_dir=str(section["out_dir"]))
-
+    # Every field is a top-level key, except out_dir, which sits in "paths".
+    _reject_unknown("top-level", data,
+                    tuple(item.name for item in fields(config) if item.name != "out_dir")
+                    + ("paths",))
+    values = {}
+    for name in data:
+        if name == "paths":
+            section = _section(data, "paths")
+            _reject_unknown("paths", section, ("out_dir",))
+            if "out_dir" in section:
+                values["out_dir"] = section["out_dir"]
+        elif is_dataclass(getattr(config, name)):
+            values[name] = _section_config(name, getattr(config, name), _section(data, name))
+        else:
+            values[name] = _as_value(data[name])
+    config = replace(config, **values)
     # Fan the master seed out to the per-purpose sub-seeds.
     return config.with_seed(config.seed)
 
@@ -202,7 +147,5 @@ def load_config(path: str | os.PathLike | None = None) -> ToolConfig:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     try:
         return _build_config(data)
-    except TypeError as exc:
-        raise ConfigError(f"config file {path}: {exc}") from exc
     except ValidationError as exc:
         raise ConfigError(f"config file {path}: {exc}") from exc

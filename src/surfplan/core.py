@@ -44,8 +44,7 @@ def validate_profile(profile: NoiseProfile) -> NoiseProfile:
     least one rate is strictly positive; raise ValidationError otherwise."""
     for name in PROFILE_FIELDS:
         value = getattr(profile, name)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValidationError(f"{name} must be a number, got {value!r}")
+        check_number(name, value)
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value!r}")
         if not 0.0 <= value < 1.0:
@@ -56,8 +55,7 @@ def validate_profile(profile: NoiseProfile) -> NoiseProfile:
 
 
 def _check_positive_finite(value: float, name: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
+    check_number(name, value)
     if not math.isfinite(value) or value <= 0.0:
         raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
     return float(value)
@@ -69,6 +67,12 @@ def check_int(name: str, value, minimum: int) -> None:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def check_number(name: str, value) -> None:
+    """Reject bools and anything that is not an int or a float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
 
 
 # Raw stage outputs are clipped here before rounding, so rounding always sees
@@ -125,8 +129,7 @@ class DatasetRecord:
     def __post_init__(self):
         validate_profile(self.noise)
         ler = self.logical_error_rate
-        if not isinstance(ler, (int, float)) or isinstance(ler, bool):
-            raise ValidationError(f"logical_error_rate must be a number, got {ler!r}")
+        check_number("logical_error_rate", ler)
         if not math.isfinite(ler) or not 0.0 < ler <= 1.0:
             raise ValidationError(f"logical_error_rate out of range (0, 1]: {ler!r}")
 
@@ -301,8 +304,7 @@ class PredictionRequest:
     def __post_init__(self):
         validate_profile(self.noise)
         target = self.target_logical_error_rate
-        if not isinstance(target, (int, float)) or isinstance(target, bool):
-            raise ValidationError(f"target rate must be a number, got {target!r}")
+        check_number("target rate", target)
         if not math.isfinite(target) or not 0.0 < target < 1.0:
             raise ValidationError(f"target rate out of range (0, 1): {target!r}")
 
@@ -344,8 +346,7 @@ class HeuristicWeights:
     def __post_init__(self):
         values = (self.w_gate, self.w_depol, self.w_readout, self.w_reset)
         for name, value in zip(("w_gate", "w_depol", "w_readout", "w_reset"), values):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be a number, got {value!r}")
+            check_number(name, value)
             if not math.isfinite(value) or value < 0.0:
                 raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
         if abs(sum(values) - 1.0) > 1e-9:

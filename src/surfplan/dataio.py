@@ -113,13 +113,8 @@ def _read_columns(path: str | os.PathLike) -> Optional[Dataset]:
 
 def _read_rows(path: str | os.PathLike) -> list[DatasetRecord]:
     """The row-wise reader: cells are parsed in column order, the first bad
-    cell is reported, and domain checks follow. Parsed profiles and
-    (distance, rounds) pairs are reused across rows with the same cell text;
-    every row builds and validates its own DatasetRecord.
-    """
+    cell is reported, and domain checks follow."""
     records = []
-    profiles: dict[tuple[str, ...], NoiseProfile] = {}
-    code_points: dict[tuple[str, str], CodeParams] = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -135,25 +130,15 @@ def _read_rows(path: str | os.PathLike) -> list[DatasetRecord]:
             if len(row) != len(DATASET_HEADER):
                 raise DataFormatError(
                     f"row {row_number}: expected {len(DATASET_HEADER)} fields, got {len(row)}")
-            profile_text = tuple(row[:4])
-            noise = profiles.get(profile_text)
-            if noise is None:
-                noise = NoiseProfile(*[
-                    _parse_cell(row_number, column, text, float)
-                    for column, text in zip(DATASET_HEADER[:4], profile_text)])
-                profiles[profile_text] = noise
-            point_text = (row[4], row[5])
-            params = code_points.get(point_text)
-            if params is None:
-                distance = _parse_cell(row_number, "distance", row[4], int)
-                rounds = _parse_cell(row_number, "rounds", row[5], int)
+            noise = NoiseProfile(*[_parse_cell(row_number, column, text, float)
+                                   for column, text in zip(DATASET_HEADER[:4], row)])
+            distance = _parse_cell(row_number, "distance", row[4], int)
+            rounds = _parse_cell(row_number, "rounds", row[5], int)
             ler = _parse_cell(row_number, "logical_error_rate", row[6], float)
             try:
-                if params is None:
-                    params = code_points[point_text] = CodeParams(
-                        distance=distance, rounds=rounds)
-                records.append(DatasetRecord(noise=noise, params=params,
-                                             logical_error_rate=ler))
+                records.append(DatasetRecord(
+                    noise=noise, params=CodeParams(distance=distance, rounds=rounds),
+                    logical_error_rate=ler))
             except ValidationError as exc:
                 raise DataFormatError(f"row {row_number}: {exc}") from exc
     return records

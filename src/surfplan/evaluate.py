@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, check_int, check_number
 from .ml import pipeline
 from .ml.pipeline import LabeledCase
 from .oracle import OracleConfig, SweepConfig, logical_error_rate
@@ -52,9 +52,11 @@ class SplitConfig:
     seed: int = 42
 
     def __post_init__(self):
+        check_number("test_fraction", self.test_fraction)
         if not 0.0 < self.test_fraction < 1.0:
             raise ValidationError(
                 f"test_fraction must be in (0, 1), got {self.test_fraction!r}")
+        check_int("seed", self.seed, 0)
 
 
 def split(data: list, config: SplitConfig = SplitConfig()) -> tuple[list, list]:

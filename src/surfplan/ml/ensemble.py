@@ -10,12 +10,13 @@ index, so models are bit-identical for identical data, config, and seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from ..core import ValidationError, check_int
+from ..core import ValidationError, check_int, check_number
 from .tree import (
     PackedTrees,
     TreeConfig,
@@ -40,6 +41,7 @@ class ForestConfig:
         check_int("n_estimators", self.n_estimators, 1)
         if not isinstance(self.bootstrap, bool):
             raise ValidationError(f"bootstrap must be true or false, got {self.bootstrap!r}")
+        check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -52,9 +54,15 @@ class BoostConfig:
 
     def __post_init__(self):
         check_int("n_estimators", self.n_estimators, 1)
+        check_number("learning_rate", self.learning_rate)
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValidationError(
                 f"learning_rate must be in (0, 1], got {self.learning_rate!r}")
+        if self.base_score is not None:
+            check_number("base_score", self.base_score)
+            if not math.isfinite(self.base_score):
+                raise ValidationError(
+                    f"base_score must be finite or None, got {self.base_score!r}")
 
 
 @dataclass

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import ValidationError, check_int
+from ..core import ValidationError, check_int, check_number
 
 LEAF = -1
 # Rows walked together at prediction; bounds each step's temporaries.
@@ -47,6 +47,7 @@ class TreeConfig:
         check_int("max_depth", self.max_depth, 1)
         check_int("min_samples_split", self.min_samples_split, 2)
         check_int("min_child_weight", self.min_child_weight, 1)
+        check_number("gamma", self.gamma)
         if not self.gamma >= 0.0:
             raise ValidationError(f"gamma must be >= 0, got {self.gamma!r}")
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,6 +31,7 @@ from .core import (
     PredictionRequest,
     ValidationError,
     check_int,
+    check_number,
     validate_profile,
 )
 
@@ -62,6 +63,7 @@ class OracleConfig:
     physical rate beyond which the code stops helping, the channel weights
     combine the four rates into one effective rate, ``decoherence`` scales the
     per-extra-round penalty, and ``floor`` is the smallest reportable rate.
+    Every constant must be a finite number.
     """
 
     amplitude: float = 0.1
@@ -74,21 +76,29 @@ class OracleConfig:
     floor: float = 1e-15
 
     def __post_init__(self):
+        for item in fields(self):
+            value = getattr(self, item.name)
+            check_number(item.name, value)
+            if not math.isfinite(value):
+                raise ValidationError(f"{item.name} must be finite, got {value!r}")
         if not 0.0 < self.amplitude <= 1.0:
             raise ValidationError(f"amplitude must be in (0, 1], got {self.amplitude!r}")
         if not 0.0 < self.threshold < 1.0:
             raise ValidationError(f"threshold must be in (0, 1), got {self.threshold!r}")
         if self.floor <= 0.0:
             raise ValidationError(f"floor must be > 0, got {self.floor!r}")
-        if self.decoherence < 0.0:
-            raise ValidationError(f"decoherence must be >= 0, got {self.decoherence!r}")
-        for name in ("gate_weight", "depolarizing_weight", "readout_weight", "reset_weight"):
+        for name in ("decoherence", "gate_weight", "depolarizing_weight", "readout_weight",
+                     "reset_weight"):
             value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+            if value < 0.0:
+                raise ValidationError(f"{name} must be >= 0, got {value!r}")
 
 
 def _check_range(name: str, bounds: tuple[float, float]) -> None:
+    if not isinstance(bounds, tuple) or len(bounds) != 2:
+        raise ValidationError(f"{name} must be a pair (lo, hi), got {bounds!r}")
+    for value in bounds:
+        check_number(name, value)
     lo, hi = bounds
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError(f"{name} bounds must be finite, got {bounds!r}")
@@ -118,6 +128,8 @@ class SweepConfig:
     seed: int = 42
 
     def __post_init__(self):
+        if not isinstance(self.distances, tuple):
+            raise ValidationError(f"distances must be a tuple, got {self.distances!r}")
         if not self.distances:
             raise ValidationError("distances must be non-empty")
         for d in self.distances:
@@ -130,6 +142,7 @@ class SweepConfig:
         if self.rounds_min > self.rounds_max:
             raise ValidationError(
                 f"need rounds_min <= rounds_max, got {self.rounds_min}..{self.rounds_max}")
+        check_number("termination_rate", self.termination_rate)
         if not 0.0 < self.termination_rate < 1.0:
             raise ValidationError(
                 f"termination_rate must be in (0, 1), got {self.termination_rate!r}")
@@ -138,6 +151,7 @@ class SweepConfig:
         _check_range("readout_range", self.readout_range)
         _check_range("reset_range", self.reset_range)
         check_int("profiles_per_run", self.profiles_per_run, 1)
+        check_int("seed", self.seed, 0)
 
     def rounds(self) -> range:
         return range(self.rounds_min, self.rounds_max + 1)
@@ -215,13 +229,12 @@ def rate_grid(profile: NoiseProfile, distances: Sequence[int], rounds: Sequence[
     return np.minimum(np.maximum(rates, config.floor), 1.0)
 
 
-def sample_profiles(sweep: SweepConfig, count: Optional[int] = None,
-                    seed: Optional[int] = None) -> list[NoiseProfile]:
-    """Draw uniform random profiles from the sweep's per-channel ranges."""
-    rng = np.random.default_rng(sweep.seed if seed is None else seed)
-    n = sweep.profiles_per_run if count is None else count
+def sample_profiles(sweep: SweepConfig) -> list[NoiseProfile]:
+    """Draw the sweep's ``profiles_per_run`` uniform random profiles from its
+    per-channel ranges, seeded by the sweep seed."""
+    rng = np.random.default_rng(sweep.seed)
     profiles = []
-    for _ in range(n):
+    for _ in range(sweep.profiles_per_run):
         profiles.append(NoiseProfile(
             depolarizing=float(rng.uniform(*sweep.depolarizing_range)),
             gate=float(rng.uniform(*sweep.gate_range)),

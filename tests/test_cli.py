@@ -117,6 +117,31 @@ class TestGenerate:
         section, value = next(iter(payload.items()))
         assert (next(iter(value)) if isinstance(value, dict) else section) in err
 
+    @pytest.mark.parametrize("payload, key", [
+        ({"oracle": {"floor": float("nan")}}, "floor"),
+        ({"oracle": {"decoherence": float("inf")}}, "decoherence"),
+        ({"stage1": {"base_score": float("nan")}}, "base_score"),
+        ({"seed": -3}, "seed"),
+    ], ids=repr)
+    def test_out_of_domain_config_value_exits_2(self, capsys, tmp_path, payload, key):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(payload))
+        out_path = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "generate", "--config", str(config),
+                               "--out", str(out_path))
+        assert code == 2
+        assert "Traceback" not in err
+        assert key in err
+        assert not out_path.exists()
+
+    def test_negative_seed_flag_exits_2(self, capsys, tmp_path):
+        out_path = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "generate", "--seed", "-5", "--out", str(out_path))
+        assert code == 2
+        assert "Traceback" not in err
+        assert "seed" in err
+        assert not out_path.exists()
+
     def test_default_scale(self, capsys, tmp_path):
         out_path = tmp_path / "default.csv"
         code, out, _ = run_cli(capsys, "generate", "--out", str(out_path))
@@ -146,6 +171,19 @@ class TestTrain:
                                "--config", small_config)
         assert code == 0
         assert model_path.exists()
+
+    @pytest.mark.parametrize("model", ["pipeline", "heuristic:range_search_w"])
+    def test_unreachable_targets_exit_2_before_fitting(self, capsys, small_dataset,
+                                                       tmp_path, model):
+        config = tmp_path / "unreachable.json"
+        config.write_text(json.dumps({"seed": 11, "sweep": {"profiles_per_run": 6},
+                                      "targets": [1e-30]}))
+        model_path = tmp_path / "m.json"
+        code, _, err = run_cli(capsys, "train", "--data", small_dataset, "--model", model,
+                               "--out-model", str(model_path), "--config", str(config))
+        assert code == 2
+        assert "no feasible (profile, target) pairs" in err
+        assert not model_path.exists()
 
     def test_unknown_model_exits_2(self, capsys, small_dataset, tmp_path):
         code, _, err = run_cli(capsys, "train", "--data", small_dataset,
@@ -254,13 +292,18 @@ def test_non_utf8_input_exits_2(capsys, tmp_path, trained_model, kind):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("corrupt", ["short_stage1_schema", "scale_1e-160", "scale_5e-324"])
+@pytest.mark.parametrize("corrupt", ["short_stage1_schema", "scale_1e-160", "scale_5e-324",
+                                     "decoherence_nan"])
 def test_corrupt_model_exits_2_at_load(capsys, tmp_path, trained_model, small_dataset,
                                        corrupt):
     if corrupt == "short_stage1_schema":
         with open(trained_model, encoding="utf-8") as handle:
             data = json.load(handle)
         data["model"]["stage1_schema"] = data["model"]["stage1_schema"][:4]
+    elif corrupt == "decoherence_nan":
+        with open(trained_model, encoding="utf-8") as handle:
+            data = json.load(handle)
+        data["model"]["oracle"]["decoherence"] = float("nan")
     else:
         save_model(fit_heuristic(read_dataset_csv(small_dataset),
                                  HeuristicKind.parse("range_search_w")), tmp_path / "h.json")
