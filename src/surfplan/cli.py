@@ -215,10 +215,13 @@ def cmd_compare(args) -> int:
 
     config = _config_from_args(args)
     out_dir = args.out_dir if args.out_dir is not None else config.out_dir
+    names = list(MODEL_NAMES) if args.models is None else args.models.split(",")
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise ValidationError(f"model {repeated[0]!r} is named more than once in --models")
     records = read_dataset_csv(args.data)
     if not records:
         raise ValidationError(f"dataset {args.data} contains no records")
-    names = list(MODEL_NAMES) if args.models is None else args.models.split(",")
 
     cases = build_training_cases(records, config.sweep, config.oracle, config.targets)
     if len(cases) < 5:

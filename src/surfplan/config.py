@@ -50,6 +50,11 @@ class ToolConfig:
         for value in self.targets:
             if not isinstance(value, float) or not 0.0 < value < 1.0:
                 raise ValidationError(f"target {value!r} out of range (0, 1)")
+        repeated = [value for i, value in enumerate(self.targets) if value in self.targets[:i]]
+        if repeated:
+            # Each repeat would label every profile again, and a split could
+            # then put a case in the test set and its twin in the training set.
+            raise ValidationError(f"target {repeated[0]!r} is repeated")
         if not isinstance(self.out_dir, str):
             raise ValidationError(f"out_dir must be a string, got {self.out_dir!r}")
 

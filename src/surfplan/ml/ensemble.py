@@ -11,7 +11,7 @@ index, so models are bit-identical for identical data, config, and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -69,11 +69,13 @@ class BoostConfig:
 class ForestModel:
     trees: tuple[TreeModel, ...]
     n_features: int
+    # The trees' packing, when the caller already has it (a load does).
+    _packing: InitVar[Optional[PackedTrees]] = None
     # Derived at fit and at load; never serialized.
     _packed: PackedTrees = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self._packed = pack_trees(self.trees)
+    def __post_init__(self, _packing):
+        self._packed = pack_trees(self.trees) if _packing is None else _packing
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         features = _as_feature_matrix(features, self.n_features)
@@ -86,11 +88,13 @@ class BoostedModel:
     learning_rate: float
     base_score: float
     n_features: int
+    # The trees' packing, when the caller already has it (a load does).
+    _packing: InitVar[Optional[PackedTrees]] = None
     # Derived at fit and at load; never serialized.
     _packed: PackedTrees = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self._packed = pack_trees(self.trees)
+    def __post_init__(self, _packing):
+        self._packed = pack_trees(self.trees) if _packing is None else _packing
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         features = _as_feature_matrix(features, self.n_features)
@@ -122,6 +126,13 @@ def fit_boosted(features, targets, config: BoostConfig = BoostConfig()) -> Boost
     Only the residuals change between stages, so the features are presorted
     once, and each stage updates the training prediction from the leaf that
     every row fell in while its tree grew.
+
+    A stage that leaves every training prediction with the same bits leaves
+    the next stage the same residuals, and ``grow_tree`` is deterministic, so
+    every later stage would grow that same tree again. The fit stops there
+    and repeats the tree for the remaining stages; the model is the one the
+    full loop builds. Bits are compared, not values, because ``-0.0 + 0.0``
+    is ``0.0``: equal in value, but a different residual.
     """
     mat = _as_feature_matrix(features)
     if mat.shape[0] == 0:
@@ -131,10 +142,14 @@ def fit_boosted(features, targets, config: BoostConfig = BoostConfig()) -> Boost
     prediction = np.full(mat.shape[0], base)
     order = presort(mat)
     trees = []
-    for _ in range(config.n_estimators):
+    while len(trees) < config.n_estimators:
         tree, leaf = grow_tree(mat, _as_targets(y - prediction, mat.shape[0]), order,
                                config.tree)
-        prediction += config.learning_rate * tree.value[leaf]
         trees.append(tree)
+        step = prediction + config.learning_rate * tree.value[leaf]
+        if np.array_equal(step.view(np.uint64), prediction.view(np.uint64)):
+            trees += [tree] * (config.n_estimators - len(trees))
+            break
+        prediction = step
     return BoostedModel(trees=tuple(trees), learning_rate=config.learning_rate,
                         base_score=base, n_features=mat.shape[1])

@@ -20,7 +20,7 @@ from ..oracle import OracleConfig
 from .ensemble import BoostedModel, ForestModel
 from .linear import LinearModel
 from .pipeline import STAGE1_SCHEMA, STAGE2_SCHEMA, PipelineModel
-from .tree import LEAF, TreeModel
+from .tree import LEAF, PackedTrees, TreeModel, pack_nodes
 
 FORMAT_TAG = "surfplan-model"
 FORMAT_VERSION = 1
@@ -50,9 +50,10 @@ def _tree_to_dict(tree: TreeModel) -> dict:
     }
 
 
-def _trees_from_dicts(items: list, n_features: int) -> tuple[TreeModel, ...]:
+def _trees_from_dicts(items: list,
+                      n_features: int) -> tuple[tuple[TreeModel, ...], PackedTrees]:
     """Parse one stage's trees, checking their structure in one vectorized
-    pass over the concatenated node arrays.
+    pass over the concatenated node arrays, and pack them from those arrays.
 
     Every node array of a tree has the same nonzero length; a leaf has no
     children; an internal node splits on a feature below ``n_features`` and
@@ -100,10 +101,11 @@ def _trees_from_dicts(items: list, n_features: int) -> tuple[TreeModel, ...]:
     if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
         raise CorruptModelError("tree thresholds and values must be finite")
 
-    return tuple(
+    trees = tuple(
         TreeModel(feature=feature[lo:hi], threshold=threshold[lo:hi], left=left[lo:hi],
                   right=right[lo:hi], value=value[lo:hi], n_features=n_features)
         for lo, hi in zip(starts.tolist(), ends.tolist()))
+    return trees, pack_nodes(np.asarray(counts), feature, threshold, left, right, value)
 
 
 def stage_to_dict(model) -> dict:
@@ -126,17 +128,17 @@ def stage_to_dict(model) -> dict:
 def stage_from_dict(data: dict):
     kind = data.get("kind")
     if kind == "tree":
-        return _trees_from_dicts([data], int(data["n_features"]))[0]
+        return _trees_from_dicts([data], int(data["n_features"]))[0][0]
     if kind == "forest":
         n_features = int(data["n_features"])
-        return ForestModel(trees=_trees_from_dicts(data["trees"], n_features),
-                           n_features=n_features)
+        trees, packed = _trees_from_dicts(data["trees"], n_features)
+        return ForestModel(trees=trees, n_features=n_features, _packing=packed)
     if kind == "boosted":
         n_features = int(data["n_features"])
-        return BoostedModel(trees=_trees_from_dicts(data["trees"], n_features),
-                            learning_rate=float(data["learning_rate"]),
+        trees, packed = _trees_from_dicts(data["trees"], n_features)
+        return BoostedModel(trees=trees, learning_rate=float(data["learning_rate"]),
                             base_score=float(data["base_score"]),
-                            n_features=n_features)
+                            n_features=n_features, _packing=packed)
     if kind == "linear":
         return _linear_from_dict(data)
     raise CorruptModelError(f"unknown stage model kind {kind!r}")

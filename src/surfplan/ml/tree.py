@@ -138,20 +138,27 @@ class PackedTrees:
 
 
 def pack_trees(trees) -> PackedTrees:
-    """Concatenate the trees' node arrays into one ``PackedTrees``.
+    """Concatenate the trees' node arrays into one ``PackedTrees``."""
+    return pack_nodes(np.asarray([tree.node_count for tree in trees]),
+                      *(np.concatenate([getattr(tree, name) for tree in trees])
+                        for name in ("feature", "threshold", "left", "right", "value")))
+
+
+def pack_nodes(counts: np.ndarray, feature: np.ndarray, threshold: np.ndarray,
+               left: np.ndarray, right: np.ndarray, value: np.ndarray) -> PackedTrees:
+    """Pack trees whose node arrays are already concatenated: tree ``t`` holds
+    the next ``counts[t]`` nodes, and its child indices count from its root.
 
     A tree's depth is its longest root-to-leaf path, found one level at a time
     for all trees at once. A level holds each node once, so a malformed tree
     whose nodes share children cannot blow up the frontier.
     """
-    counts = np.asarray([tree.node_count for tree in trees])
     starts = np.cumsum(counts) - counts
-    feature = np.concatenate([tree.feature for tree in trees])
     leaf = feature == LEAF
     node = np.arange(feature.size)
     offset = np.repeat(starts, counts)
-    left = np.where(leaf, node, np.concatenate([tree.left for tree in trees]) + offset)
-    right = np.where(leaf, node, np.concatenate([tree.right for tree in trees]) + offset)
+    left = np.where(leaf, node, left + offset)
+    right = np.where(leaf, node, right + offset)
 
     tree_of = np.repeat(np.arange(counts.size), counts)
     depth = np.zeros(counts.size, dtype=np.int64)
@@ -165,11 +172,9 @@ def pack_trees(trees) -> PackedTrees:
         level += 1
     order = np.argsort(-depth, kind="stable")
     active = np.count_nonzero(depth[:, None] > np.arange(depth.max()), axis=0)
-    return PackedTrees(
-        feature=np.where(leaf, 0, feature),
-        threshold=np.concatenate([tree.threshold for tree in trees]),
-        left=left, right=right, value=np.concatenate([tree.value for tree in trees]),
-        roots=starts[order], order=order, active=tuple(active.tolist()))
+    return PackedTrees(feature=np.where(leaf, 0, feature), threshold=threshold, left=left,
+                       right=right, value=value, roots=starts[order], order=order,
+                       active=tuple(active.tolist()))
 
 
 def _as_feature_matrix(features, n_features: int | None = None) -> np.ndarray:

@@ -134,6 +134,17 @@ class TestGenerate:
         assert key in err
         assert not out_path.exists()
 
+    def test_repeated_target_exits_2(self, capsys, tmp_path):
+        config = tmp_path / "repeat.json"
+        config.write_text(json.dumps({"targets": [1e-4, 1e-5, 1e-4]}))
+        out_path = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "generate", "--config", str(config),
+                               "--out", str(out_path))
+        assert code == 2
+        assert "Traceback" not in err
+        assert "target 0.0001 is repeated" in err
+        assert not out_path.exists()
+
     def test_negative_seed_flag_exits_2(self, capsys, tmp_path):
         out_path = tmp_path / "x.csv"
         code, _, err = run_cli(capsys, "generate", "--seed", "-5", "--out", str(out_path))
@@ -355,3 +366,14 @@ class TestEvaluateAndCompare:
         assert code == 0
         lines = (out_dir / "comparison.csv").read_text().splitlines()
         assert len(lines) == 3
+
+    def test_compare_repeated_model_exits_2(self, capsys, small_dataset, small_config,
+                                            tmp_path):
+        out_dir = tmp_path / "cmp3"
+        code, out, err = run_cli(capsys, "compare", "--data", small_dataset,
+                                 "--out-dir", str(out_dir), "--config", small_config,
+                                 "--models", "pipeline,heuristic:range_search_w,pipeline")
+        assert code == 2
+        assert "Traceback" not in err
+        assert "'pipeline' is named more than once" in err
+        assert not (out_dir / "comparison.csv").exists()

@@ -170,3 +170,11 @@ def test_with_seed_rejects_negative_and_non_integer_seeds():
         with pytest.raises(ValidationError, match="seed"):
             config.with_seed(seed)
     assert config.with_seed(0).sweep.seed == 1
+
+
+@pytest.mark.parametrize("targets", [(1e-4, 1e-4), (1e-4, 1e-5, 0.0001)], ids=repr)
+def test_repeated_target_is_rejected(targets):
+    # A repeat would label every profile twice, and a split could put a case
+    # in the test set and its twin in the training set.
+    with pytest.raises(ValidationError, match=r"target 0\.0001 is repeated"):
+        ToolConfig(targets=targets)

@@ -1,6 +1,14 @@
+import hashlib
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from helpers import reference_fit_boosted, reference_tree_predict
 from surfplan import (
     BoostConfig,
     ForestConfig,
@@ -9,7 +17,14 @@ from surfplan import (
     fit_boosted,
     fit_forest,
     fit_tree,
+    generate_dataset,
+    save_model,
 )
+from surfplan.config import load_config
+from surfplan.ml import build_training_cases, ensemble
+from surfplan.ml.pipeline import stage1_features
+from surfplan.ml.serialize import model_to_dict
+from surfplan.models import fit_named_model
 
 
 @pytest.fixture
@@ -110,3 +125,124 @@ class TestBoosted:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             fit_boosted(np.empty((0, 2)), np.empty(0))
+
+
+def _fit_counting_stages(features, targets, config):
+    """``fit_boosted``'s model and the number of trees it grew."""
+    with mock.patch.object(ensemble, "grow_tree", wraps=ensemble.grow_tree) as grow:
+        model = fit_boosted(features, targets, config)
+    return model, grow.call_count
+
+
+def _json(model) -> str:
+    return json.dumps(model_to_dict(model))
+
+
+def _stages_to_fixed_point(model, features) -> int:
+    """Replay a boosted model's training predictions: the stages up to and
+    including the first that leaves every prediction's bits unchanged, or
+    every stage when none does."""
+    prediction = np.full(features.shape[0], model.base_score)
+    for stage, tree in enumerate(model.trees, start=1):
+        step = prediction + model.learning_rate * reference_tree_predict(tree, features)
+        if step.tobytes() == prediction.tobytes():
+            return stage
+        prediction = step
+    return len(model.trees)
+
+
+@st.composite
+def _boosting_problems(draw):
+    """Small fits on every side of the fixed point: constant and signed-zero
+    targets stop at once, default-like trees stop part way, and ``gamma=0``
+    or a ``base_score`` far from the targets usually never stop."""
+    n_rows = draw(st.integers(min_value=1, max_value=24))
+    n_features = draw(st.integers(min_value=1, max_value=3))
+    features = draw(arrays(np.float64, (n_rows, n_features), elements=draw(st.sampled_from((
+        st.floats(min_value=-100.0, max_value=100.0),
+        st.integers(min_value=-2, max_value=2).map(float))))))
+    targets = draw(st.sampled_from((
+        st.floats(min_value=-10.0, max_value=10.0).map(lambda value: np.full(n_rows, value)),
+        arrays(np.float64, n_rows, elements=st.sampled_from([0.0, -0.0])),
+        arrays(np.float64, n_rows, elements=st.floats(min_value=-10.0, max_value=10.0)))))
+    config = BoostConfig(
+        n_estimators=draw(st.integers(min_value=1, max_value=60)),
+        learning_rate=draw(st.sampled_from([0.1, 0.5, 1.0])),
+        base_score=draw(st.sampled_from([None, 0.0, -0.0, 1e3])),
+        tree=TreeConfig(max_depth=draw(st.integers(min_value=1, max_value=6)),
+                        min_child_weight=draw(st.sampled_from([1, 5])),
+                        gamma=draw(st.sampled_from([0.0, 0.5]))))
+    return features, draw(targets), config
+
+
+_RNG = np.random.default_rng(42)
+_FEATURES = _RNG.normal(size=(80, 3))
+_TARGETS = _FEATURES @ np.array([2.0, -1.0, 0.5]) + 0.1 * _RNG.normal(size=80)
+_DEFAULT_LIKE = BoostConfig(n_estimators=60)
+_NO_GAMMA = BoostConfig(n_estimators=60, tree=TreeConfig(min_child_weight=1, gamma=0.0))
+
+
+class TestFixedPoint:
+    """Boosting stops once a stage leaves every training prediction's bits
+    unchanged, and its model is the full loop's byte for byte."""
+
+    @pytest.mark.parametrize("targets, config, stages", [
+        (np.full(80, 3.25), _DEFAULT_LIKE, 1),
+        (_TARGETS, _DEFAULT_LIKE, 36),
+        (_TARGETS, _NO_GAMMA, 60),
+        (_TARGETS, BoostConfig(n_estimators=60, base_score=1e3), 60),
+        # -0.0 + 0.0 is 0.0, equal in value but not in bits, so stage two
+        # sees a -0.0 residual where stage one saw 0.0: a test by value
+        # would stop a stage early.
+        (np.array([-0.0]), BoostConfig(n_estimators=60, base_score=-0.0), 2),
+        (np.array([0.0]), BoostConfig(n_estimators=60, base_score=-0.0), 2),
+        (np.array([-0.0, 0.0]), BoostConfig(n_estimators=60, base_score=0.0), 1),
+    ], ids=["constant", "default-like", "gamma-0", "far-base-score", "negative-zero",
+            "zero-from-negative-base", "signed-zeros"])
+    def test_stops_where_expected(self, targets, config, stages):
+        features = _FEATURES[:len(targets)]
+        model, grown = _fit_counting_stages(features, targets, config)
+        expected = reference_fit_boosted(features, targets, config)
+        assert grown == _stages_to_fixed_point(expected, features) == stages
+        assert len(model.trees) == config.n_estimators
+        assert _json(model) == _json(expected)
+
+    @given(problem=_boosting_problems())
+    @settings(max_examples=40)
+    @example(problem=(_FEATURES, np.full(80, 3.25), _DEFAULT_LIKE))
+    @example(problem=(_FEATURES, _TARGETS, _DEFAULT_LIKE))
+    @example(problem=(_FEATURES[:8], _TARGETS[:8], _NO_GAMMA))
+    @example(problem=(_FEATURES[:1], np.array([-0.0]),
+                      BoostConfig(n_estimators=5, base_score=-0.0)))
+    def test_matches_the_full_loop(self, problem):
+        features, targets, config = problem
+        model, grown = _fit_counting_stages(features, targets, config)
+        expected = reference_fit_boosted(features, targets, config)
+        assert grown == _stages_to_fixed_point(expected, features)
+        assert len(model.trees) == config.n_estimators
+        assert _json(model) == _json(expected)
+
+
+def test_default_stage_one_stops_at_its_fixed_point(tmp_path):
+    # The default-config (seed 42) pipeline: stage one grows trees only up to
+    # the first stage that leaves its training predictions unchanged, and the
+    # saved model keeps its pinned bytes (test_serialize.py).
+    config = load_config(None)
+    records = generate_dataset(config.sweep, config.oracle)
+    with mock.patch.object(ensemble, "grow_tree", wraps=ensemble.grow_tree) as grow:
+        model = fit_named_model(
+            "pipeline", records=records, sweep=config.sweep, oracle=config.oracle,
+            stage1_config=config.stage1, stage2_config=config.stage2, menu=config.targets)
+    stage1_calls = [call for call in grow.call_args_list if call.args[3] == config.stage1.tree]
+    trees = model.stage1.trees
+    assert len(trees) == config.stage1.n_estimators == 200
+
+    cases = build_training_cases(records, config.sweep, config.oracle, config.targets)
+    grown = _stages_to_fixed_point(model.stage1, stage1_features([c.request for c in cases]))
+    assert len(stage1_calls) == grown < 60
+    assert all(tree is trees[grown - 1] for tree in trees[grown - 1:])
+
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "b226cc9600bc834ccf340acf979b7af89fc1ed178dfd144890f7f9a185613a16")

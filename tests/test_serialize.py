@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from surfplan.config import load_config
 from surfplan.evaluate import evaluate_model, split
 from surfplan.ml import build_training_cases
 from surfplan.ml.serialize import CorruptModelError, ModelVersionError
+from surfplan.ml.tree import PackedTrees, pack_trees
 from surfplan.models import HEURISTIC_NAMES, fit_named_model
 
 
@@ -105,6 +107,23 @@ def test_default_pipeline_model_is_pinned(default_pipeline, tmp_path):
     save_model(model, path)
     assert (hashlib.sha256(path.read_bytes()).hexdigest()
             == "b226cc9600bc834ccf340acf979b7af89fc1ed178dfd144890f7f9a185613a16")
+
+
+def test_load_packs_like_the_fit(default_pipeline, tmp_path):
+    # A load packs each ensemble from the node arrays it parsed; that packing
+    # must be the one pack_trees builds from the loaded trees, field by field.
+    _, model = default_pipeline
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    for stage in (loaded.stage1, loaded.stage2):
+        expected = pack_trees(stage.trees)
+        for field in fields(PackedTrees):
+            got, want = getattr(stage._packed, field.name), getattr(expected, field.name)
+            if field.name == "active":
+                assert got == want
+            else:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_default_pipeline_predictions_are_pinned(default_pipeline):
