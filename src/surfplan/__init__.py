@@ -73,6 +73,7 @@ from .oracle import (
     generate_dataset,
     logical_error_rate,
     rate_grid,
+    rate_grids,
     sample_profiles,
 )
 

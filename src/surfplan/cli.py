@@ -33,7 +33,7 @@ from .ml.ensemble import BoostConfig, ForestConfig
 from .ml.pipeline import build_training_cases
 from .ml.search import grid_search
 from .ml.serialize import ModelIOError, load_model, save_model
-from .models import MODEL_NAMES, fit_named_model
+from .models import MODEL_NAMES, check_model_name, check_model_names, fit_named_model
 from .oracle import AboveThresholdError, generate_dataset, logical_error_rate
 
 logger = logging.getLogger(__name__)
@@ -97,6 +97,7 @@ def cmd_train(args) -> int:
     import numpy as np
 
     config = _config_from_args(args)
+    check_model_name(args.model)
     records = read_dataset_csv(args.data)
     if not records:
         raise ValidationError(f"dataset {args.data} contains no records")
@@ -216,6 +217,7 @@ def cmd_compare(args) -> int:
     config = _config_from_args(args)
     out_dir = args.out_dir if args.out_dir is not None else config.out_dir
     names = list(MODEL_NAMES) if args.models is None else args.models.split(",")
+    check_model_names(names)
     repeated = [name for i, name in enumerate(names) if name in names[:i]]
     if repeated:
         raise ValidationError(f"model {repeated[0]!r} is named more than once in --models")

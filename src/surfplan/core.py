@@ -202,15 +202,26 @@ class Dataset(Sequence):
         raise AttributeError(f"Dataset is frozen; cannot set {name!r}")
 
     @classmethod
+    def from_blocks(cls, table, block_index, distance, rounds,
+                    logical_error_rate) -> "Dataset":
+        """A dataset whose record i has the rates ``table[block_index[i]]``,
+        where ``block_index`` starts at 0 and steps by 0 or 1; neighbouring
+        table rows with the same bits share one profile row, so a signed zero
+        keeps its sign."""
+        table = np.ascontiguousarray(table, dtype=np.float64).reshape(-1, len(PROFILE_FIELDS))
+        bits = table.view(np.uint64)
+        starts = np.ones(table.shape[0], dtype=bool)
+        starts[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+        return cls(table[starts], (np.cumsum(starts) - 1)[block_index], distance, rounds,
+                   logical_error_rate)
+
+    @classmethod
     def from_rows(cls, noise, distance, rounds, logical_error_rate) -> "Dataset":
         """A dataset from per-record (n, 4) rates; consecutive records whose
-        rates have the same bits share one profile row, so a signed zero
-        keeps its sign."""
-        noise = np.ascontiguousarray(noise, dtype=np.float64).reshape(-1, len(PROFILE_FIELDS))
-        bits = noise.view(np.uint64)
-        starts = np.ones(noise.shape[0], dtype=bool)
-        starts[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-        return cls(noise[starts], np.cumsum(starts) - 1, distance, rounds, logical_error_rate)
+        rates have the same bits share one profile row."""
+        noise = np.reshape(noise, (-1, len(PROFILE_FIELDS)))
+        return cls.from_blocks(noise, np.arange(noise.shape[0]), distance, rounds,
+                               logical_error_rate)
 
     def noise(self) -> np.ndarray:
         """Each record's rates, shape (n, 4)."""

@@ -6,15 +6,18 @@ Dataset CSV schema (header mandatory, column order fixed):
 
 Rates and error rates are written in scientific notation with 17 digits after
 the point, which round-trips float64 exactly; distance and rounds are plain
-integers. The reader parses a valid body in one ``np.loadtxt`` call; any file
-that fails that parse or a check is read again row by row, and that reader
-alone words the errors. Calibration snapshots are flat JSON objects with keys
-``device``, ``timestamp``, ``depolarizing``, ``gate``, ``reset``, ``readout``.
+integers. The reader parses a valid body in fixed row chunks with
+``np.loadtxt``, keeping the profile cells as text and converting each run of
+identical profile text once; any file that fails that parse or a check is read
+again row by row, and that reader alone words the errors. Calibration
+snapshots are flat JSON objects with keys ``device``, ``timestamp``,
+``depolarizing``, ``gate``, ``reset``, ``readout``.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 import warnings
@@ -36,9 +39,9 @@ from .evaluate import ComparisonRow, EvalReport
 DATASET_HEADER = ("depolarizing", "gate", "reset", "readout",
                   "distance", "rounds", "logical_error_rate")
 
-# One body row: the four rates, distance, rounds, logical_error_rate.
-_ROW_DTYPE = np.dtype([("noise", np.float64, (4,)), ("distance", np.int64),
-                       ("rounds", np.int64), ("logical_error_rate", np.float64)])
+# Body rows per bulk-parse chunk. A chunk's profile cells are held as bytes
+# fields as wide as its longest line, so the chunk bounds that buffer.
+_CHUNK_ROWS = 4096
 
 CALIBRATION_KEYS = ("device", "timestamp", "depolarizing", "gate", "reset", "readout")
 
@@ -84,31 +87,70 @@ def _parse_cell(row_number: int, column: str, text: str, kind: type):
 def read_dataset_csv(path: str | os.PathLike) -> Dataset:
     """Parse and validate a dataset CSV; errors carry the row and column.
 
-    The body is parsed in one ``np.loadtxt`` call and checked column by
-    column. ``loadtxt`` is stricter than ``int``/``float`` and ``csv``
-    (``3.0``, ``3_0`` and quoted cells fail it), so a file that fails the
-    bulk parse or any check is read again by the row-wise reader, which
-    raises the error or returns the records.
+    The body is parsed in chunks of ``_CHUNK_ROWS`` rows by ``np.loadtxt``
+    and checked column by column. ``loadtxt`` is stricter than
+    ``int``/``float`` and ``csv`` (``3.0``, ``3_0`` and quoted cells fail
+    it), so a file that fails the bulk parse or any check is read again by
+    the row-wise reader, which raises the error or returns the records.
     """
     dataset = _read_columns(path)
     return dataset if dataset is not None else as_dataset(_read_rows(path))
 
 
 def _read_columns(path: str | os.PathLike) -> Optional[Dataset]:
-    """The dataset from one bulk parse, or None when the header, any cell or
-    any check fails."""
+    """The dataset from a chunked bulk parse, or None when the header, any
+    cell or any check fails.
+
+    Each chunk gives a table with one row per run of identical profile text
+    and each record's run; ``Dataset.from_blocks`` then merges neighbouring
+    runs whose values are equal (``1e-4`` and ``0.0001``, or one block cut by
+    a chunk boundary) into one profile row.
+    """
+    tables, chunks, run_count = [], [], 0
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             if next(csv.reader(handle), None) != list(DATASET_HEADER):
                 return None
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                rows = np.loadtxt(handle, dtype=_ROW_DTYPE, delimiter=",", comments=None,
-                                  ndmin=1)
-        return Dataset.from_rows(rows["noise"], rows["distance"], rows["rounds"],
-                                 rows["logical_error_rate"])
+            while lines := list(itertools.islice(handle, _CHUNK_ROWS)):
+                # A bytes field drops trailing NULs, which float() rejects.
+                if "\x00" in "".join(lines):
+                    return None
+                table, run, *columns = _parse_chunk(lines)
+                tables.append(table)
+                chunks.append([run + run_count, *columns])
+                run_count += len(table)
+        if not chunks:
+            return as_dataset([])
+        return Dataset.from_blocks(np.concatenate(tables),
+                                   *[np.concatenate(column) for column in zip(*chunks)])
     except (ValueError, csv.Error):
         return None
+
+
+def _parse_chunk(lines: list[str]) -> tuple[np.ndarray, ...]:
+    """Some body lines as a run table, each line's run, and the distance,
+    rounds and logical_error_rate columns.
+
+    A run is a stretch of lines with identical profile text. The profile
+    cells are parsed as bytes fields as wide as the longest line, so none is
+    truncated, and each run's cells are converted once, with ``float`` as the
+    row-wise reader does. Raises ValueError on any cell that ``loadtxt`` or
+    ``float`` rejects.
+    """
+    width = max(map(len, lines))
+    dtype = np.dtype([("noise", f"S{width}", (4,)), ("distance", np.int64),
+                      ("rounds", np.int64), ("logical_error_rate", np.float64)])
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    # The cells fill the first 4 * width bytes of a row, NUL-padded; with no
+    # NUL in the text, equal text means equal words.
+    words = rows.view(np.uint32).reshape(len(rows), dtype.itemsize // 4)[:, :width]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (words[1:] != words[:-1]).any(axis=1)
+    table = np.array([float(cell) for cell in rows["noise"][starts].ravel().tolist()])
+    return (table.reshape(-1, 4), np.cumsum(starts) - 1, rows["distance"].copy(),
+            rows["rounds"].copy(), rows["logical_error_rate"].copy())
 
 
 def _read_rows(path: str | os.PathLike) -> list[DatasetRecord]:

@@ -180,10 +180,9 @@ def compare_models(names: list[str], train_records, train_cases,
     optimal labels. All models are scored on the same ``test_cases``. Rows are
     sorted by raw-distance Pearson, descending (undefined sorts last).
     """
-    from .models import fit_named_model  # local import avoids a module cycle
+    from .models import check_model_names, fit_named_model  # local import avoids a module cycle
 
-    if len(names) < 2:
-        raise ValidationError("compare_models needs at least two model names")
+    check_model_names(names)
     rows = []
     for name in names:
         model = fit_named_model(name, records=train_records, cases=train_cases,

@@ -3,12 +3,12 @@
 Training labels are constructed from the ground-truth grid search: every
 distinct profile in the dataset is paired with each target in the menu, and
 the label is the lexicographically smallest (distance, rounds) on the sweep
-grid that reaches the target; infeasible pairs are dropped. Each profile's
-grid is evaluated as one array with ``rate_grid``, and the property tests
-check the labels against the scalar ``find_optimal_params`` exactly. Stage
-one learns distance from the four noise rates plus log10 of the target; stage
-two learns rounds from the *rounded* stage-one prediction plus log10 of the
-target, at train and inference time alike.
+grid that reaches the target; infeasible pairs are dropped. The grids of all
+the distinct profiles are evaluated as one array with ``rate_grids``, and the
+property tests check the labels against the scalar ``find_optimal_params``
+exactly. Stage one learns distance from the four noise rates plus log10 of the
+target; stage two learns rounds from the *rounded* stage-one prediction plus
+log10 of the target, at train and inference time alike.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from ..oracle import (
     SweepConfig,
     effective_error,
     meets_target,
-    rate_grid,
+    rate_grids,
 )
 from .ensemble import BoostConfig, BoostedModel, ForestConfig, ForestModel, fit_boosted, fit_forest
 from .linear import LinearModel, fit_linear
@@ -79,18 +79,21 @@ def build_training_cases(records: Dataset | list[DatasetRecord],
     records = as_dataset(records)
     if not records:
         raise ValidationError("cannot build training cases from an empty dataset")
+    if not menu:
+        return []
+    profiles = distinct_profiles(records)
+    requests = [[PredictionRequest(noise=profile, target_logical_error_rate=target)
+                 for target in menu] for profile in profiles]
     rounds = sweep.rounds()
+    grids = rate_grids([profile.as_tuple() for profile in profiles], sweep.distances,
+                       rounds, oracle).reshape(len(profiles), 1, -1)
+    # feasible[k, t, g]: grid point g of profile k meets target t.
+    feasible = meets_target(grids, np.asarray(menu, dtype=np.float64)[:, None])
+    firsts, reached = feasible.argmax(axis=2), feasible.any(axis=2)
     cases = []
-    for profile in distinct_profiles(records):
-        requests = [PredictionRequest(noise=profile, target_logical_error_rate=target)
-                    for target in menu]
-        if not requests:
-            continue
-        targets = np.asarray([request.target_logical_error_rate for request in requests])
-        grid = rate_grid(profile, sweep.distances, rounds, oracle)
-        feasible = meets_target(grid.ravel()[None, :], targets[:, None])
-        for request, row, first in zip(requests, feasible, feasible.argmax(axis=1).tolist()):
-            if row[first]:
+    for row, row_firsts, row_reached in zip(requests, firsts.tolist(), reached.tolist()):
+        for request, first, ok in zip(row, row_firsts, row_reached):
+            if ok:
                 d_index, r_index = divmod(first, len(rounds))
                 cases.append(LabeledCase(request=request,
                                          distance=sweep.distances[d_index],

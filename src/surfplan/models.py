@@ -25,6 +25,22 @@ HEURISTIC_NAMES = tuple(f"heuristic:{kind.label}" for kind in all_kinds())
 MODEL_NAMES = ("pipeline", "linear") + HEURISTIC_NAMES
 
 
+def check_model_name(name: str) -> None:
+    """Raise ValidationError unless ``name`` is one of ``MODEL_NAMES``."""
+    if name not in MODEL_NAMES:
+        raise ValidationError(
+            f"unknown model {name!r}; expected one of {', '.join(MODEL_NAMES)}")
+
+
+def check_model_names(names: list[str]) -> None:
+    """Raise ValidationError unless every name is known and there are at
+    least two of them: the models ``evaluate.compare_models`` can compare."""
+    for name in names:
+        check_model_name(name)
+    if len(names) < 2:
+        raise ValidationError("compare_models needs at least two model names")
+
+
 def fit_named_model(name: str,
                     records: Optional[Dataset | list[DatasetRecord]] = None,
                     cases: Optional[list[LabeledCase]] = None,
@@ -39,9 +55,7 @@ def fit_named_model(name: str,
     Label-supervised models use ``cases`` (built from ``records`` when not
     given); heuristics embed ``records`` directly.
     """
-    if name not in MODEL_NAMES:
-        raise ValidationError(
-            f"unknown model {name!r}; expected one of {', '.join(MODEL_NAMES)}")
+    check_model_name(name)
     if name.startswith("heuristic:"):
         if not records:
             raise ValidationError(f"model {name!r} needs training records")

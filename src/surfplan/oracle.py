@@ -7,10 +7,11 @@ when too few rounds are run, and adds a decoherence penalty that grows with
 every round past the code distance. The resulting landscape falls steeply with
 rounds up to r = d, then climbs again: the sweet spot sits at r = d.
 
-``rate_grid`` evaluates a profile's whole (distance, rounds) grid as one
-array, bit for bit equal to ``logical_error_rate`` at every point; dataset
-generation and training-label construction use it, and the property tests
-check it against the scalar oracle. ``find_optimal_params`` is the scalar
+``rate_grids`` evaluates the whole (distance, rounds) grid of every profile in
+a (p, 4) table as one array, bit for bit equal to ``logical_error_rate`` at
+every point; dataset generation and training-label construction call it once
+per dataset, ``rate_grid`` is its one-profile case, and the property tests
+check both against the scalar oracle. ``find_optimal_params`` is the scalar
 ground-truth search: the lexicographically smallest (distance, rounds) pair on
 the sweep grid that reaches the target rate.
 """
@@ -25,6 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
+    PROFILE_FIELDS,
     CodeParams,
     Dataset,
     NoiseProfile,
@@ -176,12 +178,16 @@ def _check_code_point(distance: int, rounds: int) -> None:
         raise ValidationError(f"rounds must be >= 1, got {rounds}")
 
 
+def _above_threshold(p_eff: float, config: OracleConfig) -> AboveThresholdError:
+    return AboveThresholdError(
+        f"effective error {p_eff:.3e} is at or above threshold {config.threshold:.3e}")
+
+
 def _below_threshold_error(profile: NoiseProfile, config: OracleConfig) -> float:
     """The effective rate; raises AboveThresholdError at or above threshold."""
     p_eff = effective_error(profile, config)
     if p_eff >= config.threshold:
-        raise AboveThresholdError(
-            f"effective error {p_eff:.3e} is at or above threshold {config.threshold:.3e}")
+        raise _above_threshold(p_eff, config)
     return p_eff
 
 
@@ -200,33 +206,52 @@ def logical_error_rate(distance: int, rounds: int, profile: NoiseProfile,
     return min(max(base * penalty, config.floor), 1.0)
 
 
-def rate_grid(profile: NoiseProfile, distances: Sequence[int], rounds: Sequence[int],
-              config: OracleConfig = OracleConfig()) -> np.ndarray:
-    """``logical_error_rate`` at every (distance, rounds) pair, as one array.
+def rate_grids(profiles, distances: Sequence[int], rounds: Sequence[int],
+               config: OracleConfig = OracleConfig()) -> np.ndarray:
+    """``logical_error_rate`` at every (profile, distance, rounds) triple, as
+    one array.
 
-    Entry [i, j] is the rate at (distances[i], rounds[j]) and equals the
-    scalar oracle bit for bit: the suppression base comes from Python ``**``
-    once per distinct min(d, r), because ``np.power`` can differ in the last
-    ulp, and the penalty and clamp repeat the scalar operation order
-    elementwise. Raises AboveThresholdError like the scalar oracle.
+    ``profiles`` is a (p, 4) table in ``PROFILE_FIELDS`` order. Entry
+    [k, i, j] is the rate of row k at (distances[i], rounds[j]) and equals the
+    scalar oracle bit for bit: the effective rate, the penalty and the clamp
+    repeat the scalar operation order elementwise, and the suppression base
+    comes from Python ``**`` once per (row, distinct min(d, r)), because
+    ``np.power`` can differ in the last ulp. The code points are checked once
+    per call. Raises AboveThresholdError, like the scalar oracle, for the
+    first row at or above threshold.
     """
     # Every (d, r) pair is a valid code point iff each d and each r is.
     for distance in distances:
         _check_code_point(distance, 1)
     for count in rounds:
         _check_code_point(3, count)
-    p_eff = _below_threshold_error(profile, config)
+    depolarizing, gate, reset, readout = np.asarray(
+        profiles, dtype=np.float64).reshape(-1, len(PROFILE_FIELDS)).T
+    p_eff = (config.gate_weight * gate + config.depolarizing_weight * depolarizing
+             + config.readout_weight * readout + config.reset_weight * reset)
+    above = p_eff >= config.threshold
+    if above.any():
+        raise _above_threshold(float(p_eff[above.argmax()]), config)
     d = np.asarray(distances, dtype=np.int64)[:, None]
     r = np.asarray(rounds, dtype=np.int64)[None, :]
     shortest_grid = np.minimum(d, r)
     shortest, index = np.unique(shortest_grid.ravel(), return_inverse=True)
-    ratio = p_eff / config.threshold
-    bases = np.asarray([config.amplitude * ratio ** ((int(m) + 1) / 2) for m in shortest],
-                       dtype=np.float64)
+    exponents = [(m + 1) / 2 for m in shortest.tolist()]
+    bases = np.array([[config.amplitude * ratio ** exponent for exponent in exponents]
+                      for ratio in (p_eff / config.threshold).tolist()],
+                     dtype=np.float64).reshape(p_eff.size, shortest.size)
     penalty = 1.0 + config.decoherence * np.maximum(r - d, 0) * (
-        profile.depolarizing / config.threshold)
-    rates = bases[index].reshape(shortest_grid.shape) * penalty
+        depolarizing / config.threshold)[:, None, None]
+    rates = bases[:, index].reshape((p_eff.size,) + shortest_grid.shape) * penalty
     return np.minimum(np.maximum(rates, config.floor), 1.0)
+
+
+def rate_grid(profile: NoiseProfile, distances: Sequence[int], rounds: Sequence[int],
+              config: OracleConfig = OracleConfig()) -> np.ndarray:
+    """``logical_error_rate`` at every (distance, rounds) pair of one profile:
+    the one-row case of ``rate_grids``, with entry [i, j] at (distances[i],
+    rounds[j])."""
+    return rate_grids([profile.as_tuple()], distances, rounds, config)[0]
 
 
 def sample_profiles(sweep: SweepConfig) -> list[NoiseProfile]:
@@ -254,34 +279,33 @@ def generate_dataset(sweep: SweepConfig = SweepConfig(),
     current distance's round sweep is finished and no further distances are
     visited for that profile. Profiles at or above threshold are skipped with
     a warning. Deterministic given the sweep seed. Each profile is validated
-    once and its grid is evaluated as one array by ``rate_grid``; a profile's
-    records are a prefix of that grid in row-major order, and they fill one
-    block of the Dataset's columns.
+    once, and every kept profile's grid is evaluated in one ``rate_grids``
+    call; a profile's records are a prefix of its grid in row-major order,
+    and they fill one block of the Dataset's columns.
     """
     if profiles is None:
         profiles = sample_profiles(sweep)
     distances, rounds = sweep.distances, sweep.rounds()
-    table, blocks = [], []
+    table = []
     for index, profile in enumerate(profiles):
         validate_profile(profile)
         if effective_error(profile, config) >= config.threshold:
             logger.warning("profile %d is at or above threshold, skipped: %s",
                            index, profile)
             continue
-        grid = rate_grid(profile, distances, rounds, config)
-        terminated = meets_target(grid, sweep.termination_rate).any(axis=1)
-        stop = int(terminated.argmax()) + 1 if terminated.any() else len(distances)
         table.append(profile.as_tuple())
-        blocks.append(grid[:stop].ravel())
-    sizes = np.asarray([block.size for block in blocks], dtype=np.int64)
-    # Each record's position inside its profile's flattened grid.
-    position = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    table = np.asarray(table, dtype=np.float64).reshape(-1, len(PROFILE_FIELDS))
+    grids = rate_grids(table, distances, rounds, config)
+    terminated = meets_target(grids, sweep.termination_rate).any(axis=2)
+    stop = np.where(terminated.any(axis=1), terminated.argmax(axis=1) + 1, len(distances))
+    kept = np.arange(len(distances)) < stop[:, None]
+    profile_rows, distance_rows = np.nonzero(kept)  # the swept (profile, distance) pairs
     return Dataset(
-        profiles=np.asarray(table, dtype=np.float64).reshape(-1, 4),
-        profile_index=np.repeat(np.arange(len(table)), sizes),
-        distance=np.repeat(np.asarray(distances, dtype=np.int64), len(rounds))[position],
-        rounds=np.tile(np.asarray(rounds, dtype=np.int64), len(distances))[position],
-        logical_error_rate=np.concatenate(blocks) if blocks else np.empty(0),
+        profiles=table,
+        profile_index=np.repeat(profile_rows, len(rounds)),
+        distance=np.repeat(np.asarray(distances, dtype=np.int64)[distance_rows], len(rounds)),
+        rounds=np.tile(np.asarray(rounds, dtype=np.int64), len(profile_rows)),
+        logical_error_rate=grids[kept].ravel(),
     )
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from surfplan import HeuristicKind, fit_heuristic, save_model
+from surfplan import HeuristicKind, cli, fit_heuristic, save_model
 from surfplan.cli import main
 from surfplan.dataio import read_dataset_csv
 
@@ -11,6 +11,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def no_reading(monkeypatch):
+    """Fail any test in which the CLI reads a dataset CSV."""
+    def fail(path):
+        raise AssertionError(f"dataset {path} was read")
+
+    monkeypatch.setattr(cli, "read_dataset_csv", fail)
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +212,16 @@ class TestTrain:
         assert code == 2
         assert "bogus" in err
 
+    def test_misspelt_model_exits_2_before_reading(self, capsys, small_dataset, tmp_path,
+                                                   no_reading):
+        model_path = tmp_path / "m.json"
+        code, _, err = run_cli(capsys, "train", "--data", small_dataset,
+                               "--model", "pipelin", "--out-model", str(model_path))
+        assert code == 2
+        assert "Traceback" not in err
+        assert "unknown model 'pipelin'; expected one of pipeline, linear" in err
+        assert not model_path.exists()
+
     def test_tune_runs_grid_search(self, capsys, small_config, small_dataset,
                                    tmp_path):
         model_path = tmp_path / "tuned.json"
@@ -377,3 +396,21 @@ class TestEvaluateAndCompare:
         assert "Traceback" not in err
         assert "'pipeline' is named more than once" in err
         assert not (out_dir / "comparison.csv").exists()
+
+    @pytest.mark.parametrize("models, message", [
+        (",", "unknown model ''; expected one of"),
+        ("pipelin,linear", "unknown model 'pipelin'; expected one of"),
+        ("pipeline,bogus,pipeline", "unknown model 'bogus'; expected one of"),
+        ("pipeline", "compare_models needs at least two model names"),
+        ("linear,linear", "model 'linear' is named more than once in --models"),
+    ])
+    def test_compare_names_are_checked_before_reading(self, capsys, small_dataset,
+                                                      tmp_path, no_reading, models,
+                                                      message):
+        out_dir = tmp_path / "cmp4"
+        code, _, err = run_cli(capsys, "compare", "--data", small_dataset,
+                               "--out-dir", str(out_dir), "--models", models)
+        assert code == 2
+        assert "Traceback" not in err
+        assert message in err
+        assert not out_dir.exists()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -95,22 +96,38 @@ class TestDatasetCsv:
             read_dataset_csv(path)
 
 
-def test_default_dataset_and_labels_are_pinned(tmp_path):
-    # SHA-256 of the default-config CSV and of its labels as produced by the
-    # scalar oracle, one logical_error_rate call per grid point. A last-ulp
-    # drift in the oracle or in the float formatting changes them.
+def _pinned_hashes(tmp_path, profiles):
+    """SHA-256 of the default-config CSV at ``profiles`` profiles and of its
+    labels; the file must read back as the generated dataset."""
     config = load_config(None)
+    sweep = replace(config.sweep, profiles_per_run=profiles)
     path = tmp_path / "data.csv"
-    write_dataset_csv(generate_dataset(config.sweep, config.oracle), path)
-    assert (hashlib.sha256(path.read_bytes()).hexdigest()
-            == "71d87eadd2d3b6cf2902eab29dccdceb3982ea8fb045a923881bee46455bc99e")
-    cases = build_training_cases(read_dataset_csv(path), config.sweep, config.oracle,
-                                 config.targets)
+    records = generate_dataset(sweep, config.oracle)
+    write_dataset_csv(records, path)
+    back = read_dataset_csv(path)
+    assert back == records
+    cases = build_training_cases(back, sweep, config.oracle, config.targets)
     labels = "\n".join(repr((case.request.noise.as_tuple(),
                              case.request.target_logical_error_rate,
                              case.distance, case.rounds)) for case in cases)
-    assert (hashlib.sha256(labels.encode()).hexdigest()
-            == "86be97e2a3616092ecfae35888d1d404009f71dc3d4f0810d5d321d57631c80c")
+    return (hashlib.sha256(path.read_bytes()).hexdigest(),
+            hashlib.sha256(labels.encode()).hexdigest())
+
+
+def test_default_dataset_and_labels_are_pinned(tmp_path):
+    # The hashes as produced by the scalar oracle, one logical_error_rate
+    # call per grid point. A last-ulp drift in the oracle or in the float
+    # formatting changes them.
+    assert _pinned_hashes(tmp_path, 20) == (
+        "71d87eadd2d3b6cf2902eab29dccdceb3982ea8fb045a923881bee46455bc99e",
+        "86be97e2a3616092ecfae35888d1d404009f71dc3d4f0810d5d321d57631c80c")
+
+
+def test_10x_dataset_and_labels_are_pinned(tmp_path):
+    # 200 profiles: about 97.5k records, more than one read chunk.
+    assert _pinned_hashes(tmp_path, 200) == (
+        "c24b2ab4ee722fbcb111af3a305443e51ce9be27d44223dcadd38637551ce0ed",
+        "29854aba888524d442bf99cbabae75d5d04611d718fa74b10927fd817387a570")
 
 
 class TestCalibration:

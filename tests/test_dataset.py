@@ -169,6 +169,20 @@ class TestColumns:
         with pytest.raises(ValidationError, match="profile_index"):
             Dataset(table, index, [3] * n, [1] * n, [1e-3] * n)
 
+    def test_from_blocks_merges_neighbouring_rows_with_equal_bits(self):
+        a, b = [1e-4, 1e-3, 1e-4, 1e-3], [2e-4, 1e-3, 1e-4, 1e-3]
+        table = [a, a, [0.0] + b[1:], [-0.0] + b[1:], b, a]
+        block = [0, 1, 1, 2, 3, 4, 5, 5]
+        n = len(block)
+        columns = ([3] * n, list(range(1, n + 1)), [1e-3] * n)
+        dataset = Dataset.from_blocks(table, block, *columns)
+        assert dataset.profiles.tobytes() == np.array([a, [0.0] + b[1:], [-0.0] + b[1:],
+                                                       b, a]).tobytes()
+        assert dataset.profile_index.tolist() == [0, 0, 0, 1, 2, 3, 4, 4]
+        assert _bits(dataset) == _bits(Dataset.from_rows(np.array(table)[block], *columns))
+        with pytest.raises(ValidationError, match="profile_index"):
+            Dataset.from_blocks(table, [0, 3, 3, 3, 4, 4, 5, 5], *columns)
+
     def test_integer_columns_only(self):
         with pytest.raises(ValidationError, match="distance must be an integer column"):
             Dataset([[1e-4, 1e-3, 1e-4, 1e-3]], [0], [3.0], [1], [1e-3])
@@ -240,14 +254,30 @@ class TestCsv:
         assert _bits(bulk) == _bits(dataio._read_rows(path))
 
     def test_valid_file_never_runs_row_wise_reader(self, tmp_path, monkeypatch):
-        path = tmp_path / "data.csv"
-        write_dataset_csv(generate_dataset(SweepConfig(profiles_per_run=3, seed=4)), path)
+        small = generate_dataset(SweepConfig(profiles_per_run=3, seed=4))
+        large = generate_dataset(SweepConfig(profiles_per_run=12, seed=4))
+        assert len(small) < dataio._CHUNK_ROWS < len(large)
+        files = []
+        for name, records in (("small", small), ("large", large)):
+            files.append((tmp_path / f"{name}.csv", records))
+            write_dataset_csv(records, files[-1][0])
+        # Profile cells with 30 significant digits still round to the same floats.
+        wide = tmp_path / "wide.csv"
+        wide.write_text("\n".join([HEADER] + [
+            ",".join([format(v, ".29e") for v in r.noise.as_tuple()]
+                     + [str(r.params.distance), str(r.params.rounds),
+                        format(r.logical_error_rate, ".17e")])
+            for r in small]) + "\n")
+        files.append((wide, small))
 
         def fail(path):
             raise AssertionError("row-wise reader ran")
 
         monkeypatch.setattr(dataio, "_read_rows", fail)
-        assert len(read_dataset_csv(path)) > 0
+        for path, records in files:
+            back = read_dataset_csv(path)
+            assert back == records
+            assert back.profiles.shape[0] == records.profiles.shape[0]
 
     GOOD = "1e-4,2e-3,1e-4,3e-3,3,1,1e-3"
     SEEN = "1e-4,2e-3,1e-4,3e-3,"
@@ -281,12 +311,23 @@ class TestCsv:
         [GOOD + "\r" + SEEN + "5,2,1e-3"],
         [],
         [""],
+        # A bytes field drops the NUL that the row-wise reader rejects.
+        ["1e-4\x00,2e-3,1e-4,3e-3,3,1,1e-3"],
+        [GOOD, SEEN + "3,2,1e-3\x00"],
+        [GOOD, "0.1" + "0" * 34 + "e-3,2e-3,1e-4,3e-3,3,2,1e-3"],  # a 40-character cell
+        [GOOD, "0.0001,2e-3,1e-4,3e-3,3,2,1e-3"],
+        [GOOD] * (dataio._CHUNK_ROWS - 1) + [SEEN + "3,2,1e-3", SEEN + "3,3,1e-3"],
+        [GOOD] * dataio._CHUNK_ROWS + ["0.0001,2e-3,1e-4,3e-3,3,2,1e-3"],
+        [GOOD, "2e-4,2e-3,1e-4,3e-3,3,1,1e-3", SEEN + "3,2,1e-3"],
     ])
     def test_odd_inputs_agree_with_row_wise_reader(self, tmp_path, body):
         path = tmp_path / "odd.csv"
         path.write_text("\n".join([HEADER] + body) + "\n", encoding="utf-8", newline="")
         expected = _outcome(lambda p: as_dataset(dataio._read_rows(p)), path)
         assert _outcome(read_dataset_csv, path) == expected
+        if isinstance(expected, list):  # and the same profile table
+            assert (read_dataset_csv(path).profiles.tobytes()
+                    == as_dataset(dataio._read_rows(path)).profiles.tobytes())
 
     @pytest.mark.parametrize("content", [b"", b"a,b\n1,2\n", HEADER.encode() + b"\n\xff\n"])
     def test_bad_files_agree_with_row_wise_reader(self, tmp_path, content):

@@ -1,9 +1,12 @@
 """Property tests: the array oracle against the scalar oracle it replaces.
 
-``rate_grid`` must equal ``logical_error_rate`` exactly at every grid point,
-and the dataset generation built on it must give the records the scalar sweep
-protocol gives.
+``rate_grids`` and its one-profile case ``rate_grid`` must equal
+``logical_error_rate`` exactly at every grid point, and the dataset
+generation built on them must give the records the scalar sweep protocol
+gives.
 """
+
+import logging
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from surfplan import (
     generate_dataset,
     logical_error_rate,
     rate_grid,
+    rate_grids,
 )
 from surfplan.oracle import meets_target
 
@@ -67,6 +71,60 @@ def test_rate_grid_rejects_bad_code_points(distances, rounds):
     profile = NoiseProfile(1e-4, 1e-3, 1e-4, 2e-3)
     with pytest.raises(ValidationError):
         rate_grid(profile, distances, rounds)
+
+
+table_rates = st.one_of(st.sampled_from([0.0, -0.0]), rates)
+table_profiles = st.builds(NoiseProfile, depolarizing=table_rates, gate=table_rates,
+                           reset=table_rates, readout=table_rates)
+
+
+@given(rows=st.lists(table_profiles, min_size=1, max_size=8),
+       config=st.one_of(st.just(OracleConfig()), oracle_configs),
+       distances=distance_grids, rounds=round_grids)
+@settings(max_examples=200)
+def test_rate_grids_equal_scalar_oracle(rows, config, distances, rounds):
+    """The rows below threshold give the scalar oracle's rates bit for bit;
+    a table with a row at or above it raises that row's scalar error."""
+    hot = [effective_error(profile, config) >= config.threshold for profile in rows]
+    cool = [profile for profile, above in zip(rows, hot) if not above]
+    grids = rate_grids([profile.as_tuple() for profile in cool], distances, rounds, config)
+    assert grids.shape == (len(cool), len(distances), len(rounds))
+    for grid, profile in zip(grids, cool):
+        assert grid.tobytes() == rate_grid(profile, distances, rounds, config).tobytes()
+        for row, distance in zip(grid.tolist(), distances):
+            for rate, r in zip(row, rounds):
+                assert rate == logical_error_rate(distance, r, profile, config)
+    if any(hot):
+        with pytest.raises(AboveThresholdError) as expected:
+            logical_error_rate(distances[0], rounds[0], rows[hot.index(True)], config)
+        with pytest.raises(AboveThresholdError) as got:
+            rate_grids([profile.as_tuple() for profile in rows], distances, rounds, config)
+        assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("distances, rounds", [((3, 4), (1, 2)), ((1,), (1,)),
+                                               ((3,), (0, 1)), ((3.0,), (1,)),
+                                               ((3, 5), (2, True))])
+def test_rate_grids_reject_bad_code_points_like_the_scalar_oracle(distances, rounds):
+    table = [(1e-4, 1e-3, 1e-4, 2e-3), (0.0, 2e-3, 0.0, 0.0), (5e-2, 5e-2, 5e-2, 5e-2)]
+    with pytest.raises(ValidationError) as expected:
+        for distance in distances:
+            for r in rounds:
+                logical_error_rate(distance, r, NoiseProfile(*table[0]))
+    with pytest.raises(ValidationError) as got:
+        rate_grids(table, distances, rounds)
+    assert str(got.value) == str(expected.value)
+
+
+def test_generate_dataset_warns_and_skips_above_threshold_profile(caplog):
+    cool = [NoiseProfile(1e-4, 1e-3, 1e-4, 2e-3), NoiseProfile(2e-4, 0.0, 0.0, 3e-3)]
+    hot = NoiseProfile(0.0, 0.03, 0.0, 0.0)
+    sweep = SweepConfig(rounds_max=12)
+    with caplog.at_level(logging.WARNING, logger="surfplan.oracle"):
+        records = generate_dataset(sweep, profiles=[cool[0], hot, cool[1]])
+    assert caplog.messages == [f"profile 1 is at or above threshold, skipped: {hot}"]
+    assert records == generate_dataset(sweep, profiles=cool)
+    assert records.profiles.tolist() == [list(profile.as_tuple()) for profile in cool]
 
 
 def _scalar_sweep(sweep, config, profile_list):
