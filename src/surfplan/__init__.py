@@ -15,7 +15,6 @@ from .core import (
     PredictionRequest,
     PredictionResult,
     ValidationError,
-    as_dataset,
     round_distance,
     round_rounds,
     scalarize,

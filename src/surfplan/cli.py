@@ -98,6 +98,8 @@ def cmd_train(args) -> int:
 
     config = _config_from_args(args)
     check_model_name(args.model)
+    if args.tune and args.model != "pipeline":
+        raise ValidationError(f"--tune applies only to the pipeline model, not {args.model!r}")
     records = read_dataset_csv(args.data)
     if not records:
         raise ValidationError(f"dataset {args.data} contains no records")
@@ -110,7 +112,7 @@ def cmd_train(args) -> int:
             "no feasible (profile, target) pairs to train on; every menu "
             "target is out of reach for the dataset's profiles")
     stage1_config, stage2_config = config.stage1, config.stage2
-    if args.tune and args.model == "pipeline":
+    if args.tune:
         mat1 = stage1_features([case.request for case in cases])
         y1 = np.asarray([case.distance for case in cases], dtype=np.float64)
         found = grid_search(mat1, y1, _stage1_grid(stage1_config), folds=5,
@@ -158,9 +160,18 @@ def _request_from_args(args) -> PredictionRequest:
     return PredictionRequest(noise=profile, target_logical_error_rate=args.target)
 
 
+def _load_predictor(path):
+    """The model in ``path``; a bare stage saved on its own is rejected."""
+    model = load_model(path)
+    if not hasattr(model, "predict_result"):
+        raise ValidationError(
+            f"model file {path} holds a bare {type(model).__name__} stage, not a predictor")
+    return model
+
+
 def cmd_predict(args) -> int:
     request = _request_from_args(args)
-    model = load_model(args.model)
+    model = _load_predictor(args.model)
     result = model.predict_result(request)
 
     d = result.rounded_distance
@@ -186,7 +197,7 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     config = _config_from_args(args)
     out_dir = args.out_dir if args.out_dir is not None else config.out_dir
-    model = load_model(args.model)
+    model = _load_predictor(args.model)
     records = read_dataset_csv(args.data)
     if not records:
         raise ValidationError(f"dataset {args.data} contains no records")

@@ -12,8 +12,6 @@ column, rather than one ``DatasetRecord`` object per row.
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,9 +68,14 @@ def check_int(name: str, value, minimum: int) -> None:
 
 
 def check_number(name: str, value) -> None:
-    """Reject bools and anything that is not an int or a float."""
+    """Reject bools, anything that is not an int or a float, and ints too
+    large for a float."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValidationError(f"{name} must be a number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} is too large for a float") from None
 
 
 # Raw stage outputs are clipped here before rounding, so rounding always sees
@@ -147,7 +150,7 @@ def _integer_column(name: str, value) -> np.ndarray:
     return _frozen(array, np.int64)
 
 
-class Dataset(Sequence):
+class Dataset:
     """Dataset records as a frozen struct of arrays.
 
     ``profiles`` is a (p, 4) float64 table in ``PROFILE_FIELDS`` order with one
@@ -160,9 +163,8 @@ class Dataset(Sequence):
     ``DatasetRecord``; the first bad record is rebuilt as a ``DatasetRecord``
     so that its own message is raised.
 
-    As a ``Sequence`` the dataset yields ``DatasetRecord`` views, built on
-    demand, and it compares equal to a list exactly when its list of records
-    would. Slices and ``+`` give new datasets.
+    Iteration yields ``DatasetRecord`` views, built on demand, and two
+    datasets are equal when every record's values are.
     """
 
     __slots__ = ("profiles", "profile_index", "distance", "rounds", "logical_error_rate")
@@ -195,7 +197,10 @@ class Dataset(Sequence):
         bad = ((self.distance < 3) | (self.distance % 2 == 0) | (self.rounds < 1)
                | bad_profile[index] | ~((ler > 0.0) & (ler <= 1.0)))
         if bad.any():
-            self[int(np.argmax(bad))]  # raises the record's own message
+            row = int(np.argmax(bad))
+            DatasetRecord(noise=NoiseProfile(*table[index[row]].tolist()),
+                          params=CodeParams(int(self.distance[row]), int(self.rounds[row])),
+                          logical_error_rate=float(ler[row]))  # raises the record's message
             raise ValidationError("dataset record failed validation")
 
     def __setattr__(self, name, value):
@@ -234,21 +239,8 @@ class Dataset(Sequence):
     def __len__(self) -> int:
         return self.distance.shape[0]
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return Dataset.from_rows(self.noise()[key], self.distance[key], self.rounds[key],
-                                     self.logical_error_rate[key])
-        row = operator.index(key)
-        if row < 0:
-            row += len(self)
-        if not 0 <= row < len(self):
-            raise IndexError("dataset index out of range")
-        params = CodeParams(distance=int(self.distance[row]), rounds=int(self.rounds[row]))
-        return DatasetRecord(noise=NoiseProfile(*self.profiles[self.profile_index[row]].tolist()),
-                             params=params,
-                             logical_error_rate=float(self.logical_error_rate[row]))
-
     def __iter__(self):
+        # Kept for the benchmark, whose record checks walk these views.
         # Views of one block share a NoiseProfile, and views at one grid
         # point share a CodeParams.
         profiles = [NoiseProfile(*row) for row in self.profiles.tolist()]
@@ -268,41 +260,12 @@ class Dataset(Sequence):
                     and np.array_equal(self.rounds, other.rounds)
                     and np.array_equal(self.logical_error_rate, other.logical_error_rate)
                     and np.array_equal(self.noise(), other.noise()))
-        if isinstance(other, list):
-            return list(self) == other
         return NotImplemented
 
     __hash__ = None
 
-    def __add__(self, other):
-        if not isinstance(other, (Dataset, list)):
-            return NotImplemented
-        other = as_dataset(other)
-        return Dataset.from_rows(
-            np.concatenate([self.noise(), other.noise()]),
-            np.concatenate([self.distance, other.distance]),
-            np.concatenate([self.rounds, other.rounds]),
-            np.concatenate([self.logical_error_rate, other.logical_error_rate]))
-
     def __repr__(self) -> str:
         return f"Dataset({len(self)} records, {self.profiles.shape[0]} profile blocks)"
-
-
-def as_dataset(records) -> Dataset:
-    """``records`` as a Dataset: a Dataset is returned as it is, and any other
-    iterable of DatasetRecord is converted once."""
-    if isinstance(records, Dataset):
-        return records
-    records = list(records)
-    try:
-        distance = np.array([record.params.distance for record in records], dtype=np.int64)
-        rounds = np.array([record.params.rounds for record in records], dtype=np.int64)
-    except OverflowError:
-        raise ValidationError("distance and rounds must fit in a signed 64-bit integer") from None
-    return Dataset.from_rows(
-        np.array([record.noise.as_tuple() for record in records], dtype=np.float64),
-        distance, rounds,
-        np.array([record.logical_error_rate for record in records], dtype=np.float64))
 
 
 @dataclass(frozen=True)

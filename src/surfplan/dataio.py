@@ -22,7 +22,7 @@ import json
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .core import (
     DatasetRecord,
     NoiseProfile,
     ValidationError,
-    as_dataset,
+    check_number,
 )
 from .evaluate import ComparisonRow, EvalReport
 
@@ -54,14 +54,12 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17e")
 
 
-def write_dataset_csv(records: Dataset | Iterable[DatasetRecord],
-                      path: str | os.PathLike) -> int:
+def write_dataset_csv(dataset: Dataset, path: str | os.PathLike) -> int:
     """Write records; returns the row count. Output is byte-deterministic.
 
     The profile cells are formatted once per profile block, and each block's
     rows are written in one call.
     """
-    dataset = as_dataset(records)
     bounds = dataset.block_bounds().tolist()
     distance, rounds = dataset.distance.tolist(), dataset.rounds.tolist()
     ler = dataset.logical_error_rate.tolist()
@@ -94,7 +92,7 @@ def read_dataset_csv(path: str | os.PathLike) -> Dataset:
     the row-wise reader, which raises the error or returns the records.
     """
     dataset = _read_columns(path)
-    return dataset if dataset is not None else as_dataset(_read_rows(path))
+    return dataset if dataset is not None else _read_rows(path)
 
 
 def _read_columns(path: str | os.PathLike) -> Optional[Dataset]:
@@ -120,7 +118,7 @@ def _read_columns(path: str | os.PathLike) -> Optional[Dataset]:
                 chunks.append([run + run_count, *columns])
                 run_count += len(table)
         if not chunks:
-            return as_dataset([])
+            return Dataset.from_rows([], [], [], [])
         return Dataset.from_blocks(np.concatenate(tables),
                                    *[np.concatenate(column) for column in zip(*chunks)])
     except (ValueError, csv.Error):
@@ -153,10 +151,10 @@ def _parse_chunk(lines: list[str]) -> tuple[np.ndarray, ...]:
             rows["rounds"].copy(), rows["logical_error_rate"].copy())
 
 
-def _read_rows(path: str | os.PathLike) -> list[DatasetRecord]:
+def _read_rows(path: str | os.PathLike) -> Dataset:
     """The row-wise reader: cells are parsed in column order, the first bad
-    cell is reported, and domain checks follow."""
-    records = []
+    cell is reported, and each row is checked as a ``DatasetRecord``."""
+    rows = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -178,12 +176,17 @@ def _read_rows(path: str | os.PathLike) -> list[DatasetRecord]:
             rounds = _parse_cell(row_number, "rounds", row[5], int)
             ler = _parse_cell(row_number, "logical_error_rate", row[6], float)
             try:
-                records.append(DatasetRecord(
-                    noise=noise, params=CodeParams(distance=distance, rounds=rounds),
-                    logical_error_rate=ler))
+                DatasetRecord(noise=noise, params=CodeParams(distance=distance, rounds=rounds),
+                              logical_error_rate=ler)
             except ValidationError as exc:
                 raise DataFormatError(f"row {row_number}: {exc}") from exc
-    return records
+            rows.append((noise.as_tuple(), distance, rounds, ler))
+    noise, distance, rounds, ler = zip(*rows) if rows else ((), (), (), ())
+    try:
+        distance, rounds = np.array(distance, dtype=np.int64), np.array(rounds, dtype=np.int64)
+    except OverflowError:
+        raise DataFormatError("distance and rounds must fit in a signed 64-bit integer") from None
+    return Dataset.from_rows(noise, distance, rounds, ler)
 
 
 @dataclass(frozen=True)
@@ -198,7 +201,7 @@ def read_calibration(path: str | os.PathLike) -> CalibrationSnapshot:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DataFormatError(f"invalid calibration JSON {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise DataFormatError("calibration snapshot must be a JSON object")
@@ -208,8 +211,10 @@ def read_calibration(path: str | os.PathLike) -> CalibrationSnapshot:
         raise DataFormatError(
             f"calibration snapshot keys mismatch: missing {missing}, unknown {unknown}")
     for key in ("depolarizing", "gate", "reset", "readout"):
-        if not isinstance(data[key], (int, float)) or isinstance(data[key], bool):
-            raise DataFormatError(f"calibration key '{key}' must be a number")
+        try:
+            check_number(f"calibration key '{key}'", data[key])
+        except ValidationError as exc:
+            raise DataFormatError(str(exc)) from None
     return CalibrationSnapshot(
         device=str(data["device"]),
         timestamp=str(data["timestamp"]),

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ValidationError, check_int, check_number
+from .core import Dataset, ValidationError, check_int, check_number
 from .ml import pipeline
 from .ml.pipeline import LabeledCase
 from .oracle import OracleConfig, SweepConfig, logical_error_rate
@@ -168,7 +168,7 @@ class ComparisonRow:
     pearson_rounded_rounds: Optional[float]
 
 
-def compare_models(names: list[str], train_records, train_cases,
+def compare_models(names: list[str], train_records: Dataset, train_cases,
                    test_cases: list[LabeledCase],
                    sweep: SweepConfig = SweepConfig(),
                    oracle: OracleConfig = OracleConfig(),

@@ -42,13 +42,11 @@ import numpy as np
 from .core import (
     RAW_FLOOR,
     Dataset,
-    DatasetRecord,
     HeuristicWeights,
     NoiseProfile,
     PredictionRequest,
     PredictionResult,
     ValidationError,
-    as_dataset,
     round_distance,
     round_rounds,
     scalarize,
@@ -414,11 +412,10 @@ class HeuristicModel:
         )
 
 
-def fit_heuristic(records: Dataset | list[DatasetRecord], kind: HeuristicKind,
+def fit_heuristic(records: Dataset, kind: HeuristicKind,
                   weights: HeuristicWeights = HeuristicWeights(),
                   oracle: OracleConfig = OracleConfig()) -> HeuristicModel:
     """Freeze the training records and standardization stats into a model."""
-    records = as_dataset(records)
     if not records:
         raise ValidationError("cannot fit a heuristic on an empty training set")
     noise = records.noise()
@@ -435,7 +432,7 @@ def fit_heuristic(records: Dataset | list[DatasetRecord], kind: HeuristicKind,
     )
 
 
-def heuristic_predict(kind: HeuristicKind, records: Dataset | list[DatasetRecord],
+def heuristic_predict(kind: HeuristicKind, records: Dataset,
                       request: PredictionRequest,
                       weights: HeuristicWeights = HeuristicWeights(),
                       oracle: OracleConfig = OracleConfig()) -> PredictionResult:

@@ -22,12 +22,10 @@ import numpy as np
 from ..core import (
     RAW_FLOOR,
     Dataset,
-    DatasetRecord,
     NoiseProfile,
     PredictionRequest,
     PredictionResult,
     ValidationError,
-    as_dataset,
     round_distance,
     round_rounds,
 )
@@ -60,14 +58,14 @@ class LabeledCase:
     rounds: int
 
 
-def distinct_profiles(records: Dataset | list[DatasetRecord]) -> list[NoiseProfile]:
+def distinct_profiles(records: Dataset) -> list[NoiseProfile]:
     """Unique profiles by value, in first-appearance order: a walk over the
     dataset's profile table, which holds one row per profile block."""
-    seen = dict.fromkeys(tuple(row) for row in as_dataset(records).profiles.tolist())
+    seen = dict.fromkeys(tuple(row) for row in records.profiles.tolist())
     return [NoiseProfile(*row) for row in seen]
 
 
-def build_training_cases(records: Dataset | list[DatasetRecord],
+def build_training_cases(records: Dataset,
                          sweep: SweepConfig = SweepConfig(),
                          oracle: OracleConfig = OracleConfig(),
                          menu: tuple[float, ...] = DEFAULT_TARGET_MENU) -> list[LabeledCase]:
@@ -76,7 +74,6 @@ def build_training_cases(records: Dataset | list[DatasetRecord],
     The label is the first grid point, in (distance, rounds) order, whose
     rate meets the target; the same answer ``find_optimal_params`` gives.
     """
-    records = as_dataset(records)
     if not records:
         raise ValidationError("cannot build training cases from an empty dataset")
     if not menu:
@@ -187,7 +184,7 @@ def fit_pipeline_cases(cases: list[LabeledCase],
                          min_target=min(targets), max_target=max(targets))
 
 
-def fit_pipeline(records: Dataset | list[DatasetRecord],
+def fit_pipeline(records: Dataset,
                  stage1_config: BoostConfig = BoostConfig(),
                  stage2_config: ForestConfig = ForestConfig(),
                  sweep: SweepConfig = SweepConfig(),

@@ -296,6 +296,6 @@ def load_model(path: str | os.PathLike):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             envelope = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CorruptModelError(f"truncated or invalid model file {path}: {exc}") from exc
     return model_from_dict(envelope)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import Dataset, DatasetRecord, HeuristicWeights, ValidationError
+from .core import Dataset, HeuristicWeights, ValidationError
 from .heuristics import HeuristicKind, all_kinds, fit_heuristic
 from .ml.ensemble import BoostConfig, ForestConfig
 from .ml.pipeline import (
@@ -42,7 +42,7 @@ def check_model_names(names: list[str]) -> None:
 
 
 def fit_named_model(name: str,
-                    records: Optional[Dataset | list[DatasetRecord]] = None,
+                    records: Optional[Dataset] = None,
                     cases: Optional[list[LabeledCase]] = None,
                     sweep: SweepConfig = SweepConfig(),
                     oracle: OracleConfig = OracleConfig(),

@@ -135,8 +135,9 @@ class SweepConfig:
         if not self.distances:
             raise ValidationError("distances must be non-empty")
         for d in self.distances:
-            if not isinstance(d, int) or d < 3 or d % 2 == 0:
-                raise ValidationError(f"distances must be odd integers >= 3, got {d!r}")
+            if not isinstance(d, int) or not 3 <= d < 2 ** 63 or d % 2 == 0:
+                raise ValidationError(
+                    f"distances must be odd integers in [3, 2**63), got {d!r}")
         if list(self.distances) != sorted(set(self.distances)):
             raise ValidationError("distances must be strictly increasing")
         check_int("rounds_min", self.rounds_min, 1)

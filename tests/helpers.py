@@ -11,7 +11,8 @@ full lexsort for the k nearest and an uncached decade filter, and the models
 must reproduce its predictions bit for bit. ``reference_predict`` and
 ``reference_predict_row`` are the per-tree batch loops and the one-row walks
 that the packed traversal replaced; the stage models must reproduce both bit
-for bit.
+for bit. ``record_columns`` gives a dataset's per-record columns, from which
+tests build subsets and joins with ``Dataset.from_rows``.
 """
 
 import math
@@ -24,6 +25,11 @@ from surfplan.ml.ensemble import BoostedModel, ForestModel
 from surfplan.ml.linear import LinearModel
 from surfplan.ml.tree import LEAF, TreeModel
 from surfplan.oracle import AboveThresholdError, effective_error
+
+
+def record_columns(dataset):
+    """Each record's (n, 4) rates, distance, rounds and logical error rate."""
+    return dataset.noise(), dataset.distance, dataset.rounds, dataset.logical_error_rate
 
 
 def sse(values) -> float:

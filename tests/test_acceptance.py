@@ -15,8 +15,9 @@ import time
 import numpy as np
 import pytest
 
-from helpers import pearson_reference, verify_tree_node
+from helpers import pearson_reference, record_columns, verify_tree_node
 from surfplan import (
+    Dataset,
     NoiseProfile,
     PredictionRequest,
     TreeConfig,
@@ -85,7 +86,9 @@ def comparison_run(settings, accuracy_run):
     train_profiles, test_profiles = split(profiles, settings.split)
     train_keys = {p.as_tuple() for p in train_profiles}
     test_keys = {p.as_tuple() for p in test_profiles}
-    train_records = [r for r in records if r.noise.as_tuple() in train_keys]
+    in_train = np.array([tuple(row) in train_keys for row in records.profiles.tolist()],
+                        dtype=bool)[records.profile_index]
+    train_records = Dataset.from_rows(*(column[in_train] for column in record_columns(records)))
     train_cases = [c for c in cases if c.request.noise.as_tuple() in train_keys]
     test_cases = [c for c in cases if c.request.noise.as_tuple() in test_keys]
     rows = compare_models(

@@ -1,8 +1,21 @@
 import json
 
+import numpy as np
 import pytest
 
-from surfplan import HeuristicKind, cli, fit_heuristic, save_model
+from surfplan import (
+    BoostConfig,
+    ForestConfig,
+    HeuristicKind,
+    cli,
+    fit_boosted,
+    fit_forest,
+    fit_heuristic,
+    fit_linear,
+    fit_tree,
+    load_model,
+    save_model,
+)
 from surfplan.cli import main
 from surfplan.dataio import read_dataset_csv
 
@@ -111,6 +124,13 @@ class TestGenerate:
         {"sweep": {"distances": 5}},
         {"sweep": {"gate_range": "ab"}},
         {"sweep": {"reset_range": [0.001, 0.002, 0.003]}},
+        # Integers that no float can hold.
+        pytest.param({"oracle": {"amplitude": 10 ** 400}}, id="amplitude-10**400"),
+        pytest.param({"heuristic_weights": {"w_gate": 10 ** 400}}, id="w_gate-10**400"),
+        pytest.param({"stage1": {"base_score": 10 ** 400}}, id="base_score-10**400"),
+        pytest.param({"stage1": {"gamma": 10 ** 400}}, id="gamma-10**400"),
+        pytest.param({"sweep": {"gate_range": [1e-3, 10 ** 400]}}, id="gate_range-10**400"),
+        pytest.param({"sweep": {"distances": [3, 2 ** 63 + 1]}}, id="distances-2**63+1"),
     ], ids=repr)
     def test_malformed_config_value_exits_2(self, capsys, tmp_path, payload):
         config = tmp_path / "bad.json"
@@ -222,6 +242,17 @@ class TestTrain:
         assert "unknown model 'pipelin'; expected one of pipeline, linear" in err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("model", ["linear", "heuristic:range_search_w"])
+    def test_tune_with_other_model_exits_2_before_reading(self, capsys, small_dataset,
+                                                          tmp_path, no_reading, model):
+        model_path = tmp_path / "m.json"
+        code, _, err = run_cli(capsys, "train", "--data", small_dataset, "--model", model,
+                               "--out-model", str(model_path), "--tune")
+        assert code == 2
+        assert "Traceback" not in err
+        assert f"--tune applies only to the pipeline model, not {model!r}" in err
+        assert not model_path.exists()
+
     def test_tune_runs_grid_search(self, capsys, small_config, small_dataset,
                                    tmp_path):
         model_path = tmp_path / "tuned.json"
@@ -320,6 +351,64 @@ def test_non_utf8_input_exits_2(capsys, tmp_path, trained_model, kind):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["calibration", "config", "model"])
+def test_deeply_nested_json_exits_2(capsys, tmp_path, trained_model, kind):
+    bad = tmp_path / "nested.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    argv = {
+        "calibration": ["predict", "--model", trained_model, "--calibration", str(bad),
+                        "--target", "1e-6"],
+        "config": ["generate", "--config", str(bad), "--out", str(tmp_path / "x.csv")],
+        "model": ["predict", "--model", str(bad), "--depol", "2e-4", "--gate", "1.2e-3",
+                  "--reset", "5e-4", "--readout", "3e-3", "--target", "1e-6"],
+    }[kind]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+
+
+def test_calibration_rate_too_large_for_float_exits_2(capsys, tmp_path, trained_model):
+    snap = tmp_path / "snap.json"
+    snap.write_text(json.dumps({
+        "device": "backend_a", "timestamp": "2026-08-01T00:00:00Z",
+        "depolarizing": 2e-4, "gate": 10 ** 400, "reset": 5e-4, "readout": 3e-3}))
+    code, out, err = run_cli(capsys, "predict", "--model", trained_model,
+                             "--calibration", str(snap), "--target", "1e-6")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "calibration key 'gate' is too large for a float" in err
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+@pytest.mark.parametrize("stage", ["tree", "forest", "boosted", "linear"])
+def test_bare_stage_model_exits_2(capsys, tmp_path, small_dataset, stage, command):
+    rng = np.random.default_rng(5)
+    features, targets = rng.uniform(size=(40, 5)), rng.uniform(3, 9, size=40)
+    fitted = {
+        "tree": lambda: fit_tree(features, targets),
+        "forest": lambda: fit_forest(features, targets, ForestConfig(n_estimators=3)),
+        "boosted": lambda: fit_boosted(features, targets, BoostConfig(n_estimators=3)),
+        "linear": lambda: fit_linear(features, targets),
+    }[stage]()
+    path = tmp_path / f"{stage}.json"
+    save_model(fitted, path)
+    assert type(load_model(path)) is type(fitted)  # the library still loads it
+    argv = {
+        "predict": ["predict", "--model", str(path), "--depol", "2e-4", "--gate", "1.2e-3",
+                    "--reset", "5e-4", "--readout", "3e-3", "--target", "1e-6"],
+        "evaluate": ["evaluate", "--model", str(path), "--data", small_dataset,
+                     "--out-dir", str(tmp_path / "reports")],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert f"holds a bare {type(fitted).__name__} stage, not a predictor" in err
+    assert not (tmp_path / "reports").exists()
 
 
 @pytest.mark.parametrize("corrupt", ["short_stage1_schema", "scale_1e-160", "scale_5e-324",

@@ -28,7 +28,7 @@ class TestDatasetCsv:
 
     def test_header_and_formatting(self, records, tmp_path):
         path = tmp_path / "data.csv"
-        write_dataset_csv(records[:3], path)
+        write_dataset_csv(records, path)
         lines = path.read_text().splitlines()
         assert lines[0] == ("depolarizing,gate,reset,readout,distance,rounds,"
                             "logical_error_rate")

@@ -1,10 +1,11 @@
 """The columnar Dataset against the list-of-records reference.
 
-A Dataset must behave as the list of DatasetRecord it stands for: row by
-row, under slicing and concatenation, in equality, in the profiles it
-labels, and through a CSV round trip. The bulk CSV reader must agree with
-the row-wise reader, in records or in the exact error message, and the
-valid-input path must build no DatasetRecord at all.
+A Dataset built from the columns of a list of DatasetRecord must stand for
+that list: its record views hold the same values row by row, two datasets
+are equal exactly when their lists are, and it gives the same distinct
+profiles and the same CSV. The bulk CSV reader must agree with the row-wise
+reader, in records or in the exact error message, and the valid-input path
+must build no DatasetRecord at all.
 """
 
 import math
@@ -23,7 +24,6 @@ from surfplan.core import (
     HeuristicWeights,
     NoiseProfile,
     ValidationError,
-    as_dataset,
 )
 from surfplan.dataio import DATASET_HEADER, read_dataset_csv, write_dataset_csv
 from surfplan.heuristics import HeuristicKind, fit_heuristic
@@ -56,6 +56,14 @@ def record_lists(draw, max_size=40):
                               rounds=draw(st.integers(1, 80))),
             logical_error_rate=draw(_LER)))
     return records
+
+
+def _dataset(records) -> Dataset:
+    """The records' columns as a Dataset."""
+    return Dataset.from_rows([r.noise.as_tuple() for r in records],
+                             [r.params.distance for r in records],
+                             [r.params.rounds for r in records],
+                             [r.logical_error_rate for r in records])
 
 
 def _bits(records) -> list:
@@ -96,35 +104,24 @@ class TestMatchesRecordList:
     @settings(max_examples=150)
     @given(record_lists())
     def test_rows_match(self, records):
-        dataset = as_dataset(records)
+        dataset = _dataset(records)
         assert len(dataset) == len(records)
-        assert dataset == records and records == dataset
+        assert list(dataset) == records
         assert _bits(dataset) == _bits(records)
-        for row in range(-len(records), len(records)):
-            assert _bits([dataset[row]]) == _bits([records[row]])
-        assert as_dataset(dataset) is dataset
-
-    @settings(max_examples=100)
-    @given(record_lists(), st.integers(-45, 45), st.integers(-45, 45),
-           st.sampled_from([None, 1, 2, -1, -3]))
-    def test_slices_match(self, records, start, stop, step):
-        part = as_dataset(records)[start:stop:step]
-        assert isinstance(part, Dataset)
-        assert _bits(part) == _bits(records[start:stop:step])
 
     @settings(max_examples=100)
     @given(record_lists(max_size=15), record_lists(max_size=15))
-    def test_concatenation_and_equality_match(self, first, second):
-        joined = as_dataset(first) + second
-        assert _bits(joined) == _bits(first + second)
-        assert (as_dataset(first) == as_dataset(second)) == (first == second)
-        assert (as_dataset(first) != second) == (first != second)
+    def test_equality_matches(self, first, second):
+        assert (_dataset(first) == _dataset(second)) == (first == second)
+        assert (_dataset(first) != _dataset(second)) == (first != second)
+        # A dataset equals datasets only.
+        assert _dataset(first) != first
 
     @settings(max_examples=100)
     @given(record_lists())
     def test_distinct_profiles_match(self, records):
         expected = _reference_distinct_profiles(records)
-        got = distinct_profiles(as_dataset(records))
+        got = distinct_profiles(_dataset(records))
         assert [p.as_tuple() for p in got] == [p.as_tuple() for p in expected]
         # The first appearance wins, signed zeros included.
         assert ([tuple(math.copysign(1.0, v) for v in p.as_tuple()) for p in got]
@@ -133,17 +130,18 @@ class TestMatchesRecordList:
     def test_equal_up_to_signed_zero(self):
         plus = DatasetRecord(NoiseProfile(0.0, 1e-3, 0.0, 0.0), CodeParams(3, 1), 1e-3)
         minus = DatasetRecord(NoiseProfile(-0.0, 1e-3, 0.0, 0.0), CodeParams(3, 1), 1e-3)
-        assert as_dataset([plus]) == as_dataset([minus]) == [minus]
-        assert as_dataset([plus, minus]).profiles.shape == (2, 4)
-        assert as_dataset([minus])[0].noise.depolarizing.hex() == "-0x0.0p+0"
+        assert _dataset([plus]) == _dataset([minus])
+        assert list(_dataset([plus])) == [minus]
+        assert _dataset([plus, minus]).profiles.shape == (2, 4)
+        [view] = _dataset([minus])
+        assert view.noise.depolarizing.hex() == "-0x0.0p+0"
 
     def test_empty(self):
-        empty = as_dataset([])
+        empty = Dataset.from_rows([], [], [], [])
         assert len(empty) == 0 and not empty
-        assert empty == [] and [] == empty
+        assert empty == _dataset([])
         assert list(empty) == []
         assert empty.profiles.shape == (0, 4)
-        assert empty + [] == []
 
 
 class TestColumns:
@@ -189,11 +187,12 @@ class TestColumns:
         with pytest.raises(ValidationError, match="rounds must be an integer column"):
             Dataset([[1e-4, 1e-3, 1e-4, 1e-3]], [0], [3], [True], [1e-3])
 
-    def test_distance_beyond_64_bits_rejected(self):
-        record = DatasetRecord(NoiseProfile(1e-4, 1e-3, 1e-4, 1e-3),
-                               CodeParams(2 ** 64 + 1, 1), 1e-3)
-        with pytest.raises(ValidationError, match="64-bit"):
-            as_dataset([record])
+    def test_distance_beyond_64_bits_rejected(self, tmp_path):
+        path = tmp_path / "big.csv"
+        for distance, rounds in [(2 ** 63 + 1, 1), (2 ** 64 + 1, 1), (3, 2 ** 63)]:
+            path.write_text(f"{HEADER}\n1e-4,1e-3,1e-4,1e-3,{distance},{rounds},1e-3\n")
+            with pytest.raises(ValidationError, match="64-bit"):
+                read_dataset_csv(path)
 
     @settings(max_examples=150)
     @given(record_lists(max_size=12), st.data())
@@ -236,7 +235,7 @@ class TestCsv:
     @given(records=record_lists())
     def test_round_trip_is_byte_exact(self, records, tmp_path_factory):
         path = tmp_path_factory.mktemp("csv") / "data.csv"
-        assert write_dataset_csv(records, path) == len(records)
+        assert write_dataset_csv(_dataset(records), path) == len(records)
         text = path.read_bytes()
         assert text.decode() == _reference_csv(records)
         back = read_dataset_csv(path)
@@ -248,7 +247,7 @@ class TestCsv:
     @given(records=record_lists())
     def test_bulk_reader_matches_row_wise_reader(self, records, tmp_path_factory):
         path = tmp_path_factory.mktemp("csv") / "data.csv"
-        write_dataset_csv(records, path)
+        write_dataset_csv(_dataset(records), path)
         bulk = dataio._read_columns(path)
         assert bulk is not None, "a valid file must not need the row-wise reader"
         assert _bits(bulk) == _bits(dataio._read_rows(path))
@@ -323,11 +322,11 @@ class TestCsv:
     def test_odd_inputs_agree_with_row_wise_reader(self, tmp_path, body):
         path = tmp_path / "odd.csv"
         path.write_text("\n".join([HEADER] + body) + "\n", encoding="utf-8", newline="")
-        expected = _outcome(lambda p: as_dataset(dataio._read_rows(p)), path)
+        expected = _outcome(dataio._read_rows, path)
         assert _outcome(read_dataset_csv, path) == expected
         if isinstance(expected, list):  # and the same profile table
             assert (read_dataset_csv(path).profiles.tobytes()
-                    == as_dataset(dataio._read_rows(path)).profiles.tobytes())
+                    == dataio._read_rows(path).profiles.tobytes())
 
     @pytest.mark.parametrize("content", [b"", b"a,b\n1,2\n", HEADER.encode() + b"\n\xff\n"])
     def test_bad_files_agree_with_row_wise_reader(self, tmp_path, content):
@@ -358,5 +357,5 @@ def test_valid_path_builds_no_records(tmp_path, monkeypatch):
     fit_heuristic(back, HeuristicKind("range_search", True), HeuristicWeights(), config.oracle)
     assert len(back) == len(records) > 90_000
     assert built == []
-    back[0]
+    next(iter(back))
     assert built == ["CodeParams", "DatasetRecord"]

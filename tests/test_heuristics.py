@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from surfplan import (
-    CodeParams,
-    DatasetRecord,
+    Dataset,
     HeuristicKind,
     HeuristicWeights,
     NoiseProfile,
@@ -126,26 +125,12 @@ class TestStandardizer:
         assert np.allclose(out[:, 1], 0.0)
 
 
-def _record(noise, d, r, ler):
-    return DatasetRecord(noise=noise, params=CodeParams(distance=d, rounds=r),
-                         logical_error_rate=ler)
-
-
 @pytest.fixture
 def small_records():
-    profiles = [
-        NoiseProfile(1e-4, 1e-3, 2e-4, 2e-3),
-        NoiseProfile(2e-4, 1.5e-3, 3e-4, 3e-3),
-        NoiseProfile(3e-4, 2e-3, 4e-4, 4e-3),
-    ]
-    records = []
-    for i, profile in enumerate(profiles):
-        for d, r, ler in [(3, 2, 10 ** (-2 - i * 0.3)),
-                          (5, 5, 10 ** (-4 - i * 0.3)),
-                          (7, 7, 10 ** (-5 - i * 0.3)),
-                          (9, 9, 10 ** (-6 - i * 0.3))]:
-            records.append(_record(profile, d, r, ler))
-    return records
+    profiles = [(1e-4, 1e-3, 2e-4, 2e-3), (2e-4, 1.5e-3, 3e-4, 3e-3), (3e-4, 2e-3, 4e-4, 4e-3)]
+    rows = [(profile, d, r, 10 ** (exponent - i * 0.3)) for i, profile in enumerate(profiles)
+            for d, r, exponent in [(3, 2, -2), (5, 5, -4), (7, 7, -5), (9, 9, -6)]]
+    return Dataset.from_rows(*zip(*rows))
 
 
 class TestHeuristicModel:
@@ -153,7 +138,7 @@ class TestHeuristicModel:
         "kind", [k for k in all_kinds() if k.method == "range_search"],
         ids=lambda k: k.label)
     def test_exact_match_record_propagates_for_range_search(self, small_records, kind):
-        record = small_records[5]
+        record = list(small_records)[5]
         request = PredictionRequest(noise=record.noise,
                                     target_logical_error_rate=record.logical_error_rate)
         result = heuristic_predict(kind, small_records, request)
@@ -180,7 +165,7 @@ class TestHeuristicModel:
         weights = HeuristicWeights(0.4, 0.3, 0.2, 0.1)
         a = NoiseProfile(1e-4, 1e-3, 1e-4, 1e-3)   # scalar 0.4e-3+0.03e-3+0.2e-3+0.01e-3
         b = NoiseProfile(4e-4, 4e-3, 4e-4, 4e-3)
-        records = [_record(a, 5, 4, 1e-4), _record(b, 9, 9, 1e-6)]
+        records = Dataset.from_rows([a.as_tuple(), b.as_tuple()], [5, 9], [4, 9], [1e-4, 1e-6])
         request = PredictionRequest(noise=b, target_logical_error_rate=2e-6)
         kind = HeuristicKind(method="range_search", weighted=True)
         result = heuristic_predict(kind, records, request, weights=weights)
@@ -194,7 +179,8 @@ class TestHeuristicModel:
         lo = NoiseProfile(0, 1e-3, 0, 0)      # scalar 4e-4
         hi = NoiseProfile(0, 3e-3, 0, 0)      # scalar 12e-4
         mid = NoiseProfile(0, 2e-3, 0, 0)     # scalar 8e-4
-        records = [_record(lo, 5, 5, 1e-4), _record(hi, 9, 9, 1.2e-4)]
+        records = Dataset.from_rows([lo.as_tuple(), hi.as_tuple()], [5, 9], [5, 9],
+                                    [1e-4, 1.2e-4])
         request = PredictionRequest(noise=mid, target_logical_error_rate=1.1e-4)
         kind = HeuristicKind(method="linear_interp", weighted=True)
         result = heuristic_predict(kind, records, request, weights=weights)
@@ -217,7 +203,7 @@ class TestHeuristicModel:
     def test_empty_training_rejected(self):
         kind = HeuristicKind(method="range_search", weighted=True)
         with pytest.raises(ValidationError):
-            fit_heuristic([], kind)
+            fit_heuristic(Dataset.from_rows([], [], [], []), kind)
 
     def test_fitted_model_is_frozen(self, small_records):
         model = fit_heuristic(small_records, HeuristicKind("multivariate_interp", False))
@@ -269,25 +255,23 @@ def _heuristic_problems(draw):
     weights, optionally tiny scaler scales, and requests that include exact
     record matches and targets outside the trained decades."""
     profiles = draw(st.lists(_PROFILES, min_size=1, max_size=6))
-    records = []
+    rows = []  # (noise, distance, rounds, logical error rate)
     for _ in range(draw(st.integers(2, 60))):
-        if records and draw(st.integers(0, 4)) == 0:
-            records.append(records[draw(st.integers(0, len(records) - 1))])
+        if rows and draw(st.integers(0, 4)) == 0:
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))])
             continue
-        records.append(DatasetRecord(
-            noise=profiles[draw(st.integers(0, len(profiles) - 1))],
-            params=CodeParams(distance=draw(st.sampled_from([3, 5, 7, 9, 11, 13])),
-                              rounds=draw(st.integers(1, 15))),
-            logical_error_rate=10.0 ** draw(st.floats(min_value=-12.0, max_value=-2.0))))
+        rows.append((profiles[draw(st.integers(0, len(profiles) - 1))].as_tuple(),
+                     draw(st.sampled_from([3, 5, 7, 9, 11, 13])), draw(st.integers(1, 15)),
+                     10.0 ** draw(st.floats(min_value=-12.0, max_value=-2.0))))
     kind = draw(st.sampled_from(all_kinds()))
     weights = draw(st.sampled_from([HeuristicWeights(), HeuristicWeights(0.5, 0.25, 0.15, 0.1)]))
     requests = [PredictionRequest(noise=draw(_PROFILES), target_logical_error_rate=draw(_TARGETS))
                 for _ in range(draw(st.integers(1, 6)))]
     for _ in range(draw(st.integers(0, 3))):
-        record = records[draw(st.integers(0, len(records) - 1))]
-        requests.append(PredictionRequest(noise=record.noise,
-                                          target_logical_error_rate=record.logical_error_rate))
-    return records, kind, weights, requests
+        noise, _, _, rate = rows[draw(st.integers(0, len(rows) - 1))]
+        requests.append(PredictionRequest(noise=NoiseProfile(*noise),
+                                          target_logical_error_rate=rate))
+    return Dataset.from_rows(*zip(*rows)), kind, weights, requests
 
 
 def _outcome(predict, request):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import record_columns
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,6 +8,7 @@ from surfplan import (
     DEFAULT_TARGET_MENU,
     AboveThresholdError,
     BoostConfig,
+    Dataset,
     ForestConfig,
     LabeledCase,
     NoiseProfile,
@@ -73,10 +75,12 @@ class TestLabelConstruction:
         extra = data.draw(st.lists(st.builds(
             NoiseProfile, depolarizing=st.floats(0.0, 5e-3), gate=st.floats(1e-5, 1e-2),
             reset=st.floats(0.0, 1e-2), readout=st.floats(0.0, 1e-2)), max_size=2))
-        records = records + generate_dataset(sweep, oracle, profiles=extra)
+        more = generate_dataset(sweep, oracle, profiles=extra)
+        records = Dataset.from_rows(*map(np.concatenate, zip(record_columns(records),
+                                                             record_columns(more))))
         grid_rate = st.builds(
-            lambda record, factor: record.logical_error_rate * factor,
-            st.sampled_from(records),
+            lambda rate, factor: rate * factor,
+            st.sampled_from(records.logical_error_rate.tolist()),
             st.sampled_from([1.0, 1.0 - 5e-13, 1.0 + 5e-13, 1.0 - 3e-12, 1.0 + 3e-12]))
         random_target = st.floats(-15.0, -1.0).map(lambda e: 10.0 ** e)
         menu = tuple(data.draw(st.lists(st.one_of(grid_rate, random_target),
@@ -144,7 +148,7 @@ class TestPredict:
     def test_deeper_target_needs_larger_code(self, small_run):
         sweep, oracle, records, cases = small_run
         model = fit_pipeline_cases(cases, oracle=oracle)
-        profile = records[0].noise
+        profile = NoiseProfile(*records.profiles[0].tolist())
         shallow = predict(model, PredictionRequest(
             noise=profile, target_logical_error_rate=1e-4))
         deep = predict(model, PredictionRequest(

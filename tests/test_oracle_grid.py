@@ -8,13 +8,16 @@ gives.
 
 import logging
 
+import numpy as np
 import pytest
+from helpers import record_columns
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfplan import (
     AboveThresholdError,
     CodeParams,
+    Dataset,
     DatasetRecord,
     NoiseProfile,
     OracleConfig,
@@ -165,13 +168,13 @@ def test_generate_dataset_matches_scalar_sweep(profile_list, config, distances,
     sweep = SweepConfig(distances=tuple(distances), rounds_max=rounds_max,
                         termination_rate=termination_rate)
     expected = _scalar_sweep(sweep, config, profile_list)
-    assert generate_dataset(sweep, config, profiles=profile_list) == expected
+    assert list(generate_dataset(sweep, config, profiles=profile_list)) == expected
 
 
 def test_above_threshold_profile_in_records_raises():
     sweep = SweepConfig(profiles_per_run=2, seed=8)
     records = generate_dataset(sweep)
-    hot = DatasetRecord(noise=NoiseProfile(0, 0.03, 0, 0), params=CodeParams(3, 1),
-                        logical_error_rate=0.5)
+    hot = ([[0.0, 0.03, 0.0, 0.0]], [3], [1], [0.5])
     with pytest.raises(AboveThresholdError):
-        build_training_cases(records + [hot], sweep)
+        build_training_cases(Dataset.from_rows(*map(np.concatenate, zip(
+            record_columns(records), hot))), sweep)
