@@ -17,7 +17,6 @@ from .core import (
     ValidationError,
     round_distance,
     round_rounds,
-    scalarize,
     validate_profile,
 )
 from .evaluate import (
@@ -33,11 +32,8 @@ from .heuristics import (
     HeuristicKind,
     HeuristicModel,
     fit_heuristic,
-    heuristic_predict,
     linear_interp,
-    multivariate_interp,
     poly_interp,
-    range_search,
 )
 from .ml import (
     BoostConfig,

@@ -148,7 +148,7 @@ def load_config(path: str | os.PathLike | None = None) -> ToolConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     try:
         return _build_config(data)

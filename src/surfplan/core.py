@@ -147,6 +147,10 @@ def _integer_column(name: str, value) -> np.ndarray:
     array = np.asarray(value)
     if array.size and array.dtype.kind not in "iu":
         raise ValidationError(f"{name} must be an integer column, got dtype {array.dtype}")
+    # A column of Python ints at or above 2**63 comes out as uint64, which
+    # the int64 copy would wrap to negative values.
+    if array.dtype.kind == "u" and array.size and array.max() > np.iinfo(np.int64).max:
+        raise ValidationError(f"{name} must fit in a signed 64-bit integer")
     return _frozen(array, np.int64)
 
 
@@ -329,11 +333,3 @@ class HeuristicWeights:
             raise ValidationError(
                 "weights must satisfy w_gate > w_depol > w_readout > w_reset")
 
-
-def scalarize(profile: NoiseProfile, weights: HeuristicWeights) -> float:
-    """Weighted sum of the four error rates: a single aggregated error feature."""
-    validate_profile(profile)
-    return (weights.w_gate * profile.gate
-            + weights.w_depol * profile.depolarizing
-            + weights.w_readout * profile.readout
-            + weights.w_reset * profile.reset)

@@ -201,7 +201,7 @@ def read_calibration(path: str | os.PathLike) -> CalibrationSnapshot:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise DataFormatError(f"invalid calibration JSON {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise DataFormatError("calibration snapshot must be a JSON object")

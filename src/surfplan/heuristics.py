@@ -22,13 +22,15 @@ interpolating.
 A fitted model derives its training state once, when it is built or loaded:
 the standardized training features of both stages as one contiguous column
 per feature, or, for the interpolators, both stages' axes and each record's
-decade. A request then standardizes only the query and makes one distance
-pass over the training columns, adding squared differences column by column
-in feature order, which is numpy's row-sum order; the interpolators look up
-the aggregated pairs of a decade selection, memoised per model. The k nearest
-neighbors come from a partition instead of a full sort. Ties still go to the
-lower record index, so predictions are those of the plain per-request
-computation, bit for bit.
+decade. A request's query goes through the same feature functions as the
+training columns, on its four rates and log10 target as Python floats, so a
+query that repeats a training record gets that record's features bit for
+bit. The request then makes one distance pass over the training columns,
+adding squared differences column by column in feature order, which is
+numpy's row-sum order; the interpolators look up the aggregated pairs of a
+decade selection, memoised per model. The k nearest neighbors come from a
+partition instead of a full sort. Ties still go to the lower record index,
+so predictions are those of the plain per-request computation, bit for bit.
 """
 
 from __future__ import annotations
@@ -43,13 +45,11 @@ from .core import (
     RAW_FLOOR,
     Dataset,
     HeuristicWeights,
-    NoiseProfile,
     PredictionRequest,
     PredictionResult,
     ValidationError,
     round_distance,
     round_rounds,
-    scalarize,
 )
 from .oracle import AboveThresholdError, OracleConfig, effective_error
 
@@ -108,9 +108,6 @@ class Standardizer:
         return cls(mean=tuple(float(v) for v in mean),
                    scale=tuple(float(v) for v in scale))
 
-    def transform(self, features: np.ndarray) -> np.ndarray:
-        return (features - np.asarray(self.mean)) / np.asarray(self.scale)
-
 
 def _distances(columns, query) -> np.ndarray:
     """Euclidean distance from every training point to ``query``.
@@ -142,11 +139,11 @@ def _k_nearest(distances: np.ndarray, k: int) -> np.ndarray:
     return np.lexsort((np.arange(n), distances))[:k]
 
 
-def _nearest_label(columns, labels: np.ndarray, query: np.ndarray) -> float:
+def _nearest_label(columns, labels: np.ndarray, query) -> float:
     return float(labels[int(np.argmin(_distances(columns, query)))])
 
 
-def _idw(columns, labels: np.ndarray, query: np.ndarray, k: int, power: float) -> float:
+def _idw(columns, labels: np.ndarray, query, k: int, power: float) -> float:
     distances = _distances(columns, query)
     exact = np.flatnonzero(distances == 0.0)
     if exact.size:
@@ -154,25 +151,6 @@ def _idw(columns, labels: np.ndarray, query: np.ndarray, k: int, power: float) -
     order = _k_nearest(distances, min(k, distances.shape[0]))
     weights = 1.0 / distances[order] ** power
     return float(np.dot(weights, labels[order]) / weights.sum())
-
-
-def _training_columns(features, labels, query, name: str):
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim == 1:
-        features = features.reshape(-1, 1)
-    if features.shape[0] == 0:
-        raise ValidationError(f"{name} needs a non-empty training set")
-    query = np.asarray(query, dtype=np.float64).reshape(-1)
-    if features.shape[1] == 0 or query.shape[0] != features.shape[1]:
-        raise ValidationError(
-            f"{name} query has {query.shape[0]} features, training points have "
-            f"{features.shape[1]}")
-    return tuple(features.T), np.asarray(labels, dtype=np.float64), query
-
-
-def range_search(features, labels, query) -> float:
-    """Label of the training point nearest the query; index breaks ties."""
-    return _nearest_label(*_training_columns(features, labels, query, "range_search"))
 
 
 def _nearest_order(xs: np.ndarray, x: float) -> np.ndarray:
@@ -221,40 +199,39 @@ def poly_interp(points, x: float) -> float:
     return float(np.polyval(coeffs, x))
 
 
-def multivariate_interp(features, labels, query,
-                        k: int = IDW_NEIGHBORS, power: float = IDW_POWER) -> float:
-    """Inverse-distance-weighted mean over the k nearest training points.
+# The feature functions below take the four rates (depolarizing, gate, reset,
+# readout) either as the training columns, ``noise.T``, or as one request's
+# four floats. Both forms go through the same expressions in the same order,
+# so a query that repeats a training record gets that record's bits. A query
+# stays on Python floats: a ufunc call on a one-element array costs about a
+# microsecond, more than the float arithmetic it replaces.
 
-    An exact feature match returns that point's label directly.
-    """
-    if k < 1:
-        raise ValidationError(f"multivariate_interp needs k >= 1, got {k}")
-    columns, labels, query = _training_columns(features, labels, query,
-                                               "multivariate_interp")
-    return _idw(columns, labels, query, k, power)
-
-
-def _scalarized(weights: HeuristicWeights, noise: np.ndarray) -> np.ndarray:
-    # Same term order as core.scalarize so an exact-match query produces
-    # bit-identical features.
-    return (weights.w_gate * noise[:, 1]
-            + weights.w_depol * noise[:, 0]
-            + weights.w_readout * noise[:, 3]
-            + weights.w_reset * noise[:, 2])
+def _scalarized(weights: HeuristicWeights, rates):
+    """Weighted sum of the four rates: one aggregated error feature."""
+    depolarizing, gate, reset, readout = rates
+    return (weights.w_gate * gate + weights.w_depol * depolarizing
+            + weights.w_readout * readout + weights.w_reset * reset)
 
 
-def _stage1_columns(weighted: bool, weights: HeuristicWeights,
-                    noise: np.ndarray, log_ler: np.ndarray) -> list[np.ndarray]:
+def _stage1_axis(weighted: bool, weights: HeuristicWeights, rates):
+    """The interpolators' stage-1 axis: the scalarized error (weighted) or the
+    Euclidean norm of the four rates."""
+    if weighted:
+        return _scalarized(weights, rates)
+    depolarizing, gate, reset, readout = rates
+    total = depolarizing * depolarizing + gate * gate + reset * reset + readout * readout
+    return np.sqrt(total) if isinstance(total, np.ndarray) else math.sqrt(total)
+
+
+def _stage1_columns(weighted: bool, weights: HeuristicWeights, rates, log_ler) -> list:
     """Stage-1 features: the scalarized error (weighted) or the four rates,
     then the log10 rate."""
-    rates = [_scalarized(weights, noise)] if weighted else list(noise.T)
-    return rates + [log_ler]
+    return ([_scalarized(weights, rates)] if weighted else list(rates)) + [log_ler]
 
 
-def _standardized_columns(columns, scaler: Standardizer) -> tuple[np.ndarray, ...]:
-    # Column by column, the arithmetic of Standardizer.transform without its
-    # (n, features) temporaries; each result is a fresh contiguous array.
-    return tuple((np.asarray(column, dtype=np.float64) - mean) / scale
+def _standardized_columns(columns, scaler: Standardizer) -> tuple:
+    # A training column comes out as a fresh contiguous array, a float as a float.
+    return tuple((column - mean) / scale
                  for column, mean, scale in zip(columns, scaler.mean, scaler.scale))
 
 
@@ -292,15 +269,16 @@ class HeuristicModel:
     def __post_init__(self):
         distance = np.asarray(self.distance, dtype=np.float64)
         rounds = np.asarray(self.rounds, dtype=np.float64)
+        rates = self.noise.T
         decades, decade_values = None, ()
         # A scale far below the data's spread (a model file can hold 1e-160)
         # would overflow every squared distance to inf.
         with np.errstate(over="ignore", invalid="ignore"):
             standardized = (
                 _standardized_columns(
-                    _stage1_columns(self.kind.weighted, self.weights, self.noise, self.log_ler),
+                    _stage1_columns(self.kind.weighted, self.weights, rates, self.log_ler),
                     self.stage1_scaler),
-                _standardized_columns([self.distance, self.log_ler], self.stage2_scaler))
+                _standardized_columns((distance, self.log_ler), self.stage2_scaler))
             for stage, columns in enumerate(standardized, 1):
                 for column in columns:
                     spread = column.max() - column.min()
@@ -311,8 +289,7 @@ class HeuristicModel:
         if self.kind.method in NEIGHBOR_METHODS:
             stage1, stage2 = standardized
         else:
-            stage1 = (_scalarized(self.weights, self.noise) if self.kind.weighted
-                      else np.sqrt((self.noise ** 2).sum(axis=1)))
+            stage1 = _stage1_axis(self.kind.weighted, self.weights, rates)
             stage2 = distance
             decades = np.rint(self.log_ler).astype(np.int64)
             decade_values = tuple(np.unique(decades).tolist())
@@ -321,22 +298,6 @@ class HeuristicModel:
         derive(self, "_decades", decades)
         derive(self, "_decade_values", decade_values)
         derive(self, "_pairs", {})
-
-    # -- queries ------------------------------------------------------------
-
-    def _stage1_query(self, request: PredictionRequest) -> np.ndarray:
-        profile = request.noise
-        log_target = math.log10(request.target_logical_error_rate)
-        if self.kind.weighted:
-            return np.asarray([scalarize(profile, self.weights), log_target])
-        return np.asarray([profile.depolarizing, profile.gate, profile.reset,
-                           profile.readout, log_target])
-
-    def _stage1_axis_query(self, profile: NoiseProfile) -> float:
-        if self.kind.weighted:
-            return scalarize(profile, self.weights)
-        return math.sqrt(profile.depolarizing ** 2 + profile.gate ** 2
-                         + profile.reset ** 2 + profile.readout ** 2)
 
     # -- decade filtering for the 1-D interpolators ------------------------
 
@@ -377,32 +338,32 @@ class HeuristicModel:
 
     # -- prediction ---------------------------------------------------------
 
-    def _neighbor_raw(self, stage: int, query: np.ndarray) -> float:
+    def _neighbor_raw(self, stage: int, query: tuple[float, ...]) -> float:
         columns, labels = self._stages[stage]
         if self.kind.method == "range_search":
             return _nearest_label(columns, labels, query)
         return _idw(columns, labels, query, IDW_NEIGHBORS, IDW_POWER)
 
-    def _stage1_raw(self, request: PredictionRequest) -> float:
+    def _stage1_raw(self, rates: tuple[float, ...], log_target: float) -> float:
+        weighted, weights = self.kind.weighted, self.weights
         if self.kind.method in NEIGHBOR_METHODS:
-            return self._neighbor_raw(
-                0, self.stage1_scaler.transform(self._stage1_query(request)))
-        return self._interp_1d(0, math.log10(request.target_logical_error_rate),
-                               self._stage1_axis_query(request.noise))
+            return self._neighbor_raw(0, _standardized_columns(
+                _stage1_columns(weighted, weights, rates, log_target), self.stage1_scaler))
+        return self._interp_1d(0, log_target, _stage1_axis(weighted, weights, rates))
 
     def _stage2_raw(self, rounded_distance: int, log_target: float) -> float:
         if self.kind.method in NEIGHBOR_METHODS:
-            return self._neighbor_raw(1, self.stage2_scaler.transform(
-                np.asarray([float(rounded_distance), log_target])))
+            return self._neighbor_raw(1, _standardized_columns(
+                (float(rounded_distance), log_target), self.stage2_scaler))
         return self._interp_1d(1, log_target, float(rounded_distance))
 
     def predict_result(self, request: PredictionRequest) -> PredictionResult:
         if effective_error(request.noise, self.oracle) >= self.oracle.threshold:
             raise AboveThresholdError(
                 "profile is at or above the oracle threshold; request is infeasible")
-        raw_distance = max(self._stage1_raw(request), RAW_FLOOR)
-        rounded_distance = round_distance(raw_distance)
         log_target = math.log10(request.target_logical_error_rate)
+        raw_distance = max(self._stage1_raw(request.noise.as_tuple(), log_target), RAW_FLOOR)
+        rounded_distance = round_distance(raw_distance)
         raw_rounds = max(self._stage2_raw(rounded_distance, log_target), RAW_FLOOR)
         return PredictionResult(
             raw_distance=float(raw_distance),
@@ -427,14 +388,7 @@ def fit_heuristic(records: Dataset, kind: HeuristicKind,
         kind=kind, weights=weights, oracle=oracle,
         noise=noise, log_ler=log_ler, distance=distance, rounds=rounds,
         stage1_scaler=Standardizer.fit(
-            np.column_stack(_stage1_columns(kind.weighted, weights, noise, log_ler))),
+            np.column_stack(_stage1_columns(kind.weighted, weights, noise.T, log_ler))),
         stage2_scaler=Standardizer.fit(np.column_stack([distance, log_ler])),
     )
 
-
-def heuristic_predict(kind: HeuristicKind, records: Dataset,
-                      request: PredictionRequest,
-                      weights: HeuristicWeights = HeuristicWeights(),
-                      oracle: OracleConfig = OracleConfig()) -> PredictionResult:
-    """One-shot fit-and-predict convenience wrapper."""
-    return fit_heuristic(records, kind, weights, oracle).predict_result(request)

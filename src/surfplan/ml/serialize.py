@@ -68,7 +68,7 @@ def _trees_from_dicts(items: list,
     for name in ("threshold", "left", "right", "value"):
         if [len(item[name]) for item in items] != counts:
             raise CorruptModelError(f"tree '{name}' array does not match its node count")
-    if any(int(item["n_features"]) != n_features for item in items):
+    if any(_n_features(item, "tree") != n_features for item in items):
         raise CorruptModelError(f"tree n_features does not match the stage's {n_features}")
 
     def column(name, kinds, dtype):
@@ -128,16 +128,17 @@ def stage_to_dict(model) -> dict:
 def stage_from_dict(data: dict):
     kind = data.get("kind")
     if kind == "tree":
-        return _trees_from_dicts([data], int(data["n_features"]))[0][0]
+        return _trees_from_dicts([data], _n_features(data, "tree"))[0][0]
     if kind == "forest":
-        n_features = int(data["n_features"])
+        n_features = _n_features(data, "forest stage")
         trees, packed = _trees_from_dicts(data["trees"], n_features)
         return ForestModel(trees=trees, n_features=n_features, _packing=packed)
     if kind == "boosted":
-        n_features = int(data["n_features"])
+        n_features = _n_features(data, "boosted stage")
         trees, packed = _trees_from_dicts(data["trees"], n_features)
-        return BoostedModel(trees=trees, learning_rate=float(data["learning_rate"]),
-                            base_score=float(data["base_score"]),
+        learning_rate, base_score = (_finite_number(data[name], name, "boosted stage")
+                                     for name in ("learning_rate", "base_score"))
+        return BoostedModel(trees=trees, learning_rate=learning_rate, base_score=base_score,
                             n_features=n_features, _packing=packed)
     if kind == "linear":
         return _linear_from_dict(data)
@@ -147,19 +148,22 @@ def stage_from_dict(data: dict):
 def _linear_from_dict(data: dict) -> LinearModel:
     """Parse a linear stage: exactly ``n_features`` finite coefficients and a
     finite intercept, all JSON numbers."""
-    n_features = data["n_features"]
-    if not isinstance(n_features, int) or isinstance(n_features, bool) or n_features < 1:
-        raise CorruptModelError(
-            f"linear stage 'n_features' must be a positive integer, got {n_features!r}")
+    n_features = _n_features(data, "linear stage")
     coefficients = _finite_array(data["coefficients"], "coefficients", "linear stage")
     if coefficients.shape != (n_features,):
         raise CorruptModelError(
             f"linear stage must have {n_features} coefficients, got shape {coefficients.shape}")
-    intercept = _finite_array(data["intercept"], "intercept", "linear stage")
-    if intercept.shape != ():
-        raise CorruptModelError("linear stage 'intercept' must be one number")
-    return LinearModel(coefficients=coefficients, intercept=float(intercept),
+    return LinearModel(coefficients=coefficients,
+                       intercept=_finite_number(data["intercept"], "intercept", "linear stage"),
                        n_features=n_features)
+
+
+def _n_features(data: dict, owner: str) -> int:
+    n_features = data["n_features"]
+    if not isinstance(n_features, int) or isinstance(n_features, bool) or n_features < 1:
+        raise CorruptModelError(
+            f"{owner} 'n_features' must be a positive integer, got {n_features!r}")
+    return n_features
 
 
 def _finite_array(value, name: str, owner: str = "heuristic") -> np.ndarray:
@@ -169,6 +173,13 @@ def _finite_array(value, name: str, owner: str = "heuristic") -> np.ndarray:
     if array.dtype.kind not in "if" or not np.isfinite(array).all():
         raise CorruptModelError(f"{owner} '{name}' must hold finite numbers")
     return array.astype(np.float64, copy=False)
+
+
+def _finite_number(value, name: str, owner: str) -> float:
+    array = _finite_array(value, name, owner)
+    if array.shape != ():
+        raise CorruptModelError(f"{owner} '{name}' must be one number")
+    return float(array)
 
 
 def _scaler_from_dict(data: dict, name: str, width: int) -> Standardizer:
@@ -274,8 +285,8 @@ def model_from_dict(envelope: dict):
                 stage1=stage1,
                 stage2=stage2,
                 oracle=OracleConfig(**data["oracle"]),
-                min_target=float(data["min_target"]),
-                max_target=float(data["max_target"]),
+                min_target=_finite_number(data["min_target"], "min_target", "pipeline"),
+                max_target=_finite_number(data["max_target"], "max_target", "pipeline"),
                 stage1_schema=stage1_schema,
                 stage2_schema=stage2_schema,
             )
@@ -296,6 +307,6 @@ def load_model(path: str | os.PathLike):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             envelope = json.load(handle)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise CorruptModelError(f"truncated or invalid model file {path}: {exc}") from exc
     return model_from_dict(envelope)

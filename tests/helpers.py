@@ -6,9 +6,11 @@ textbook formula over Python floats. ``reference_fit_tree`` is the
 node-at-a-time recursive builder that the level-wise grower replaced; the
 grower must reproduce its trees bit for bit. ``reference_heuristic_predict``
 is the per-request heuristic computation that the models' derived state
-replaced: it re-standardizes every training row, takes row-sum distances, a
-full lexsort for the k nearest and an uncached decade filter, and the models
-must reproduce its predictions bit for bit. ``reference_predict`` and
+replaced: it shares none of the library's feature code, takes the request
+as one more row through its own weighted sum and ``(x - mean) / scale``,
+re-standardizes every training row, takes row-sum distances, a full lexsort
+for the k nearest and an uncached decade filter, and the models must
+reproduce its predictions bit for bit. ``reference_predict`` and
 ``reference_predict_row`` are the per-tree batch loops and the one-row walks
 that the packed traversal replaced; the stage models must reproduce both bit
 for bit. ``record_columns`` gives a dataset's per-record columns, from which
@@ -19,7 +21,7 @@ import math
 
 import numpy as np
 
-from surfplan.core import RAW_FLOOR, PredictionResult, round_distance, round_rounds, scalarize
+from surfplan.core import RAW_FLOOR, PredictionResult, round_distance, round_rounds
 from surfplan.heuristics import IDW_NEIGHBORS, IDW_POWER, linear_interp, poly_interp
 from surfplan.ml.ensemble import BoostedModel, ForestModel
 from surfplan.ml.linear import LinearModel
@@ -315,10 +317,14 @@ def _reference_multivariate(features, labels, query, k=IDW_NEIGHBORS, power=IDW_
     return float(np.dot(weights, labels[order]) / weights.sum())
 
 
-def _reference_scalarized(model):
-    noise, weights = model.noise, model.weights
+def _reference_scalarized(noise, weights):
+    """The weighted sum of each row of an (n, 4) array of rates."""
     return (weights.w_gate * noise[:, 1] + weights.w_depol * noise[:, 0]
             + weights.w_readout * noise[:, 3] + weights.w_reset * noise[:, 2])
+
+
+def _reference_standardized(features, scaler):
+    return (features - np.asarray(scaler.mean)) / np.asarray(scaler.scale)
 
 
 def _reference_decade_pairs(model, axis, labels, log_target, need):
@@ -359,40 +365,41 @@ def _reference_neighbor(model, features, labels, query):
 
 def reference_heuristic_predict(model, request):
     """A heuristic model's prediction, recomputed from its embedded records
-    and scalers on every call."""
+    and scalers on every call. The request's rates are one more (1, 4) row,
+    taken through the same array code as the training rows."""
     if effective_error(request.noise, model.oracle) >= model.oracle.threshold:
         raise AboveThresholdError(
             "profile is at or above the oracle threshold; request is infeasible")
-    profile = request.noise
+    rows = np.asarray([request.noise.as_tuple()], dtype=np.float64)
     log_target = math.log10(request.target_logical_error_rate)
     neighbor = model.kind.method in ("range_search", "multivariate_interp")
-    if neighbor:
-        if model.kind.weighted:
-            train = np.column_stack([_reference_scalarized(model), model.log_ler])
-            query = np.asarray([scalarize(profile, model.weights), log_target])
-        else:
-            train = np.column_stack([model.noise, model.log_ler])
-            query = np.asarray([profile.depolarizing, profile.gate, profile.reset,
-                                profile.readout, log_target])
-        raw_distance = _reference_neighbor(
-            model, model.stage1_scaler.transform(train), model.distance,
-            model.stage1_scaler.transform(query))
+    if model.kind.weighted:
+        train, query = (_reference_scalarized(noise, model.weights)[:, None]
+                        for noise in (model.noise, rows))
+    elif neighbor:
+        train, query = model.noise, rows
     else:
-        if model.kind.weighted:
-            axis = _reference_scalarized(model)
-            x_query = scalarize(profile, model.weights)
-        else:
-            axis = np.sqrt((model.noise ** 2).sum(axis=1))
-            x_query = math.sqrt(profile.depolarizing ** 2 + profile.gate ** 2
-                                + profile.reset ** 2 + profile.readout ** 2)
-        raw_distance = _reference_interp_1d(model, axis, model.distance, log_target, x_query)
+        train, query = (np.sqrt((noise ** 2).sum(axis=1))[:, None]
+                        for noise in (model.noise, rows))
+    if neighbor:
+        raw_distance = _reference_neighbor(
+            model,
+            _reference_standardized(np.column_stack([train, model.log_ler]), model.stage1_scaler),
+            model.distance,
+            _reference_standardized(np.append(query[0], log_target), model.stage1_scaler))
+    else:
+        raw_distance = _reference_interp_1d(model, train[:, 0], model.distance, log_target,
+                                            float(query[0, 0]))
     raw_distance = max(raw_distance, RAW_FLOOR)
     rounded_distance = round_distance(raw_distance)
     if neighbor:
         raw_rounds = _reference_neighbor(
-            model, model.stage2_scaler.transform(np.column_stack([model.distance, model.log_ler])),
+            model,
+            _reference_standardized(np.column_stack([model.distance, model.log_ler]),
+                                    model.stage2_scaler),
             model.rounds,
-            model.stage2_scaler.transform(np.asarray([float(rounded_distance), log_target])))
+            _reference_standardized(np.asarray([float(rounded_distance), log_target]),
+                                    model.stage2_scaler))
     else:
         raw_rounds = _reference_interp_1d(model, model.distance.astype(np.float64),
                                           model.rounds, log_target, float(rounded_distance))

@@ -370,6 +370,32 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path, trained_model, kind):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["calibration", "config", "model"])
+def test_json_integer_beyond_digit_limit_exits_2(capsys, tmp_path, trained_model, kind):
+    # Python refuses to parse an integer literal of more than 4300 digits.
+    huge = "1" * 5000
+    bad = tmp_path / "huge.json"
+    bad.write_text({
+        "calibration": '{"device": "backend_a", "timestamp": "2026-08-01T00:00:00Z", '
+                       f'"depolarizing": {huge}, "gate": 1.2e-3, "reset": 5e-4, '
+                       '"readout": 3e-3}',
+        "config": f'{{"oracle": {{"amplitude": {huge}}}}}',
+        "model": f'{{"format": "surfplan-model", "version": {huge}, "model": {{}}}}',
+    }[kind])
+    argv = {
+        "calibration": ["predict", "--model", trained_model, "--calibration", str(bad),
+                        "--target", "1e-6"],
+        "config": ["generate", "--config", str(bad), "--out", str(tmp_path / "x.csv")],
+        "model": ["predict", "--model", str(bad), "--depol", "2e-4", "--gate", "1.2e-3",
+                  "--reset", "5e-4", "--readout", "3e-3", "--target", "1e-6"],
+    }[kind]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "4300" in err
+
+
 def test_calibration_rate_too_large_for_float_exits_2(capsys, tmp_path, trained_model):
     snap = tmp_path / "snap.json"
     snap.write_text(json.dumps({
@@ -412,7 +438,7 @@ def test_bare_stage_model_exits_2(capsys, tmp_path, small_dataset, stage, comman
 
 
 @pytest.mark.parametrize("corrupt", ["short_stage1_schema", "scale_1e-160", "scale_5e-324",
-                                     "decoherence_nan"])
+                                     "decoherence_nan", "learning_rate_true"])
 def test_corrupt_model_exits_2_at_load(capsys, tmp_path, trained_model, small_dataset,
                                        corrupt):
     if corrupt == "short_stage1_schema":
@@ -423,6 +449,10 @@ def test_corrupt_model_exits_2_at_load(capsys, tmp_path, trained_model, small_da
         with open(trained_model, encoding="utf-8") as handle:
             data = json.load(handle)
         data["model"]["oracle"]["decoherence"] = float("nan")
+    elif corrupt == "learning_rate_true":
+        with open(trained_model, encoding="utf-8") as handle:
+            data = json.load(handle)
+        data["model"]["stage1"]["learning_rate"] = True
     else:
         save_model(fit_heuristic(read_dataset_csv(small_dataset),
                                  HeuristicKind.parse("range_search_w")), tmp_path / "h.json")

@@ -13,9 +13,9 @@ from surfplan import (
     ValidationError,
     round_distance,
     round_rounds,
-    scalarize,
     validate_profile,
 )
+from surfplan.heuristics import _scalarized
 
 
 class TestValidateProfile:
@@ -91,26 +91,26 @@ class TestScalarize:
     def test_single_nonzero_term(self):
         weights = HeuristicWeights(0.4, 0.3, 0.2, 0.1)
         profile = NoiseProfile(0, 0, 0, 0.01)
-        assert scalarize(profile, weights) == pytest.approx(0.002, abs=1e-15)
+        assert _scalarized(weights, profile.as_tuple()) == pytest.approx(0.002, abs=1e-15)
 
     def test_uniform_profile_returns_rate(self):
         weights = HeuristicWeights(0.4, 0.3, 0.2, 0.1)
         profile = NoiseProfile(1e-3, 1e-3, 1e-3, 1e-3)
-        assert scalarize(profile, weights) == pytest.approx(1e-3, rel=1e-12)
+        assert _scalarized(weights, profile.as_tuple()) == pytest.approx(1e-3, rel=1e-12)
 
     def test_table_instance(self):
         # 0.4*7.7e-3 + 0.3*2.4e-4 + 0.2*2.5e-2 + 0.1*1e-3
         weights = HeuristicWeights(0.4, 0.3, 0.2, 0.1)
         profile = NoiseProfile(2.4e-4, 7.7e-3, 1e-3, 2.5e-2)
-        assert scalarize(profile, weights) == pytest.approx(8.252e-3, abs=1e-12)
+        assert _scalarized(weights, profile.as_tuple()) == pytest.approx(8.252e-3, abs=1e-12)
 
     def test_linearity_in_profile(self):
         weights = HeuristicWeights()
         base = NoiseProfile(2e-4, 3e-3, 1e-3, 2e-2)
         for alpha in (0.25, 0.5, 2.0):
             scaled = NoiseProfile(*(alpha * v for v in base.as_tuple()))
-            assert scalarize(scaled, weights) == pytest.approx(
-                alpha * scalarize(base, weights), rel=1e-12)
+            assert _scalarized(weights, scaled.as_tuple()) == pytest.approx(
+                alpha * _scalarized(weights, base.as_tuple()), rel=1e-12)
 
 
 class TestHeuristicWeights:

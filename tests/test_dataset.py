@@ -194,6 +194,15 @@ class TestColumns:
             with pytest.raises(ValidationError, match="64-bit"):
                 read_dataset_csv(path)
 
+    @pytest.mark.parametrize("value", [2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1])
+    def test_python_ints_beyond_64_bits_rejected(self, value):
+        # Such a column parses as uint64; an int64 copy would wrap it.
+        profile = ([[1e-4, 1e-3, 1e-4, 1e-3]], [0])
+        with pytest.raises(ValidationError, match="distance must fit in a signed 64-bit"):
+            Dataset(*profile, [value], [1], [1e-3])
+        with pytest.raises(ValidationError, match="rounds must fit in a signed 64-bit"):
+            Dataset(*profile, [3], [value], [1e-3])
+
     @settings(max_examples=150)
     @given(record_lists(max_size=12), st.data())
     def test_first_bad_row_raises_its_record_message(self, records, data):

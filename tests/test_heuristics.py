@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from helpers import _reference_scalarized, reference_heuristic_predict
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -17,33 +17,45 @@ from surfplan import (
     PredictionRequest,
     ValidationError,
     fit_heuristic,
-    heuristic_predict,
     linear_interp,
-    multivariate_interp,
     poly_interp,
-    range_search,
 )
-from surfplan.heuristics import Standardizer, _distances, _k_nearest, all_kinds
+from surfplan.heuristics import (
+    IDW_NEIGHBORS,
+    IDW_POWER,
+    NEIGHBOR_METHODS,
+    Standardizer,
+    _distances,
+    _idw,
+    _k_nearest,
+    _nearest_label,
+    _stage1_axis,
+    _stage1_columns,
+    _standardized_columns,
+    all_kinds,
+)
 from surfplan.ml.serialize import CorruptModelError, model_from_dict, model_to_dict
 from surfplan.oracle import AboveThresholdError
+
+
+def _columns(rows) -> tuple[np.ndarray, ...]:
+    """Training points given as rows, as the per-feature columns the
+    neighbor searches take."""
+    return tuple(np.asarray(rows, dtype=np.float64).T)
 
 
 class TestRangeSearch:
     def test_exact_match_returns_its_label(self):
         features = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
         labels = np.array([10.0, 20.0, 30.0])
-        assert range_search(features, labels, [2.0, 3.0]) == 20.0
+        assert _nearest_label(_columns(features), labels, (2.0, 3.0)) == 20.0
 
     def test_nearer_point_wins(self):
-        assert range_search([[0.0], [10.0]], [1.0, 9.0], [2.0]) == 1.0
+        assert _nearest_label(_columns([[0.0], [10.0]]), np.array([1.0, 9.0]), (2.0,)) == 1.0
 
     def test_equidistant_tie_breaks_by_index(self):
-        assert range_search([[0.0], [4.0]], [1.0, 9.0], [2.0]) == 1.0
-        assert range_search([[4.0], [0.0]], [9.0, 1.0], [2.0]) == 9.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            range_search(np.empty((0, 2)), np.empty(0), [0.0, 0.0])
+        assert _nearest_label(_columns([[0.0], [4.0]]), np.array([1.0, 9.0]), (2.0,)) == 1.0
+        assert _nearest_label(_columns([[4.0], [0.0]]), np.array([9.0, 1.0]), (2.0,)) == 9.0
 
 
 class TestLinearInterp:
@@ -92,18 +104,20 @@ class TestPolyInterp:
 
 
 class TestMultivariateInterp:
+    @staticmethod
+    def _interp(rows, labels, query) -> float:
+        return _idw(_columns(rows), np.asarray(labels, dtype=np.float64), query,
+                    IDW_NEIGHBORS, IDW_POWER)
+
     def test_exact_match_short_circuit(self):
-        features = np.array([[0.0, 0.0], [1.0, 1.0]])
-        assert multivariate_interp(features, [3.0, 5.0], [1.0, 1.0]) == 5.0
+        assert self._interp([[0.0, 0.0], [1.0, 1.0]], [3.0, 5.0], (1.0, 1.0)) == 5.0
 
     def test_symmetric_average(self):
-        features = np.array([[-1.0], [1.0]])
-        assert multivariate_interp(features, [3.0, 5.0], [0.0]) == pytest.approx(4.0)
+        assert self._interp([[-1.0], [1.0]], [3.0, 5.0], (0.0,)) == pytest.approx(4.0)
 
     def test_inverse_square_weights(self):
         # distances 1 and 2 with labels 0 and 6: (1*0 + 0.25*6) / 1.25 = 1.2
-        features = np.array([[1.0], [2.0]])
-        assert multivariate_interp(features, [0.0, 6.0], [0.0]) == pytest.approx(1.2)
+        assert self._interp([[1.0], [2.0]], [0.0, 6.0], (0.0,)) == pytest.approx(1.2)
 
     def test_output_within_neighbor_hull(self):
         rng = np.random.default_rng(13)
@@ -111,7 +125,7 @@ class TestMultivariateInterp:
         labels = rng.uniform(3, 19, size=50)
         for _ in range(25):
             query = rng.normal(size=3)
-            value = multivariate_interp(features, labels, query)
+            value = self._interp(features, labels, tuple(query.tolist()))
             assert labels.min() - 1e-12 <= value <= labels.max() + 1e-12
 
 
@@ -119,10 +133,10 @@ class TestStandardizer:
     def test_fit_transform(self):
         data = np.array([[0.0, 10.0], [2.0, 10.0], [4.0, 10.0]])
         scaler = Standardizer.fit(data)
-        out = scaler.transform(data)
-        assert np.allclose(out[:, 0], [-1.22474487, 0.0, 1.22474487])
+        out = _standardized_columns(tuple(data.T), scaler)
+        assert np.allclose(out[0], [-1.22474487, 0.0, 1.22474487])
         # zero-variance column passes through centered with scale one
-        assert np.allclose(out[:, 1], 0.0)
+        assert np.allclose(out[1], 0.0)
 
 
 @pytest.fixture
@@ -141,7 +155,7 @@ class TestHeuristicModel:
         record = list(small_records)[5]
         request = PredictionRequest(noise=record.noise,
                                     target_logical_error_rate=record.logical_error_rate)
-        result = heuristic_predict(kind, small_records, request)
+        result = fit_heuristic(small_records, kind).predict_result(request)
         assert result.rounded_distance == record.params.distance
         assert result.rounded_rounds == record.params.rounds
 
@@ -168,7 +182,7 @@ class TestHeuristicModel:
         records = Dataset.from_rows([a.as_tuple(), b.as_tuple()], [5, 9], [4, 9], [1e-4, 1e-6])
         request = PredictionRequest(noise=b, target_logical_error_rate=2e-6)
         kind = HeuristicKind(method="range_search", weighted=True)
-        result = heuristic_predict(kind, records, request, weights=weights)
+        result = fit_heuristic(records, kind, weights).predict_result(request)
         assert result.rounded_distance == 9
         assert result.rounded_rounds == 9
 
@@ -183,7 +197,7 @@ class TestHeuristicModel:
                                     [1e-4, 1.2e-4])
         request = PredictionRequest(noise=mid, target_logical_error_rate=1.1e-4)
         kind = HeuristicKind(method="linear_interp", weighted=True)
-        result = heuristic_predict(kind, records, request, weights=weights)
+        result = fit_heuristic(records, kind, weights).predict_result(request)
         # raw stage-1: 5 + (8e-4 - 4e-4) * (9 - 5) / (12e-4 - 4e-4) = 7.0
         assert result.raw_distance == pytest.approx(7.0, rel=1e-9)
         assert result.rounded_distance == 7
@@ -234,12 +248,6 @@ class TestNeighborHelpers:
             expected = np.sqrt(((features - query) ** 2).sum(axis=1))
             actual = _distances(tuple(features.T), query)
         assert actual.tobytes() == expected.tobytes()
-
-    def test_query_width_must_match(self):
-        with pytest.raises(ValidationError, match="features"):
-            range_search([[0.0, 1.0]], [1.0], [0.0])
-        with pytest.raises(ValidationError, match="k >= 1"):
-            multivariate_interp([[0.0]], [1.0], [0.0], k=0)
 
 
 _RATES = st.one_of(st.sampled_from([1e-4, 5e-4, 1e-3, 2e-3]),
@@ -299,7 +307,8 @@ def _standardized_overflow(model, scale) -> bool:
     """Whether either stage's training features, standardized with every
     scale set to ``scale``, hold a value or a squared column spread that is
     not finite."""
-    rates = _reference_scalarized(model) if model.kind.weighted else model.noise
+    rates = (_reference_scalarized(model.noise, model.weights) if model.kind.weighted
+             else model.noise)
     stages = ((np.column_stack([rates, model.log_ler]), model.stage1_scaler),
               (np.column_stack([model.distance, model.log_ler]), model.stage2_scaler))
     with np.errstate(all="ignore"):
@@ -338,3 +347,41 @@ class TestMatchesPerRequestReference:
         for request in requests:
             assert (_outcome(model.predict_result, request)
                     == _outcome(lambda r: reference_heuristic_predict(model, r), request))
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+class TestQueryEqualsTrainingRow:
+    # On glibc the norm of this profile differs in its last bit when the
+    # squares are taken with ``** 2`` (libm's pow) instead of ``x * x``.
+    @example(problem=(Dataset.from_rows([(1e-4, 1e-4, 1e-4, 1.2e-4), (1e-3, 2e-3, 1e-3, 2e-3)],
+                                        [3, 5], [2, 4], [1e-3, 1e-5]),
+                      HeuristicKind("linear_interp", False), HeuristicWeights(), []))
+    @given(problem=_heuristic_problems())
+    @settings(max_examples=200)
+    def test_record_query_gives_its_training_inputs(self, problem):
+        # A query built from record i's own rates, log10 rate and distance
+        # goes through the training-column code and must give record i's
+        # training inputs bit for bit, as Python floats.
+        records, kind, weights, _ = problem
+        fitted = fit_heuristic(records, kind, weights)
+        for model in (fitted, _reloaded(fitted)):
+            (stage1, _), (stage2, _) = model._stages
+            for i, record in enumerate(records):
+                rates = record.noise.as_tuple()
+                log_ler = math.log10(record.logical_error_rate)
+                distance = float(record.params.distance)
+                if kind.method in NEIGHBOR_METHODS:
+                    queries = (
+                        _standardized_columns(_stage1_columns(kind.weighted, weights, rates,
+                                                              log_ler), model.stage1_scaler),
+                        _standardized_columns((distance, log_ler), model.stage2_scaler))
+                    rows = ([column[i] for column in stage1], [column[i] for column in stage2])
+                else:
+                    queries = ((_stage1_axis(kind.weighted, weights, rates),), (distance,))
+                    rows = ([stage1[i]], [stage2[i]])
+                for query, row in zip(queries, rows):
+                    assert all(type(value) is float for value in query)
+                    assert _hex(query) == _hex(row)

@@ -292,6 +292,26 @@ class TestFailureModes:
         with pytest.raises(CorruptModelError):
             load_model(path)
 
+    @pytest.mark.parametrize("stage, field, bad", [
+        ("stage1", "base_score", "nan"),      # loaded, then failed at predict
+        ("stage1", "learning_rate", True),    # predicted with a rate of 1.0
+        ("stage1", "learning_rate", "inf"),
+        ("stage1", "learning_rate", [0.1]),
+        ("stage1", "n_features", "5"),        # loaded and predicted
+        ("stage1", "n_features", 5.7),
+        ("stage2", "n_features", "2"),
+        ("stage2", "n_features", 2.0),
+        (None, "min_target", "nan"),
+        (None, "max_target", False),
+    ])
+    def test_corrupt_pipeline_number_rejected(self, training_setup, tmp_path, stage, field, bad):
+        path = self._saved_pipeline(training_setup, tmp_path)
+        data = json.loads(path.read_text())
+        (data["model"][stage] if stage else data["model"])[field] = bad
+        path.write_text(json.dumps(data))
+        with pytest.raises(CorruptModelError, match=field):
+            load_model(path)
+
     def test_short_schema_rejected(self, training_setup, tmp_path):
         path = self._saved_pipeline(training_setup, tmp_path)
         data = json.loads(path.read_text())
