@@ -1,4 +1,6 @@
+import hashlib
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -253,15 +255,19 @@ class TestTrain:
         assert f"--tune applies only to the pipeline model, not {model!r}" in err
         assert not model_path.exists()
 
-    def test_tune_runs_grid_search(self, capsys, small_config, small_dataset,
+    def test_tune_runs_grid_search(self, capsys, caplog, small_config, small_dataset,
                                    tmp_path):
         model_path = tmp_path / "tuned.json"
-        code, out, _ = run_cli(capsys, "train", "--data", small_dataset,
-                               "--model", "pipeline", "--out-model",
-                               str(model_path), "--config", small_config,
-                               "--tune")
+        with caplog.at_level(logging.INFO):
+            code, out, _ = run_cli(capsys, "train", "--data", small_dataset,
+                                   "--model", "pipeline", "--out-model",
+                                   str(model_path), "--config", small_config,
+                                   "--tune")
         assert code == 0
-        assert model_path.exists()
+        assert any(message.startswith("tuned stage1=") for message in caplog.messages)
+        # The tuned model's bytes, pinned before the search moved out of the CLI.
+        assert (hashlib.sha256(model_path.read_bytes()).hexdigest()
+                == "49d14977f6e69ffb58279167263ba62bf6a910f947a83d7162c416299310a37c")
 
     def test_malformed_csv_exits_2_with_location(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
