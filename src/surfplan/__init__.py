@@ -53,6 +53,7 @@ from .ml import (
     fit_pipeline,
     fit_pipeline_cases,
     fit_tree,
+    fit_tuned_pipeline,
     grid_search,
     load_model,
     predict,

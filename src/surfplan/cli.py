@@ -28,15 +28,11 @@ from .dataio import (
     write_heatmap_csv,
     write_report_json,
 )
-from .evaluate import evaluate_model, split
-from .ml.ensemble import BoostConfig, ForestConfig
-from .ml.pipeline import build_training_cases
-from .ml.search import grid_search
+from .evaluate import compare_models, evaluate_model, split
+from .ml.pipeline import build_training_cases, fit_tuned_pipeline
 from .ml.serialize import ModelIOError, load_model, save_model
 from .models import MODEL_NAMES, check_model_name, check_model_names, fit_named_model
 from .oracle import AboveThresholdError, generate_dataset, logical_error_rate
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -71,67 +67,35 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _stage1_grid(base: BoostConfig) -> list[BoostConfig]:
-    from dataclasses import replace
-    grid = []
-    for depth in (4, 6, 8):
-        for rate in (0.05, 0.1, 0.2):
-            grid.append(replace(base, learning_rate=rate,
-                                tree=replace(base.tree, max_depth=depth)))
-    return grid
-
-
-def _stage2_grid(base: ForestConfig) -> list[ForestConfig]:
-    from dataclasses import replace
-    grid = []
-    for depth in (10, 20, 30):
-        for min_split in (5, 10):
-            grid.append(replace(base, tree=replace(
-                base.tree, max_depth=depth, min_samples_split=min_split)))
-    return grid
+def _labeled_cases(path, config: ToolConfig):
+    """The dataset CSV at ``path`` (rejected when empty) and its labeled cases."""
+    records = read_dataset_csv(path)
+    if not records:
+        raise ValidationError(f"dataset {path} contains no records")
+    return records, build_training_cases(records, config.sweep, config.oracle, config.targets)
 
 
 def cmd_train(args) -> int:
-    from .ml.ensemble import fit_boosted, fit_forest
-    from .ml.pipeline import stage1_features, stage2_features
-    import numpy as np
-
     config = _config_from_args(args)
     check_model_name(args.model)
     if args.tune and args.model != "pipeline":
         raise ValidationError(f"--tune applies only to the pipeline model, not {args.model!r}")
-    records = read_dataset_csv(args.data)
-    if not records:
-        raise ValidationError(f"dataset {args.data} contains no records")
-
     # Every model kind is evaluated on the labeled cases, so they are built
     # (and an unreachable target menu rejected) before anything is fitted.
-    cases = build_training_cases(records, config.sweep, config.oracle, config.targets)
+    records, cases = _labeled_cases(args.data, config)
     if not cases:
         raise ValidationError(
             "no feasible (profile, target) pairs to train on; every menu "
             "target is out of reach for the dataset's profiles")
-    stage1_config, stage2_config = config.stage1, config.stage2
     if args.tune:
-        mat1 = stage1_features([case.request for case in cases])
-        y1 = np.asarray([case.distance for case in cases], dtype=np.float64)
-        found = grid_search(mat1, y1, _stage1_grid(stage1_config), folds=5,
-                            fitter=lambda cfg, X, y: fit_boosted(X, y, cfg),
-                            seed=config.cv_seed)
-        stage1_config = found.best_config
-        _, mat2 = stage2_features(fit_boosted(mat1, y1, stage1_config), mat1)
-        y2 = np.asarray([case.rounds for case in cases], dtype=np.float64)
-        found2 = grid_search(mat2, y2, _stage2_grid(stage2_config), folds=5,
-                             fitter=lambda cfg, X, y: fit_forest(X, y, cfg),
-                             seed=config.cv_seed)
-        stage2_config = found2.best_config
-        logger.info("tuned stage1=%s stage2=%s", stage1_config, stage2_config)
-
-    model = fit_named_model(
-        args.model, records=records, cases=cases,
-        sweep=config.sweep, oracle=config.oracle,
-        stage1_config=stage1_config, stage2_config=stage2_config,
-        weights=config.heuristic_weights, menu=config.targets)
+        model = fit_tuned_pipeline(cases, config.stage1, config.stage2, config.oracle,
+                                   config.cv_seed)
+    else:
+        model = fit_named_model(
+            args.model, records=records, cases=cases,
+            sweep=config.sweep, oracle=config.oracle,
+            stage1_config=config.stage1, stage2_config=config.stage2,
+            weights=config.heuristic_weights, menu=config.targets)
     save_model(model, args.out_model)
     report = evaluate_model(model, cases, config.oracle)
     print(f"model={args.model}")
@@ -198,10 +162,7 @@ def cmd_evaluate(args) -> int:
     config = _config_from_args(args)
     out_dir = args.out_dir if args.out_dir is not None else config.out_dir
     model = _load_predictor(args.model)
-    records = read_dataset_csv(args.data)
-    if not records:
-        raise ValidationError(f"dataset {args.data} contains no records")
-    cases = build_training_cases(records, config.sweep, config.oracle, config.targets)
+    _, cases = _labeled_cases(args.data, config)
     if not cases:
         raise ValidationError("no feasible (profile, target) pairs to evaluate on")
     report = evaluate_model(model, cases, config.oracle)
@@ -223,8 +184,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from .evaluate import compare_models
-
     config = _config_from_args(args)
     out_dir = args.out_dir if args.out_dir is not None else config.out_dir
     names = list(MODEL_NAMES) if args.models is None else args.models.split(",")
@@ -232,11 +191,7 @@ def cmd_compare(args) -> int:
     repeated = [name for i, name in enumerate(names) if name in names[:i]]
     if repeated:
         raise ValidationError(f"model {repeated[0]!r} is named more than once in --models")
-    records = read_dataset_csv(args.data)
-    if not records:
-        raise ValidationError(f"dataset {args.data} contains no records")
-
-    cases = build_training_cases(records, config.sweep, config.oracle, config.targets)
+    records, cases = _labeled_cases(args.data, config)
     if len(cases) < 5:
         raise ValidationError(
             f"only {len(cases)} labeled cases; too few to split for comparison")

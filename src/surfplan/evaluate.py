@@ -106,7 +106,6 @@ class EvalReport:
     latency_mean_ms: float
     latency_std_ms: float
     positive_delta_over_target_p95: Optional[float] = None
-    comparison: Optional[list["ComparisonRow"]] = None
 
 
 def evaluate_model(model, cases: list[LabeledCase],

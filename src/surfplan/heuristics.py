@@ -51,7 +51,7 @@ from .core import (
     round_distance,
     round_rounds,
 )
-from .oracle import AboveThresholdError, OracleConfig, effective_error
+from .oracle import OracleConfig, check_below_threshold
 
 HEURISTIC_METHODS = ("range_search", "linear_interp", "poly_interp", "multivariate_interp")
 # Methods that search the standardized feature space; the others interpolate
@@ -358,9 +358,7 @@ class HeuristicModel:
         return self._interp_1d(1, log_target, float(rounded_distance))
 
     def predict_result(self, request: PredictionRequest) -> PredictionResult:
-        if effective_error(request.noise, self.oracle) >= self.oracle.threshold:
-            raise AboveThresholdError(
-                "profile is at or above the oracle threshold; request is infeasible")
+        check_below_threshold(request.noise, self.oracle)
         log_target = math.log10(request.target_logical_error_rate)
         raw_distance = max(self._stage1_raw(request.noise.as_tuple(), log_target), RAW_FLOOR)
         rounded_distance = round_distance(raw_distance)

@@ -11,11 +11,12 @@ from .pipeline import (
     fit_linear_pipeline,
     fit_pipeline,
     fit_pipeline_cases,
+    fit_tuned_pipeline,
     predict,
     predict_many,
     stage1_features,
 )
-from .search import GridSearchResult, grid_search, kfold_indices
+from .search import GridSearchResult, grid_search, kfold_indices, stage1_grid, stage2_grid
 from .serialize import (
     CorruptModelError,
     ModelIOError,
@@ -30,9 +31,10 @@ __all__ = [
     "LinearModel", "TreeConfig", "TreeModel", "PipelineModel", "LabeledCase",
     "GridSearchResult", "DEFAULT_TARGET_MENU",
     "fit_tree", "fit_forest", "fit_boosted", "fit_linear",
-    "fit_pipeline", "fit_pipeline_cases", "fit_linear_pipeline",
+    "fit_pipeline", "fit_pipeline_cases", "fit_linear_pipeline", "fit_tuned_pipeline",
     "build_training_cases", "distinct_profiles", "stage1_features",
     "predict", "predict_many", "grid_search", "kfold_indices",
+    "stage1_grid", "stage2_grid",
     "save_model", "load_model",
     "ModelIOError", "ModelVersionError", "CorruptModelError",
 ]

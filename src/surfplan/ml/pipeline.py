@@ -9,12 +9,19 @@ property tests check the labels against the scalar ``find_optimal_params``
 exactly. Stage one learns distance from the four noise rates plus log10 of the
 target; stage two learns rounds from the *rounded* stage-one prediction plus
 log10 of the target, at train and inference time alike.
+
+``_fit_stages`` is the one place the stages are fitted and chained, given a
+learner per stage: boosted trees and a forest (``fit_pipeline_cases``), the
+same with each config picked by cross-validated grid search
+(``fit_tuned_pipeline``), or least squares twice (``fit_linear_pipeline``).
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
 import numpy as np
@@ -30,16 +37,18 @@ from ..core import (
     round_rounds,
 )
 from ..oracle import (
-    AboveThresholdError,
     OracleConfig,
     SweepConfig,
-    effective_error,
+    check_below_threshold,
     meets_target,
     rate_grids,
 )
 from .ensemble import BoostConfig, BoostedModel, ForestConfig, ForestModel, fit_boosted, fit_forest
 from .linear import LinearModel, fit_linear
+from .search import grid_search, stage1_grid, stage2_grid
 from .tree import TreeModel
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_TARGET_MENU = (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9)
 
@@ -124,8 +133,6 @@ class PipelineModel:
     oracle: OracleConfig
     min_target: float
     max_target: float
-    stage1_schema: tuple[str, ...] = STAGE1_SCHEMA
-    stage2_schema: tuple[str, ...] = STAGE2_SCHEMA
 
     def predict_result(self, request: PredictionRequest) -> PredictionResult:
         return self.predict_many([request])[0]
@@ -136,9 +143,7 @@ class PipelineModel:
         if not requests:
             return []
         for request in requests:
-            if effective_error(request.noise, self.oracle) >= self.oracle.threshold:
-                raise AboveThresholdError(
-                    "profile is at or above the oracle threshold; request is infeasible")
+            check_below_threshold(request.noise, self.oracle)
         raw_distance, mat2 = stage2_features(self.stage1, stage1_features(requests))
         raw_rounds = np.maximum(self.stage2.predict(mat2), RAW_FLOOR)
         return [PredictionResult(
@@ -149,39 +154,56 @@ class PipelineModel:
                 for rd, dd, rr in zip(raw_distance, mat2[:, 0], raw_rounds)]
 
 
-def fit_pipeline_cases(cases: list[LabeledCase],
-                       stage1_config: BoostConfig = BoostConfig(),
-                       stage2_config: ForestConfig = ForestConfig(),
-                       oracle: OracleConfig = OracleConfig(),
-                       stage1_fit=None, stage2_fit=None) -> PipelineModel:
-    """Fit both stages on pre-labeled cases.
-
-    ``stage1_fit``/``stage2_fit`` override the stage learners (used for the
-    plain linear-regression baseline); defaults are boosted trees and a
-    random forest.
-    """
+def _fit_stages(cases: list[LabeledCase], fit_stage1, fit_stage2,
+                oracle: OracleConfig) -> PipelineModel:
+    """Fit ``fit_stage1(features, distances)`` on the stage-one matrix, then
+    ``fit_stage2(features, rounds)`` on the stage-two matrix built from that
+    fitted stage: the one place the two stages are chained."""
     if not cases:
         raise ValidationError("cannot fit a pipeline on an empty training set")
-    requests = [case.request for case in cases]
-    mat1 = stage1_features(requests)
+    mat1 = stage1_features([case.request for case in cases])
     y_distance = np.asarray([case.distance for case in cases], dtype=np.float64)
     y_rounds = np.asarray([case.rounds for case in cases], dtype=np.float64)
-
-    if stage1_fit is None:
-        stage1 = fit_boosted(mat1, y_distance, stage1_config)
-    else:
-        stage1 = stage1_fit(mat1, y_distance)
-
+    stage1 = fit_stage1(mat1, y_distance)
     # Stage two consumes the rounded stage-one predictions, not the labels.
     _, mat2 = stage2_features(stage1, mat1)
-    if stage2_fit is None:
-        stage2 = fit_forest(mat2, y_rounds, stage2_config)
-    else:
-        stage2 = stage2_fit(mat2, y_rounds)
-
+    stage2 = fit_stage2(mat2, y_rounds)
     targets = [case.request.target_logical_error_rate for case in cases]
     return PipelineModel(stage1=stage1, stage2=stage2, oracle=oracle,
                          min_target=min(targets), max_target=max(targets))
+
+
+def fit_pipeline_cases(cases: list[LabeledCase],
+                       stage1_config: BoostConfig = BoostConfig(),
+                       stage2_config: ForestConfig = ForestConfig(),
+                       oracle: OracleConfig = OracleConfig()) -> PipelineModel:
+    """Fit boosted trees for distance and a random forest for rounds on
+    pre-labeled cases."""
+    return _fit_stages(cases, partial(fit_boosted, config=stage1_config),
+                       partial(fit_forest, config=stage2_config), oracle)
+
+
+def fit_tuned_pipeline(cases: list[LabeledCase],
+                       stage1_config: BoostConfig = BoostConfig(),
+                       stage2_config: ForestConfig = ForestConfig(),
+                       oracle: OracleConfig = OracleConfig(),
+                       seed: int = 0) -> PipelineModel:
+    """``fit_pipeline_cases`` with each stage's config picked by 5-fold
+    ``grid_search`` (folds shuffled from ``seed``) over ``stage1_grid`` or
+    ``stage2_grid`` of the given config, on the features that stage is fitted
+    on; the best config is then fitted once on all the cases."""
+    best = []
+
+    def tuned(fit, grid):
+        def fit_best(features, targets):
+            best.append(grid_search(features, targets, grid, 5, fit, seed).best_config)
+            return fit(features, targets, best[-1])
+        return fit_best
+
+    model = _fit_stages(cases, tuned(fit_boosted, stage1_grid(stage1_config)),
+                        tuned(fit_forest, stage2_grid(stage2_config)), oracle)
+    logger.info("tuned stage1=%s stage2=%s", *best)
+    return model
 
 
 def fit_pipeline(records: Dataset,
@@ -202,11 +224,7 @@ def fit_pipeline(records: Dataset,
 def fit_linear_pipeline(cases: list[LabeledCase],
                         oracle: OracleConfig = OracleConfig()) -> PipelineModel:
     """Two sequential ordinary-least-squares stages (the linear baseline)."""
-    return fit_pipeline_cases(
-        cases, oracle=oracle,
-        stage1_fit=lambda X, y: fit_linear(X, y),
-        stage2_fit=lambda X, y: fit_linear(X, y),
-    )
+    return _fit_stages(cases, fit_linear, fit_linear, oracle)
 
 
 def predict(model, request: PredictionRequest) -> PredictionResult:

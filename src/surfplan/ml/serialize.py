@@ -229,8 +229,8 @@ def model_to_dict(model) -> dict:
             "kind": "pipeline",
             "stage1": stage_to_dict(model.stage1),
             "stage2": stage_to_dict(model.stage2),
-            "stage1_schema": list(model.stage1_schema),
-            "stage2_schema": list(model.stage2_schema),
+            "stage1_schema": list(STAGE1_SCHEMA),
+            "stage2_schema": list(STAGE2_SCHEMA),
             "oracle": asdict(model.oracle),
             "min_target": model.min_target,
             "max_target": model.max_target,
@@ -273,22 +273,17 @@ def model_from_dict(envelope: dict):
                     f"pipeline stages must take {len(STAGE1_SCHEMA)} and "
                     f"{len(STAGE2_SCHEMA)} features, got {stage1.n_features} and "
                     f"{stage2.n_features}")
-            stage1_schema = tuple(data["stage1_schema"])
-            stage2_schema = tuple(data["stage2_schema"])
-            if (len(stage1_schema), len(stage2_schema)) != (len(STAGE1_SCHEMA),
-                                                             len(STAGE2_SCHEMA)):
+            schemas = [data["stage1_schema"], data["stage2_schema"]]
+            if schemas != [list(STAGE1_SCHEMA), list(STAGE2_SCHEMA)]:
                 raise CorruptModelError(
-                    f"pipeline schemas must name {len(STAGE1_SCHEMA)} and "
-                    f"{len(STAGE2_SCHEMA)} features, got {len(stage1_schema)} and "
-                    f"{len(stage2_schema)}")
+                    f"pipeline schemas must be {list(STAGE1_SCHEMA)} and "
+                    f"{list(STAGE2_SCHEMA)}, got {schemas[0]!r} and {schemas[1]!r}")
             return PipelineModel(
                 stage1=stage1,
                 stage2=stage2,
                 oracle=OracleConfig(**data["oracle"]),
                 min_target=_finite_number(data["min_target"], "min_target", "pipeline"),
                 max_target=_finite_number(data["max_target"], "max_target", "pipeline"),
-                stage1_schema=stage1_schema,
-                stage2_schema=stage2_schema,
             )
         if kind == "heuristic":
             return _heuristic_from_dict(data)

@@ -160,12 +160,15 @@ class SweepConfig:
         return range(self.rounds_min, self.rounds_max + 1)
 
 
+def _weighted_rates(config: OracleConfig, depolarizing, gate, reset, readout):
+    """The channel-weighted sum of the four rates, on floats or arrays alike."""
+    return (config.gate_weight * gate + config.depolarizing_weight * depolarizing
+            + config.readout_weight * readout + config.reset_weight * reset)
+
+
 def effective_error(profile: NoiseProfile, config: OracleConfig = OracleConfig()) -> float:
     """Collapse the four physical rates into one effective rate."""
-    return (config.gate_weight * profile.gate
-            + config.depolarizing_weight * profile.depolarizing
-            + config.readout_weight * profile.readout
-            + config.reset_weight * profile.reset)
+    return _weighted_rates(config, *profile.as_tuple())
 
 
 def _check_code_point(distance: int, rounds: int) -> None:
@@ -184,8 +187,11 @@ def _above_threshold(p_eff: float, config: OracleConfig) -> AboveThresholdError:
         f"effective error {p_eff:.3e} is at or above threshold {config.threshold:.3e}")
 
 
-def _below_threshold_error(profile: NoiseProfile, config: OracleConfig) -> float:
-    """The effective rate; raises AboveThresholdError at or above threshold."""
+def check_below_threshold(profile: NoiseProfile, config: OracleConfig = OracleConfig()) -> float:
+    """The effective rate; raises AboveThresholdError at or above threshold.
+
+    Every model's prediction and the scalar oracle reject a profile through
+    this check, so they all give the same message."""
     p_eff = effective_error(profile, config)
     if p_eff >= config.threshold:
         raise _above_threshold(p_eff, config)
@@ -199,7 +205,7 @@ def logical_error_rate(distance: int, rounds: int, profile: NoiseProfile,
     Raises AboveThresholdError when the effective rate reaches the threshold.
     """
     _check_code_point(distance, rounds)
-    p_eff = _below_threshold_error(profile, config)
+    p_eff = check_below_threshold(profile, config)
     exponent = (min(distance, rounds) + 1) / 2
     base = config.amplitude * (p_eff / config.threshold) ** exponent
     penalty = 1.0 + config.decoherence * max(0, rounds - distance) * (
@@ -228,8 +234,7 @@ def rate_grids(profiles, distances: Sequence[int], rounds: Sequence[int],
         _check_code_point(3, count)
     depolarizing, gate, reset, readout = np.asarray(
         profiles, dtype=np.float64).reshape(-1, len(PROFILE_FIELDS)).T
-    p_eff = (config.gate_weight * gate + config.depolarizing_weight * depolarizing
-             + config.readout_weight * readout + config.reset_weight * reset)
+    p_eff = _weighted_rates(config, depolarizing, gate, reset, readout)
     above = p_eff >= config.threshold
     if above.any():
         raise _above_threshold(float(p_eff[above.argmax()]), config)
@@ -320,9 +325,7 @@ def find_optimal_params(request: PredictionRequest,
     qualifies. Raises AboveThresholdError for profiles the code cannot help.
     """
     target = request.target_logical_error_rate
-    if effective_error(request.noise, config) >= config.threshold:
-        raise AboveThresholdError(
-            "profile is at or above threshold; no parameters can reach the target")
+    check_below_threshold(request.noise, config)
     for distance in sweep.distances:
         for rounds in sweep.rounds():
             if meets_target(logical_error_rate(distance, rounds, request.noise, config),

@@ -367,9 +367,10 @@ def reference_heuristic_predict(model, request):
     """A heuristic model's prediction, recomputed from its embedded records
     and scalers on every call. The request's rates are one more (1, 4) row,
     taken through the same array code as the training rows."""
-    if effective_error(request.noise, model.oracle) >= model.oracle.threshold:
-        raise AboveThresholdError(
-            "profile is at or above the oracle threshold; request is infeasible")
+    p_eff = effective_error(request.noise, model.oracle)
+    if p_eff >= model.oracle.threshold:
+        raise AboveThresholdError(f"effective error {p_eff:.3e} is at or above "
+                                  f"threshold {model.oracle.threshold:.3e}")
     rows = np.asarray([request.noise.as_tuple()], dtype=np.float64)
     log_target = math.log10(request.target_logical_error_rate)
     neighbor = model.kind.method in ("range_search", "multivariate_interp")

@@ -324,7 +324,8 @@ class TestPredict:
                                "--reset", "1e-3", "--readout", "0.03",
                                "--target", "1e-6")
         assert code == 3
-        assert "infeasible" in err
+        assert err == ("infeasible: effective error 1.985e-02 is at or above "
+                       "threshold 1.000e-02\n")
 
     def test_unreachable_target_exits_3(self, capsys, trained_model):
         code, out, err = run_cli(capsys, "predict", "--model", trained_model,
@@ -443,14 +444,19 @@ def test_bare_stage_model_exits_2(capsys, tmp_path, small_dataset, stage, comman
     assert not (tmp_path / "reports").exists()
 
 
-@pytest.mark.parametrize("corrupt", ["short_stage1_schema", "scale_1e-160", "scale_5e-324",
-                                     "decoherence_nan", "learning_rate_true"])
+@pytest.mark.parametrize("corrupt", ["short_stage1_schema", "renamed_stage1_feature",
+                                     "scale_1e-160", "scale_5e-324", "decoherence_nan",
+                                     "learning_rate_true"])
 def test_corrupt_model_exits_2_at_load(capsys, tmp_path, trained_model, small_dataset,
                                        corrupt):
     if corrupt == "short_stage1_schema":
         with open(trained_model, encoding="utf-8") as handle:
             data = json.load(handle)
         data["model"]["stage1_schema"] = data["model"]["stage1_schema"][:4]
+    elif corrupt == "renamed_stage1_feature":
+        with open(trained_model, encoding="utf-8") as handle:
+            data = json.load(handle)
+        data["model"]["stage1_schema"][4] = "target"
     elif corrupt == "decoherence_nan":
         with open(trained_model, encoding="utf-8") as handle:
             data = json.load(handle)

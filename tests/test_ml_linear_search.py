@@ -62,17 +62,13 @@ class TestKFold:
             kfold_indices(3, 5, seed=0)
 
 
-def _tree_fitter(config, features, targets):
-    return fit_tree(features, targets, config)
-
-
 class TestGridSearch:
     def test_single_config_returned(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(30, 1))
         y = rng.normal(size=30)
         config = TreeConfig(max_depth=2)
-        found = grid_search(x, y, [config], folds=5, fitter=_tree_fitter, seed=0)
+        found = grid_search(x, y, [config], folds=5, fit=fit_tree, seed=0)
         assert found.best_config is config
         assert found.scores[0] == found.best_score
 
@@ -81,7 +77,7 @@ class TestGridSearch:
         x = np.linspace(0, 1, 48).reshape(-1, 1)
         y = np.floor(x[:, 0] * 4.0)
         grid = [TreeConfig(max_depth=1), TreeConfig(max_depth=3)]
-        found = grid_search(x, y, grid, folds=4, fitter=_tree_fitter, seed=2)
+        found = grid_search(x, y, grid, folds=4, fit=fit_tree, seed=2)
         assert found.best_config is grid[1]
         assert found.scores[1] < found.scores[0]
 
@@ -90,7 +86,7 @@ class TestGridSearch:
         x = rng.normal(size=(25, 2))
         y = rng.normal(size=25)
         grid = [TreeConfig(max_depth=d) for d in (1, 2, 4)]
-        found = grid_search(x, y, grid, folds=5, fitter=_tree_fitter, seed=1)
+        found = grid_search(x, y, grid, folds=5, fit=fit_tree, seed=1)
         assert found.best_config in grid
 
     def test_tie_keeps_grid_order(self):
@@ -98,10 +94,10 @@ class TestGridSearch:
         x = rng.normal(size=(20, 1))
         y = np.full(20, 2.0)  # constant: every config scores identically
         grid = [TreeConfig(max_depth=1), TreeConfig(max_depth=2)]
-        found = grid_search(x, y, grid, folds=4, fitter=_tree_fitter, seed=5)
+        found = grid_search(x, y, grid, folds=4, fit=fit_tree, seed=5)
         assert found.best_config is grid[0]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError):
             grid_search(np.ones((10, 1)), np.ones(10), [], folds=2,
-                        fitter=_tree_fitter, seed=0)
+                        fit=fit_tree, seed=0)

@@ -20,13 +20,15 @@ from surfplan import (
     fit_pipeline,
     fit_pipeline_cases,
     generate_dataset,
+    logical_error_rate,
     predict,
     predict_many,
+    rate_grids,
     round_distance,
 )
 from surfplan.ml.ensemble import fit_boosted, fit_forest
 from surfplan.ml.pipeline import distinct_profiles, stage1_features, stage2_features
-from surfplan.models import fit_named_model
+from surfplan.models import MODEL_NAMES, fit_named_model
 
 
 def _case(profile, target, d, r):
@@ -163,6 +165,26 @@ class TestPredict:
                                 target_logical_error_rate=1e-4)
         with pytest.raises(AboveThresholdError):
             model.predict_result(hot)
+
+    def test_every_path_gives_one_threshold_message(self, small_run):
+        sweep, oracle, records, cases = small_run
+        hot = PredictionRequest(noise=NoiseProfile(0, 0.03, 0, 0),
+                                target_logical_error_rate=1e-4)
+        calls = {name: fit_named_model(name, records=records, cases=cases,
+                                       oracle=oracle).predict_result
+                 for name in MODEL_NAMES}
+        calls["find_optimal_params"] = lambda request: find_optimal_params(
+            request, sweep, oracle)
+        calls["logical_error_rate"] = lambda request: logical_error_rate(
+            3, 3, request.noise, oracle)
+        calls["rate_grids"] = lambda request: rate_grids(
+            [request.noise.as_tuple()], sweep.distances, sweep.rounds(), oracle)
+        assert len(calls) == 13
+        for name, call in calls.items():
+            with pytest.raises(AboveThresholdError) as raised:
+                call(hot)
+            assert str(raised.value) == (
+                "effective error 1.500e-02 is at or above threshold 1.000e-02"), name
 
     @pytest.mark.parametrize("name", ["pipeline", "linear"])
     def test_predict_many_matches_scalar_path(self, small_run, name):
