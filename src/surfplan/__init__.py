@@ -17,7 +17,6 @@ from .core import (
     ValidationError,
     round_distance,
     round_rounds,
-    validate_profile,
 )
 from .evaluate import (
     ComparisonRow,

@@ -5,8 +5,11 @@ values and every raw distance prediction is rounded up to the next odd number.
 Rounds are rounded up to the next whole number, never down, so a recommendation
 errs on the side of more protection rather than less.
 
-A dataset travels as a ``Dataset``: one column per field, checked column by
-column, rather than one ``DatasetRecord`` object per row.
+Each type checks itself when built; ``invalid_profiles`` and
+``check_code_point`` apply the ``NoiseProfile`` and ``CodeParams`` rules to a
+rate table and to a bare (distance, rounds). A dataset travels as a
+``Dataset``: one column per field, checked column by column, rather than one
+``DatasetRecord`` object per row.
 """
 
 from __future__ import annotations
@@ -26,30 +29,32 @@ PROFILE_FIELDS = ("depolarizing", "gate", "reset", "readout")
 
 @dataclass(frozen=True)
 class NoiseProfile:
-    """Device-level physical error rates, one per error channel."""
+    """Device-level physical error rates, each finite and in [0, 1), not all zero."""
 
     depolarizing: float
     gate: float
     reset: float
     readout: float
 
+    def __post_init__(self):
+        for name, value in zip(PROFILE_FIELDS, self.as_tuple()):
+            check_number(name, value)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
+            if not 0.0 <= value < 1.0:
+                raise ValidationError(f"{name} out of range [0, 1): {value!r}")
+        if all(value == 0.0 for value in self.as_tuple()):
+            raise ValidationError("all-zero noise profile")
+
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.depolarizing, self.gate, self.reset, self.readout)
 
 
-def validate_profile(profile: NoiseProfile) -> NoiseProfile:
-    """Return ``profile`` unchanged if every rate is finite, in [0, 1), and at
-    least one rate is strictly positive; raise ValidationError otherwise."""
-    for name in PROFILE_FIELDS:
-        value = getattr(profile, name)
-        check_number(name, value)
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value!r}")
-        if not 0.0 <= value < 1.0:
-            raise ValidationError(f"{name} out of range [0, 1): {value!r}")
-    if all(getattr(profile, name) == 0.0 for name in PROFILE_FIELDS):
-        raise ValidationError("all-zero noise profile")
-    return profile
+def invalid_profiles(table: np.ndarray) -> np.ndarray:
+    """The mask of the rows of a (p, 4) rate table that ``NoiseProfile`` rejects."""
+    return (~np.isfinite(table).all(axis=1)
+            | ((table < 0.0) | (table >= 1.0)).any(axis=1)
+            | (table == 0.0).all(axis=1))
 
 
 def _check_positive_finite(value: float, name: str) -> float:
@@ -101,6 +106,20 @@ def round_rounds(raw: float) -> int:
     return max(1, math.ceil(value))
 
 
+def check_code_point(distance: int, rounds: int) -> None:
+    """The rule of ``CodeParams``, without building one."""
+    if not isinstance(distance, int) or isinstance(distance, bool):
+        raise ValidationError(f"distance must be an integer, got {distance!r}")
+    if not isinstance(rounds, int) or isinstance(rounds, bool):
+        raise ValidationError(f"rounds must be an integer, got {rounds!r}")
+    if distance < 3:
+        raise ValidationError(f"distance must be >= 3, got {distance}")
+    if distance % 2 == 0:
+        raise ValidationError(f"distance must be odd, got {distance}")
+    if rounds < 1:
+        raise ValidationError(f"rounds must be >= 1, got {rounds}")
+
+
 @dataclass(frozen=True)
 class CodeParams:
     """A (distance, rounds) pair for a rotated surface code."""
@@ -109,16 +128,7 @@ class CodeParams:
     rounds: int
 
     def __post_init__(self):
-        if not isinstance(self.distance, int) or isinstance(self.distance, bool):
-            raise ValidationError(f"distance must be an integer, got {self.distance!r}")
-        if not isinstance(self.rounds, int) or isinstance(self.rounds, bool):
-            raise ValidationError(f"rounds must be an integer, got {self.rounds!r}")
-        if self.distance < 3:
-            raise ValidationError(f"distance must be >= 3, got {self.distance}")
-        if self.distance % 2 == 0:
-            raise ValidationError(f"distance must be odd, got {self.distance}")
-        if self.rounds < 1:
-            raise ValidationError(f"rounds must be >= 1, got {self.rounds}")
+        check_code_point(self.distance, self.rounds)
 
 
 @dataclass(frozen=True)
@@ -130,7 +140,8 @@ class DatasetRecord:
     logical_error_rate: float
 
     def __post_init__(self):
-        validate_profile(self.noise)
+        if not isinstance(self.noise, NoiseProfile):
+            raise ValidationError(f"noise must be a NoiseProfile, got {type(self.noise).__name__}")
         ler = self.logical_error_rate
         check_number("logical_error_rate", ler)
         if not math.isfinite(ler) or not 0.0 < ler <= 1.0:
@@ -163,7 +174,7 @@ class Dataset:
     by 0 or 1. ``distance`` and ``rounds`` are int64 columns and
     ``logical_error_rate`` is a float64 column. Every array is a read-only
     copy of what was passed in, and every column is checked once, as a whole,
-    against the rules of ``validate_profile``, ``CodeParams`` and
+    against the rules of ``NoiseProfile``, ``CodeParams`` and
     ``DatasetRecord``; the first bad record is rebuilt as a ``DatasetRecord``
     so that its own message is raised.
 
@@ -193,18 +204,15 @@ class Dataset:
         self._validate()
 
     def _validate(self) -> None:
-        table, index = self.profiles, self.profile_index
-        bad_profile = (~np.isfinite(table).all(axis=1)
-                       | ((table < 0.0) | (table >= 1.0)).any(axis=1)
-                       | (table == 0.0).all(axis=1))
-        ler = self.logical_error_rate
+        table, index, ler = self.profiles, self.profile_index, self.logical_error_rate
         bad = ((self.distance < 3) | (self.distance % 2 == 0) | (self.rounds < 1)
-               | bad_profile[index] | ~((ler > 0.0) & (ler <= 1.0)))
+               | invalid_profiles(table)[index] | ~((ler > 0.0) & (ler <= 1.0)))
         if bad.any():
             row = int(np.argmax(bad))
-            DatasetRecord(noise=NoiseProfile(*table[index[row]].tolist()),
-                          params=CodeParams(int(self.distance[row]), int(self.rounds[row])),
-                          logical_error_rate=float(ler[row]))  # raises the record's message
+            # Raises the record's message; code point, then profile, then rate.
+            DatasetRecord(params=CodeParams(int(self.distance[row]), int(self.rounds[row])),
+                          noise=NoiseProfile(*table[index[row]].tolist()),
+                          logical_error_rate=float(ler[row]))
             raise ValidationError("dataset record failed validation")
 
     def __setattr__(self, name, value):
@@ -280,7 +288,8 @@ class PredictionRequest:
     target_logical_error_rate: float
 
     def __post_init__(self):
-        validate_profile(self.noise)
+        if not isinstance(self.noise, NoiseProfile):
+            raise ValidationError(f"noise must be a NoiseProfile, got {type(self.noise).__name__}")
         target = self.target_logical_error_rate
         check_number("target rate", target)
         if not math.isfinite(target) or not 0.0 < target < 1.0:

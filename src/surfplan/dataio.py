@@ -170,17 +170,18 @@ def _read_rows(path: str | os.PathLike) -> Dataset:
             if len(row) != len(DATASET_HEADER):
                 raise DataFormatError(
                     f"row {row_number}: expected {len(DATASET_HEADER)} fields, got {len(row)}")
-            noise = NoiseProfile(*[_parse_cell(row_number, column, text, float)
-                                   for column, text in zip(DATASET_HEADER[:4], row)])
+            rates = tuple(_parse_cell(row_number, column, text, float)
+                          for column, text in zip(DATASET_HEADER[:4], row))
             distance = _parse_cell(row_number, "distance", row[4], int)
             rounds = _parse_cell(row_number, "rounds", row[5], int)
             ler = _parse_cell(row_number, "logical_error_rate", row[6], float)
             try:
-                DatasetRecord(noise=noise, params=CodeParams(distance=distance, rounds=rounds),
-                              logical_error_rate=ler)
+                # Code point, then profile, then rate, as Dataset checks them.
+                DatasetRecord(params=CodeParams(distance=distance, rounds=rounds),
+                              noise=NoiseProfile(*rates), logical_error_rate=ler)
             except ValidationError as exc:
                 raise DataFormatError(f"row {row_number}: {exc}") from exc
-            rows.append((noise.as_tuple(), distance, rounds, ler))
+            rows.append((rates, distance, rounds, ler))
     noise, distance, rounds, ler = zip(*rows) if rows else ((), (), (), ())
     try:
         distance, rounds = np.array(distance, dtype=np.int64), np.array(rounds, dtype=np.int64)

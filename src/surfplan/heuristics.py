@@ -370,6 +370,10 @@ class HeuristicModel:
             rounded_rounds=round_rounds(raw_rounds),
         )
 
+    def predict_many(self, requests: list[PredictionRequest]) -> list[PredictionResult]:
+        """One ``predict_result`` call per request."""
+        return [self.predict_result(request) for request in requests]
+
 
 def fit_heuristic(records: Dataset, kind: HeuristicKind,
                   weights: HeuristicWeights = HeuristicWeights(),

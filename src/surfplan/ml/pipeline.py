@@ -160,7 +160,9 @@ def _fit_stages(cases: list[LabeledCase], fit_stage1, fit_stage2,
     ``fit_stage2(features, rounds)`` on the stage-two matrix built from that
     fitted stage: the one place the two stages are chained."""
     if not cases:
-        raise ValidationError("cannot fit a pipeline on an empty training set")
+        raise ValidationError(
+            "no feasible (profile, target) pairs to train on; every menu "
+            "target is out of reach for the dataset's profiles")
     mat1 = stage1_features([case.request for case in cases])
     y_distance = np.asarray([case.distance for case in cases], dtype=np.float64)
     y_rounds = np.asarray([case.rounds for case in cases], dtype=np.float64)
@@ -214,10 +216,6 @@ def fit_pipeline(records: Dataset,
                  menu: tuple[float, ...] = DEFAULT_TARGET_MENU) -> PipelineModel:
     """Label the dataset's profiles against the menu, then fit both stages."""
     cases = build_training_cases(records, sweep, oracle, menu)
-    if not cases:
-        raise ValidationError(
-            "no feasible (profile, target) pairs; every menu target is out of "
-            "reach for the dataset's profiles")
     return fit_pipeline_cases(cases, stage1_config, stage2_config, oracle)
 
 
@@ -233,6 +231,4 @@ def predict(model, request: PredictionRequest) -> PredictionResult:
 
 
 def predict_many(model, requests: list[PredictionRequest]) -> list[PredictionResult]:
-    if hasattr(model, "predict_many"):
-        return model.predict_many(requests)
-    return [model.predict_result(request) for request in requests]
+    return model.predict_many(requests)

@@ -65,10 +65,6 @@ def fit_named_model(name: str,
         if not records:
             raise ValidationError(f"model {name!r} needs records or labeled cases")
         cases = build_training_cases(records, sweep, oracle, menu)
-    if not cases:
-        raise ValidationError(
-            "no feasible (profile, target) pairs to train on; every menu "
-            "target is out of reach for the dataset's profiles")
     if name == "linear":
         return fit_linear_pipeline(cases, oracle)
     return fit_pipeline_cases(cases, stage1_config, stage2_config, oracle)

@@ -13,7 +13,8 @@ every point; dataset generation and training-label construction call it once
 per dataset, ``rate_grid`` is its one-profile case, and the property tests
 check both against the scalar oracle. ``find_optimal_params`` is the scalar
 ground-truth search: the lexicographically smallest (distance, rounds) pair on
-the sweep grid that reaches the target rate.
+the sweep grid that reaches the target rate. Table rows and code points are
+checked by the rules of ``NoiseProfile`` and ``CodeParams``.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ from .core import (
     NoiseProfile,
     PredictionRequest,
     ValidationError,
+    check_code_point,
     check_int,
     check_number,
-    validate_profile,
+    invalid_profiles,
 )
 
 logger = logging.getLogger(__name__)
@@ -171,17 +173,6 @@ def effective_error(profile: NoiseProfile, config: OracleConfig = OracleConfig()
     return _weighted_rates(config, *profile.as_tuple())
 
 
-def _check_code_point(distance: int, rounds: int) -> None:
-    if not isinstance(distance, int) or isinstance(distance, bool):
-        raise ValidationError(f"distance must be an integer, got {distance!r}")
-    if not isinstance(rounds, int) or isinstance(rounds, bool):
-        raise ValidationError(f"rounds must be an integer, got {rounds!r}")
-    if distance < 3 or distance % 2 == 0:
-        raise ValidationError(f"distance must be an odd integer >= 3, got {distance}")
-    if rounds < 1:
-        raise ValidationError(f"rounds must be >= 1, got {rounds}")
-
-
 def _above_threshold(p_eff: float, config: OracleConfig) -> AboveThresholdError:
     return AboveThresholdError(
         f"effective error {p_eff:.3e} is at or above threshold {config.threshold:.3e}")
@@ -204,7 +195,7 @@ def logical_error_rate(distance: int, rounds: int, profile: NoiseProfile,
 
     Raises AboveThresholdError when the effective rate reaches the threshold.
     """
-    _check_code_point(distance, rounds)
+    check_code_point(distance, rounds)
     p_eff = check_below_threshold(profile, config)
     exponent = (min(distance, rounds) + 1) / 2
     base = config.amplitude * (p_eff / config.threshold) ** exponent
@@ -223,17 +214,20 @@ def rate_grids(profiles, distances: Sequence[int], rounds: Sequence[int],
     scalar oracle bit for bit: the effective rate, the penalty and the clamp
     repeat the scalar operation order elementwise, and the suppression base
     comes from Python ``**`` once per (row, distinct min(d, r)), because
-    ``np.power`` can differ in the last ulp. The code points are checked once
-    per call. Raises AboveThresholdError, like the scalar oracle, for the
-    first row at or above threshold.
+    ``np.power`` can differ in the last ulp. Code points and rows are checked
+    once per call, with the messages of ``CodeParams`` and ``NoiseProfile``;
+    then AboveThresholdError is raised for the first row at or above threshold.
     """
     # Every (d, r) pair is a valid code point iff each d and each r is.
     for distance in distances:
-        _check_code_point(distance, 1)
+        check_code_point(distance, 1)
     for count in rounds:
-        _check_code_point(3, count)
-    depolarizing, gate, reset, readout = np.asarray(
-        profiles, dtype=np.float64).reshape(-1, len(PROFILE_FIELDS)).T
+        check_code_point(3, count)
+    table = np.asarray(profiles, dtype=np.float64).reshape(-1, len(PROFILE_FIELDS))
+    bad = invalid_profiles(table)
+    if bad.any():
+        NoiseProfile(*table[bad.argmax()].tolist())  # raises the row's message
+    depolarizing, gate, reset, readout = table.T
     p_eff = _weighted_rates(config, depolarizing, gate, reset, readout)
     above = p_eff >= config.threshold
     if above.any():
@@ -284,17 +278,16 @@ def generate_dataset(sweep: SweepConfig = SweepConfig(),
     in range is recorded. Once any (d, r) reaches the termination rate, the
     current distance's round sweep is finished and no further distances are
     visited for that profile. Profiles at or above threshold are skipped with
-    a warning. Deterministic given the sweep seed. Each profile is validated
-    once, and every kept profile's grid is evaluated in one ``rate_grids``
-    call; a profile's records are a prefix of its grid in row-major order,
-    and they fill one block of the Dataset's columns.
+    a warning. Deterministic given the sweep seed. Every kept profile's grid
+    is evaluated in one ``rate_grids`` call; a profile's records are a prefix
+    of its grid in row-major order, and they fill one block of the Dataset's
+    columns.
     """
     if profiles is None:
         profiles = sample_profiles(sweep)
     distances, rounds = sweep.distances, sweep.rounds()
     table = []
     for index, profile in enumerate(profiles):
-        validate_profile(profile)
         if effective_error(profile, config) >= config.threshold:
             logger.warning("profile %d is at or above threshold, skipped: %s",
                            index, profile)

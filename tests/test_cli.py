@@ -416,6 +416,28 @@ def test_calibration_rate_too_large_for_float_exits_2(capsys, tmp_path, trained_
     assert "calibration key 'gate' is too large for a float" in err
 
 
+@pytest.mark.parametrize("source", ["flags", "calibration"])
+@pytest.mark.parametrize("rates,message", [
+    (("2e-4", "1.5", "5e-4", "3e-3"), "gate out of range [0, 1): 1.5"),
+    (("2e-4", "-1e-3", "5e-4", "3e-3"), "gate out of range [0, 1): -0.001"),
+    (("2e-4", "nan", "5e-4", "3e-3"), "gate must be finite, got nan"),
+    (("0", "0", "0", "0"), "all-zero noise profile")])
+def test_bad_rate_exits_2_with_the_profile_message(capsys, tmp_path, trained_model, source,
+                                                   rates, message):
+    if source == "flags":
+        profile = [f"--{flag}={rate}" for flag, rate in zip(
+            ("depol", "gate", "reset", "readout"), rates)]
+    else:
+        snap = tmp_path / "snap.json"
+        snap.write_text(json.dumps({
+            "device": "backend_a", "timestamp": "2026-08-01T00:00:00Z",
+            **dict(zip(("depolarizing", "gate", "reset", "readout"), map(float, rates)))}))
+        profile = ["--calibration", str(snap)]
+    code, out, err = run_cli(capsys, "predict", "--model", trained_model, *profile,
+                             "--target", "1e-6")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
 @pytest.mark.parametrize("stage", ["tree", "forest", "boosted", "linear"])
 def test_bare_stage_model_exits_2(capsys, tmp_path, small_dataset, stage, command):

@@ -13,31 +13,56 @@ from surfplan import (
     ValidationError,
     round_distance,
     round_rounds,
-    validate_profile,
 )
 from surfplan.heuristics import _scalarized
 
 
 class TestValidateProfile:
+    """A NoiseProfile checks its rates when it is built."""
+
     def test_table_magnitudes_pass(self):
         profile = NoiseProfile(0.0002, 0.008, 0.001, 0.02)
-        assert validate_profile(profile) is profile
+        assert profile.as_tuple() == (0.0002, 0.008, 0.001, 0.02)
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValidationError, match="all-zero"):
-            validate_profile(NoiseProfile(0, 0, 0, 0))
+            NoiseProfile(0, 0, 0, 0)
 
     def test_negative_field_named(self):
         with pytest.raises(ValidationError, match="depolarizing"):
-            validate_profile(NoiseProfile(-0.1, 0.008, 0.001, 0.02))
+            NoiseProfile(-0.1, 0.008, 0.001, 0.02)
 
     def test_rate_of_one_rejected(self):
         with pytest.raises(ValidationError, match="gate"):
-            validate_profile(NoiseProfile(0.0, 1.0, 0.0, 0.0))
+            NoiseProfile(0.0, 1.0, 0.0, 0.0)
 
     def test_nan_rejected(self):
         with pytest.raises(ValidationError, match="readout"):
-            validate_profile(NoiseProfile(0.1, 0.1, 0.1, float("nan")))
+            NoiseProfile(0.1, 0.1, 0.1, float("nan"))
+
+    @pytest.mark.parametrize("rates,message", [
+        ((float("nan"), 1e-3, 0, 0), "depolarizing must be finite, got nan"),
+        ((1e-4, float("inf"), 0, 0), "gate must be finite, got inf"),
+        ((1e-4, 1e-3, float("-inf"), 0), "reset must be finite, got -inf"),
+        ((1e-4, 1e-3, -1e-4, 0), "reset out of range [0, 1): -0.0001"),
+        ((1e-4, 1e-3, 0, 1.0), "readout out of range [0, 1): 1.0"),
+        ((1e-4, 1e-3, 0, 1.5), "readout out of range [0, 1): 1.5"),
+        ((0.0, -0.0, 0, 0), "all-zero noise profile"),
+        ((True, 1e-3, 0, 0), "depolarizing must be a number, got True"),
+        (("1e-3", 1e-3, 0, 0), "depolarizing must be a number, got '1e-3'"),
+    ])
+    def test_construction_raises(self, rates, message):
+        with pytest.raises(ValidationError) as caught:
+            NoiseProfile(*rates)
+        assert str(caught.value) == message
+
+    def test_requests_and_records_need_a_profile_object(self):
+        rates = (1e-4, 1e-3, 1e-4, 1e-3)
+        message = "noise must be a NoiseProfile, got tuple"
+        with pytest.raises(ValidationError, match=message):
+            PredictionRequest(noise=rates, target_logical_error_rate=1e-6)
+        with pytest.raises(ValidationError, match=message):
+            DatasetRecord(noise=rates, params=CodeParams(3, 1), logical_error_rate=1e-3)
 
 
 class TestRoundDistance:

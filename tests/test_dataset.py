@@ -238,6 +238,21 @@ class TestColumns:
             Dataset.from_rows(noise, distance, rounds, ler)
         assert str(got.value) == str(expected.value)
 
+    def test_record_faults_are_named_code_point_then_profile_then_rate(self, tmp_path):
+        faults = [("-1e-4", "4", "0", "distance must be odd, got 4"),
+                  ("-1e-4", "3", "0", "depolarizing out of range [0, 1): -0.0001"),
+                  ("1e-4", "3", "0", "logical_error_rate out of range (0, 1]: 0.0")]
+        path = tmp_path / "faults.csv"
+        for depolarizing, distance, ler, message in faults:
+            with pytest.raises(ValidationError) as got:
+                Dataset([[float(depolarizing), 2e-3, 1e-4, 3e-3]], [0], [int(distance)], [2],
+                        [float(ler)])
+            assert str(got.value) == message
+            path.write_text(f"{HEADER}\n{depolarizing},2e-3,1e-4,3e-3,{distance},2,{ler}\n")
+            with pytest.raises(ValidationError) as got:
+                read_dataset_csv(path)
+            assert str(got.value) == f"row 2: {message}"
+
 
 class TestCsv:
     @settings(max_examples=60)
@@ -313,6 +328,7 @@ class TestCsv:
         [GOOD, SEEN + "3,2,nan"],
         [GOOD, "1e400,2e-3,1e-4,3e-3,3,2,1e-3"],
         [GOOD, "0,0,0,0,3,2,1e-3"],
+        [GOOD, "-1e-4,2e-3,1e-4,3e-3,4,2,1e-3"],  # two faults: the code point is named
         [GOOD, SEEN + "9223372036854775809,2,1e-3"],
         [GOOD, SEEN + "3,2,1e-3\x0c"],
         [GOOD + "\r", SEEN + "3,2,1e-3\r"],

@@ -76,7 +76,14 @@ class TestSplit:
             split([1, 2, 3], SplitConfig())
 
 
-class _Memorizer:
+class _PerRequest:
+    """A model's batch call: one ``predict_result`` per request."""
+
+    def predict_many(self, requests):
+        return [self.predict_result(request) for request in requests]
+
+
+class _Memorizer(_PerRequest):
     """Answers every request with its known optimal label."""
 
     def __init__(self, cases):
@@ -91,7 +98,7 @@ class _Memorizer:
                                 raw_rounds=float(r), rounded_rounds=r)
 
 
-class _Constant:
+class _Constant(_PerRequest):
     def predict_result(self, request):
         return PredictionResult(raw_distance=9.0, rounded_distance=9,
                                 raw_rounds=8.2, rounded_rounds=9)

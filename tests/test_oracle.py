@@ -30,7 +30,9 @@ class TestEffectiveError:
         assert effective_error(WITH_DEPOL) == pytest.approx(1.3e-3, rel=1e-12)
 
     def test_zero_profile(self):
-        assert effective_error(NoiseProfile(0, 0, 0, 0)) == 0.0
+        # An all-zero profile cannot be built, so it never reaches the oracle.
+        with pytest.raises(ValidationError, match="all-zero"):
+            NoiseProfile(0, 0, 0, 0)
 
 
 class TestLogicalErrorRate:

@@ -32,8 +32,13 @@ from surfplan import (
 )
 from surfplan.oracle import meets_target
 
+def profiles_of(rate):
+    """Profiles of four ``rate`` draws, less the all-zero one NoiseProfile rejects."""
+    return st.tuples(rate, rate, rate, rate).filter(any).map(lambda row: NoiseProfile(*row))
+
+
 rates = st.floats(min_value=0.0, max_value=0.02, allow_subnormal=False)
-profiles = st.builds(NoiseProfile, depolarizing=rates, gate=rates, reset=rates, readout=rates)
+profiles = profiles_of(rates)
 oracle_configs = st.builds(
     OracleConfig,
     amplitude=st.floats(min_value=1e-3, max_value=1.0),
@@ -76,9 +81,7 @@ def test_rate_grid_rejects_bad_code_points(distances, rounds):
         rate_grid(profile, distances, rounds)
 
 
-table_rates = st.one_of(st.sampled_from([0.0, -0.0]), rates)
-table_profiles = st.builds(NoiseProfile, depolarizing=table_rates, gate=table_rates,
-                           reset=table_rates, readout=table_rates)
+table_profiles = profiles_of(st.one_of(st.sampled_from([0.0, -0.0]), rates))
 
 
 @given(rows=st.lists(table_profiles, min_size=1, max_size=8),
@@ -117,6 +120,46 @@ def test_rate_grids_reject_bad_code_points_like_the_scalar_oracle(distances, rou
     with pytest.raises(ValidationError) as got:
         rate_grids(table, distances, rounds)
     assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("bad", [
+    (float("nan"), 1e-3, 0.0, 0.0), (1e-4, float("inf"), 0.0, 0.0),
+    (1e-4, float("-inf"), 0.0, 0.0), (-1.0, 1e-3, 0.0, 0.0), (1e-4, 1e-3, -0.0001, 0.0),
+    (1e-4, 1e-3, 0.0, 1.0), (0.0, -0.0, 0.0, 0.0),
+])
+def test_rate_grids_reject_bad_rows_like_noise_profile(bad):
+    """A row that NoiseProfile rejects raises its message, even after a row
+    at or above threshold."""
+    table = [(1e-4, 1e-3, 1e-4, 2e-3), (5e-2, 5e-2, 5e-2, 5e-2), bad, (-1.0, -1.0, 0.0, 0.0)]
+    with pytest.raises(ValidationError) as expected:
+        NoiseProfile(*bad)
+    with pytest.raises(ValidationError) as got:
+        rate_grids(table, (3, 5), (1, 2, 3))
+    assert str(got.value) == str(expected.value)
+
+
+# Rates below 1e-2 keep every profile below the default threshold, since
+# the default channel weights sum to 1.
+shape_profiles = profiles_of(st.one_of(st.sampled_from([0.0, -0.0, 1e-4]),
+                                       st.floats(min_value=0.0, max_value=9.9e-3)))
+
+
+@given(profile=shape_profiles,
+       decoherence=st.one_of(st.sampled_from([0.0, 1.0]),
+                             st.floats(min_value=0.0, max_value=20.0)),
+       rounds_max=st.one_of(st.just(60), st.integers(min_value=1, max_value=30)))
+@settings(max_examples=300)
+def test_oracle_shape(profile, decoherence, rounds_max):
+    """Each distance's rates first reach their minimum at r = d, unless that
+    rate is clamped at the floor, and the minimum does not rise with d."""
+    config = OracleConfig(decoherence=decoherence)
+    sweep = SweepConfig(rounds_max=rounds_max)
+    grid = rate_grid(profile, sweep.distances, sweep.rounds(), config)
+    for distance, row in zip(sweep.distances, grid):
+        if distance <= rounds_max and row[distance - 1] > config.floor:
+            assert int(row.argmin()) == distance - 1
+    minima = grid.min(axis=1)
+    assert (minima[1:] <= minima[:-1]).all()
 
 
 def test_generate_dataset_warns_and_skips_above_threshold_profile(caplog):
