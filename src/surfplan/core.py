@@ -5,11 +5,11 @@ values and every raw distance prediction is rounded up to the next odd number.
 Rounds are rounded up to the next whole number, never down, so a recommendation
 errs on the side of more protection rather than less.
 
-Each type checks itself when built; ``invalid_profiles`` and
-``check_code_point`` apply the ``NoiseProfile`` and ``CodeParams`` rules to a
-rate table and to a bare (distance, rounds). A dataset travels as a
-``Dataset``: one column per field, checked column by column, rather than one
-``DatasetRecord`` object per row.
+Each type checks itself when built; ``check_profile_table``,
+``invalid_profiles`` and ``check_code_point`` apply the ``Dataset``,
+``NoiseProfile`` and ``CodeParams`` rules to a rate table and to a bare
+(distance, rounds). A dataset travels as a ``Dataset``: one column per field,
+checked column by column, rather than one ``DatasetRecord`` object per row.
 """
 
 from __future__ import annotations
@@ -48,6 +48,12 @@ class NoiseProfile:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.depolarizing, self.gate, self.reset, self.readout)
+
+
+def check_profile_table(table: np.ndarray) -> None:
+    """Raise unless ``table`` is a (p, 4) rate table, one profile per row."""
+    if table.ndim != 2 or table.shape[1] != len(PROFILE_FIELDS):
+        raise ValidationError(f"profiles must have shape (p, 4), got {table.shape}")
 
 
 def invalid_profiles(table: np.ndarray) -> np.ndarray:
@@ -190,8 +196,7 @@ class Dataset:
         columns = (index, _integer_column("distance", distance),
                    _integer_column("rounds", rounds),
                    _frozen(logical_error_rate, np.float64))
-        if table.ndim != 2 or table.shape[1] != len(PROFILE_FIELDS):
-            raise ValidationError(f"profiles must have shape (p, 4), got {table.shape}")
+        check_profile_table(table)
         if any(column.shape != index.shape for column in columns) or index.ndim != 1:
             raise ValidationError("dataset columns must be one-dimensional and of equal length")
         blocks = (index[0] == 0 and index[-1] == table.shape[0] - 1

@@ -1,5 +1,9 @@
 """Versioned JSON persistence for every fitted model kind.
 
+A model file is exactly ``json.dumps(model_to_dict(model), indent=1,
+allow_nan=False) + "\n"``. ``_dumps`` writes those bytes without ``json``'s
+pure-Python indenting encoder, and a tree that an ensemble repeats is
+formatted once but still written out in full at each of its positions.
 Floats are written with Python's shortest-round-trip repr, so a loaded model
 predicts bit-identically to the one saved. Loading rejects unknown format
 tags, unknown versions, and truncated or otherwise corrupt files without
@@ -11,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -50,6 +55,15 @@ def _tree_to_dict(tree: TreeModel) -> dict:
     }
 
 
+def _trees_to_dicts(trees) -> list[dict]:
+    """One dict per distinct tree object, listed at each of its positions."""
+    by_id = {}
+    for tree in trees:
+        if id(tree) not in by_id:
+            by_id[id(tree)] = _tree_to_dict(tree)
+    return [by_id[id(tree)] for tree in trees]
+
+
 def _trees_from_dicts(items: list,
                       n_features: int) -> tuple[tuple[TreeModel, ...], PackedTrees]:
     """Parse one stage's trees, checking their structure in one vectorized
@@ -58,7 +72,9 @@ def _trees_from_dicts(items: list,
     Every node array of a tree has the same nonzero length; a leaf has no
     children; an internal node splits on a feature below ``n_features`` and
     its children come after it in the same tree, so prediction always ends at
-    a leaf; thresholds and values are finite.
+    a leaf; thresholds and values are finite. A tree whose node arrays have
+    the same bits as the previous tree's is the previous ``TreeModel`` object,
+    as boosting's repeated fixed-point tree is at fit.
     """
     if not items:
         raise CorruptModelError("stage has no trees")
@@ -101,11 +117,16 @@ def _trees_from_dicts(items: list,
     if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
         raise CorruptModelError("tree thresholds and values must be finite")
 
-    trees = tuple(
-        TreeModel(feature=feature[lo:hi], threshold=threshold[lo:hi], left=left[lo:hi],
-                  right=right[lo:hi], value=value[lo:hi], n_features=n_features)
-        for lo, hi in zip(starts.tolist(), ends.tolist()))
-    return trees, pack_nodes(np.asarray(counts), feature, threshold, left, right, value)
+    trees, previous = [], None
+    for lo, hi in zip(starts.tolist(), ends.tolist()):
+        nodes = (feature[lo:hi], threshold[lo:hi], left[lo:hi], right[lo:hi], value[lo:hi])
+        # Bits, not values: -0.0 == 0.0, but a leaf's sign must survive.
+        bits = [array.tobytes() for array in nodes]
+        if bits != previous:
+            tree = TreeModel(*nodes, n_features=n_features)
+            previous = bits
+        trees.append(tree)
+    return tuple(trees), pack_nodes(np.asarray(counts), feature, threshold, left, right, value)
 
 
 def stage_to_dict(model) -> dict:
@@ -113,11 +134,11 @@ def stage_to_dict(model) -> dict:
         return _tree_to_dict(model)
     if isinstance(model, ForestModel):
         return {"kind": "forest", "n_features": model.n_features,
-                "trees": [_tree_to_dict(t) for t in model.trees]}
+                "trees": _trees_to_dicts(model.trees)}
     if isinstance(model, BoostedModel):
         return {"kind": "boosted", "n_features": model.n_features,
                 "learning_rate": model.learning_rate, "base_score": model.base_score,
-                "trees": [_tree_to_dict(t) for t in model.trees]}
+                "trees": _trees_to_dicts(model.trees)}
     if isinstance(model, LinearModel):
         return {"kind": "linear", "n_features": model.n_features,
                 "coefficients": model.coefficients.tolist(),
@@ -292,8 +313,76 @@ def model_from_dict(envelope: dict):
         raise CorruptModelError(f"malformed model file: {exc}") from exc
 
 
+def _dumps(value) -> str:
+    """``json.dumps(value, indent=1, allow_nan=False)`` for a JSON value built
+    of dicts with string keys, lists, tuples, strings, ints, floats, booleans
+    and None, as ``model_to_dict`` builds it.
+
+    The layout and the number and string formats are ``json``'s. A list of
+    plain floats or of plain ints is joined in one call, and a container met
+    again at the same depth reuses the text it was given the first time.
+    """
+    encoded = {}
+
+    def float_text(number: float) -> str:
+        text = float.__repr__(number)
+        if "n" in text:  # nan, inf or -inf
+            raise ValueError(
+                "Out of range float values are not JSON compliant: " + repr(number))
+        return text
+
+    def encode(value, depth: int) -> str:
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, float):
+            return float_text(value)
+        if isinstance(value, dict):
+            brackets = "{}"
+        elif isinstance(value, (list, tuple)):
+            brackets = "[]"
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        if not value:
+            return brackets
+        key = (id(value), depth)
+        if key in encoded:
+            return encoded[key]
+        pad = "\n" + " " * (depth + 1)
+        separator = "," + pad
+        if brackets == "{}":
+            body = separator.join([encode_basestring_ascii(name) + ": " + encode(item, depth + 1)
+                                   for name, item in value.items()])
+        else:
+            kinds = set(map(type, value))
+            if kinds == {float}:
+                body = separator.join(map(float.__repr__, value))
+                if "n" in body:  # nan, inf or -inf: raise for the first one
+                    body = separator.join(map(float_text, value))
+            elif kinds == {int}:
+                body = separator.join(map(int.__repr__, value))
+            else:
+                body = separator.join([encode(item, depth + 1) for item in value])
+        text = encoded[key] = brackets[0] + pad + body + pad[:-1] + brackets[1]
+        return text
+
+    try:
+        return encode(value, 0)
+    finally:
+        # encode refers to itself, so without this the texts would stay alive
+        # until the cycle collector next runs.
+        encoded.clear()
+
+
 def save_model(model, path: str | os.PathLike) -> None:
-    text = json.dumps(model_to_dict(model), indent=1, allow_nan=False)
+    text = _dumps(model_to_dict(model))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
 

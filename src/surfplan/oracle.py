@@ -36,6 +36,7 @@ from .core import (
     check_code_point,
     check_int,
     check_number,
+    check_profile_table,
     invalid_profiles,
 )
 
@@ -215,15 +216,19 @@ def rate_grids(profiles, distances: Sequence[int], rounds: Sequence[int],
     repeat the scalar operation order elementwise, and the suppression base
     comes from Python ``**`` once per (row, distinct min(d, r)), because
     ``np.power`` can differ in the last ulp. Code points and rows are checked
-    once per call, with the messages of ``CodeParams`` and ``NoiseProfile``;
-    then AboveThresholdError is raised for the first row at or above threshold.
+    once per call, with the messages of ``CodeParams``, ``Dataset`` (the
+    table's shape) and ``NoiseProfile``; then AboveThresholdError is raised for
+    the first row at or above threshold.
     """
     # Every (d, r) pair is a valid code point iff each d and each r is.
     for distance in distances:
         check_code_point(distance, 1)
     for count in rounds:
         check_code_point(3, count)
-    table = np.asarray(profiles, dtype=np.float64).reshape(-1, len(PROFILE_FIELDS))
+    table = np.asarray(profiles, dtype=np.float64)
+    if table.shape == (0,):  # an empty list of rows
+        table = table.reshape(0, len(PROFILE_FIELDS))
+    check_profile_table(table)
     bad = invalid_profiles(table)
     if bad.any():
         NoiseProfile(*table[bad.argmax()].tolist())  # raises the row's message

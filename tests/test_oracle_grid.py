@@ -122,6 +122,23 @@ def test_rate_grids_reject_bad_code_points_like_the_scalar_oracle(distances, rou
     assert str(got.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("table, shape", [
+    ([[1e-4, 1e-3, 0.0, 0.0, 1e-4, 1e-3, 0.0, 1e-3]], (1, 8)),
+    ([[1e-4, 1e-3, 0.0]], (1, 3)),
+    ([1e-4, 1e-3, 0.0, 0.0], (4,)),
+])
+def test_rate_grids_reject_a_table_of_the_wrong_shape_like_dataset(table, shape):
+    """A table that is not (p, 4) raises Dataset's message, rather than being
+    read as other rows (a row of 8 rates as two profiles) or failing in a
+    reshape."""
+    message = f"profiles must have shape (p, 4), got {shape}"
+    with pytest.raises(ValidationError, match=message.replace("(", r"\(").replace(")", r"\)")):
+        Dataset(table, [0], [3], [3], [1e-3])
+    with pytest.raises(ValidationError) as got:
+        rate_grids(table, [3], [3])
+    assert str(got.value) == message
+
+
 @pytest.mark.parametrize("bad", [
     (float("nan"), 1e-3, 0.0, 0.0), (1e-4, float("inf"), 0.0, 0.0),
     (1e-4, float("-inf"), 0.0, 0.0), (-1.0, 1e-3, 0.0, 0.0), (1e-4, 1e-3, -0.0001, 0.0),

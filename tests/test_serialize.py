@@ -4,6 +4,9 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from surfplan import (
     BoostConfig,
@@ -27,8 +30,9 @@ from surfplan import (
 from surfplan.config import load_config
 from surfplan.evaluate import evaluate_model, split
 from surfplan.ml import build_training_cases
-from surfplan.ml.serialize import CorruptModelError, ModelVersionError
-from surfplan.ml.tree import PackedTrees, pack_trees
+from surfplan.ml.ensemble import BoostedModel
+from surfplan.ml.serialize import CorruptModelError, ModelVersionError, _dumps, model_to_dict
+from surfplan.ml.tree import LEAF, PackedTrees, TreeModel, pack_trees
 from surfplan.models import HEURISTIC_NAMES, fit_named_model
 
 
@@ -126,6 +130,41 @@ def test_load_packs_like_the_fit(default_pipeline, tmp_path):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def test_load_shares_repeated_trees_like_the_fit(default_pipeline, tmp_path):
+    # Boosting repeats its fixed-point tree as one object; a load gives a
+    # tree with the previous tree's bits the previous tree's object, so the
+    # loaded stages share trees exactly where the fitted ones do.
+    _, model = default_pipeline
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    for fitted, reloaded in ((model.stage1, loaded.stage1), (model.stage2, loaded.stage2)):
+        pairs = range(len(fitted.trees))
+        assert ([[fitted.trees[i] is fitted.trees[j] for j in pairs] for i in pairs]
+                == [[reloaded.trees[i] is reloaded.trees[j] for j in pairs] for i in pairs])
+    assert len({id(tree) for tree in loaded.stage1.trees}) == 45
+    again = tmp_path / "again.json"
+    save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_load_keeps_trees_that_differ_only_in_a_sign_bit(tmp_path):
+    # -0.0 == 0.0, so a value comparison would merge these two trees.
+    def leaf(value):
+        return TreeModel(feature=np.array([LEAF]), threshold=np.array([0.0]),
+                         left=np.array([LEAF]), right=np.array([LEAF]),
+                         value=np.array([value]), n_features=1)
+
+    model = BoostedModel(trees=(leaf(0.0), leaf(-0.0), leaf(-0.0)), learning_rate=1.0,
+                         base_score=0.0, n_features=1)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    trees = load_model(path).trees
+    assert trees[0] is not trees[1] and trees[1] is trees[2]
+    assert [tree.value.tobytes() for tree in trees] == [tree.value.tobytes()
+                                                       for tree in model.trees]
+
+
 def test_default_pipeline_predictions_are_pinned(default_pipeline):
     # SHA-256 over the reprs of predict_many's rows for 1024 seeded in-range
     # requests, as the per-tree prediction loops made them before the trees
@@ -166,6 +205,93 @@ def test_default_heuristic_predictions_are_pinned():
             digest.update(repr(values).encode())
     assert (digest.hexdigest()
             == "95f56362806869ac91b5db0b67f6b88da66281d49e434a07b5bfe254e2e1a251")
+
+
+def _reference_text(value):
+    return json.dumps(value, indent=1, allow_nan=False)
+
+
+_json_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, -1e16, 1e-7, 0.1,
+                     1.7976931348623157e308]))
+_json_strings = st.one_of(st.text(), st.sampled_from(['', '"', '\\', '\n\t\x00\x1f\x7f',
+                                                      'é☃', '\U0001f600', '\u2028']))
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2 ** 63, max_value=2 ** 200),
+    st.integers(max_value=-2 ** 63), _json_floats, _json_floats.map(np.float64), _json_strings)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.lists(_json_floats, max_size=8),
+        st.lists(st.integers(), max_size=8),
+        st.lists(st.one_of(_json_floats, st.integers()), max_size=8),
+        st.dictionaries(_json_strings, children, max_size=5),
+        # One object at several places and depths, as a repeated tree is.
+        children.map(lambda shared: {"a": shared, "b": [shared, shared, [shared]],
+                                     "c": shared})),
+    max_leaves=40)
+
+
+class TestWriter:
+    """``_dumps`` writes the bytes of ``json.dumps(value, indent=1,
+    allow_nan=False)``, and ``save_model`` writes them for every model kind."""
+
+    @given(value=_json_values)
+    @settings(max_examples=400)
+    def test_matches_json_dumps(self, value):
+        assert _dumps(value) == _reference_text(value)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
+                                     np.float64("nan"), np.float64("-inf")])
+    @pytest.mark.parametrize("place", [
+        lambda bad: bad,
+        lambda bad: [1.0, bad, 2.0],
+        lambda bad: [1, 2.5, bad],
+        lambda bad: {"ok": [0.5], "bad": {"list": [bad]}},
+        lambda bad: [[0.5, bad], [bad, 1.0]],
+    ])
+    def test_non_finite_raises_like_json_dumps(self, bad, place):
+        value = place(bad)
+        with pytest.raises(ValueError) as expected:
+            _reference_text(value)
+        with pytest.raises(ValueError) as got:
+            _dumps(value)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("name", ("pipeline", "linear") + HEURISTIC_NAMES)
+    def test_save_model_writes_json_dumps_bytes(self, training_setup, tmp_path, name):
+        records, cases, _ = training_setup
+        model = fit_named_model(name, records=records, cases=cases)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert path.read_bytes() == (_reference_text(model_to_dict(model)) + "\n").encode()
+
+    @given(features=arrays(np.float64, st.tuples(st.integers(2, 30), st.integers(1, 3)),
+                           elements=st.sampled_from([-1.5, -0.0, 0.0, 0.25, 3.0])),
+           kind=st.sampled_from(["tree", "forest", "boosted", "linear"]),
+           constant=st.booleans(), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=60)
+    def test_save_model_writes_json_dumps_bytes_for_stages(self, features, kind, constant,
+                                                          seed, tmp_path_factory):
+        # Constant targets make boosting repeat its first tree from stage 2 on.
+        rng = np.random.default_rng(seed)
+        targets = np.full(len(features), -0.0) if constant else rng.normal(size=len(features))
+        tree = TreeConfig(max_depth=3)
+        model = {"tree": lambda: fit_tree(features, targets, tree),
+                 "forest": lambda: fit_forest(features, targets,
+                                              ForestConfig(n_estimators=3, tree=tree, seed=seed)),
+                 "boosted": lambda: fit_boosted(features, targets,
+                                                BoostConfig(n_estimators=6, tree=tree)),
+                 "linear": lambda: fit_linear(features, targets)}[kind]()
+        path = tmp_path_factory.mktemp("stage") / "model.json"
+        save_model(model, path)
+        assert path.read_bytes() == (_reference_text(model_to_dict(model)) + "\n").encode()
+        again = path.with_name("again.json")
+        save_model(load_model(path), again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestFailureModes:
