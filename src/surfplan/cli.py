@@ -146,15 +146,13 @@ def cmd_predict(args) -> int:
     print(f"data_qubits={d * d}")
     print(f"total_qubits={2 * d * d - 1}")
 
-    oracle = getattr(model, "oracle", None)
-    if oracle is not None:
-        estimated = logical_error_rate(d, result.rounded_rounds, request.noise, oracle)
-        print(f"estimated_ler={estimated!r}")
-        if estimated > request.target_logical_error_rate:
-            raise InfeasibleRequestError(
-                f"recommendation reaches {estimated:.3e}, above the target "
-                f"{request.target_logical_error_rate:.3e}; the target may be "
-                "below this model's trained range")
+    estimated = logical_error_rate(d, result.rounded_rounds, request.noise, model.oracle)
+    print(f"estimated_ler={estimated!r}")
+    if estimated > request.target_logical_error_rate:
+        raise InfeasibleRequestError(
+            f"recommendation reaches {estimated:.3e}, above the target "
+            f"{request.target_logical_error_rate:.3e}; the target may be "
+            "below this model's trained range")
     return EXIT_OK
 
 

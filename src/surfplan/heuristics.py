@@ -80,6 +80,8 @@ class HeuristicKind:
 
     @classmethod
     def parse(cls, text: str) -> "HeuristicKind":
+        if not isinstance(text, str):
+            raise ValidationError(f"heuristic kind must be a string, got {text!r}")
         if text.endswith("_n_w"):
             return cls(method=text[:-4], weighted=False)
         if text.endswith("_w"):

@@ -7,7 +7,9 @@ formatted once but still written out in full at each of its positions.
 Floats are written with Python's shortest-round-trip repr, so a loaded model
 predicts bit-identically to the one saved. Loading rejects unknown format
 tags, unknown versions, and truncated or otherwise corrupt files without
-returning a partial model.
+returning a partial model. Every number in a file is read through
+``_numbers``: a JSON number of the field's kind (integer or any), finite, in
+the field's shape.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -64,6 +68,40 @@ def _trees_to_dicts(trees) -> list[dict]:
     return [by_id[id(tree)] for tree in trees]
 
 
+def _numbers(value, what: str, kinds: str = "if", shape: tuple = (-1,)) -> np.ndarray:
+    """``value``, a JSON number (``shape`` ()) or nested lists of them, as an
+    int64 array (``kinds`` "i") or a float64 one (``kinds`` "if").
+
+    Every entry must be a JSON integer, or for "if" also a JSON float, so a
+    quoted number, a fractional index and a ``true`` or ``false`` are rejected
+    instead of converted, as is a number that does not fit the dtype. Every
+    entry must be finite, and the array must have ``shape``, where -1 matches
+    any length.
+    """
+    cells = value if shape else [value]
+    for _ in range(len(shape) - 1):
+        cells = chain.from_iterable(cells)
+    # The types json.load gives such numbers. A bool is an int to isinstance
+    # and to numpy, but not to type().
+    types, dtype, noun = (({int}, np.int64, "integers") if kinds == "i"
+                          else ({int, float}, np.float64, "numbers"))
+    if not set(map(type, cells)) <= types:
+        raise CorruptModelError(f"{what} must hold only JSON {noun}")
+    try:
+        array = (np.fromiter(value, dtype, len(value)) if len(shape) == 1
+                 else np.asarray(value, dtype=dtype))
+    except (OverflowError, ValueError) as exc:  # too large, or ragged
+        raise CorruptModelError(f"{what} is malformed: {exc}") from None
+    if kinds != "i" and not np.isfinite(array).all():
+        raise CorruptModelError(f"{what} must hold finite {noun}")
+    if array.ndim != len(shape) or any(want not in (-1, got)
+                                       for want, got in zip(shape, array.shape)):
+        raise CorruptModelError(
+            f"{what} must be " + ("one number" if shape == () else f"of shape {shape}")
+            + f", got shape {array.shape}")
+    return array
+
+
 def _trees_from_dicts(items: list,
                       n_features: int) -> tuple[tuple[TreeModel, ...], PackedTrees]:
     """Parse one stage's trees, checking their structure in one vectorized
@@ -72,34 +110,29 @@ def _trees_from_dicts(items: list,
     Every node array of a tree has the same nonzero length; a leaf has no
     children; an internal node splits on a feature below ``n_features`` and
     its children come after it in the same tree, so prediction always ends at
-    a leaf; thresholds and values are finite. A tree whose node arrays have
-    the same bits as the previous tree's is the previous ``TreeModel`` object,
-    as boosting's repeated fixed-point tree is at fit.
+    a leaf. A tree whose node arrays have the same bits as the previous
+    tree's is the previous ``TreeModel`` object, as boosting's repeated
+    fixed-point tree is at fit.
     """
     if not items:
         raise CorruptModelError("stage has no trees")
-    counts = [len(item["feature"]) for item in items]
+    counts = list(map(len, map(itemgetter("feature"), items)))
     if min(counts) < 1:
         raise CorruptModelError("tree has no nodes")
-    for name in ("threshold", "left", "right", "value"):
-        if [len(item[name]) for item in items] != counts:
+    columns = []
+    for name, kinds in (("feature", "i"), ("threshold", "if"), ("left", "i"), ("right", "i"),
+                        ("value", "if")):
+        if list(map(len, map(itemgetter(name), items))) != counts:
             raise CorruptModelError(f"tree '{name}' array does not match its node count")
-    if any(_n_features(item, "tree") != n_features for item in items):
-        raise CorruptModelError(f"tree n_features does not match the stage's {n_features}")
-
-    def column(name, kinds, dtype):
         flat = []
         for item in items:
             flat += item[name]
-        # Parse without a dtype first, so that a fractional index or a quoted
-        # number is rejected instead of silently truncated or converted.
-        array = np.asarray(flat)
-        if array.dtype.kind not in kinds:
-            raise CorruptModelError(f"tree '{name}' has a non-numeric or fractional entry")
-        return array.astype(dtype, copy=False)
+        columns.append(_numbers(flat, f"tree '{name}'", kinds))
+    widths = _numbers(list(map(itemgetter("n_features"), items)), "tree 'n_features'", "i")
+    if (widths != n_features).any():
+        raise CorruptModelError(f"tree 'n_features' does not match the stage's {n_features}")
 
-    feature, left, right = (column(name, "i", np.int64) for name in ("feature", "left", "right"))
-    threshold, value = (column(name, "if", np.float64) for name in ("threshold", "value"))
+    feature, threshold, left, right, value = columns
     ends = np.cumsum(counts)
     starts = ends - counts
     local = np.arange(ends[-1]) - np.repeat(starts, counts)
@@ -114,16 +147,16 @@ def _trees_from_dicts(items: list,
         tree = int(np.searchsorted(ends, bad, side="right"))
         raise CorruptModelError(
             f"tree {tree} node {int(local[bad])} has an invalid feature or child index")
-    if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
-        raise CorruptModelError("tree thresholds and values must be finite")
 
+    # Bits, not values: -0.0 == 0.0, but a leaf's sign must survive.
+    rows = np.column_stack([feature, threshold.view(np.int64), left, right,
+                            value.view(np.int64)])
     trees, previous = [], None
     for lo, hi in zip(starts.tolist(), ends.tolist()):
-        nodes = (feature[lo:hi], threshold[lo:hi], left[lo:hi], right[lo:hi], value[lo:hi])
-        # Bits, not values: -0.0 == 0.0, but a leaf's sign must survive.
-        bits = [array.tobytes() for array in nodes]
+        bits = rows[lo:hi].tobytes()
         if bits != previous:
-            tree = TreeModel(*nodes, n_features=n_features)
+            tree = TreeModel(feature[lo:hi], threshold[lo:hi], left[lo:hi], right[lo:hi],
+                             value[lo:hi], n_features=n_features)
             previous = bits
         trees.append(tree)
     return tuple(trees), pack_nodes(np.asarray(counts), feature, threshold, left, right, value)
@@ -147,67 +180,34 @@ def stage_to_dict(model) -> dict:
 
 
 def stage_from_dict(data: dict):
+    if not isinstance(data, dict):
+        raise CorruptModelError(f"a stage must be a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
-    if kind == "tree":
-        return _trees_from_dicts([data], _n_features(data, "tree"))[0][0]
-    if kind == "forest":
-        n_features = _n_features(data, "forest stage")
-        trees, packed = _trees_from_dicts(data["trees"], n_features)
-        return ForestModel(trees=trees, n_features=n_features, _packing=packed)
-    if kind == "boosted":
-        n_features = _n_features(data, "boosted stage")
-        trees, packed = _trees_from_dicts(data["trees"], n_features)
-        learning_rate, base_score = (_finite_number(data[name], name, "boosted stage")
-                                     for name in ("learning_rate", "base_score"))
-        return BoostedModel(trees=trees, learning_rate=learning_rate, base_score=base_score,
-                            n_features=n_features, _packing=packed)
+    if kind not in ("tree", "forest", "boosted", "linear"):
+        raise CorruptModelError(f"unknown stage model kind {kind!r}")
+    owner = f"{kind} stage"
+    n_features = int(_numbers(data["n_features"], f"{owner} 'n_features'", "i", ()))
+    if n_features < 1:
+        raise CorruptModelError(f"{owner} 'n_features' must be >= 1, got {n_features}")
     if kind == "linear":
-        return _linear_from_dict(data)
-    raise CorruptModelError(f"unknown stage model kind {kind!r}")
-
-
-def _linear_from_dict(data: dict) -> LinearModel:
-    """Parse a linear stage: exactly ``n_features`` finite coefficients and a
-    finite intercept, all JSON numbers."""
-    n_features = _n_features(data, "linear stage")
-    coefficients = _finite_array(data["coefficients"], "coefficients", "linear stage")
-    if coefficients.shape != (n_features,):
-        raise CorruptModelError(
-            f"linear stage must have {n_features} coefficients, got shape {coefficients.shape}")
-    return LinearModel(coefficients=coefficients,
-                       intercept=_finite_number(data["intercept"], "intercept", "linear stage"),
-                       n_features=n_features)
-
-
-def _n_features(data: dict, owner: str) -> int:
-    n_features = data["n_features"]
-    if not isinstance(n_features, int) or isinstance(n_features, bool) or n_features < 1:
-        raise CorruptModelError(
-            f"{owner} 'n_features' must be a positive integer, got {n_features!r}")
-    return n_features
-
-
-def _finite_array(value, name: str, owner: str = "heuristic") -> np.ndarray:
-    # Parse without a dtype first, so that a quoted number (or a bool, or an
-    # integer too large for a float) is rejected instead of silently converted.
-    array = np.asarray(value)
-    if array.dtype.kind not in "if" or not np.isfinite(array).all():
-        raise CorruptModelError(f"{owner} '{name}' must hold finite numbers")
-    return array.astype(np.float64, copy=False)
-
-
-def _finite_number(value, name: str, owner: str) -> float:
-    array = _finite_array(value, name, owner)
-    if array.shape != ():
-        raise CorruptModelError(f"{owner} '{name}' must be one number")
-    return float(array)
+        return LinearModel(
+            coefficients=_numbers(data["coefficients"], f"{owner} 'coefficients'",
+                                  shape=(n_features,)),
+            intercept=float(_numbers(data["intercept"], f"{owner} 'intercept'", shape=())),
+            n_features=n_features)
+    if kind == "tree":
+        return _trees_from_dicts([data], n_features)[0][0]
+    trees, packed = _trees_from_dicts(data["trees"], n_features)
+    if kind == "forest":
+        return ForestModel(trees=trees, n_features=n_features, _packing=packed)
+    return BoostedModel(trees=trees, n_features=n_features, _packing=packed,
+                        **{name: float(_numbers(data[name], f"{owner} '{name}'", shape=()))
+                           for name in ("learning_rate", "base_score")})
 
 
 def _scaler_from_dict(data: dict, name: str, width: int) -> Standardizer:
-    mean = _finite_array(data["mean"], f"{name}.mean")
-    scale = _finite_array(data["scale"], f"{name}.scale")
-    if mean.shape != (width,) or scale.shape != (width,):
-        raise CorruptModelError(f"heuristic '{name}' must have {width} means and scales")
+    mean, scale = (_numbers(data[field], f"heuristic '{name}.{field}'", shape=(width,))
+                   for field in ("mean", "scale"))
     if not (scale > 0.0).all():
         raise CorruptModelError(f"heuristic '{name}' scales must be > 0")
     return Standardizer(mean=tuple(mean.tolist()), scale=tuple(scale.tolist()))
@@ -219,24 +219,15 @@ def _heuristic_from_dict(data: dict) -> HeuristicModel:
     arrays, finite values, and positive scales of the width each stage uses.
     """
     kind = HeuristicKind.parse(data["heuristic"])
-    noise = _finite_array(data["noise"], "noise")
-    if noise.ndim != 2 or noise.shape[0] == 0 or noise.shape[1] != 4:
-        raise CorruptModelError(
-            f"heuristic 'noise' must be a non-empty list of 4 rates per record, "
-            f"got shape {noise.shape}")
-    records = {name: _finite_array(data[name], name)
-               for name in ("log_ler", "distance", "rounds")}
-    for name, array in records.items():
-        if array.shape != (noise.shape[0],):
-            raise CorruptModelError(
-                f"heuristic '{name}' must have one entry per noise row "
-                f"({noise.shape[0]}), got shape {array.shape}")
+    # A list of no rows parses to shape (0,), so the shape also rejects it.
+    noise = _numbers(data["noise"], "heuristic 'noise'", shape=(-1, 4))
     return HeuristicModel(
         kind=kind,
         weights=HeuristicWeights(**data["weights"]),
         oracle=OracleConfig(**data["oracle"]),
         noise=noise,
-        **records,
+        **{name: _numbers(data[name], f"heuristic '{name}'", shape=(len(noise),))
+           for name in ("log_ler", "distance", "rounds")},
         stage1_scaler=_scaler_from_dict(data["stage1_scaler"], "stage1_scaler",
                                         2 if kind.weighted else 5),
         stage2_scaler=_scaler_from_dict(data["stage2_scaler"], "stage2_scaler", 2),
@@ -303,8 +294,8 @@ def model_from_dict(envelope: dict):
                 stage1=stage1,
                 stage2=stage2,
                 oracle=OracleConfig(**data["oracle"]),
-                min_target=_finite_number(data["min_target"], "min_target", "pipeline"),
-                max_target=_finite_number(data["max_target"], "max_target", "pipeline"),
+                **{name: float(_numbers(data[name], f"pipeline '{name}'", shape=()))
+                   for name in ("min_target", "max_target")},
             )
         if kind == "heuristic":
             return _heuristic_from_dict(data)

@@ -68,7 +68,9 @@ class OracleConfig:
     physical rate beyond which the code stops helping, the channel weights
     combine the four rates into one effective rate, ``decoherence`` scales the
     per-extra-round penalty, and ``floor`` is the smallest reportable rate.
-    Every constant must be a finite number.
+    Every constant must be a finite number, and is stored as a float, so the
+    scalar and the array oracle compute in the same type (an int past int64
+    cannot multiply an int64 array).
     """
 
     amplitude: float = 0.1
@@ -86,6 +88,7 @@ class OracleConfig:
             check_number(item.name, value)
             if not math.isfinite(value):
                 raise ValidationError(f"{item.name} must be finite, got {value!r}")
+            object.__setattr__(self, item.name, float(value))
         if not 0.0 < self.amplitude <= 1.0:
             raise ValidationError(f"amplitude must be in (0, 1], got {self.amplitude!r}")
         if not 0.0 < self.threshold < 1.0:

@@ -184,6 +184,18 @@ class TestGenerate:
         assert "seed" in err
         assert not out_path.exists()
 
+    def test_integer_oracle_constant_past_int64_exits_0(self, capsys, tmp_path):
+        # The array oracle multiplies int64 arrays by each constant, so a
+        # Python int past int64 must reach it as a float.
+        config = tmp_path / "big.json"
+        config.write_text(json.dumps({"oracle": {"decoherence": 10 ** 19},
+                                      "sweep": {"profiles_per_run": 2}}))
+        code, out, err = run_cli(capsys, "generate", "--config", str(config),
+                                 "--out", str(tmp_path / "x.csv"))
+        assert code == 0
+        assert "Traceback" not in err
+        assert "records=" in out
+
     def test_default_scale(self, capsys, tmp_path):
         out_path = tmp_path / "default.csv"
         code, out, _ = run_cli(capsys, "generate", "--out", str(out_path))
@@ -502,6 +514,47 @@ def test_corrupt_model_exits_2_at_load(capsys, tmp_path, trained_model, small_da
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def trained_heuristic(tmp_path_factory, small_config, small_dataset):
+    path = tmp_path_factory.mktemp("models") / "heuristic.json"
+    code = main(["train", "--data", small_dataset, "--model", "heuristic:range_search_w",
+                 "--out-model", str(path), "--config", small_config])
+    assert code == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("model, field, bad, message", [
+    ("pipeline", ("stage1",), None, "a stage must be a JSON object, got NoneType"),
+    ("pipeline", ("stage1",), [], "a stage must be a JSON object, got list"),
+    ("pipeline", ("stage2",), None, "a stage must be a JSON object, got NoneType"),
+    ("pipeline", ("stage2",), [1.0], "a stage must be a JSON object, got list"),
+    ("heuristic", ("heuristic",), 5, "heuristic kind must be a string, got 5"),
+    ("heuristic", ("heuristic",), None, "heuristic kind must be a string, got None"),
+    # numpy reads a bool beside numbers as 1 or 0, so these loaded and predicted.
+    ("pipeline", ("stage1", "trees", 0, "threshold", 0), True,
+     "tree 'threshold' must hold only JSON numbers"),
+    ("pipeline", ("stage2", "trees", 0, "value", -1), False,
+     "tree 'value' must hold only JSON numbers"),
+], ids=repr)
+def test_wrongly_typed_model_field_exits_2(capsys, tmp_path, trained_model, trained_heuristic,
+                                          model, field, bad, message):
+    source = trained_model if model == "pipeline" else trained_heuristic
+    with open(source, encoding="utf-8") as handle:
+        data = json.load(handle)
+    parent = data["model"]
+    for key in field[:-1]:
+        parent = parent[key]
+    parent[field[-1]] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "predict", "--model", str(path), "--depol", "2e-4",
+                             "--gate", "1.2e-3", "--reset", "5e-4", "--readout", "3e-3",
+                             "--target", "1e-6")
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert message in err
 
 
 class TestEvaluateAndCompare:

@@ -73,6 +73,19 @@ def test_rate_grid_equals_scalar_oracle(profile, config, distances, rounds):
             assert rate == logical_error_rate(distance, r, profile, config)
 
 
+@pytest.mark.parametrize("decoherence", [0, 2, 10 ** 19])
+def test_integer_constants_reach_both_oracles_as_floats(decoherence):
+    # An int past int64 cannot multiply the array oracle's int64 arrays.
+    config = OracleConfig(amplitude=1, gate_weight=1, depolarizing_weight=0, readout_weight=0,
+                          reset_weight=0, decoherence=decoherence)
+    assert {type(value) for value in vars(config).values()} == {float}
+    profiles = [NoiseProfile(1e-4, 1e-3, 1e-4, 2e-3), NoiseProfile(3e-4, 2e-3, 0.0, 1e-3)]
+    distances, rounds = (3, 5, 9), range(1, 14)
+    grids = rate_grids([profile.as_tuple() for profile in profiles], distances, rounds, config)
+    assert grids.tolist() == [[[logical_error_rate(d, r, profile, config) for r in rounds]
+                               for d in distances] for profile in profiles]
+
+
 @pytest.mark.parametrize("distances, rounds", [((3, 4), (1, 2)), ((1,), (1,)),
                                                ((3,), (0, 1)), ((3.0,), (1,))])
 def test_rate_grid_rejects_bad_code_points(distances, rounds):

@@ -29,7 +29,7 @@ from surfplan import (
 )
 from surfplan.config import load_config
 from surfplan.evaluate import evaluate_model, split
-from surfplan.ml import build_training_cases
+from surfplan.ml import build_training_cases, fit_linear_pipeline
 from surfplan.ml.ensemble import BoostedModel
 from surfplan.ml.serialize import CorruptModelError, ModelVersionError, _dumps, model_to_dict
 from surfplan.ml.tree import LEAF, PackedTrees, TreeModel, pack_trees
@@ -292,6 +292,31 @@ class TestWriter:
         again = path.with_name("again.json")
         save_model(load_model(path), again)
         assert again.read_bytes() == path.read_bytes()
+
+
+@given(profiles=st.integers(2, 5), seed=st.integers(0, 2 ** 16),
+       n_estimators=st.integers(1, 12), data=st.data())
+@settings(max_examples=50)
+def test_fitted_pipelines_round_trip(profiles, seed, n_estimators, data, tmp_path_factory):
+    # Save -> load -> save of pipelines fitted on drawn sweeps: the bytes and
+    # every prediction must survive the trip.
+    sweep = SweepConfig(profiles_per_run=profiles, seed=seed)
+    cases = build_training_cases(generate_dataset(sweep), sweep)
+    rates = [st.floats(*bounds) for bounds in (sweep.depolarizing_range, sweep.gate_range,
+                                               sweep.reset_range, sweep.readout_range)]
+    requests = data.draw(st.lists(st.builds(
+        PredictionRequest, noise=st.builds(NoiseProfile, *rates),
+        target_logical_error_rate=st.floats(-9, -3).map(lambda exponent: 10 ** exponent)),
+        min_size=1, max_size=20))
+    root = tmp_path_factory.mktemp("round_trip")
+    for model in (fit_pipeline_cases(cases, BoostConfig(n_estimators=n_estimators),
+                                     ForestConfig(n_estimators=n_estimators % 5 + 1, seed=seed)),
+                  fit_linear_pipeline(cases)):
+        save_model(model, root / "model.json")
+        loaded = load_model(root / "model.json")
+        save_model(loaded, root / "again.json")
+        assert (root / "again.json").read_bytes() == (root / "model.json").read_bytes()
+        assert repr(predict_many(loaded, requests)) == repr(predict_many(model, requests))
 
 
 class TestFailureModes:
