@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Dataset, ValidationError, check_int, check_number
+from .core import Dataset, HeuristicWeights, ValidationError, check_int, check_number
+from .heuristics import derive_training
 from .ml import pipeline
 from .ml.pipeline import LabeledCase
 from .oracle import OracleConfig, SweepConfig, logical_error_rate
@@ -178,13 +179,22 @@ def compare_models(names: list[str], train_records: Dataset, train_cases,
     heuristics are instance-based over the raw ``train_records`` and never see
     optimal labels. All models are scored on the same ``test_cases``. Rows are
     sorted by raw-distance Pearson, descending (undefined sorts last).
+
+    The heuristics share the training state of ``train_records``, derived
+    once for all of them. Models are fitted and scored one at a time.
     """
-    from .models import check_model_names, fit_named_model  # local import avoids a module cycle
+    from .models import check_model_names, fit_named_model, heuristic_kind  # avoids a cycle
 
     check_model_names(names)
+    kinds = {name: heuristic_kind(name) for name in names}
+    heuristics = [kind for kind in kinds.values() if kind is not None]
+    training = (derive_training(train_records, fit_options.get("weights", HeuristicWeights()),
+                                heuristics)
+                if heuristics and train_records else None)
     rows = []
     for name in names:
-        model = fit_named_model(name, records=train_records, cases=train_cases,
+        records = training if kinds[name] and training else train_records
+        model = fit_named_model(name, records=records, cases=train_cases,
                                 sweep=sweep, oracle=oracle, **fit_options)
         report = evaluate_model(model, test_cases, oracle)
         rows.append(ComparisonRow(

@@ -19,7 +19,15 @@ the requested target (widening to neighboring decades until enough distinct
 abscissae exist). Duplicate abscissae are aggregated by mean before
 interpolating.
 
-A fitted model derives its training state once, when it is built or loaded:
+Fitting has two parts. ``derive_training`` derives what every kind takes
+from one set of training records and weights: their columns, each record's
+log10 rate, the stage-2 scaler and the stage-1 scaler of each weighted flag.
+``fit_heuristic`` then builds a model of one kind from that state. A single
+fit derives it for its one kind; a model comparison derives it once for all
+eight kinds, so this per-dataset work is done once per comparison, not once
+per model.
+
+A fitted model derives its own state once, when it is built or loaded:
 the standardized training features of both stages as one contiguous column
 per feature, or, for the interpolators, both stages' axes and each record's
 decade. A request's query goes through the same feature functions as the
@@ -147,10 +155,10 @@ def _nearest_label(columns, labels: np.ndarray, query) -> float:
 
 def _idw(columns, labels: np.ndarray, query, k: int, power: float) -> float:
     distances = _distances(columns, query)
-    exact = np.flatnonzero(distances == 0.0)
-    if exact.size:
-        return float(labels[exact[0]])
     order = _k_nearest(distances, min(k, distances.shape[0]))
+    # The (distance, index) order puts the lowest-index exact match first.
+    if distances[order[0]] == 0.0:
+        return float(labels[order[0]])
     weights = 1.0 / distances[order] ** power
     return float(np.dot(weights, labels[order]) / weights.sum())
 
@@ -377,10 +385,26 @@ class HeuristicModel:
         return [self.predict_result(request) for request in requests]
 
 
-def fit_heuristic(records: Dataset, kind: HeuristicKind,
-                  weights: HeuristicWeights = HeuristicWeights(),
-                  oracle: OracleConfig = OracleConfig()) -> HeuristicModel:
-    """Freeze the training records and standardization stats into a model."""
+@dataclass(frozen=True)
+class HeuristicTraining:
+    """The state every heuristic fit derives from one set of training records
+    and weights: the records' columns, read-only and shared by the models
+    fitted from it, each record's log10 rate, the stage-2 scaler, and the
+    stage-1 scaler of each weighted flag it was derived for."""
+
+    weights: HeuristicWeights
+    noise: np.ndarray
+    log_ler: np.ndarray
+    distance: np.ndarray
+    rounds: np.ndarray
+    stage1_scalers: dict       # weighted flag -> Standardizer
+    stage2_scaler: Standardizer
+
+
+def derive_training(records: Dataset, weights: HeuristicWeights,
+                    kinds) -> HeuristicTraining:
+    """The training state of ``records`` under ``weights``, with a stage-1
+    scaler for each weighted flag among ``kinds``."""
     if not records:
         raise ValidationError("cannot fit a heuristic on an empty training set")
     noise = records.noise()
@@ -388,11 +412,36 @@ def fit_heuristic(records: Dataset, kind: HeuristicKind,
     log_ler = np.asarray([math.log10(v) for v in records.logical_error_rate.tolist()])
     distance = records.distance.astype(np.float64)
     rounds = records.rounds.astype(np.float64)
-    return HeuristicModel(
-        kind=kind, weights=weights, oracle=oracle,
-        noise=noise, log_ler=log_ler, distance=distance, rounds=rounds,
-        stage1_scaler=Standardizer.fit(
-            np.column_stack(_stage1_columns(kind.weighted, weights, noise.T, log_ler))),
+    for column in (noise, log_ler, distance, rounds):
+        column.flags.writeable = False
+    return HeuristicTraining(
+        weights=weights, noise=noise, log_ler=log_ler, distance=distance, rounds=rounds,
+        stage1_scalers={
+            weighted: Standardizer.fit(
+                np.column_stack(_stage1_columns(weighted, weights, noise.T, log_ler)))
+            for weighted in sorted({kind.weighted for kind in kinds})},
         stage2_scaler=Standardizer.fit(np.column_stack([distance, log_ler])),
     )
 
+
+def fit_heuristic(records: Dataset | HeuristicTraining, kind: HeuristicKind,
+                  weights: HeuristicWeights = HeuristicWeights(),
+                  oracle: OracleConfig = OracleConfig()) -> HeuristicModel:
+    """Freeze the training records and standardization stats into a model.
+
+    ``records`` may also be their training state, derived for ``kind`` under
+    ``weights``; ``evaluate.compare_models`` derives it once for every
+    heuristic it compares.
+    """
+    training = (records if isinstance(records, HeuristicTraining)
+                else derive_training(records, weights, (kind,)))
+    if training.weights != weights or kind.weighted not in training.stage1_scalers:
+        raise ValidationError(
+            f"the training state was not derived for {kind.label} with these weights")
+    return HeuristicModel(
+        kind=kind, weights=weights, oracle=oracle,
+        noise=training.noise, log_ler=training.log_ler,
+        distance=training.distance, rounds=training.rounds,
+        stage1_scaler=training.stage1_scalers[kind.weighted],
+        stage2_scaler=training.stage2_scaler,
+    )

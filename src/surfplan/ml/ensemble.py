@@ -29,6 +29,18 @@ from .tree import (
 )
 
 
+# The most trees a stage may have: 50 times the default boosted stage (the
+# tuning grids keep the configured count), so that a config cannot ask for
+# unbounded work.
+MAX_ESTIMATORS = 10_000
+
+
+def _check_estimators(value) -> None:
+    check_int("n_estimators", value, 1)
+    if value > MAX_ESTIMATORS:
+        raise ValidationError(f"n_estimators must be <= {MAX_ESTIMATORS}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ForestConfig:
     n_estimators: int = 10
@@ -38,7 +50,7 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_int("n_estimators", self.n_estimators, 1)
+        _check_estimators(self.n_estimators)
         if not isinstance(self.bootstrap, bool):
             raise ValidationError(f"bootstrap must be true or false, got {self.bootstrap!r}")
         check_int("seed", self.seed, 0)
@@ -53,7 +65,7 @@ class BoostConfig:
     base_score: Optional[float] = None  # None: use the training-target mean
 
     def __post_init__(self):
-        check_int("n_estimators", self.n_estimators, 1)
+        _check_estimators(self.n_estimators)
         check_number("learning_rate", self.learning_rate)
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValidationError(

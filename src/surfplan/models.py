@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .core import Dataset, HeuristicWeights, ValidationError
-from .heuristics import HeuristicKind, all_kinds, fit_heuristic
+from .heuristics import HeuristicKind, HeuristicTraining, all_kinds, fit_heuristic
 from .ml.ensemble import BoostConfig, ForestConfig
 from .ml.pipeline import (
     DEFAULT_TARGET_MENU,
@@ -41,8 +41,13 @@ def check_model_names(names: list[str]) -> None:
         raise ValidationError("compare_models needs at least two model names")
 
 
+def heuristic_kind(name: str) -> Optional[HeuristicKind]:
+    """The kind a ``heuristic:`` model name stands for; None for any other name."""
+    return HeuristicKind.parse(name.split(":", 1)[1]) if name.startswith("heuristic:") else None
+
+
 def fit_named_model(name: str,
-                    records: Optional[Dataset] = None,
+                    records: Optional[Dataset | HeuristicTraining] = None,
                     cases: Optional[list[LabeledCase]] = None,
                     sweep: SweepConfig = SweepConfig(),
                     oracle: OracleConfig = OracleConfig(),
@@ -53,16 +58,17 @@ def fit_named_model(name: str,
     """Train the named model.
 
     Label-supervised models use ``cases`` (built from ``records`` when not
-    given); heuristics embed ``records`` directly.
+    given); heuristics embed ``records`` directly, and take them as the
+    training state ``heuristics.derive_training`` made of them too.
     """
     check_model_name(name)
-    if name.startswith("heuristic:"):
+    kind = heuristic_kind(name)
+    if kind is not None:
         if not records:
             raise ValidationError(f"model {name!r} needs training records")
-        kind = HeuristicKind.parse(name.split(":", 1)[1])
         return fit_heuristic(records, kind, weights, oracle)
     if cases is None:
-        if not records:
+        if not isinstance(records, Dataset) or not records:
             raise ValidationError(f"model {name!r} needs records or labeled cases")
         cases = build_training_cases(records, sweep, oracle, menu)
     if name == "linear":

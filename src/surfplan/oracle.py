@@ -248,8 +248,11 @@ def rate_grids(profiles, distances: Sequence[int], rounds: Sequence[int],
     bases = np.array([[config.amplitude * ratio ** exponent for exponent in exponents]
                       for ratio in (p_eff / config.threshold).tolist()],
                      dtype=np.float64).reshape(p_eff.size, shortest.size)
-    penalty = 1.0 + config.decoherence * np.maximum(r - d, 0) * (
-        depolarizing / config.threshold)[:, None, None]
+    # A huge decoherence makes the penalty inf, and the rate then clamps to
+    # 1.0, as the scalar oracle's does.
+    with np.errstate(over="ignore"):
+        penalty = 1.0 + config.decoherence * np.maximum(r - d, 0) * (
+            depolarizing / config.threshold)[:, None, None]
     rates = bases[:, index].reshape((p_eff.size,) + shortest_grid.shape) * penalty
     return np.minimum(np.maximum(rates, config.floor), 1.0)
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,8 @@ class TestGenerate:
         {"stage1": {"n_estimators": 2.5}},
         {"stage1": {"max_depth": 3.0}},
         {"stage2": {"n_estimators": True}},
+        pytest.param({"stage1": {"n_estimators": 10 ** 30}}, id="n_estimators-10**30"),
+        pytest.param({"stage2": {"n_estimators": 10_001}}, id="n_estimators-10001"),
         {"stage2": {"min_samples_split": 10.0}},
         {"stage2": {"min_child_weight": 1.0}},
         {"stage2": {"bootstrap": 1}},
@@ -184,6 +187,19 @@ class TestGenerate:
         assert "seed" in err
         assert not out_path.exists()
 
+    def test_overflowing_decoherence_exits_0_without_a_warning(self, capsys, tmp_path):
+        # The penalty overflows to inf and every rate past it clamps to 1.0,
+        # as in the scalar oracle; numpy must not print an overflow warning.
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps({"oracle": {"decoherence": 1e308},
+                                      "sweep": {"profiles_per_run": 2}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "generate", "--config", str(config),
+                                     "--out", str(tmp_path / "x.csv"))
+        assert (code, err) == (0, "")
+        assert "records=" in out
+
     def test_integer_oracle_constant_past_int64_exits_0(self, capsys, tmp_path):
         # The array oracle multiplies int64 arrays by each constant, so a
         # Python int past int64 must reach it as a float.
@@ -237,6 +253,17 @@ class TestTrain:
                                "--out-model", str(model_path), "--config", str(config))
         assert code == 2
         assert "no feasible (profile, target) pairs" in err
+        assert not model_path.exists()
+
+    def test_too_many_estimators_exit_2_before_fitting(self, capsys, small_dataset, tmp_path):
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps({"stage1": {"n_estimators": 10 ** 30}}))
+        model_path = tmp_path / "m.json"
+        code, _, err = run_cli(capsys, "train", "--data", small_dataset,
+                               "--out-model", str(model_path), "--config", str(config))
+        assert code == 2
+        assert "Traceback" not in err
+        assert "'stage1' section: n_estimators must be <= 10000" in err
         assert not model_path.exists()
 
     def test_unknown_model_exits_2(self, capsys, small_dataset, tmp_path):
@@ -582,6 +609,21 @@ class TestEvaluateAndCompare:
         assert lines[0].startswith("model,")
         assert len(lines) == 1 + 10  # 8 heuristics + linear + pipeline
         assert "pipeline" in out
+
+    @pytest.mark.parametrize("seed, digest", [
+        (42, "1b37fdf16e32d410d88c22bcc0f0ef5ea75b68110b7e27f8ef625259f997fb14"),
+        (7, "25e3a48cdd880640ec9ed5f459455f6e227d61113c5798e8522d24f701b4b0eb"),
+    ])
+    def test_default_comparison_is_pinned(self, capsys, tmp_path, seed, digest):
+        # SHA-256 of comparison.csv after ``generate --seed S`` and ``compare
+        # --seed S`` on the default config, as each heuristic fitted its own
+        # training state before the comparison derived it once for all.
+        data = tmp_path / "data.csv"
+        assert run_cli(capsys, "generate", "--seed", str(seed), "--out", str(data))[0] == 0
+        assert run_cli(capsys, "compare", "--data", str(data), "--seed", str(seed),
+                       "--out-dir", str(tmp_path / "cmp"))[0] == 0
+        text = (tmp_path / "cmp" / "comparison.csv").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == digest
 
     def test_compare_subset(self, capsys, small_dataset, small_config, tmp_path):
         out_dir = tmp_path / "cmp2"

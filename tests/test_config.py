@@ -21,6 +21,8 @@ from surfplan import (
 )
 from surfplan.config import ConfigError, ToolConfig, load_config
 from surfplan.evaluate import SplitConfig
+from surfplan.ml.ensemble import MAX_ESTIMATORS
+from surfplan.ml.search import stage1_grid, stage2_grid
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -98,6 +100,8 @@ MALFORMED_VALUES = [
     {"stage1": {"n_estimators": 2.5}},
     {"stage1": {"max_depth": 3.0}},
     {"stage2": {"n_estimators": True}},
+    {"stage1": {"n_estimators": 10 ** 30}},
+    {"stage2": {"n_estimators": 10_001}},
     {"stage2": {"min_samples_split": 10.0}},
     {"stage2": {"min_child_weight": 1.0}},
     {"stage2": {"bootstrap": 1}},
@@ -141,6 +145,16 @@ def test_library_rejects_what_the_config_file_rejects(tmp_path, payload):
 def test_non_finite_constants_are_rejected(cls, key, value):
     with pytest.raises(ValidationError, match=key):
         cls(**{key: value})
+
+
+@pytest.mark.parametrize("cls", [BoostConfig, ForestConfig])
+def test_n_estimators_is_capped(cls):
+    # The cap admits every count the defaults and the tuning grids use.
+    assert cls(n_estimators=MAX_ESTIMATORS).n_estimators == MAX_ESTIMATORS
+    assert all(config.n_estimators <= MAX_ESTIMATORS
+               for config in stage1_grid(BoostConfig()) + stage2_grid(ForestConfig()))
+    with pytest.raises(ValidationError, match=f"n_estimators must be <= {MAX_ESTIMATORS}"):
+        cls(n_estimators=MAX_ESTIMATORS + 1)
 
 
 def test_floor_of_one_and_null_base_score_stay_legal():

@@ -3,6 +3,7 @@ import pytest
 
 from helpers import pearson_reference
 from surfplan import (
+    HeuristicWeights,
     LabeledCase,
     NoiseProfile,
     OracleConfig,
@@ -13,12 +14,16 @@ from surfplan import (
     ValidationError,
     build_training_cases,
     evaluate_model,
+    fit_heuristic,
     fit_pipeline_cases,
     generate_dataset,
     logical_error_rate,
     pearson,
     split,
 )
+from surfplan import models
+from surfplan.heuristics import Standardizer
+from surfplan.ml.pipeline import predict_many
 
 
 class TestPearson:
@@ -206,3 +211,50 @@ class TestCompareModels:
         scores = [row.pearson_raw_distance for row in rows if row.pearson_raw_distance
                   is not None]
         assert scores == sorted(scores, reverse=True)
+
+    def test_shared_heuristic_fits_equal_single_fits(self, labeled_setup, monkeypatch):
+        # Each heuristic fitted from compare_models' shared training state
+        # equals the same kind fitted alone: scalers, columns and predictions.
+        from surfplan import compare_models
+        sweep, oracle, cases = labeled_setup
+        records = generate_dataset(sweep, oracle)
+        train, test = split(cases, SplitConfig(test_fraction=0.3, seed=1))
+        weights = HeuristicWeights(0.5, 0.25, 0.15, 0.1)
+        fitted, fit_named_model = [], models.fit_named_model
+
+        def kept(name, **options):
+            model = fit_named_model(name, **options)
+            fitted.append((name, model))
+            return model
+
+        monkeypatch.setattr(models, "fit_named_model", kept)
+        compare_models(list(models.MODEL_NAMES), train_records=records, train_cases=train,
+                       test_cases=test, sweep=sweep, oracle=oracle, weights=weights)
+        requests = [case.request for case in test]
+        heuristics = [(name, model) for name, model in fitted if name.startswith("heuristic:")]
+        assert [name for name, _ in heuristics] == list(models.HEURISTIC_NAMES)
+        for _, shared in heuristics:
+            alone = fit_heuristic(records, shared.kind, weights, oracle)
+            assert shared.stage1_scaler == alone.stage1_scaler
+            assert shared.stage2_scaler == alone.stage2_scaler
+            for column in ("noise", "log_ler", "distance", "rounds"):
+                assert getattr(shared, column).tobytes() == getattr(alone, column).tobytes()
+            assert repr(predict_many(shared, requests)) == repr(predict_many(alone, requests))
+
+    def test_scalers_are_fitted_once_per_comparison(self, labeled_setup, monkeypatch):
+        # One stage-2 scaler and one stage-1 scaler per weighted flag for all
+        # eight heuristics, where fitting each alone takes two apiece.
+        from surfplan import compare_models
+        sweep, oracle, cases = labeled_setup
+        records = generate_dataset(sweep, oracle)
+        train, test = split(cases, SplitConfig(test_fraction=0.3, seed=1))
+        fits, fit = [], Standardizer.fit
+
+        def counted(features):
+            fits.append(features.shape)
+            return fit(features)
+
+        monkeypatch.setattr(Standardizer, "fit", counted)
+        compare_models(list(models.MODEL_NAMES), train_records=records, train_cases=train,
+                       test_cases=test, sweep=sweep, oracle=oracle)
+        assert len(fits) == 3

@@ -33,6 +33,7 @@ from surfplan.heuristics import (
     _stage1_columns,
     _standardized_columns,
     all_kinds,
+    derive_training,
 )
 from surfplan.ml.serialize import CorruptModelError, model_from_dict, model_to_dict
 from surfplan.oracle import AboveThresholdError
@@ -111,6 +112,16 @@ class TestMultivariateInterp:
 
     def test_exact_match_short_circuit(self):
         assert self._interp([[0.0, 0.0], [1.0, 1.0]], [3.0, 5.0], (1.0, 1.0)) == 5.0
+
+    @pytest.mark.parametrize("n", [5, 12])  # the full lexsort, then the partition path
+    def test_exact_match_takes_the_lowest_index_copy(self, n):
+        # Exact copies of the query at indices 1, 3 and 4, with different
+        # labels: the first copy's label is the answer.
+        rows = [[float(i + 1), 0.0] for i in range(n)]
+        for i in (1, 3, 4):
+            rows[i] = [0.0, 0.0]
+        labels = [10.0 * (i + 1) for i in range(n)]
+        assert self._interp(rows, labels, (0.0, 0.0)) == 20.0
 
     def test_symmetric_average(self):
         assert self._interp([[-1.0], [1.0]], [3.0, 5.0], (0.0,)) == pytest.approx(4.0)
@@ -218,6 +229,16 @@ class TestHeuristicModel:
         kind = HeuristicKind(method="range_search", weighted=True)
         with pytest.raises(ValidationError):
             fit_heuristic(Dataset.from_rows([], [], [], []), kind)
+
+    def test_training_state_must_match_the_fit(self, small_records):
+        kind = HeuristicKind("range_search", True)
+        training = derive_training(small_records, HeuristicWeights(), (kind,))
+        assert fit_heuristic(training, kind).stage1_scaler == \
+            fit_heuristic(small_records, kind).stage1_scaler
+        with pytest.raises(ValidationError, match="not derived for range_search_n_w"):
+            fit_heuristic(training, HeuristicKind("range_search", False))
+        with pytest.raises(ValidationError, match="with these weights"):
+            fit_heuristic(training, kind, HeuristicWeights(0.5, 0.25, 0.15, 0.1))
 
     def test_fitted_model_is_frozen(self, small_records):
         model = fit_heuristic(small_records, HeuristicKind("multivariate_interp", False))

@@ -22,9 +22,9 @@ from surfplan.cli import main
 
 HOSTILE = (None, True, "x", [], {}, -1, 1.5, 10 ** 19, 1e308)
 # A huge value in one of these fields asks for a huge amount of work (the
-# sweep's grid, the number of trees): rejecting it needs a size policy, which
-# this test does not cover.
-SIZE_FIELDS = ("profiles_per_run", "rounds_max", "distances", "n_estimators", "max_depth")
+# sweep's grid, the depth of a tree): rejecting it needs a size policy, which
+# this test does not cover. ``n_estimators`` has its cap.
+SIZE_FIELDS = ("profiles_per_run", "rounds_max", "distances", "max_depth")
 RATES = ["--depol", "2e-4", "--gate", "1.2e-3", "--reset", "5e-4", "--readout", "3e-3"]
 
 

@@ -73,9 +73,11 @@ def test_rate_grid_equals_scalar_oracle(profile, config, distances, rounds):
             assert rate == logical_error_rate(distance, r, profile, config)
 
 
-@pytest.mark.parametrize("decoherence", [0, 2, 10 ** 19])
+@pytest.mark.parametrize("decoherence", [0, 2, 10 ** 19, 1e308])
 def test_integer_constants_reach_both_oracles_as_floats(decoherence):
-    # An int past int64 cannot multiply the array oracle's int64 arrays.
+    # An int past int64 cannot multiply the array oracle's int64 arrays. At
+    # 1e308 the penalty overflows to inf, and both oracles clamp to 1.0; the
+    # array oracle must not warn (pytest turns a RuntimeWarning into an error).
     config = OracleConfig(amplitude=1, gate_weight=1, depolarizing_weight=0, readout_weight=0,
                           reset_weight=0, decoherence=decoherence)
     assert {type(value) for value in vars(config).values()} == {float}
