@@ -165,13 +165,33 @@ def test_load_keeps_trees_that_differ_only_in_a_sign_bit(tmp_path):
                                                        for tree in model.trees]
 
 
-def test_default_pipeline_predictions_are_pinned(default_pipeline):
-    # SHA-256 over the reprs of predict_many's rows for 1024 seeded in-range
-    # requests, as the per-tree prediction loops made them before the trees
-    # were packed into one traversal. A drift in any prediction's bits
-    # changes it.
-    config, model = default_pipeline
-    sweep = config.sweep
+def _node_digest(model) -> str:
+    """SHA-256 over a pipeline's stage scalars and the node arrays of the tree
+    at every position of both stages, as held in memory."""
+    digest = hashlib.sha256()
+    for stage in (model.stage1, model.stage2):
+        digest.update(repr((type(stage).__name__, getattr(stage, "learning_rate", None),
+                            getattr(stage, "base_score", None), stage.n_features)).encode())
+        for tree in stage.trees:
+            for name in ("feature", "threshold", "left", "right", "value"):
+                column = getattr(tree, name)
+                digest.update(column.dtype.str.encode() + column.tobytes())
+    return digest.hexdigest()
+
+
+def test_default_pipeline_nodes_are_pinned(default_pipeline, tmp_path):
+    # The pinned model itself, independent of the file format: the digest
+    # was taken from the fitted model before the format changed, and a
+    # saved and reloaded model must have the same trees at every position.
+    _, model = default_pipeline
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    for held in (model, load_model(path)):
+        assert (_node_digest(held)
+                == "b8c1d92adf1a6d6d8198615e1f03def0bf96eea9b9d44a462c7dd8661ce299de")
+
+
+def _prediction_digest(model, sweep) -> str:
     rng = np.random.default_rng(1024)
     requests = [PredictionRequest(
         noise=NoiseProfile(
@@ -181,30 +201,70 @@ def test_default_pipeline_predictions_are_pinned(default_pipeline):
             readout=float(rng.uniform(*sweep.readout_range))),
         target_logical_error_rate=float(10 ** rng.uniform(-9, -3)))
         for _ in range(1024)]
-    rows = predict_many(model, requests)
-    assert (hashlib.sha256(repr(rows).encode()).hexdigest()
-            == "7452cd1f84ea3977ef9f82e8d1c9dcddeae087e2511b727b32a960638b2dcef0")
+    return hashlib.sha256(repr(predict_many(model, requests)).encode()).hexdigest()
 
 
-def test_default_heuristic_predictions_are_pinned():
-    # SHA-256 over the eight heuristics' predictions (raw and rounded distance
-    # and rounds, as repr) on the default config's (seed 42) compare split, as
-    # the per-request computation made them before the models derived their
-    # training state once. A drift in any prediction's bits changes it.
+PREDICTION_PIN = "7452cd1f84ea3977ef9f82e8d1c9dcddeae087e2511b727b32a960638b2dcef0"
+
+
+def test_default_pipeline_predictions_are_pinned(default_pipeline):
+    # SHA-256 over the reprs of predict_many's rows for 1024 seeded in-range
+    # requests, as the per-tree prediction loops made them before the trees
+    # were packed into one traversal. A drift in any prediction's bits
+    # changes it.
+    config, model = default_pipeline
+    assert _prediction_digest(model, config.sweep) == PREDICTION_PIN
+
+
+def test_reloaded_default_pipeline_predictions_are_pinned(default_pipeline, tmp_path):
+    config, model = default_pipeline
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    assert _prediction_digest(load_model(path), config.sweep) == PREDICTION_PIN
+
+
+HEURISTIC_PIN = "95f56362806869ac91b5db0b67f6b88da66281d49e434a07b5bfe254e2e1a251"
+
+
+def _heuristic_digest(models, test_cases, oracle) -> str:
+    digest = hashlib.sha256()
+    for model in models:
+        report = evaluate_model(model, test_cases, oracle)
+        for values in (report.predicted_raw_distance, report.predicted_distance,
+                       report.predicted_raw_rounds, report.predicted_rounds):
+            digest.update(repr(values).encode())
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def default_heuristics():
+    """The eight heuristics fitted on the default config's (seed 42) records,
+    and the test cases of its compare split."""
     config = load_config(None)
     records = generate_dataset(config.sweep, config.oracle)
     cases = build_training_cases(records, config.sweep, config.oracle, config.targets)
     _, test_cases = split(cases, config.split)
-    digest = hashlib.sha256()
-    for name in HEURISTIC_NAMES:
-        model = fit_named_model(name, records=records, oracle=config.oracle,
-                                weights=config.heuristic_weights)
-        report = evaluate_model(model, test_cases, config.oracle)
-        for values in (report.predicted_raw_distance, report.predicted_distance,
-                       report.predicted_raw_rounds, report.predicted_rounds):
-            digest.update(repr(values).encode())
-    assert (digest.hexdigest()
-            == "95f56362806869ac91b5db0b67f6b88da66281d49e434a07b5bfe254e2e1a251")
+    models = [fit_named_model(name, records=records, oracle=config.oracle,
+                              weights=config.heuristic_weights) for name in HEURISTIC_NAMES]
+    return config, models, test_cases
+
+
+def test_default_heuristic_predictions_are_pinned(default_heuristics):
+    # SHA-256 over the eight heuristics' predictions (raw and rounded distance
+    # and rounds, as repr) on the default config's (seed 42) compare split, as
+    # the per-request computation made them before the models derived their
+    # training state once. A drift in any prediction's bits changes it.
+    config, models, test_cases = default_heuristics
+    assert _heuristic_digest(models, test_cases, config.oracle) == HEURISTIC_PIN
+
+
+def test_reloaded_default_heuristic_predictions_are_pinned(default_heuristics, tmp_path):
+    config, models, test_cases = default_heuristics
+    reloaded = []
+    for i, model in enumerate(models):
+        save_model(model, tmp_path / f"{i}.json")
+        reloaded.append(load_model(tmp_path / f"{i}.json"))
+    assert _heuristic_digest(reloaded, test_cases, config.oracle) == HEURISTIC_PIN
 
 
 def _reference_text(value):
