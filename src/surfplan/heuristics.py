@@ -247,18 +247,20 @@ def _standardized_columns(columns, scaler: Standardizer) -> tuple:
 
 @dataclass(frozen=True)
 class HeuristicModel:
-    """A fitted two-stage heuristic; training records are embedded verbatim.
+    """A fitted two-stage heuristic over its embedded training records.
 
-    ``__post_init__`` derives the per-stage training state once, so fitting
-    and loading pay for it and a request does not: the standardized feature
-    columns (range search, multivariate) or the 1-D axes and record decades
-    (linear, polynomial). None of it is serialized. Scalers whose standardized
-    columns, or squared spreads of them, are not finite are rejected.
+    ``records`` is the training ``Dataset``, which a saved model stores; the
+    other arrays and the scalers are the state ``derive_training`` derived
+    from it. ``__post_init__`` derives the per-stage training state once, so
+    fitting and loading pay for it and a request does not: the standardized
+    feature columns (range search, multivariate) or the 1-D axes and record
+    decades (linear, polynomial). None of it is serialized.
     """
 
     kind: HeuristicKind
     weights: HeuristicWeights
     oracle: OracleConfig
+    records: Dataset
     noise: np.ndarray          # (n, 4): depolarizing, gate, reset, readout
     log_ler: np.ndarray        # (n,) log10 of each record's achieved rate
     distance: np.ndarray       # (n,)
@@ -277,27 +279,14 @@ class HeuristicModel:
     _pairs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        distance = np.asarray(self.distance, dtype=np.float64)
-        rounds = np.asarray(self.rounds, dtype=np.float64)
+        distance, rounds = self.distance, self.rounds
         rates = self.noise.T
         decades, decade_values = None, ()
-        # A scale far below the data's spread (a model file can hold 1e-160)
-        # would overflow every squared distance to inf.
-        with np.errstate(over="ignore", invalid="ignore"):
-            standardized = (
-                _standardized_columns(
-                    _stage1_columns(self.kind.weighted, self.weights, rates, self.log_ler),
-                    self.stage1_scaler),
-                _standardized_columns((distance, self.log_ler), self.stage2_scaler))
-            for stage, columns in enumerate(standardized, 1):
-                for column in columns:
-                    spread = column.max() - column.min()
-                    if not (np.isfinite(column).all() and np.isfinite(spread * spread)):
-                        raise ValidationError(
-                            f"stage{stage}_scaler scales overflow the standardized "
-                            "training features")
         if self.kind.method in NEIGHBOR_METHODS:
-            stage1, stage2 = standardized
+            stage1 = _standardized_columns(
+                _stage1_columns(self.kind.weighted, self.weights, rates, self.log_ler),
+                self.stage1_scaler)
+            stage2 = _standardized_columns((distance, self.log_ler), self.stage2_scaler)
         else:
             stage1 = _stage1_axis(self.kind.weighted, self.weights, rates)
             stage2 = distance
@@ -388,10 +377,11 @@ class HeuristicModel:
 @dataclass(frozen=True)
 class HeuristicTraining:
     """The state every heuristic fit derives from one set of training records
-    and weights: the records' columns, read-only and shared by the models
-    fitted from it, each record's log10 rate, the stage-2 scaler, and the
-    stage-1 scaler of each weighted flag it was derived for."""
+    and weights: the records, their columns, read-only and shared by the
+    models fitted from it, each record's log10 rate, the stage-2 scaler, and
+    the stage-1 scaler of each weighted flag it was derived for."""
 
+    records: Dataset
     weights: HeuristicWeights
     noise: np.ndarray
     log_ler: np.ndarray
@@ -415,7 +405,8 @@ def derive_training(records: Dataset, weights: HeuristicWeights,
     for column in (noise, log_ler, distance, rounds):
         column.flags.writeable = False
     return HeuristicTraining(
-        weights=weights, noise=noise, log_ler=log_ler, distance=distance, rounds=rounds,
+        records=records, weights=weights, noise=noise, log_ler=log_ler, distance=distance,
+        rounds=rounds,
         stage1_scalers={
             weighted: Standardizer.fit(
                 np.column_stack(_stage1_columns(weighted, weights, noise.T, log_ler)))
@@ -439,7 +430,7 @@ def fit_heuristic(records: Dataset | HeuristicTraining, kind: HeuristicKind,
         raise ValidationError(
             f"the training state was not derived for {kind.label} with these weights")
     return HeuristicModel(
-        kind=kind, weights=weights, oracle=oracle,
+        kind=kind, weights=weights, oracle=oracle, records=training.records,
         noise=training.noise, log_ler=training.log_ler,
         distance=training.distance, rounds=training.rounds,
         stage1_scaler=training.stage1_scalers[kind.weighted],

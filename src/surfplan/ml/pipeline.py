@@ -144,8 +144,11 @@ class PipelineModel:
             return []
         for request in requests:
             check_below_threshold(request.noise, self.oracle)
-        raw_distance, mat2 = stage2_features(self.stage1, stage1_features(requests))
-        raw_rounds = np.maximum(self.stage2.predict(mat2), RAW_FLOOR)
+        # A model file can hold finite numbers whose sums overflow: the stage
+        # output is then inf or NaN, which rounding rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw_distance, mat2 = stage2_features(self.stage1, stage1_features(requests))
+            raw_rounds = np.maximum(self.stage2.predict(mat2), RAW_FLOOR)
         return [PredictionResult(
                     raw_distance=float(rd),
                     rounded_distance=int(dd),

@@ -1,15 +1,17 @@
 """Versioned JSON persistence for every fitted model kind.
 
-A model file is exactly ``json.dumps(model_to_dict(model), indent=1,
-allow_nan=False) + "\n"``. ``_dumps`` writes those bytes without ``json``'s
-pure-Python indenting encoder, and a tree that an ensemble repeats is
-formatted once but still written out in full at each of its positions.
+A model file is exactly ``json.dumps(model_to_dict(model), allow_nan=False)
++ "\n"``: with no indent, CPython writes it with its C encoder. Each model is
+stored as the arrays it was fitted from or holds. A tree stage stores one
+concatenated array per node field for its distinct trees, their node counts,
+and ``tree_of``, the distinct tree at each position; a heuristic stores its
+training records as ``Dataset`` columns and is refitted from them at load.
 Floats are written with Python's shortest-round-trip repr, so a loaded model
 predicts bit-identically to the one saved. Loading rejects unknown format
-tags, unknown versions, and truncated or otherwise corrupt files without
-returning a partial model. Every number in a file is read through
-``_numbers``: a JSON number of the field's kind (integer or any), finite, in
-the field's shape.
+tags, unknown versions (version 1 included) and truncated or otherwise
+corrupt files without returning a partial model, and ignores keys it does not
+know. Every number in a file is read through ``_numbers``: a JSON number of
+the field's kind (integer or any), finite, in the field's shape.
 """
 
 from __future__ import annotations
@@ -18,21 +20,22 @@ import json
 import os
 from dataclasses import asdict
 from itertools import chain
-from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 import numpy as np
 
-from ..core import HeuristicWeights
-from ..heuristics import HeuristicKind, HeuristicModel, Standardizer
+from ..core import Dataset, HeuristicWeights
+from ..heuristics import HeuristicKind, HeuristicModel, fit_heuristic
 from ..oracle import OracleConfig
-from .ensemble import BoostedModel, ForestModel
+from .ensemble import MAX_ESTIMATORS, BoostedModel, ForestModel
 from .linear import LinearModel
 from .pipeline import STAGE1_SCHEMA, STAGE2_SCHEMA, PipelineModel
 from .tree import LEAF, PackedTrees, TreeModel, pack_nodes
 
 FORMAT_TAG = "surfplan-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# Each node field of a tree stage, with the kinds ``_numbers`` reads it as.
+NODE_FIELDS = (("feature", "i"), ("threshold", "if"), ("left", "i"), ("right", "i"),
+               ("value", "if"))
 
 
 class ModelIOError(Exception):
@@ -47,25 +50,23 @@ class CorruptModelError(ModelIOError):
     """The file is not a complete, well-formed model."""
 
 
-def _tree_to_dict(tree: TreeModel) -> dict:
-    return {
-        "kind": "tree",
-        "feature": tree.feature.tolist(),
-        "threshold": tree.threshold.tolist(),
-        "left": tree.left.tolist(),
-        "right": tree.right.tolist(),
-        "value": tree.value.tolist(),
-        "n_features": tree.n_features,
-    }
-
-
-def _trees_to_dicts(trees) -> list[dict]:
-    """One dict per distinct tree object, listed at each of its positions."""
-    by_id = {}
+def _trees_to_dict(trees) -> dict:
+    """The node arrays of the distinct trees, concatenated, their node counts,
+    and ``tree_of``: each position's distinct tree, numbered in order of first
+    appearance. Trees are told apart by the bytes of their node arrays, so
+    a -0.0 leaf and a 0.0 leaf stay apart."""
+    numbers, distinct, tree_of = {}, [], []
     for tree in trees:
-        if id(tree) not in by_id:
-            by_id[id(tree)] = _tree_to_dict(tree)
-    return [by_id[id(tree)] for tree in trees]
+        columns = [np.asarray(getattr(tree, name), np.int64 if kinds == "i" else np.float64)
+                   for name, kinds in NODE_FIELDS]
+        number = numbers.setdefault(b"".join(column.tobytes() for column in columns),
+                                    len(distinct))
+        if number == len(distinct):
+            distinct.append(columns)
+        tree_of.append(number)
+    return {"node_counts": [len(columns[0]) for columns in distinct], "tree_of": tree_of,
+            **{name: np.concatenate(column).tolist()
+               for (name, _), column in zip(NODE_FIELDS, zip(*distinct))}}
 
 
 def _numbers(value, what: str, kinds: str = "if", shape: tuple = (-1,)) -> np.ndarray:
@@ -102,40 +103,43 @@ def _numbers(value, what: str, kinds: str = "if", shape: tuple = (-1,)) -> np.nd
     return array
 
 
-def _trees_from_dicts(items: list,
-                      n_features: int) -> tuple[tuple[TreeModel, ...], PackedTrees]:
-    """Parse one stage's trees, checking their structure in one vectorized
-    pass over the concatenated node arrays, and pack them from those arrays.
+def _trees_from_dict(data: dict,
+                     n_features: int) -> tuple[tuple[TreeModel, ...], PackedTrees]:
+    """Parse one stage's trees, and pack each distinct tree once.
 
-    Every node array of a tree has the same nonzero length; a leaf has no
-    children; an internal node splits on a feature below ``n_features`` and
-    its children come after it in the same tree, so prediction always ends at
-    a leaf. A tree whose node arrays have the same bits as the previous
-    tree's is the previous ``TreeModel`` object, as boosting's repeated
-    fixed-point tree is at fit.
+    The counts and ``tree_of`` are checked before anything is repeated: every
+    count is >= 1 and the counts sum to each node array's length; ``tree_of``
+    holds at most ``MAX_ESTIMATORS`` positions, each naming a distinct tree,
+    and every distinct tree first appears after the ones numbered below it.
+    Then the distinct trees' structure is checked in one vectorized pass: a
+    leaf has no children; an internal node splits on a feature below
+    ``n_features`` and its children come after it in the same tree, so
+    prediction always ends at a leaf. Each distinct tree is one ``TreeModel``,
+    shared by its positions, as boosting's repeated fixed-point tree is at fit.
     """
-    if not items:
+    counts = _numbers(data["node_counts"], "stage 'node_counts'", "i")
+    tree_of = _numbers(data["tree_of"], "stage 'tree_of'", "i")
+    columns = [_numbers(data[name], f"stage '{name}'", kinds) for name, kinds in NODE_FIELDS]
+    if not counts.size or not tree_of.size:
         raise CorruptModelError("stage has no trees")
-    counts = list(map(len, map(itemgetter("feature"), items)))
-    if min(counts) < 1:
-        raise CorruptModelError("tree has no nodes")
-    columns = []
-    for name, kinds in (("feature", "i"), ("threshold", "if"), ("left", "i"), ("right", "i"),
-                        ("value", "if")):
-        if list(map(len, map(itemgetter(name), items))) != counts:
-            raise CorruptModelError(f"tree '{name}' array does not match its node count")
-        flat = []
-        for item in items:
-            flat += item[name]
-        columns.append(_numbers(flat, f"tree '{name}'", kinds))
-    widths = _numbers(list(map(itemgetter("n_features"), items)), "tree 'n_features'", "i")
-    if (widths != n_features).any():
-        raise CorruptModelError(f"tree 'n_features' does not match the stage's {n_features}")
+    if counts.min() < 1:
+        raise CorruptModelError("stage 'node_counts' must be >= 1")
+    total = sum(counts.tolist())  # Python ints: an int64 sum could wrap
+    for (name, _), column in zip(NODE_FIELDS, columns):
+        if column.size != total:
+            raise CorruptModelError(
+                f"stage '{name}' has {column.size} nodes, but 'node_counts' sum to {total}")
+    first_seen = np.maximum.accumulate(tree_of)
+    if (tree_of.size > MAX_ESTIMATORS or tree_of[0] != 0 or tree_of.min() < 0
+            or (np.diff(first_seen) > 1).any() or first_seen[-1] != counts.size - 1):
+        raise CorruptModelError(
+            f"stage 'tree_of' must number at most {MAX_ESTIMATORS} positions' trees "
+            f"0 to {counts.size - 1}, each first used after the ones below it")
 
     feature, threshold, left, right, value = columns
     ends = np.cumsum(counts)
     starts = ends - counts
-    local = np.arange(ends[-1]) - np.repeat(starts, counts)
+    local = np.arange(total) - np.repeat(starts, counts)
     size = np.repeat(counts, counts)
     well_formed = np.where(
         feature == LEAF,
@@ -148,30 +152,23 @@ def _trees_from_dicts(items: list,
         raise CorruptModelError(
             f"tree {tree} node {int(local[bad])} has an invalid feature or child index")
 
-    # Bits, not values: -0.0 == 0.0, but a leaf's sign must survive.
-    rows = np.column_stack([feature, threshold.view(np.int64), left, right,
-                            value.view(np.int64)])
-    trees, previous = [], None
-    for lo, hi in zip(starts.tolist(), ends.tolist()):
-        bits = rows[lo:hi].tobytes()
-        if bits != previous:
-            tree = TreeModel(feature[lo:hi], threshold[lo:hi], left[lo:hi], right[lo:hi],
-                             value[lo:hi], n_features=n_features)
-            previous = bits
-        trees.append(tree)
-    return tuple(trees), pack_nodes(np.asarray(counts), feature, threshold, left, right, value)
+    distinct = [TreeModel(feature[lo:hi], threshold[lo:hi], left[lo:hi], right[lo:hi],
+                          value[lo:hi], n_features=n_features)
+                for lo, hi in zip(starts.tolist(), ends.tolist())]
+    return (tuple(distinct[number] for number in tree_of.tolist()),
+            pack_nodes(counts, *columns, positions=tree_of))
 
 
 def stage_to_dict(model) -> dict:
     if isinstance(model, TreeModel):
-        return _tree_to_dict(model)
+        return {"kind": "tree", "n_features": model.n_features, **_trees_to_dict((model,))}
     if isinstance(model, ForestModel):
         return {"kind": "forest", "n_features": model.n_features,
-                "trees": _trees_to_dicts(model.trees)}
+                **_trees_to_dict(model.trees)}
     if isinstance(model, BoostedModel):
         return {"kind": "boosted", "n_features": model.n_features,
                 "learning_rate": model.learning_rate, "base_score": model.base_score,
-                "trees": _trees_to_dicts(model.trees)}
+                **_trees_to_dict(model.trees)}
     if isinstance(model, LinearModel):
         return {"kind": "linear", "n_features": model.n_features,
                 "coefficients": model.coefficients.tolist(),
@@ -195,9 +192,11 @@ def stage_from_dict(data: dict):
                                   shape=(n_features,)),
             intercept=float(_numbers(data["intercept"], f"{owner} 'intercept'", shape=())),
             n_features=n_features)
+    trees, packed = _trees_from_dict(data, n_features)
     if kind == "tree":
-        return _trees_from_dicts([data], n_features)[0][0]
-    trees, packed = _trees_from_dicts(data["trees"], n_features)
+        if len(trees) != 1:
+            raise CorruptModelError(f"a tree stage must hold one tree, got {len(trees)}")
+        return trees[0]
     if kind == "forest":
         return ForestModel(trees=trees, n_features=n_features, _packing=packed)
     return BoostedModel(trees=trees, n_features=n_features, _packing=packed,
@@ -205,33 +204,21 @@ def stage_from_dict(data: dict):
                            for name in ("learning_rate", "base_score")})
 
 
-def _scaler_from_dict(data: dict, name: str, width: int) -> Standardizer:
-    mean, scale = (_numbers(data[field], f"heuristic '{name}.{field}'", shape=(width,))
-                   for field in ("mean", "scale"))
-    if not (scale > 0.0).all():
-        raise CorruptModelError(f"heuristic '{name}' scales must be > 0")
-    return Standardizer(mean=tuple(mean.tolist()), scale=tuple(scale.tolist()))
-
-
 def _heuristic_from_dict(data: dict) -> HeuristicModel:
-    """Parse a heuristic model, checking the embedded training records and the
-    scalers: one noise row of four rates per record, equal-length record
-    arrays, finite values, and positive scales of the width each stage uses.
-    """
-    kind = HeuristicKind.parse(data["heuristic"])
-    # A list of no rows parses to shape (0,), so the shape also rejects it.
-    noise = _numbers(data["noise"], "heuristic 'noise'", shape=(-1, 4))
-    return HeuristicModel(
-        kind=kind,
-        weights=HeuristicWeights(**data["weights"]),
-        oracle=OracleConfig(**data["oracle"]),
-        noise=noise,
-        **{name: _numbers(data[name], f"heuristic '{name}'", shape=(len(noise),))
-           for name in ("log_ler", "distance", "rounds")},
-        stage1_scaler=_scaler_from_dict(data["stage1_scaler"], "stage1_scaler",
-                                        2 if kind.weighted else 5),
-        stage2_scaler=_scaler_from_dict(data["stage2_scaler"], "stage2_scaler", 2),
-    )
+    """Refit a heuristic from its training records. The block lengths must be
+    >= 1 and sum to the record count; the records are then checked by the
+    rules of ``Dataset``, so a model file and a dataset CSV follow one rule."""
+    lengths = _numbers(data["block_lengths"], "heuristic 'block_lengths'", "i")
+    columns = {name: _numbers(data[name], f"heuristic '{name}'", kinds)
+               for name, kinds in (("distance", "i"), ("rounds", "i"),
+                                   ("logical_error_rate", "if"))}
+    if (lengths.size and lengths.min() < 1) or sum(lengths.tolist()) != len(columns["distance"]):
+        raise CorruptModelError(
+            "heuristic 'block_lengths' must be >= 1 and sum to the record count")
+    records = Dataset(_numbers(data["profiles"], "heuristic 'profiles'", shape=(-1, 4)),
+                      np.repeat(np.arange(lengths.size), lengths), **columns)
+    return fit_heuristic(records, HeuristicKind.parse(data["heuristic"]),
+                         HeuristicWeights(**data["weights"]), OracleConfig(**data["oracle"]))
 
 
 def model_to_dict(model) -> dict:
@@ -254,12 +241,11 @@ def model_to_dict(model) -> dict:
             "heuristic": model.kind.label,
             "weights": asdict(model.weights),
             "oracle": asdict(model.oracle),
-            "noise": model.noise.tolist(),
-            "log_ler": model.log_ler.tolist(),
-            "distance": model.distance.tolist(),
-            "rounds": model.rounds.tolist(),
-            "stage1_scaler": asdict(model.stage1_scaler),
-            "stage2_scaler": asdict(model.stage2_scaler),
+            "profiles": model.records.profiles.tolist(),
+            "block_lengths": np.diff(model.records.block_bounds()).tolist(),
+            "distance": model.records.distance.tolist(),
+            "rounds": model.records.rounds.tolist(),
+            "logical_error_rate": model.records.logical_error_rate.tolist(),
         }
         return envelope
     envelope["model"] = stage_to_dict(model)
@@ -269,6 +255,10 @@ def model_to_dict(model) -> dict:
 def model_from_dict(envelope: dict):
     if not isinstance(envelope, dict) or envelope.get("format") != FORMAT_TAG:
         raise ModelVersionError("not a surfplan model file (missing format tag)")
+    if envelope.get("version") == 1:
+        raise ModelVersionError(
+            "model format version 1 is no longer read; retrain the model to write "
+            f"version {FORMAT_VERSION}")
     if envelope.get("version") != FORMAT_VERSION:
         raise ModelVersionError(
             f"unsupported model version {envelope.get('version')!r}; "
@@ -304,78 +294,10 @@ def model_from_dict(envelope: dict):
         raise CorruptModelError(f"malformed model file: {exc}") from exc
 
 
-def _dumps(value) -> str:
-    """``json.dumps(value, indent=1, allow_nan=False)`` for a JSON value built
-    of dicts with string keys, lists, tuples, strings, ints, floats, booleans
-    and None, as ``model_to_dict`` builds it.
-
-    The layout and the number and string formats are ``json``'s. A list of
-    plain floats or of plain ints is joined in one call, and a container met
-    again at the same depth reuses the text it was given the first time.
-    """
-    encoded = {}
-
-    def float_text(number: float) -> str:
-        text = float.__repr__(number)
-        if "n" in text:  # nan, inf or -inf
-            raise ValueError(
-                "Out of range float values are not JSON compliant: " + repr(number))
-        return text
-
-    def encode(value, depth: int) -> str:
-        if isinstance(value, str):
-            return encode_basestring_ascii(value)
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
-        if isinstance(value, int):
-            return int.__repr__(value)
-        if isinstance(value, float):
-            return float_text(value)
-        if isinstance(value, dict):
-            brackets = "{}"
-        elif isinstance(value, (list, tuple)):
-            brackets = "[]"
-        else:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        if not value:
-            return brackets
-        key = (id(value), depth)
-        if key in encoded:
-            return encoded[key]
-        pad = "\n" + " " * (depth + 1)
-        separator = "," + pad
-        if brackets == "{}":
-            body = separator.join([encode_basestring_ascii(name) + ": " + encode(item, depth + 1)
-                                   for name, item in value.items()])
-        else:
-            kinds = set(map(type, value))
-            if kinds == {float}:
-                body = separator.join(map(float.__repr__, value))
-                if "n" in body:  # nan, inf or -inf: raise for the first one
-                    body = separator.join(map(float_text, value))
-            elif kinds == {int}:
-                body = separator.join(map(int.__repr__, value))
-            else:
-                body = separator.join([encode(item, depth + 1) for item in value])
-        text = encoded[key] = brackets[0] + pad + body + pad[:-1] + brackets[1]
-        return text
-
-    try:
-        return encode(value, 0)
-    finally:
-        # encode refers to itself, so without this the texts would stay alive
-        # until the cycle collector next runs.
-        encoded.clear()
-
-
 def save_model(model, path: str | os.PathLike) -> None:
-    text = _dumps(model_to_dict(model))
+    text = json.dumps(model_to_dict(model), allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
+        handle.write(text)
 
 
 def load_model(path: str | os.PathLike):

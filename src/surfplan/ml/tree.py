@@ -78,15 +78,16 @@ class TreeModel:
 
 @dataclass(frozen=True)
 class PackedTrees:
-    """Trees laid out for prediction: every node of every tree in one set of
-    flat arrays.
+    """Trees laid out for prediction: every node of every distinct tree in
+    one set of flat arrays, so a tree repeated at several positions of an
+    ensemble is laid out once.
 
     Child indices are absolute, and a leaf's children are the leaf itself on
     feature 0, so one step moves every row of every tree down a level or
-    leaves it where it is. ``roots`` lists the trees deepest first, and
-    ``order`` gives each one's place among the trees. Step ``s`` advances only
-    the first ``active[s]`` trees, those deeper than ``s``; a tree that is a
-    single leaf is never walked.
+    leaves it where it is. ``roots`` lists the positions' roots deepest
+    first, and ``order`` gives each one's position. Step ``s`` advances only
+    the first ``active[s]`` positions, those whose tree is deeper than ``s``;
+    a tree that is a single leaf is never walked.
     """
 
     feature: np.ndarray
@@ -138,16 +139,23 @@ class PackedTrees:
 
 
 def pack_trees(trees) -> PackedTrees:
-    """Concatenate the trees' node arrays into one ``PackedTrees``."""
-    return pack_nodes(np.asarray([tree.node_count for tree in trees]),
-                      *(np.concatenate([getattr(tree, name) for tree in trees])
-                        for name in ("feature", "threshold", "left", "right", "value")))
+    """Pack an ensemble's trees, laying out each distinct tree object once."""
+    numbers = {}
+    positions = np.asarray([numbers.setdefault(id(tree), len(numbers)) for tree in trees])
+    distinct = list({id(tree): tree for tree in trees}.values())
+    return pack_nodes(np.asarray([tree.node_count for tree in distinct]),
+                      *(np.concatenate([getattr(tree, name) for tree in distinct])
+                        for name in ("feature", "threshold", "left", "right", "value")),
+                      positions=positions)
 
 
 def pack_nodes(counts: np.ndarray, feature: np.ndarray, threshold: np.ndarray,
-               left: np.ndarray, right: np.ndarray, value: np.ndarray) -> PackedTrees:
+               left: np.ndarray, right: np.ndarray, value: np.ndarray,
+               positions: np.ndarray | None = None) -> PackedTrees:
     """Pack trees whose node arrays are already concatenated: tree ``t`` holds
     the next ``counts[t]`` nodes, and its child indices count from its root.
+    Position ``i`` of the ensemble is tree ``positions[i]``, by default tree
+    ``i``.
 
     A tree's depth is its longest root-to-leaf path, found one level at a time
     for all trees at once. A level holds each node once, so a malformed tree
@@ -170,10 +178,13 @@ def pack_nodes(counts: np.ndarray, feature: np.ndarray, threshold: np.ndarray,
         reached[left[inner]] = reached[right[inner]] = True
         frontier = np.flatnonzero(reached)
         level += 1
+    if positions is None:
+        positions = np.arange(counts.size)
+    depth = depth[positions]
     order = np.argsort(-depth, kind="stable")
     active = np.count_nonzero(depth[:, None] > np.arange(depth.max()), axis=0)
     return PackedTrees(feature=np.where(leaf, 0, feature), threshold=threshold, left=left,
-                       right=right, value=value, roots=starts[order], order=order,
+                       right=right, value=value, roots=starts[positions][order], order=order,
                        active=tuple(active.tolist()))
 
 

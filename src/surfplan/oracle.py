@@ -102,6 +102,15 @@ class OracleConfig:
                 raise ValidationError(f"{name} must be >= 0, got {value!r}")
 
 
+# The most (distance, rounds) points a sweep may visit per profile, and the
+# most grid cells ``generate_dataset`` may evaluate (``profiles_per_run``
+# times the points): about 180 and 90 times the default sweep's 540 points
+# and 200-profile sweep's 108,000 cells, so that a config cannot ask for
+# unbounded work.
+MAX_SWEEP_POINTS = 100_000
+MAX_SWEEP_CELLS = 10_000_000
+
+
 def _check_range(name: str, bounds: tuple[float, float]) -> None:
     if not isinstance(bounds, tuple) or len(bounds) != 2:
         raise ValidationError(f"{name} must be a pair (lo, hi), got {bounds!r}")
@@ -161,6 +170,18 @@ class SweepConfig:
         _check_range("reset_range", self.reset_range)
         check_int("profiles_per_run", self.profiles_per_run, 1)
         check_int("seed", self.seed, 0)
+        # Counted, not built: a range of 10**19 rounds has no len().
+        points = len(self.distances) * (self.rounds_max - self.rounds_min + 1)
+        if points > MAX_SWEEP_POINTS:
+            raise ValidationError(
+                f"rounds_max - rounds_min + 1 rounds at {len(self.distances)} distances is "
+                f"{points} (distance, rounds) points per profile; at most {MAX_SWEEP_POINTS} "
+                "are allowed")
+        if points * self.profiles_per_run > MAX_SWEEP_CELLS:
+            raise ValidationError(
+                f"profiles_per_run {self.profiles_per_run} at {points} points per profile is "
+                f"{points * self.profiles_per_run} grid cells; at most {MAX_SWEEP_CELLS} are "
+                "allowed")
 
     def rounds(self) -> range:
         return range(self.rounds_min, self.rounds_max + 1)
@@ -203,9 +224,11 @@ def logical_error_rate(distance: int, rounds: int, profile: NoiseProfile,
     p_eff = check_below_threshold(profile, config)
     exponent = (min(distance, rounds) + 1) / 2
     base = config.amplitude * (p_eff / config.threshold) ** exponent
-    penalty = 1.0 + config.decoherence * max(0, rounds - distance) * (
-        profile.depolarizing / config.threshold)
-    return min(max(base * penalty, config.floor), 1.0)
+    growth = config.decoherence * max(0, rounds - distance)
+    excess = profile.depolarizing / config.threshold
+    # A product with a zero factor is zero, even when the other is inf.
+    penalty = 1.0 + (growth * excess if growth and excess else 0.0)
+    return min(max(base * penalty if base else 0.0, config.floor), 1.0)
 
 
 def rate_grids(profiles, distances: Sequence[int], rounds: Sequence[int],
@@ -249,12 +272,19 @@ def rate_grids(profiles, distances: Sequence[int], rounds: Sequence[int],
                       for ratio in (p_eff / config.threshold).tolist()],
                      dtype=np.float64).reshape(p_eff.size, shortest.size)
     # A huge decoherence makes the penalty inf, and the rate then clamps to
-    # 1.0, as the scalar oracle's does.
-    with np.errstate(over="ignore"):
-        penalty = 1.0 + config.decoherence * np.maximum(r - d, 0) * (
-            depolarizing / config.threshold)[:, None, None]
-    rates = bases[:, index].reshape((p_eff.size,) + shortest_grid.shape) * penalty
-    return np.minimum(np.maximum(rates, config.floor), 1.0)
+    # 1.0. As in the scalar oracle, a product with a zero factor is zero, even
+    # when the other factor is inf. With finite, non-negative factors that
+    # 0 * inf is the only way to a NaN, and np.fmax, which passes over a NaN,
+    # makes it the zero (penalty term) or the floor (rate).
+    # The grid-sized steps work in place: a fresh array of this size costs
+    # more in page faults than the arithmetic.
+    with np.errstate(over="ignore", invalid="ignore"):
+        penalty = np.fmax(config.decoherence * np.maximum(r - d, 0) * (
+            depolarizing / config.threshold)[:, None, None], 0.0)
+        penalty += 1.0
+        rates = bases[:, index].reshape((p_eff.size,) + shortest_grid.shape)
+        rates *= penalty
+    return np.minimum(np.fmax(rates, config.floor, out=rates), 1.0, out=rates)
 
 
 def rate_grid(profile: NoiseProfile, distances: Sequence[int], rounds: Sequence[int],

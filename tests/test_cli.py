@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,18 +10,15 @@ import pytest
 from surfplan import (
     BoostConfig,
     ForestConfig,
-    HeuristicKind,
     cli,
     fit_boosted,
     fit_forest,
-    fit_heuristic,
     fit_linear,
     fit_tree,
     load_model,
     save_model,
 )
 from surfplan.cli import main
-from surfplan.dataio import read_dataset_csv
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +134,9 @@ class TestGenerate:
         pytest.param({"stage1": {"gamma": 10 ** 400}}, id="gamma-10**400"),
         pytest.param({"sweep": {"gate_range": [1e-3, 10 ** 400]}}, id="gate_range-10**400"),
         pytest.param({"sweep": {"distances": [3, 2 ** 63 + 1]}}, id="distances-2**63+1"),
+        # Sweeps past the size caps.
+        pytest.param({"sweep": {"rounds_max": 10 ** 19}}, id="rounds_max-10**19"),
+        pytest.param({"sweep": {"profiles_per_run": 2_000_000}}, id="profiles_per_run-2000000"),
     ], ids=repr)
     def test_malformed_config_value_exits_2(self, capsys, tmp_path, payload):
         config = tmp_path / "bad.json"
@@ -304,9 +305,10 @@ class TestTrain:
                                    "--tune")
         assert code == 0
         assert any(message.startswith("tuned stage1=") for message in caplog.messages)
-        # The tuned model's bytes, pinned before the search moved out of the CLI.
+        # The tuned model's bytes in format version 2 (version 1 wrote
+        # 49d14977..., pinned before the search moved out of the CLI).
         assert (hashlib.sha256(model_path.read_bytes()).hexdigest()
-                == "49d14977f6e69ffb58279167263ba62bf6a910f947a83d7162c416299310a37c")
+                == "1df84d15e87e242abef8a2e93dda45d2d72056cb279d84f332bbd704976d6608")
 
     def test_malformed_csv_exits_2_with_location(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -506,33 +508,18 @@ def test_bare_stage_model_exits_2(capsys, tmp_path, small_dataset, stage, comman
 
 
 @pytest.mark.parametrize("corrupt", ["short_stage1_schema", "renamed_stage1_feature",
-                                     "scale_1e-160", "scale_5e-324", "decoherence_nan",
-                                     "learning_rate_true"])
-def test_corrupt_model_exits_2_at_load(capsys, tmp_path, trained_model, small_dataset,
-                                       corrupt):
+                                     "decoherence_nan", "learning_rate_true"])
+def test_corrupt_model_exits_2_at_load(capsys, tmp_path, trained_model, corrupt):
+    with open(trained_model, encoding="utf-8") as handle:
+        data = json.load(handle)
     if corrupt == "short_stage1_schema":
-        with open(trained_model, encoding="utf-8") as handle:
-            data = json.load(handle)
         data["model"]["stage1_schema"] = data["model"]["stage1_schema"][:4]
     elif corrupt == "renamed_stage1_feature":
-        with open(trained_model, encoding="utf-8") as handle:
-            data = json.load(handle)
         data["model"]["stage1_schema"][4] = "target"
     elif corrupt == "decoherence_nan":
-        with open(trained_model, encoding="utf-8") as handle:
-            data = json.load(handle)
         data["model"]["oracle"]["decoherence"] = float("nan")
-    elif corrupt == "learning_rate_true":
-        with open(trained_model, encoding="utf-8") as handle:
-            data = json.load(handle)
-        data["model"]["stage1"]["learning_rate"] = True
     else:
-        save_model(fit_heuristic(read_dataset_csv(small_dataset),
-                                 HeuristicKind.parse("range_search_w")), tmp_path / "h.json")
-        data = json.loads((tmp_path / "h.json").read_text())
-        scale = float(corrupt.split("_")[1])
-        for name in ("stage1_scaler", "stage2_scaler"):
-            data["model"][name]["scale"] = [scale] * len(data["model"][name]["scale"])
+        data["model"]["stage1"]["learning_rate"] = True
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     code, out, err = run_cli(capsys, "predict", "--model", str(bad), "--depol", "2e-4",
@@ -541,6 +528,73 @@ def test_corrupt_model_exits_2_at_load(capsys, tmp_path, trained_model, small_da
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
+
+
+def _swap_first_uses(stage):
+    """Number the stage's second and third distinct trees the other way round."""
+    stage["tree_of"] = [{1: 2, 2: 1}.get(number, number) for number in stage["tree_of"]]
+
+
+def _empty_first_block(model):
+    model["block_lengths"][1] += model["block_lengths"][0]
+    model["block_lengths"][0] = 0
+
+
+@pytest.mark.parametrize("source, corrupt, message", [
+    ("pipeline", lambda m: m["stage1"]["tree_of"].__setitem__(-1, len(m["stage1"]["node_counts"])),
+     "stage 'tree_of' must number"),
+    ("pipeline", lambda m: m["stage1"]["tree_of"].__setitem__(0, -1), "stage 'tree_of' must"),
+    ("pipeline", lambda m: _swap_first_uses(m["stage1"]), "stage 'tree_of' must"),
+    ("pipeline", lambda m: m["stage2"].update(tree_of=[0] * 10_001), "stage 'tree_of' must"),
+    ("pipeline", lambda m: m["stage1"]["node_counts"].append(1), "but 'node_counts' sum to"),
+    ("pipeline", lambda m: m["stage2"]["node_counts"].__setitem__(0, 2 ** 62),
+     "but 'node_counts' sum to"),
+    ("pipeline", lambda m: m["stage2"]["node_counts"].__setitem__(0, -2 ** 62),
+     "'node_counts' must be >= 1"),
+    ("heuristic", _empty_first_block, "'block_lengths' must be >= 1"),
+    ("heuristic", lambda m: m["block_lengths"].__setitem__(0, 2 ** 62),
+     "'block_lengths' must be >= 1 and sum to the record count"),
+    ("heuristic", lambda m: m["profiles"][0].__setitem__(1, 1.0), "gate out of range [0, 1): 1.0"),
+    ("heuristic", lambda m: m["distance"].__setitem__(0, 4), "distance must be odd, got 4"),
+], ids=["tree_of_past_the_trees", "negative_tree_of", "non_canonical_tree_of",
+        "tree_of_past_max_estimators", "node_counts_off_by_one", "node_count_2**62",
+        "node_count_-2**62", "zero_block_length", "block_length_2**62", "gate_rate_1.0",
+        "even_distance"])
+def test_corrupt_v2_payload_exits_2(capsys, tmp_path, trained_model, trained_heuristic,
+                                    source, corrupt, message):
+    # Each is rejected before anything the size of a count is allocated.
+    with open(trained_model if source == "pipeline" else trained_heuristic,
+              encoding="utf-8") as handle:
+        data = json.load(handle)
+    corrupt(data["model"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "predict", "--model", str(bad), "--depol", "2e-4",
+                                 "--gate", "1.2e-3", "--reset", "5e-4", "--readout", "3e-3",
+                                 "--target", "1e-6")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert message in err
+    assert peak < 16 * 2 ** 20
+
+
+def test_version_1_model_exits_2_with_a_retrain_hint(capsys, tmp_path, trained_model):
+    with open(trained_model, encoding="utf-8") as handle:
+        data = json.load(handle)
+    data["version"] = 1
+    bad = tmp_path / "v1.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "predict", "--model", str(bad), "--depol", "2e-4",
+                             "--gate", "1.2e-3", "--reset", "5e-4", "--readout", "3e-3",
+                             "--target", "1e-6")
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert "model format version 1 is no longer read; retrain the model" in err
 
 
 @pytest.fixture(scope="module")
@@ -560,10 +614,10 @@ def trained_heuristic(tmp_path_factory, small_config, small_dataset):
     ("heuristic", ("heuristic",), 5, "heuristic kind must be a string, got 5"),
     ("heuristic", ("heuristic",), None, "heuristic kind must be a string, got None"),
     # numpy reads a bool beside numbers as 1 or 0, so these loaded and predicted.
-    ("pipeline", ("stage1", "trees", 0, "threshold", 0), True,
-     "tree 'threshold' must hold only JSON numbers"),
-    ("pipeline", ("stage2", "trees", 0, "value", -1), False,
-     "tree 'value' must hold only JSON numbers"),
+    ("pipeline", ("stage1", "threshold", 0), True,
+     "stage 'threshold' must hold only JSON numbers"),
+    ("pipeline", ("stage2", "value", -1), False,
+     "stage 'value' must hold only JSON numbers"),
 ], ids=repr)
 def test_wrongly_typed_model_field_exits_2(capsys, tmp_path, trained_model, trained_heuristic,
                                           model, field, bad, message):

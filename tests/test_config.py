@@ -23,6 +23,7 @@ from surfplan.config import ConfigError, ToolConfig, load_config
 from surfplan.evaluate import SplitConfig
 from surfplan.ml.ensemble import MAX_ESTIMATORS
 from surfplan.ml.search import stage1_grid, stage2_grid
+from surfplan.oracle import MAX_SWEEP_CELLS, MAX_SWEEP_POINTS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -117,6 +118,8 @@ MALFORMED_VALUES = [
     {"sweep": {"distances": 5}},
     {"sweep": {"gate_range": "ab"}},
     {"sweep": {"reset_range": [0.001, 0.002, 0.003]}},
+    {"sweep": {"rounds_max": 10 ** 19}},
+    {"sweep": {"profiles_per_run": 2_000_000}},
 ]
 
 
@@ -155,6 +158,21 @@ def test_n_estimators_is_capped(cls):
                for config in stage1_grid(BoostConfig()) + stage2_grid(ForestConfig()))
     with pytest.raises(ValidationError, match=f"n_estimators must be <= {MAX_ESTIMATORS}"):
         cls(n_estimators=MAX_ESTIMATORS + 1)
+
+
+def test_sweep_size_is_capped():
+    # The caps admit the default and README sweeps and the 200-profile sweep
+    # of the benchmark's 10x scale; the largest sweeps they admit are checked
+    # without being built.
+    defaults = SweepConfig()
+    assert SweepConfig(profiles_per_run=200).profiles_per_run == 200
+    points = len(defaults.distances) * len(defaults.rounds())
+    assert SweepConfig(rounds_max=MAX_SWEEP_POINTS // len(defaults.distances), profiles_per_run=1)
+    assert SweepConfig(profiles_per_run=MAX_SWEEP_CELLS // points)
+    with pytest.raises(ValidationError, match=f"at most {MAX_SWEEP_POINTS}"):
+        SweepConfig(rounds_max=MAX_SWEEP_POINTS // len(defaults.distances) + 1, profiles_per_run=1)
+    with pytest.raises(ValidationError, match=f"at most {MAX_SWEEP_CELLS}"):
+        SweepConfig(profiles_per_run=MAX_SWEEP_CELLS // points + 1)
 
 
 def test_floor_of_one_and_null_base_score_stay_legal():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import _reference_scalarized, reference_heuristic_predict
+from helpers import reference_heuristic_predict
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -35,7 +35,7 @@ from surfplan.heuristics import (
     all_kinds,
     derive_training,
 )
-from surfplan.ml.serialize import CorruptModelError, model_from_dict, model_to_dict
+from surfplan.ml.serialize import model_from_dict, model_to_dict
 from surfplan.oracle import AboveThresholdError
 
 
@@ -313,29 +313,39 @@ def _outcome(predict, request):
             result.raw_rounds.hex(), result.rounded_rounds)
 
 
-def _reloaded(model, scale=None):
-    """The model after a JSON round trip, optionally with every scaler scale
-    replaced, so that standardized differences overflow."""
-    data = json.loads(json.dumps(model_to_dict(model)))
-    if scale is not None:
-        for name in ("stage1_scaler", "stage2_scaler"):
-            scaler = data["model"][name]
-            scaler["scale"] = [scale] * len(scaler["scale"])
-    return model_from_dict(data)
+def _reloaded(model):
+    """The model after a JSON round trip."""
+    return model_from_dict(json.loads(json.dumps(model_to_dict(model))))
 
 
-def _standardized_overflow(model, scale) -> bool:
-    """Whether either stage's training features, standardized with every
-    scale set to ``scale``, hold a value or a squared column spread that is
-    not finite."""
-    rates = (_reference_scalarized(model.noise, model.weights) if model.kind.weighted
-             else model.noise)
-    stages = ((np.column_stack([rates, model.log_ler]), model.stage1_scaler),
-              (np.column_stack([model.distance, model.log_ler]), model.stage2_scaler))
-    with np.errstate(all="ignore"):
-        standardized = [(train - np.asarray(scaler.mean)) / scale for train, scaler in stages]
-        return not all(np.isfinite(z).all() and np.isfinite(np.ptp(z, axis=0) ** 2).all()
-                       for z in standardized)
+# Rates whose column spreads are subnormal: multiples of the smallest
+# subnormal square to zero, so such a column's std rounds to zero although
+# its spread does not; multiples of 1e-160 square to subnormals.
+_EXTREME_RATES = st.one_of(st.integers(0, 3).map(lambda k: k * 5e-324),
+                           st.integers(1, 4).map(lambda k: k * 1e-160), _RATES)
+_EXTREME_PROFILES = st.tuples(*[_EXTREME_RATES] * 4).filter(any).map(
+    lambda rates: NoiseProfile(*rates))
+_EXTREME_DISTANCES = st.one_of(st.sampled_from([3, 5, 2 ** 61 + 1, 2 ** 63 - 3, 2 ** 63 - 1]),
+                               st.integers(1, 2 ** 62 - 1).map(lambda k: 2 * k + 1))
+_EXTREME_RATES_REACHED = st.one_of(
+    st.sampled_from([5e-324, 1e-320, 2.2250738585072014e-308, 0.5, 1.0]),
+    st.floats(min_value=-12.0, max_value=-2.0).map(lambda e: 10.0 ** e))
+
+
+@st.composite
+def _extreme_problems(draw):
+    """``_heuristic_problems`` over extreme records: subnormal rate spreads,
+    distances and rounds near 2**63, rates from the smallest subnormal to 1."""
+    profiles = draw(st.lists(_EXTREME_PROFILES, min_size=1, max_size=4))
+    rows = [(profiles[draw(st.integers(0, len(profiles) - 1))].as_tuple(),
+             draw(_EXTREME_DISTANCES),
+             draw(st.one_of(st.integers(1, 15), st.just(2 ** 63 - 1))),
+             draw(_EXTREME_RATES_REACHED))
+            for _ in range(draw(st.integers(1, 30)))]
+    kind = draw(st.sampled_from(all_kinds()))
+    requests = [PredictionRequest(noise=NoiseProfile(*noise), target_logical_error_rate=rate)
+                for noise, _, _, rate in rows[:3] if rate < 1.0]
+    return Dataset.from_rows(*zip(*rows)), kind, HeuristicWeights(), requests
 
 
 class TestMatchesPerRequestReference:
@@ -350,21 +360,28 @@ class TestMatchesPerRequestReference:
             assert _outcome(model.predict_result, request) == expected
             assert _outcome(reloaded.predict_result, request) == expected
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @given(problem=_heuristic_problems(), scale=st.sampled_from([1e-160, 5e-324]))
+    @example(problem=(Dataset.from_rows(
+        [(1e-3, 0.0, 0.0, 0.0), (1e-3, 5e-324, 0.0, 0.0), (1e-3, 1e-323, 1e-160, 0.0)],
+        [3, 2 ** 63 - 1, 2 ** 63 - 3], [1, 2, 2 ** 63 - 1], [1e-3, 5e-324, 1.0]),
+        HeuristicKind("range_search", False), HeuristicWeights(), []))
+    @given(problem=_extreme_problems())
     @settings(max_examples=150)
-    def test_overflowing_distances(self, problem, scale):
-        # A scale of 1e-160 squares standardized spreads to inf; 5e-324 makes
-        # the standardized values themselves inf. Such a model must fail to
-        # load. One whose training columns do not spread at all still loads,
-        # and predicts as the per-request computation does.
+    def test_overflowing_distances(self, problem):
+        # No fitted model's neighbor distances overflow: with scalers fitted
+        # from the data, every standardized training column and its squared
+        # spread is finite, even for subnormal spreads, a column whose spread
+        # is non-zero but whose std rounds to zero (its scale is then 1), and
+        # distances near 2**63. The model predicts as the per-request
+        # computation does.
         records, kind, weights, requests = problem
-        fitted = fit_heuristic(records, kind, weights)
-        if _standardized_overflow(fitted, scale):
-            with pytest.raises(CorruptModelError, match="overflow"):
-                _reloaded(fitted, scale)
-            return
-        model = _reloaded(fitted, scale)
+        model = fit_heuristic(records, kind, weights)
+        stages = ((_stage1_columns(kind.weighted, weights, model.noise.T, model.log_ler),
+                   model.stage1_scaler),
+                  ((model.distance, model.log_ler), model.stage2_scaler))
+        for columns, scaler in stages:
+            for column in _standardized_columns(columns, scaler):
+                spread = column.max() - column.min()
+                assert np.isfinite(column).all() and np.isfinite(spread * spread)
         for request in requests:
             assert (_outcome(model.predict_result, request)
                     == _outcome(lambda r: reference_heuristic_predict(model, r), request))

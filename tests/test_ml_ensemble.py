@@ -245,4 +245,4 @@ def test_default_stage_one_stops_at_its_fixed_point(tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     assert (hashlib.sha256(path.read_bytes()).hexdigest()
-            == "b226cc9600bc834ccf340acf979b7af89fc1ed178dfd144890f7f9a185613a16")
+            == "a15d988c218e402eeaf4e5134729866a835e5a18fc027556549d24f181da5ef6")

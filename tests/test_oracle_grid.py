@@ -7,11 +7,12 @@ gives.
 """
 
 import logging
+import math
 
 import numpy as np
 import pytest
 from helpers import record_columns
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surfplan import (
@@ -121,6 +122,44 @@ def test_rate_grids_equal_scalar_oracle(rows, config, distances, rounds):
         with pytest.raises(AboveThresholdError) as got:
             rate_grids([profile.as_tuple() for profile in rows], distances, rounds, config)
         assert str(got.value) == str(expected.value)
+
+
+extreme_weights = st.one_of(st.sampled_from([0.0, 5e-324, 1.0, 1e308]),
+                            st.floats(min_value=0.0, max_value=1.0))
+extreme_configs = st.builds(
+    OracleConfig,
+    amplitude=st.one_of(st.just(1.0), st.floats(min_value=5e-324, max_value=1.0)),
+    threshold=st.one_of(st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308, 0.01]),
+                        st.floats(min_value=5e-324, max_value=0.5)),
+    gate_weight=extreme_weights, depolarizing_weight=extreme_weights,
+    readout_weight=extreme_weights, reset_weight=extreme_weights,
+    decoherence=st.one_of(st.sampled_from([0.0, 5e-324, 1e300, 1e308, 1.7976931348623157e308]),
+                          st.floats(min_value=0.0, max_value=1e308)),
+    floor=st.floats(min_value=5e-324, max_value=1.0),
+)
+extreme_profiles = profiles_of(st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e-3, 0.5]),
+                                         st.floats(min_value=0.0, max_value=0.99)))
+
+
+@example(config=OracleConfig(decoherence=1e308), rows=[NoiseProfile(0.0, 1e-3, 1e-3, 1e-3)],
+         distances=[3], rounds=[10])
+@example(config=OracleConfig(gate_weight=0, depolarizing_weight=0, readout_weight=0,
+                             reset_weight=0, threshold=5e-324),
+         rows=[NoiseProfile(1e-3, 1e-3, 1e-3, 1e-3)], distances=[3], rounds=[1, 10])
+@given(config=extreme_configs, rows=st.lists(extreme_profiles, min_size=1, max_size=4),
+       distances=distance_grids, rounds=round_grids)
+@settings(max_examples=300)
+def test_extreme_configs_give_finite_equal_rates(config, rows, distances, rounds):
+    """Decoherence up to 1e308, zero weights and subnormal thresholds: both
+    oracles give every profile below threshold the same bits, a finite rate
+    in [floor, 1]. (``inf * 0.0`` in the penalty once made both NaN.)"""
+    cool = [profile for profile in rows if effective_error(profile, config) < config.threshold]
+    grids = rate_grids([profile.as_tuple() for profile in cool], distances, rounds, config)
+    for grid, profile in zip(grids.tolist(), cool):
+        for row, distance in zip(grid, distances):
+            for rate, r in zip(row, rounds):
+                assert rate.hex() == logical_error_rate(distance, r, profile, config).hex()
+                assert math.isfinite(rate) and config.floor <= rate <= 1.0
 
 
 @pytest.mark.parametrize("distances, rounds", [((3, 4), (1, 2)), ((1,), (1,)),

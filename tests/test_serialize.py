@@ -1,6 +1,7 @@
 import hashlib
 import json
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,8 +31,9 @@ from surfplan import (
 from surfplan.config import load_config
 from surfplan.evaluate import evaluate_model, split
 from surfplan.ml import build_training_cases, fit_linear_pipeline
-from surfplan.ml.ensemble import BoostedModel
-from surfplan.ml.serialize import CorruptModelError, ModelVersionError, _dumps, model_to_dict
+from surfplan.ml.ensemble import MAX_ESTIMATORS, BoostedModel
+from surfplan.ml import serialize
+from surfplan.ml.serialize import CorruptModelError, ModelVersionError, model_to_dict
 from surfplan.ml.tree import LEAF, PackedTrees, TreeModel, pack_trees
 from surfplan.models import HEURISTIC_NAMES, fit_named_model
 
@@ -103,14 +105,14 @@ def default_pipeline():
 
 
 def test_default_pipeline_model_is_pinned(default_pipeline, tmp_path):
-    # SHA-256 of the saved default-config (seed 42) pipeline model as the
-    # node-at-a-time recursive tree builder grew it. A drift in any tree's
-    # bits or node order changes it.
+    # SHA-256 of the saved default-config (seed 42) pipeline model in format
+    # version 2 (version 1 wrote b226cc96...). A drift in any tree's bits or
+    # node order, or in the file layout, changes it.
     _, model = default_pipeline
     path = tmp_path / "model.json"
     save_model(model, path)
     assert (hashlib.sha256(path.read_bytes()).hexdigest()
-            == "b226cc9600bc834ccf340acf979b7af89fc1ed178dfd144890f7f9a185613a16")
+            == "a15d988c218e402eeaf4e5134729866a835e5a18fc027556549d24f181da5ef6")
 
 
 def test_load_packs_like_the_fit(default_pipeline, tmp_path):
@@ -146,6 +148,23 @@ def test_load_shares_repeated_trees_like_the_fit(default_pipeline, tmp_path):
     again = tmp_path / "again.json"
     save_model(loaded, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_a_repeated_tree_is_packed_once(tmp_path):
+    # A file of one tree at every position loads with that tree's nodes laid
+    # out once, as the fit packs it, not once per position.
+    rng = np.random.default_rng(3)
+    features = rng.normal(size=(200, 3))
+    tree = fit_tree(features, rng.normal(size=200), TreeConfig(max_depth=8))
+    model = BoostedModel(trees=(tree,) * MAX_ESTIMATORS, learning_rate=0.1, base_score=0.5,
+                         n_features=3)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    for held in (model, loaded):
+        assert held._packed.feature.size == tree.node_count
+        assert held._packed.roots.size == MAX_ESTIMATORS
+    assert loaded.predict(features).tobytes() == model.predict(features).tobytes()
 
 
 def test_load_keeps_trees_that_differ_only_in_a_sign_bit(tmp_path):
@@ -268,7 +287,7 @@ def test_reloaded_default_heuristic_predictions_are_pinned(default_heuristics, t
 
 
 def _reference_text(value):
-    return json.dumps(value, indent=1, allow_nan=False)
+    return json.dumps(value, allow_nan=False)
 
 
 _json_floats = st.one_of(
@@ -288,21 +307,27 @@ _json_values = st.recursive(
         st.lists(_json_floats, max_size=8),
         st.lists(st.integers(), max_size=8),
         st.lists(st.one_of(_json_floats, st.integers()), max_size=8),
-        st.dictionaries(_json_strings, children, max_size=5),
-        # One object at several places and depths, as a repeated tree is.
-        children.map(lambda shared: {"a": shared, "b": [shared, shared, [shared]],
-                                     "c": shared})),
+        st.dictionaries(_json_strings, children, max_size=5)),
     max_leaves=40)
 
 
+def _save_value(value, path):
+    """``save_model`` of a model whose ``model_to_dict`` is ``value``."""
+    with mock.patch.object(serialize, "model_to_dict", return_value=value):
+        save_model(object(), path)
+
+
 class TestWriter:
-    """``_dumps`` writes the bytes of ``json.dumps(value, indent=1,
-    allow_nan=False)``, and ``save_model`` writes them for every model kind."""
+    """``save_model`` writes ``json.dumps(model_to_dict(model),
+    allow_nan=False) + "\\n"`` for every model kind, and nothing when that
+    raises."""
 
     @given(value=_json_values)
     @settings(max_examples=400)
-    def test_matches_json_dumps(self, value):
-        assert _dumps(value) == _reference_text(value)
+    def test_matches_json_dumps(self, value, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "writer.json"
+        _save_value(value, path)
+        assert path.read_bytes() == (_reference_text(value) + "\n").encode()
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
                                      np.float64("nan"), np.float64("-inf")])
@@ -313,21 +338,25 @@ class TestWriter:
         lambda bad: {"ok": [0.5], "bad": {"list": [bad]}},
         lambda bad: [[0.5, bad], [bad, 1.0]],
     ])
-    def test_non_finite_raises_like_json_dumps(self, bad, place):
+    def test_non_finite_raises_like_json_dumps(self, bad, place, tmp_path):
         value = place(bad)
         with pytest.raises(ValueError) as expected:
             _reference_text(value)
         with pytest.raises(ValueError) as got:
-            _dumps(value)
+            _save_value(value, tmp_path / "model.json")
         assert str(got.value) == str(expected.value)
+        assert not (tmp_path / "model.json").exists()
 
     @pytest.mark.parametrize("name", ("pipeline", "linear") + HEURISTIC_NAMES)
     def test_save_model_writes_json_dumps_bytes(self, training_setup, tmp_path, name):
+        # Save -> load -> save gives the same bytes, too.
         records, cases, _ = training_setup
         model = fit_named_model(name, records=records, cases=cases)
         path = tmp_path / "model.json"
         save_model(model, path)
         assert path.read_bytes() == (_reference_text(model_to_dict(model)) + "\n").encode()
+        save_model(load_model(path), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     @given(features=arrays(np.float64, st.tuples(st.integers(2, 30), st.integers(1, 3)),
                            elements=st.sampled_from([-1.5, -0.0, 0.0, 0.25, 3.0])),
@@ -395,6 +424,25 @@ class TestFailureModes:
         with pytest.raises(ModelVersionError, match="version"):
             load_model(path)
 
+    def test_version_1_rejected_with_a_retrain_hint(self, training_setup, tmp_path):
+        path = self._saved_pipeline(training_setup, tmp_path)
+        data = json.loads(path.read_text())
+        data["version"] = 1
+        path.write_text(json.dumps(data))
+        with pytest.raises(ModelVersionError, match="version 1 .*retrain"):
+            load_model(path)
+
+    def test_unknown_keys_are_ignored(self, training_setup, tmp_path):
+        # A later version can add blocks, such as provenance, without a bump.
+        _, _, requests = training_setup
+        path = self._saved_pipeline(training_setup, tmp_path)
+        expected = predict_many(load_model(path), requests)
+        data = json.loads(path.read_text())
+        data["provenance"] = {"note": "added later"}
+        data["model"]["stage1"]["notes"] = [1, 2]
+        path.write_text(json.dumps(data))
+        assert predict_many(load_model(path), requests) == expected
+
     def test_missing_format_tag_rejected(self, training_setup, tmp_path):
         path = self._saved_pipeline(training_setup, tmp_path)
         data = json.loads(path.read_text())
@@ -431,19 +479,30 @@ class TestFailureModes:
     def test_corrupt_tree_node_rejected(self, training_setup, tmp_path, field, bad):
         path = self._saved_pipeline(training_setup, tmp_path)
         data = json.loads(path.read_text())
-        tree = data["model"]["stage1"]["trees"][1]
-        node = next(i for i, f in enumerate(tree["feature"]) if i > 0 and f >= 0)
-        tree[field][node] = bad
+        stage = data["model"]["stage1"]
+        # An internal node of the second distinct tree, other than its root.
+        start, count = stage["node_counts"][0], stage["node_counts"][1]
+        node = next(start + i for i in range(1, count) if stage["feature"][start + i] >= 0)
+        stage[field][node] = bad
         path.write_text(json.dumps(data))
         with pytest.raises(CorruptModelError):
             load_model(path)
 
+    @staticmethod
+    def _drop_second_tree_nodes(stage):
+        start, count = stage["node_counts"][0], stage["node_counts"][1]
+        for name in ("feature", "threshold", "left", "right", "value"):
+            del stage[name][start:start + count]
+        stage["node_counts"][1] = 0
+
     @pytest.mark.parametrize("corrupt", [
-        pytest.param(lambda stage: stage["trees"][1]["value"].pop(), id="truncated_value"),
-        pytest.param(lambda stage: [stage["trees"][1][key].clear() for key in
-                                    ("feature", "threshold", "left", "right", "value")],
+        pytest.param(lambda stage: stage["value"].pop(), id="truncated_value"),
+        pytest.param(lambda stage: TestFailureModes._drop_second_tree_nodes(stage),
                      id="tree_without_nodes"),
-        pytest.param(lambda stage: stage["trees"].clear(), id="no_trees"),
+        pytest.param(lambda stage: [stage[key].clear() for key in
+                                    ("node_counts", "tree_of", "feature", "threshold", "left",
+                                     "right", "value")],
+                     id="no_trees"),
     ])
     def test_corrupt_tree_arrays_rejected(self, training_setup, tmp_path, corrupt):
         path = self._saved_pipeline(training_setup, tmp_path)
@@ -454,23 +513,17 @@ class TestFailureModes:
             load_model(path)
 
     @pytest.mark.parametrize("corrupt", [
-        pytest.param(lambda model: model.update(log_ler=model["log_ler"][:3]),
-                     id="truncated_log_ler"),
+        pytest.param(lambda model: model.update(
+            logical_error_rate=model["logical_error_rate"][:3]),
+            id="truncated_logical_error_rate"),
         pytest.param(lambda model: [model[key].clear() for key in
-                                    ("noise", "log_ler", "distance", "rounds")],
+                                    ("profiles", "block_lengths", "distance", "rounds",
+                                     "logical_error_rate")],
                      id="empty_records"),
-        pytest.param(lambda model: model["stage1_scaler"]["scale"].__setitem__(0, 0),
-                     id="zero_scale"),
-        pytest.param(lambda model: model.update(noise=[row[:3] for row in model["noise"]]),
+        pytest.param(lambda model: model.update(profiles=[row[:3] for row in model["profiles"]]),
                      id="noise_rows_of_three"),
-        pytest.param(lambda model: model["stage2_scaler"]["mean"].pop(),
-                     id="short_scaler_mean"),
-        # Standardized squared spreads overflow to inf.
-        pytest.param(lambda model: model["stage1_scaler"].update(scale=[1e-160] * 2),
-                     id="tiny_stage1_scale"),
-        # Standardized values themselves are inf.
-        pytest.param(lambda model: model["stage2_scaler"].update(scale=[5e-324] * 2),
-                     id="subnormal_stage2_scale"),
+        pytest.param(lambda model: model["block_lengths"].append(1), id="one_block_too_many"),
+        pytest.param(lambda model: model["rounds"].__setitem__(0, 2.0), id="float_rounds"),
     ])
     def test_corrupt_heuristic_rejected(self, training_setup, tmp_path, corrupt):
         records, _, _ = training_setup
