@@ -186,9 +186,6 @@ def cmd_compare(args) -> int:
     out_dir = args.out_dir if args.out_dir is not None else config.out_dir
     names = list(MODEL_NAMES) if args.models is None else args.models.split(",")
     check_model_names(names)
-    repeated = [name for i, name in enumerate(names) if name in names[:i]]
-    if repeated:
-        raise ValidationError(f"model {repeated[0]!r} is named more than once in --models")
     records, cases = _labeled_cases(args.data, config)
     if len(cases) < 5:
         raise ValidationError(

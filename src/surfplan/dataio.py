@@ -8,10 +8,10 @@ Rates and error rates are written in scientific notation with 17 digits after
 the point, which round-trips float64 exactly; distance and rounds are plain
 integers. The reader parses a valid body in fixed row chunks with
 ``np.loadtxt``, keeping the profile cells as text and converting each run of
-identical profile text once; any file that fails that parse or a check is read
-again row by row, and that reader alone words the errors. Calibration
-snapshots are flat JSON objects with keys ``device``, ``timestamp``,
-``depolarizing``, ``gate``, ``reset``, ``readout``.
+identical profile text once; any file that fails that parse or a check, or
+has a line over 1,024 characters, is read again row by row, and that reader
+alone words the errors. Calibration snapshots are flat JSON objects with keys
+``device``, ``timestamp``, ``depolarizing``, ``gate``, ``reset``, ``readout``.
 """
 
 from __future__ import annotations
@@ -40,8 +40,10 @@ DATASET_HEADER = ("depolarizing", "gate", "reset", "readout",
                   "distance", "rounds", "logical_error_rate")
 
 # Body rows per bulk-parse chunk. A chunk's profile cells are held as bytes
-# fields as wide as its longest line, so the chunk bounds that buffer.
+# fields as wide as its longest line, so the chunk and the widest line the bulk
+# parse takes bound that buffer (16 MiB); a longer line is read row-wise.
 _CHUNK_ROWS = 4096
+_MAX_BULK_WIDTH = 1024
 
 CALIBRATION_KEYS = ("device", "timestamp", "depolarizing", "gate", "reset", "readout")
 
@@ -133,9 +135,11 @@ def _parse_chunk(lines: list[str]) -> tuple[np.ndarray, ...]:
     cells are parsed as bytes fields as wide as the longest line, so none is
     truncated, and each run's cells are converted once, with ``float`` as the
     row-wise reader does. Raises ValueError on any cell that ``loadtxt`` or
-    ``float`` rejects.
+    ``float`` rejects, and on a line over ``_MAX_BULK_WIDTH`` characters.
     """
     width = max(map(len, lines))
+    if width > _MAX_BULK_WIDTH:
+        raise ValueError(f"a {width}-character line is left to the row-wise reader")
     dtype = np.dtype([("noise", f"S{width}", (4,)), ("distance", np.int64),
                       ("rounds", np.int64), ("logical_error_rate", np.float64)])
     with warnings.catch_warnings():
@@ -151,20 +155,31 @@ def _parse_chunk(lines: list[str]) -> tuple[np.ndarray, ...]:
             rows["rounds"].copy(), rows["logical_error_rate"].copy())
 
 
+def _numbered_rows(handle):
+    """(row number, row) for each row ``csv.reader`` reads, the header being
+    row 1; a row the reader rejects (a field over its size limit, say) is a
+    DataFormatError naming the row."""
+    row_number = 0
+    try:
+        for row_number, row in enumerate(csv.reader(handle), start=1):
+            yield row_number, row
+    except csv.Error as exc:
+        raise DataFormatError(f"row {row_number + 1}: {exc}") from None
+
+
 def _read_rows(path: str | os.PathLike) -> Dataset:
     """The row-wise reader: cells are parsed in column order, the first bad
     cell is reported, and each row is checked as a ``DatasetRecord``."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError("empty file: missing header") from None
+        reader = _numbered_rows(handle)
+        _, header = next(reader, (1, None))
+        if header is None:
+            raise DataFormatError("empty file: missing header")
         if tuple(header) != DATASET_HEADER:
             raise DataFormatError(
                 f"bad header {header!r}; expected {','.join(DATASET_HEADER)}")
-        for row_number, row in enumerate(reader, start=2):
+        for row_number, row in reader:
             if not row:
                 continue
             if len(row) != len(DATASET_HEADER):
@@ -228,19 +243,15 @@ def read_calibration(path: str | os.PathLike) -> CalibrationSnapshot:
 # -- report files -----------------------------------------------------------
 
 
-def _round_trip_float(value: Optional[float]):
-    return None if value is None else float(value)
-
-
 def report_scalars(report: EvalReport) -> dict:
     """The deterministic scalar section of report.json (timing excluded)."""
     return {
         "n_cases": report.n_cases,
         "pearson": {
-            "raw_distance": _round_trip_float(report.pearson_raw_distance),
-            "rounded_distance": _round_trip_float(report.pearson_rounded_distance),
-            "raw_rounds": _round_trip_float(report.pearson_raw_rounds),
-            "rounded_rounds": _round_trip_float(report.pearson_rounded_rounds),
+            "raw_distance": report.pearson_raw_distance,
+            "rounded_distance": report.pearson_rounded_distance,
+            "raw_rounds": report.pearson_raw_rounds,
+            "rounded_rounds": report.pearson_rounded_rounds,
         },
         "achievement_fraction": report.achievement_fraction,
         "deltas": {
@@ -250,8 +261,7 @@ def report_scalars(report: EvalReport) -> dict:
             "min": min(report.dler_tler_deltas) if report.dler_tler_deltas else None,
             "max": max(report.dler_tler_deltas) if report.dler_tler_deltas else None,
             "positive_count": sum(1 for d in report.dler_tler_deltas if d > 0),
-            "p95_positive_over_target": _round_trip_float(
-                report.positive_delta_over_target_p95),
+            "p95_positive_over_target": report.positive_delta_over_target_p95,
         },
         "dler_source": "synthetic-oracle",
     }

@@ -189,8 +189,7 @@ def compare_models(names: list[str], train_records: Dataset, train_cases,
     kinds = {name: heuristic_kind(name) for name in names}
     heuristics = [kind for kind in kinds.values() if kind is not None]
     training = (derive_training(train_records, fit_options.get("weights", HeuristicWeights()),
-                                heuristics)
-                if heuristics and train_records else None)
+                                heuristics) if heuristics and train_records else None)
     rows = []
     for name in names:
         records = training if kinds[name] and training else train_records

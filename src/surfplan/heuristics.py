@@ -19,13 +19,13 @@ the requested target (widening to neighboring decades until enough distinct
 abscissae exist). Duplicate abscissae are aggregated by mean before
 interpolating.
 
-Fitting has two parts. ``derive_training`` derives what every kind takes
-from one set of training records and weights: their columns, each record's
-log10 rate, the stage-2 scaler and the stage-1 scaler of each weighted flag.
-``fit_heuristic`` then builds a model of one kind from that state. A single
-fit derives it for its one kind; a model comparison derives it once for all
-eight kinds, so this per-dataset work is done once per comparison, not once
-per model.
+A model holds the training state it was fitted from. ``derive_training``
+derives it from one set of training records and weights: their columns, each
+record's log10 rate, the stage-2 scaler and the stage-1 scaler of each
+weighted flag asked for. ``fit_heuristic`` derives it for its one kind; a
+model comparison derives it once for all eight kinds and hands it to
+``models.fit_named_model``, so this per-dataset work is done once per
+comparison, not once per model.
 
 A fitted model derives its own state once, when it is built or loaded:
 the standardized training features of both stages as one contiguous column
@@ -246,28 +246,65 @@ def _standardized_columns(columns, scaler: Standardizer) -> tuple:
 
 
 @dataclass(frozen=True)
-class HeuristicModel:
-    """A fitted two-stage heuristic over its embedded training records.
+class HeuristicTraining:
+    """The state every heuristic fit derives from one set of training records
+    and weights: the records, their columns, read-only and shared by the
+    models fitted from it, each record's log10 rate, the stage-2 scaler, and
+    the stage-1 scaler of each weighted flag it was derived for. Two states
+    are equal when their records and weights are; the rest derives from them."""
 
-    ``records`` is the training ``Dataset``, which a saved model stores; the
-    other arrays and the scalers are the state ``derive_training`` derived
-    from it. ``__post_init__`` derives the per-stage training state once, so
-    fitting and loading pay for it and a request does not: the standardized
-    feature columns (range search, multivariate) or the 1-D axes and record
-    decades (linear, polynomial). None of it is serialized.
+    records: Dataset
+    weights: HeuristicWeights
+    noise: np.ndarray = field(compare=False)      # (n, 4): depolarizing, gate, reset, readout
+    log_ler: np.ndarray = field(compare=False)    # (n,) log10 of each record's achieved rate
+    distance: np.ndarray = field(compare=False)   # (n,)
+    rounds: np.ndarray = field(compare=False)     # (n,)
+    stage1_scalers: dict = field(compare=False)   # weighted flag -> Standardizer
+    stage2_scaler: Standardizer = field(compare=False)
+
+
+def derive_training(records: Dataset, weights: HeuristicWeights,
+                    kinds) -> HeuristicTraining:
+    """The training state of ``records`` under ``weights``, with a stage-1
+    scaler for each weighted flag among ``kinds``."""
+    if not records:
+        raise ValidationError("cannot fit a heuristic on an empty training set")
+    noise = records.noise()
+    # math.log10, not np.log10: the two differ in the last bit on some rates.
+    log_ler = np.asarray([math.log10(v) for v in records.logical_error_rate.tolist()])
+    distance = records.distance.astype(np.float64)
+    rounds = records.rounds.astype(np.float64)
+    for column in (noise, log_ler, distance, rounds):
+        column.flags.writeable = False
+    return HeuristicTraining(
+        records=records, weights=weights, noise=noise, log_ler=log_ler, distance=distance,
+        rounds=rounds,
+        stage1_scalers={
+            weighted: Standardizer.fit(
+                np.column_stack(_stage1_columns(weighted, weights, noise.T, log_ler)))
+            for weighted in sorted({kind.weighted for kind in kinds})},
+        stage2_scaler=Standardizer.fit(np.column_stack([distance, log_ler])),
+    )
+
+
+@dataclass(frozen=True)
+class HeuristicModel:
+    """A fitted two-stage heuristic: its kind, its oracle and the training
+    state it was fitted from, derived for the kind's weighted flag.
+
+    ``__post_init__`` derives the kind's query state from ``training`` once,
+    so fitting and loading pay for it and a request does not: the two stages'
+    scalers and the standardized feature columns (range search, multivariate)
+    or the 1-D axes and record decades (linear, polynomial). A saved model
+    stores ``training.records`` and none of this state.
     """
 
     kind: HeuristicKind
-    weights: HeuristicWeights
     oracle: OracleConfig
-    records: Dataset
-    noise: np.ndarray          # (n, 4): depolarizing, gate, reset, readout
-    log_ler: np.ndarray        # (n,) log10 of each record's achieved rate
-    distance: np.ndarray       # (n,)
-    rounds: np.ndarray         # (n,)
-    stage1_scaler: Standardizer
-    stage2_scaler: Standardizer
+    training: HeuristicTraining
 
+    # The stage-1 scaler of the kind's weighted flag and the stage-2 scaler.
+    _scalers: tuple[Standardizer, Standardizer] = field(init=False, repr=False, compare=False)
     # Per stage: (training inputs, labels). The inputs are the standardized
     # feature columns for the neighbor methods and the 1-D axis for the
     # interpolators.
@@ -279,20 +316,22 @@ class HeuristicModel:
     _pairs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        distance, rounds = self.distance, self.rounds
-        rates = self.noise.T
+        training, weighted = self.training, self.kind.weighted
+        scalers = (training.stage1_scalers[weighted], training.stage2_scaler)
+        distance, rounds, log_ler = training.distance, training.rounds, training.log_ler
+        rates = training.noise.T
         decades, decade_values = None, ()
         if self.kind.method in NEIGHBOR_METHODS:
             stage1 = _standardized_columns(
-                _stage1_columns(self.kind.weighted, self.weights, rates, self.log_ler),
-                self.stage1_scaler)
-            stage2 = _standardized_columns((distance, self.log_ler), self.stage2_scaler)
+                _stage1_columns(weighted, training.weights, rates, log_ler), scalers[0])
+            stage2 = _standardized_columns((distance, log_ler), scalers[1])
         else:
-            stage1 = _stage1_axis(self.kind.weighted, self.weights, rates)
+            stage1 = _stage1_axis(weighted, training.weights, rates)
             stage2 = distance
-            decades = np.rint(self.log_ler).astype(np.int64)
+            decades = np.rint(log_ler).astype(np.int64)
             decade_values = tuple(np.unique(decades).tolist())
         derive = object.__setattr__
+        derive(self, "_scalers", scalers)
         derive(self, "_stages", ((stage1, distance), (stage2, rounds)))
         derive(self, "_decades", decades)
         derive(self, "_decade_values", decade_values)
@@ -344,16 +383,16 @@ class HeuristicModel:
         return _idw(columns, labels, query, IDW_NEIGHBORS, IDW_POWER)
 
     def _stage1_raw(self, rates: tuple[float, ...], log_target: float) -> float:
-        weighted, weights = self.kind.weighted, self.weights
+        weighted, weights = self.kind.weighted, self.training.weights
         if self.kind.method in NEIGHBOR_METHODS:
             return self._neighbor_raw(0, _standardized_columns(
-                _stage1_columns(weighted, weights, rates, log_target), self.stage1_scaler))
+                _stage1_columns(weighted, weights, rates, log_target), self._scalers[0]))
         return self._interp_1d(0, log_target, _stage1_axis(weighted, weights, rates))
 
     def _stage2_raw(self, rounded_distance: int, log_target: float) -> float:
         if self.kind.method in NEIGHBOR_METHODS:
             return self._neighbor_raw(1, _standardized_columns(
-                (float(rounded_distance), log_target), self.stage2_scaler))
+                (float(rounded_distance), log_target), self._scalers[1]))
         return self._interp_1d(1, log_target, float(rounded_distance))
 
     def predict_result(self, request: PredictionRequest) -> PredictionResult:
@@ -374,65 +413,8 @@ class HeuristicModel:
         return [self.predict_result(request) for request in requests]
 
 
-@dataclass(frozen=True)
-class HeuristicTraining:
-    """The state every heuristic fit derives from one set of training records
-    and weights: the records, their columns, read-only and shared by the
-    models fitted from it, each record's log10 rate, the stage-2 scaler, and
-    the stage-1 scaler of each weighted flag it was derived for."""
-
-    records: Dataset
-    weights: HeuristicWeights
-    noise: np.ndarray
-    log_ler: np.ndarray
-    distance: np.ndarray
-    rounds: np.ndarray
-    stage1_scalers: dict       # weighted flag -> Standardizer
-    stage2_scaler: Standardizer
-
-
-def derive_training(records: Dataset, weights: HeuristicWeights,
-                    kinds) -> HeuristicTraining:
-    """The training state of ``records`` under ``weights``, with a stage-1
-    scaler for each weighted flag among ``kinds``."""
-    if not records:
-        raise ValidationError("cannot fit a heuristic on an empty training set")
-    noise = records.noise()
-    # math.log10, not np.log10: the two differ in the last bit on some rates.
-    log_ler = np.asarray([math.log10(v) for v in records.logical_error_rate.tolist()])
-    distance = records.distance.astype(np.float64)
-    rounds = records.rounds.astype(np.float64)
-    for column in (noise, log_ler, distance, rounds):
-        column.flags.writeable = False
-    return HeuristicTraining(
-        records=records, weights=weights, noise=noise, log_ler=log_ler, distance=distance,
-        rounds=rounds,
-        stage1_scalers={
-            weighted: Standardizer.fit(
-                np.column_stack(_stage1_columns(weighted, weights, noise.T, log_ler)))
-            for weighted in sorted({kind.weighted for kind in kinds})},
-        stage2_scaler=Standardizer.fit(np.column_stack([distance, log_ler])),
-    )
-
-
-def fit_heuristic(records: Dataset | HeuristicTraining, kind: HeuristicKind,
+def fit_heuristic(records: Dataset, kind: HeuristicKind,
                   weights: HeuristicWeights = HeuristicWeights(),
                   oracle: OracleConfig = OracleConfig()) -> HeuristicModel:
-    """Freeze the training records and standardization stats into a model.
-
-    ``records`` may also be their training state, derived for ``kind`` under
-    ``weights``; ``evaluate.compare_models`` derives it once for every
-    heuristic it compares.
-    """
-    training = (records if isinstance(records, HeuristicTraining)
-                else derive_training(records, weights, (kind,)))
-    if training.weights != weights or kind.weighted not in training.stage1_scalers:
-        raise ValidationError(
-            f"the training state was not derived for {kind.label} with these weights")
-    return HeuristicModel(
-        kind=kind, weights=weights, oracle=oracle, records=training.records,
-        noise=training.noise, log_ler=training.log_ler,
-        distance=training.distance, rounds=training.rounds,
-        stage1_scaler=training.stage1_scalers[kind.weighted],
-        stage2_scaler=training.stage2_scaler,
-    )
+    """Fit a ``kind`` heuristic over ``records`` under ``weights``."""
+    return HeuristicModel(kind, oracle, derive_training(records, weights, (kind,)))

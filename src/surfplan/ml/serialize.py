@@ -236,16 +236,17 @@ def model_to_dict(model) -> dict:
         }
         return envelope
     if isinstance(model, HeuristicModel):
+        records = model.training.records
         envelope["model"] = {
             "kind": "heuristic",
             "heuristic": model.kind.label,
-            "weights": asdict(model.weights),
+            "weights": asdict(model.training.weights),
             "oracle": asdict(model.oracle),
-            "profiles": model.records.profiles.tolist(),
-            "block_lengths": np.diff(model.records.block_bounds()).tolist(),
-            "distance": model.records.distance.tolist(),
-            "rounds": model.records.rounds.tolist(),
-            "logical_error_rate": model.records.logical_error_rate.tolist(),
+            "profiles": records.profiles.tolist(),
+            "block_lengths": np.diff(records.block_bounds()).tolist(),
+            "distance": records.distance.tolist(),
+            "rounds": records.rounds.tolist(),
+            "logical_error_rate": records.logical_error_rate.tolist(),
         }
         return envelope
     envelope["model"] = stage_to_dict(model)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .core import Dataset, HeuristicWeights, ValidationError
-from .heuristics import HeuristicKind, HeuristicTraining, all_kinds, fit_heuristic
+from .heuristics import HeuristicKind, HeuristicModel, HeuristicTraining, all_kinds, fit_heuristic
 from .ml.ensemble import BoostConfig, ForestConfig
 from .ml.pipeline import (
     DEFAULT_TARGET_MENU,
@@ -33,12 +33,16 @@ def check_model_name(name: str) -> None:
 
 
 def check_model_names(names: list[str]) -> None:
-    """Raise ValidationError unless every name is known and there are at
-    least two of them: the models ``evaluate.compare_models`` can compare."""
+    """Raise ValidationError unless every name is known, there are at least
+    two of them and none is repeated: the models ``evaluate.compare_models``
+    can compare."""
     for name in names:
         check_model_name(name)
     if len(names) < 2:
         raise ValidationError("compare_models needs at least two model names")
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise ValidationError(f"model {repeated[0]!r} is named more than once")
 
 
 def heuristic_kind(name: str) -> Optional[HeuristicKind]:
@@ -58,15 +62,21 @@ def fit_named_model(name: str,
     """Train the named model.
 
     Label-supervised models use ``cases`` (built from ``records`` when not
-    given); heuristics embed ``records`` directly, and take them as the
-    training state ``heuristics.derive_training`` made of them too.
+    given); heuristics embed ``records`` directly. A heuristic also takes
+    them as the training state ``heuristics.derive_training`` made of them
+    under ``weights`` for its kind, as ``evaluate.compare_models`` passes it.
     """
     check_model_name(name)
     kind = heuristic_kind(name)
     if kind is not None:
         if not records:
             raise ValidationError(f"model {name!r} needs training records")
-        return fit_heuristic(records, kind, weights, oracle)
+        if isinstance(records, Dataset):
+            return fit_heuristic(records, kind, weights, oracle)
+        if records.weights != weights or kind.weighted not in records.stage1_scalers:
+            raise ValidationError(
+                f"the training state was not derived for {kind.label} with these weights")
+        return HeuristicModel(kind, oracle, records)
     if cases is None:
         if not isinstance(records, Dataset) or not records:
             raise ValidationError(f"model {name!r} needs records or labeled cases")

@@ -328,7 +328,7 @@ def _reference_standardized(features, scaler):
 
 
 def _reference_decade_pairs(model, axis, labels, log_target, need):
-    decades = np.rint(model.log_ler).astype(np.int64)
+    decades = np.rint(model.training.log_ler).astype(np.int64)
     available = np.unique(decades)
     by_closeness = sorted(available, key=lambda d: (abs(d - log_target), d))
     chosen = []
@@ -371,39 +371,41 @@ def reference_heuristic_predict(model, request):
     if p_eff >= model.oracle.threshold:
         raise AboveThresholdError(f"effective error {p_eff:.3e} is at or above "
                                   f"threshold {model.oracle.threshold:.3e}")
+    training = model.training
+    stage1_scaler = training.stage1_scalers[model.kind.weighted]
     rows = np.asarray([request.noise.as_tuple()], dtype=np.float64)
     log_target = math.log10(request.target_logical_error_rate)
     neighbor = model.kind.method in ("range_search", "multivariate_interp")
     if model.kind.weighted:
-        train, query = (_reference_scalarized(noise, model.weights)[:, None]
-                        for noise in (model.noise, rows))
+        train, query = (_reference_scalarized(noise, training.weights)[:, None]
+                        for noise in (training.noise, rows))
     elif neighbor:
-        train, query = model.noise, rows
+        train, query = training.noise, rows
     else:
         train, query = (np.sqrt((noise ** 2).sum(axis=1))[:, None]
-                        for noise in (model.noise, rows))
+                        for noise in (training.noise, rows))
     if neighbor:
         raw_distance = _reference_neighbor(
             model,
-            _reference_standardized(np.column_stack([train, model.log_ler]), model.stage1_scaler),
-            model.distance,
-            _reference_standardized(np.append(query[0], log_target), model.stage1_scaler))
+            _reference_standardized(np.column_stack([train, training.log_ler]), stage1_scaler),
+            training.distance,
+            _reference_standardized(np.append(query[0], log_target), stage1_scaler))
     else:
-        raw_distance = _reference_interp_1d(model, train[:, 0], model.distance, log_target,
+        raw_distance = _reference_interp_1d(model, train[:, 0], training.distance, log_target,
                                             float(query[0, 0]))
     raw_distance = max(raw_distance, RAW_FLOOR)
     rounded_distance = round_distance(raw_distance)
     if neighbor:
         raw_rounds = _reference_neighbor(
             model,
-            _reference_standardized(np.column_stack([model.distance, model.log_ler]),
-                                    model.stage2_scaler),
-            model.rounds,
+            _reference_standardized(np.column_stack([training.distance, training.log_ler]),
+                                    training.stage2_scaler),
+            training.rounds,
             _reference_standardized(np.asarray([float(rounded_distance), log_target]),
-                                    model.stage2_scaler))
+                                    training.stage2_scaler))
     else:
-        raw_rounds = _reference_interp_1d(model, model.distance.astype(np.float64),
-                                          model.rounds, log_target, float(rounded_distance))
+        raw_rounds = _reference_interp_1d(model, training.distance.astype(np.float64),
+                                          training.rounds, log_target, float(rounded_distance))
     raw_rounds = max(raw_rounds, RAW_FLOOR)
     return PredictionResult(raw_distance=float(raw_distance), rounded_distance=rounded_distance,
                             raw_rounds=float(raw_rounds), rounded_rounds=round_rounds(raw_rounds))

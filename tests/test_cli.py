@@ -320,6 +320,19 @@ class TestTrain:
         assert code == 2
         assert "row 2" in err and "gate" in err
 
+    def test_csv_field_over_the_csv_limit_exits_2_with_location(self, capsys, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("depolarizing,gate,reset,readout,distance,rounds,logical_error_rate\n"
+                       "1e-4,2e-3,1e-4,3e-3,3,1,1e-3\n"
+                       f"1e-4,2e-3,1e-4,3e-3,3,2,{'1' * 200_000}\n")
+        model_path = tmp_path / "m.json"
+        code, _, err = run_cli(capsys, "train", "--data", str(bad),
+                               "--out-model", str(model_path))
+        assert code == 2
+        assert "Traceback" not in err
+        assert "row 3: field larger than field limit (131072)" in err
+        assert not model_path.exists()
+
 
 class TestPredict:
     def test_valid_request_prints_key_values(self, capsys, trained_model):
@@ -704,7 +717,7 @@ class TestEvaluateAndCompare:
         ("pipelin,linear", "unknown model 'pipelin'; expected one of"),
         ("pipeline,bogus,pipeline", "unknown model 'bogus'; expected one of"),
         ("pipeline", "compare_models needs at least two model names"),
-        ("linear,linear", "model 'linear' is named more than once in --models"),
+        ("linear,linear", "model 'linear' is named more than once"),
     ])
     def test_compare_names_are_checked_before_reading(self, capsys, small_dataset,
                                                       tmp_path, no_reading, models,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -94,6 +95,25 @@ class TestDatasetCsv:
                         "logical_error_rate\n1e-4,2e-3,1e-4,3e-3,4,1,1e-3\n")
         with pytest.raises(DataFormatError, match="row 2.*odd"):
             read_dataset_csv(path)
+
+    def test_long_line_is_read_row_wise_in_bounded_memory(self, records, tmp_path):
+        # The bulk parse holds each cell of a chunk as wide as its widest
+        # line: 300 rows and one 100,000-character line would take 120 MB.
+        short, long = tmp_path / "short.csv", tmp_path / "long.csv"
+        write_dataset_csv(records, short)
+        lines = short.read_text().splitlines()[:301]
+        short.write_text("\n".join(lines) + "\n")
+        head, _, exponent = lines[5].rpartition("e")  # the rate, with more zero digits
+        lines[5] = f"{head}{'0' * 100_000}e{exponent}"
+        long.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            read = read_dataset_csv(long)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read == read_dataset_csv(short)
+        assert peak < 16 * 2 ** 20
 
 
 def _pinned_hashes(tmp_path, profiles):

@@ -189,15 +189,33 @@ class TestEvaluateModel:
 
 class TestCompareModels:
     def test_same_model_twice_gives_identical_rows(self, labeled_setup):
+        # Two comparisons fit each model the same way.
         from surfplan import compare_models
         sweep, oracle, cases = labeled_setup
         sweep_records = generate_dataset(sweep, oracle)
         train, test = split(cases, SplitConfig(test_fraction=0.3, seed=1))
-        rows = compare_models(["pipeline", "pipeline"], train_records=sweep_records,
-                              train_cases=train, test_cases=test,
-                              sweep=sweep, oracle=oracle)
-        assert rows[0].pearson_raw_distance == rows[1].pearson_raw_distance
-        assert rows[0].pearson_raw_rounds == rows[1].pearson_raw_rounds
+        first, second = (compare_models(["pipeline", "heuristic:range_search_w"],
+                                        train_records=sweep_records, train_cases=train,
+                                        test_cases=test, sweep=sweep, oracle=oracle)
+                         for _ in range(2))
+        assert first == second
+
+    @pytest.mark.parametrize("names, message", [
+        (["linear", "linear"], "model 'linear' is named more than once"),
+        (["pipeline", "heuristic:range_search_w", "pipeline"],
+         "model 'pipeline' is named more than once"),
+        (["linear"], "compare_models needs at least two model names"),
+        (["linear", "bogus"], "unknown model 'bogus'"),
+    ])
+    def test_model_names_are_checked(self, labeled_setup, monkeypatch, names, message):
+        # The rule `surfplan compare --models` follows: no model is fitted.
+        from surfplan import compare_models
+        sweep, oracle, cases = labeled_setup
+        train, test = split(cases, SplitConfig(test_fraction=0.3, seed=1))
+        monkeypatch.setattr(models, "fit_named_model", None)
+        with pytest.raises(ValidationError, match=message):
+            compare_models(names, train_records=generate_dataset(sweep, oracle),
+                           train_cases=train, test_cases=test, sweep=sweep, oracle=oracle)
 
     def test_row_count_and_sorting(self, labeled_setup):
         from surfplan import compare_models
@@ -235,10 +253,12 @@ class TestCompareModels:
         assert [name for name, _ in heuristics] == list(models.HEURISTIC_NAMES)
         for _, shared in heuristics:
             alone = fit_heuristic(records, shared.kind, weights, oracle)
-            assert shared.stage1_scaler == alone.stage1_scaler
-            assert shared.stage2_scaler == alone.stage2_scaler
+            assert shared == alone
+            assert shared._scalers == alone._scalers
+            assert shared.training.stage2_scaler == alone.training.stage2_scaler
             for column in ("noise", "log_ler", "distance", "rounds"):
-                assert getattr(shared, column).tobytes() == getattr(alone, column).tobytes()
+                assert (getattr(shared.training, column).tobytes()
+                        == getattr(alone.training, column).tobytes())
             assert repr(predict_many(shared, requests)) == repr(predict_many(alone, requests))
 
     def test_scalers_are_fitted_once_per_comparison(self, labeled_setup, monkeypatch):

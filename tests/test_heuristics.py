@@ -36,6 +36,7 @@ from surfplan.heuristics import (
     derive_training,
 )
 from surfplan.ml.serialize import model_from_dict, model_to_dict
+from surfplan.models import fit_named_model
 from surfplan.oracle import AboveThresholdError
 
 
@@ -231,19 +232,36 @@ class TestHeuristicModel:
             fit_heuristic(Dataset.from_rows([], [], [], []), kind)
 
     def test_training_state_must_match_the_fit(self, small_records):
+        # A shared training state reaches a heuristic only through
+        # fit_named_model, which checks that it was derived for the kind's
+        # weighted flag and with the fit's weights.
         kind = HeuristicKind("range_search", True)
         training = derive_training(small_records, HeuristicWeights(), (kind,))
-        assert fit_heuristic(training, kind).stage1_scaler == \
-            fit_heuristic(small_records, kind).stage1_scaler
+        model = fit_named_model("heuristic:range_search_w", records=training)
+        assert model.training is training
+        assert model == fit_heuristic(small_records, kind)
         with pytest.raises(ValidationError, match="not derived for range_search_n_w"):
-            fit_heuristic(training, HeuristicKind("range_search", False))
+            fit_named_model("heuristic:range_search_n_w", records=training)
         with pytest.raises(ValidationError, match="with these weights"):
-            fit_heuristic(training, kind, HeuristicWeights(0.5, 0.25, 0.15, 0.1))
+            fit_named_model("heuristic:range_search_w", records=training,
+                            weights=HeuristicWeights(0.5, 0.25, 0.15, 0.1))
+
+    def test_equal_fits_compare_equal(self, small_records):
+        # Equality is that of the records and weights; the derived arrays
+        # and scalers are not compared.
+        kind = HeuristicKind("multivariate_interp", False)
+        assert fit_heuristic(small_records, kind) == fit_heuristic(small_records, kind)
+        assert fit_heuristic(small_records, kind) != fit_heuristic(
+            small_records, kind, HeuristicWeights(0.5, 0.25, 0.15, 0.1))
+        assert fit_heuristic(small_records, kind) != fit_heuristic(
+            small_records, HeuristicKind("multivariate_interp", True))
 
     def test_fitted_model_is_frozen(self, small_records):
         model = fit_heuristic(small_records, HeuristicKind("multivariate_interp", False))
         with pytest.raises(dataclasses.FrozenInstanceError):
-            model.stage1_scaler = Standardizer(mean=(0.0,) * 5, scale=(1.0,) * 5)
+            model.training = derive_training(small_records, HeuristicWeights(), all_kinds())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.training.stage2_scaler = Standardizer(mean=(0.0,) * 2, scale=(1.0,) * 2)
 
 
 class TestNeighborHelpers:
@@ -375,9 +393,10 @@ class TestMatchesPerRequestReference:
         # computation does.
         records, kind, weights, requests = problem
         model = fit_heuristic(records, kind, weights)
-        stages = ((_stage1_columns(kind.weighted, weights, model.noise.T, model.log_ler),
-                   model.stage1_scaler),
-                  ((model.distance, model.log_ler), model.stage2_scaler))
+        training = model.training
+        stages = ((_stage1_columns(kind.weighted, weights, training.noise.T, training.log_ler),
+                   training.stage1_scalers[kind.weighted]),
+                  ((training.distance, training.log_ler), training.stage2_scaler))
         for columns, scaler in stages:
             for column in _standardized_columns(columns, scaler):
                 spread = column.max() - column.min()
@@ -407,6 +426,7 @@ class TestQueryEqualsTrainingRow:
         fitted = fit_heuristic(records, kind, weights)
         for model in (fitted, _reloaded(fitted)):
             (stage1, _), (stage2, _) = model._stages
+            stage1_scaler, stage2_scaler = model._scalers
             for i, record in enumerate(records):
                 rates = record.noise.as_tuple()
                 log_ler = math.log10(record.logical_error_rate)
@@ -414,8 +434,8 @@ class TestQueryEqualsTrainingRow:
                 if kind.method in NEIGHBOR_METHODS:
                     queries = (
                         _standardized_columns(_stage1_columns(kind.weighted, weights, rates,
-                                                              log_ler), model.stage1_scaler),
-                        _standardized_columns((distance, log_ler), model.stage2_scaler))
+                                                              log_ler), stage1_scaler),
+                        _standardized_columns((distance, log_ler), stage2_scaler))
                     rows = ([column[i] for column in stage1], [column[i] for column in stage2])
                 else:
                     queries = ((_stage1_axis(kind.weighted, weights, rates),), (distance,))

@@ -4,8 +4,10 @@ Each example takes one valid input file (a pipeline, linear or heuristic
 model of any of the eight kinds, a config or a calibration snapshot, all built
 on a 3-profile dataset), replaces one field at any depth, array elements
 included, with a hostile JSON value or truncates the file, and runs
-``predict``, ``evaluate`` or ``generate`` on it. Whatever the input, the CLI
-must end with one of its documented exit codes and print no traceback.
+``predict``, ``evaluate`` or ``generate`` on it. The dataset CSV itself is
+fuzzed the same way, one cell replaced by a hostile string or the file
+truncated, and given to ``train`` and ``evaluate``. Whatever the input, the
+CLI must end with one of its documented exit codes and print no traceback.
 """
 
 import contextlib
@@ -22,6 +24,10 @@ from surfplan.cli import main
 from surfplan.models import HEURISTIC_NAMES
 
 HOSTILE = (None, True, "x", [], {}, -1, 1.5, 10 ** 19, 1e308)
+# Dataset CSV cells: empty, quoted, a NUL, a lone carriage return, digits the
+# bulk parse rejects, non-finite values, an integer past Python's digit limit
+# and a field past the csv module's size limit.
+HOSTILE_CELLS = ("", '"1e-3"', "\x00", "\r", "3_0", "nan", "inf", "9" * 5000, "1" * 200_000)
 MODELS = ("pipeline", "linear") + HEURISTIC_NAMES
 RATES = ["--depol", "2e-4", "--gate", "1.2e-3", "--reset", "5e-4", "--readout", "3e-3"]
 
@@ -129,6 +135,39 @@ def test_hostile_file_exits_with_a_documented_code(inputs, tmp_path_factory, dat
     bad = tmp_path_factory.getbasetemp() / "hostile_input.json"
     bad.write_text(text)
     argv = data.draw(st.sampled_from(_commands(kind, str(bad), paths)))
+    code, err = _run(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+@st.composite
+def hostile_csvs(draw, text):
+    """A dataset CSV with one cell, the header's included, replaced by a
+    hostile string, or truncated."""
+    if draw(st.integers(0, 9)) == 0:
+        return text[:draw(st.integers(0, len(text) - 1))]
+    lines = text.split("\n")
+    row = draw(st.integers(0, len(lines) - 2))
+    cells = lines[row].split(",")
+    cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(HOSTILE_CELLS))
+    lines[row] = ",".join(cells)
+    return "\n".join(lines)
+
+
+@given(data=st.data())
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+def test_hostile_csv_exits_with_a_documented_code(inputs, tmp_path_factory, data):
+    _, paths = inputs
+    with open(paths["data"], encoding="utf-8", newline="") as handle:
+        text = handle.read()
+    bad = tmp_path_factory.getbasetemp() / "hostile_input.csv"
+    with open(bad, "w", encoding="utf-8", newline="") as handle:
+        handle.write(data.draw(hostile_csvs(text)))
+    argv = data.draw(st.sampled_from([
+        ["train", "--data", str(bad), "--config", paths["config"],
+         "--out-model", paths["out"] + ".json"],
+        ["evaluate", "--data", str(bad), "--model", paths["pipeline"],
+         "--config", paths["config"], "--out-dir", paths["out"]]]))
     code, err = _run(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
