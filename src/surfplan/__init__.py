@@ -67,7 +67,6 @@ from .oracle import (
     find_optimal_params,
     generate_dataset,
     logical_error_rate,
-    rate_grid,
     rate_grids,
     sample_profiles,
 )

@@ -32,7 +32,7 @@ from .evaluate import compare_models, evaluate_model, split
 from .ml.pipeline import build_training_cases, fit_tuned_pipeline
 from .ml.serialize import ModelIOError, load_model, save_model
 from .models import MODEL_NAMES, check_model_name, check_model_names, fit_named_model
-from .oracle import AboveThresholdError, generate_dataset, logical_error_rate
+from .oracle import AboveThresholdError, generate_dataset, logical_error_rate, meets_target
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -148,7 +148,7 @@ def cmd_predict(args) -> int:
 
     estimated = logical_error_rate(d, result.rounded_rounds, request.noise, model.oracle)
     print(f"estimated_ler={estimated!r}")
-    if estimated > request.target_logical_error_rate:
+    if not meets_target(estimated, request.target_logical_error_rate):
         raise InfeasibleRequestError(
             f"recommendation reaches {estimated:.3e}, above the target "
             f"{request.target_logical_error_rate:.3e}; the target may be "

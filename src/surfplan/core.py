@@ -3,7 +3,9 @@
 Distances are odd integers >= 3 throughout: the training sweep only visits odd
 values and every raw distance prediction is rounded up to the next odd number.
 Rounds are rounded up to the next whole number, never down, so a recommendation
-errs on the side of more protection rather than less.
+errs on the side of more protection rather than less. A ``PredictionResult``
+takes the raw pair and derives the rounded one by these rules; a raw distance
+at or above 2**53, past which a float64 skips odd integers, is rejected.
 
 Each type checks itself when built; ``check_profile_table``,
 ``invalid_profiles`` and ``check_code_point`` apply the ``Dataset``,
@@ -15,7 +17,7 @@ checked column by column, rather than one ``DatasetRecord`` object per row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,9 +99,14 @@ RAW_FLOOR = 1e-6
 def round_distance(raw: float) -> int:
     """Smallest odd integer >= max(raw, 3).
 
-    An input that is already an odd integer >= 3 comes back unchanged.
+    An input that is already an odd integer >= 3 comes back unchanged. A raw
+    distance at or above 2**53 is rejected: past it a float64 does not hold
+    every odd integer, so stage two would read another distance than the one
+    recommended.
     """
     value = _check_positive_finite(raw, "raw distance")
+    if value >= 2.0 ** 53:
+        raise ValidationError(f"raw distance must be below 2**53, got {value!r}")
     rounded = math.ceil(max(value, 3.0))
     if rounded % 2 == 0:
         rounded += 1
@@ -303,23 +310,18 @@ class PredictionRequest:
 
 @dataclass(frozen=True)
 class PredictionResult:
-    """Raw and rounded (distance, rounds) recommendation."""
+    """A raw (distance, rounds) recommendation and its rounding by
+    ``round_distance`` and ``round_rounds``, which raise for a raw value they
+    cannot round."""
 
     raw_distance: float
-    rounded_distance: int
+    rounded_distance: int = field(init=False)
     raw_rounds: float
-    rounded_rounds: int
+    rounded_rounds: int = field(init=False)
 
     def __post_init__(self):
-        _check_positive_finite(self.raw_distance, "raw_distance")
-        _check_positive_finite(self.raw_rounds, "raw_rounds")
-        if self.rounded_distance < 3 or self.rounded_distance % 2 == 0:
-            raise ValidationError(
-                f"rounded_distance must be an odd integer >= 3, got {self.rounded_distance!r}")
-        if self.rounded_distance < self.raw_distance:
-            raise ValidationError("rounded_distance must not undercut raw_distance")
-        if self.rounded_rounds != max(1, math.ceil(self.raw_rounds)):
-            raise ValidationError("rounded_rounds must be the ceiling of raw_rounds, floored at 1")
+        object.__setattr__(self, "rounded_distance", round_distance(self.raw_distance))
+        object.__setattr__(self, "rounded_rounds", round_rounds(self.raw_rounds))
 
 
 @dataclass(frozen=True)

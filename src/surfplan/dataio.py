@@ -35,6 +35,7 @@ from .core import (
     check_number,
 )
 from .evaluate import ComparisonRow, EvalReport
+from .oracle import meets_target
 
 DATASET_HEADER = ("depolarizing", "gate", "reset", "readout",
                   "distance", "rounds", "logical_error_rate")
@@ -260,7 +261,8 @@ def report_scalars(report: EvalReport) -> dict:
                      if report.dler_tler_deltas else None),
             "min": min(report.dler_tler_deltas) if report.dler_tler_deltas else None,
             "max": max(report.dler_tler_deltas) if report.dler_tler_deltas else None,
-            "positive_count": sum(1 for d in report.dler_tler_deltas if d > 0),
+            "positive_count": sum(1 for dler, target in zip(report.dler, report.targets)
+                                  if not meets_target(dler, target)),
             "p95_positive_over_target": report.positive_delta_over_target_p95,
         },
         "dler_source": "synthetic-oracle",

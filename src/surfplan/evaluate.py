@@ -16,18 +16,20 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import models
 from .core import Dataset, HeuristicWeights, ValidationError, check_int, check_number
-from .heuristics import derive_training
+from .heuristics import HeuristicTraining
 from .ml import pipeline
 from .ml.pipeline import LabeledCase
-from .oracle import OracleConfig, SweepConfig, logical_error_rate
+from .oracle import OracleConfig, SweepConfig, logical_error_rate, meets_target
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient.
 
-    Raises for length mismatches, fewer than two points, and constant inputs
-    (where the coefficient is undefined).
+    Raises for length mismatches, fewer than two points, constant inputs and
+    inputs whose centered sums or their product overflow or underflow to zero
+    (where the coefficient is undefined in float64).
     """
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
@@ -38,13 +40,18 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
             f"pearson length mismatch: {xa.shape[0]} vs {ya.shape[0]}")
     if xa.shape[0] < 2:
         raise ValidationError("pearson needs at least two points")
-    dx = xa - xa.mean()
-    dy = ya - ya.mean()
-    sxx = float(np.dot(dx, dx))
-    syy = float(np.dot(dy, dy))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = xa - xa.mean()
+        dy = ya - ya.mean()
+        sxx = float(np.dot(dx, dx))
+        syy = float(np.dot(dy, dy))
+        sxy = float(np.dot(dx, dy))
     if sxx == 0.0 or syy == 0.0:
         raise ValidationError("pearson undefined for constant input")
-    return float(np.dot(dx, dy) / math.sqrt(sxx * syy))
+    product = sxx * syy
+    if not (0.0 < product < math.inf and math.isfinite(sxy)):
+        raise ValidationError("pearson undefined: the centered sums overflow or underflow")
+    return sxy / math.sqrt(product)
 
 
 @dataclass(frozen=True)
@@ -130,10 +137,10 @@ def evaluate_model(model, cases: list[LabeledCase],
     dler = [logical_error_rate(d, r, case.request.noise, oracle)
             for d, r, case in zip(rounded_d, rounded_r, cases)]
     deltas = [derived - target for derived, target in zip(dler, targets)]
-    achieved = sum(1 for delta in deltas if delta <= 0.0)
+    met = [meets_target(derived, target) for derived, target in zip(dler, targets)]
 
-    positive_ratios = [delta / target for delta, target in zip(deltas, targets)
-                       if delta > 0.0]
+    positive_ratios = [delta / target for delta, target, ok in zip(deltas, targets, met)
+                       if not ok]
     p95 = (float(np.percentile(positive_ratios, 95))
            if positive_ratios else None)
 
@@ -143,7 +150,7 @@ def evaluate_model(model, cases: list[LabeledCase],
         pearson_rounded_distance=_maybe_pearson(rounded_d, opt_d),
         pearson_raw_rounds=_maybe_pearson(raw_r, opt_r),
         pearson_rounded_rounds=_maybe_pearson(rounded_r, opt_r),
-        achievement_fraction=achieved / len(cases),
+        achievement_fraction=sum(met) / len(cases),
         dler_tler_deltas=deltas,
         targets=targets,
         dler=dler,
@@ -180,21 +187,18 @@ def compare_models(names: list[str], train_records: Dataset, train_cases,
     optimal labels. All models are scored on the same ``test_cases``. Rows are
     sorted by raw-distance Pearson, descending (undefined sorts last).
 
-    The heuristics share the training state of ``train_records``, derived
-    once for all of them. Models are fitted and scored one at a time.
+    The heuristics share one training state of ``train_records``. Models are
+    fitted and scored one at a time.
     """
-    from .models import check_model_names, fit_named_model, heuristic_kind  # avoids a cycle
-
-    check_model_names(names)
-    kinds = {name: heuristic_kind(name) for name in names}
-    heuristics = [kind for kind in kinds.values() if kind is not None]
-    training = (derive_training(train_records, fit_options.get("weights", HeuristicWeights()),
-                                heuristics) if heuristics and train_records else None)
+    models.check_model_names(names)
+    heuristic = {name: models.heuristic_kind(name) is not None for name in names}
+    training = (HeuristicTraining(train_records, fit_options.get("weights", HeuristicWeights()))
+                if any(heuristic.values()) and train_records else None)
     rows = []
     for name in names:
-        records = training if kinds[name] and training else train_records
-        model = fit_named_model(name, records=records, cases=train_cases,
-                                sweep=sweep, oracle=oracle, **fit_options)
+        records = training if heuristic[name] and training else train_records
+        model = models.fit_named_model(name, records=records, cases=train_cases,
+                                       sweep=sweep, oracle=oracle, **fit_options)
         report = evaluate_model(model, test_cases, oracle)
         rows.append(ComparisonRow(
             model=name,

@@ -19,13 +19,14 @@ the requested target (widening to neighboring decades until enough distinct
 abscissae exist). Duplicate abscissae are aggregated by mean before
 interpolating.
 
-A model holds the training state it was fitted from. ``derive_training``
-derives it from one set of training records and weights: their columns, each
-record's log10 rate, the stage-2 scaler and the stage-1 scaler of each
-weighted flag asked for. ``fit_heuristic`` derives it for its one kind; a
-model comparison derives it once for all eight kinds and hands it to
-``models.fit_named_model``, so this per-dataset work is done once per
-comparison, not once per model.
+A model holds the training state it was fitted from. ``HeuristicTraining``
+takes one set of training records and weights and derives their columns and
+each record's log10 rate; the stage-1 scaler of a weighted flag and the
+stage-2 scaler are fitted when a neighbor model first asks for them, and
+kept. ``fit_heuristic`` builds a state for its one kind; a model comparison
+builds one for all eight kinds and hands it to ``models.fit_named_model``, so
+this per-dataset work is done once per comparison, not once per model, and
+the interpolators never fit a scaler.
 
 A fitted model derives its own state once, when it is built or loaded:
 the standardized training features of both stages as one contiguous column
@@ -57,7 +58,6 @@ from .core import (
     PredictionResult,
     ValidationError,
     round_distance,
-    round_rounds,
 )
 from .oracle import OracleConfig, check_below_threshold
 
@@ -248,63 +248,67 @@ def _standardized_columns(columns, scaler: Standardizer) -> tuple:
 @dataclass(frozen=True)
 class HeuristicTraining:
     """The state every heuristic fit derives from one set of training records
-    and weights: the records, their columns, read-only and shared by the
-    models fitted from it, each record's log10 rate, the stage-2 scaler, and
-    the stage-1 scaler of each weighted flag it was derived for. Two states
-    are equal when their records and weights are; the rest derives from them."""
+    and weights: the records' columns, read-only and shared by the models
+    fitted from it, and each record's log10 rate. ``scalers`` fits a weighted
+    flag's stage-1 scaler and the stage-2 scaler when first asked and keeps
+    them. Two states are equal when their records and weights are; the rest
+    derives from them."""
 
     records: Dataset
     weights: HeuristicWeights
-    noise: np.ndarray = field(compare=False)      # (n, 4): depolarizing, gate, reset, readout
-    log_ler: np.ndarray = field(compare=False)    # (n,) log10 of each record's achieved rate
-    distance: np.ndarray = field(compare=False)   # (n,)
-    rounds: np.ndarray = field(compare=False)     # (n,)
-    stage1_scalers: dict = field(compare=False)   # weighted flag -> Standardizer
-    stage2_scaler: Standardizer = field(compare=False)
+    # (n, 4): depolarizing, gate, reset, readout; then each record's log10
+    # rate, distance and rounds, (n,) each.
+    noise: np.ndarray = field(init=False, compare=False)
+    log_ler: np.ndarray = field(init=False, compare=False)
+    distance: np.ndarray = field(init=False, compare=False)
+    rounds: np.ndarray = field(init=False, compare=False)
+    # Weighted flag -> its stage-1 scaler; None -> the stage-2 scaler.
+    _scalers: dict = field(init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        records = self.records
+        if not records:
+            raise ValidationError("cannot fit a heuristic on an empty training set")
+        # math.log10, not np.log10: the two differ in the last bit on some rates.
+        log_ler = np.asarray([math.log10(v) for v in records.logical_error_rate.tolist()])
+        for name, column in (("noise", records.noise()), ("log_ler", log_ler),
+                             ("distance", records.distance.astype(np.float64)),
+                             ("rounds", records.rounds.astype(np.float64))):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "_scalers", {})
 
-def derive_training(records: Dataset, weights: HeuristicWeights,
-                    kinds) -> HeuristicTraining:
-    """The training state of ``records`` under ``weights``, with a stage-1
-    scaler for each weighted flag among ``kinds``."""
-    if not records:
-        raise ValidationError("cannot fit a heuristic on an empty training set")
-    noise = records.noise()
-    # math.log10, not np.log10: the two differ in the last bit on some rates.
-    log_ler = np.asarray([math.log10(v) for v in records.logical_error_rate.tolist()])
-    distance = records.distance.astype(np.float64)
-    rounds = records.rounds.astype(np.float64)
-    for column in (noise, log_ler, distance, rounds):
-        column.flags.writeable = False
-    return HeuristicTraining(
-        records=records, weights=weights, noise=noise, log_ler=log_ler, distance=distance,
-        rounds=rounds,
-        stage1_scalers={
-            weighted: Standardizer.fit(
-                np.column_stack(_stage1_columns(weighted, weights, noise.T, log_ler)))
-            for weighted in sorted({kind.weighted for kind in kinds})},
-        stage2_scaler=Standardizer.fit(np.column_stack([distance, log_ler])),
-    )
+    def scalers(self, weighted: bool) -> tuple[Standardizer, Standardizer]:
+        """The stage-1 scaler of the ``weighted`` flag and the stage-2 scaler."""
+        fitted = self._scalers
+        if weighted not in fitted:
+            fitted[weighted] = Standardizer.fit(np.column_stack(
+                _stage1_columns(weighted, self.weights, self.noise.T, self.log_ler)))
+        if None not in fitted:
+            fitted[None] = Standardizer.fit(np.column_stack([self.distance, self.log_ler]))
+        return fitted[weighted], fitted[None]
 
 
 @dataclass(frozen=True)
 class HeuristicModel:
     """A fitted two-stage heuristic: its kind, its oracle and the training
-    state it was fitted from, derived for the kind's weighted flag.
+    state it was fitted from.
 
     ``__post_init__`` derives the kind's query state from ``training`` once,
     so fitting and loading pay for it and a request does not: the two stages'
     scalers and the standardized feature columns (range search, multivariate)
-    or the 1-D axes and record decades (linear, polynomial). A saved model
-    stores ``training.records`` and none of this state.
+    or the 1-D axes and record decades (linear, polynomial), which need no
+    scaler. A saved model stores ``training.records`` and none of this state.
     """
 
     kind: HeuristicKind
     oracle: OracleConfig
     training: HeuristicTraining
 
-    # The stage-1 scaler of the kind's weighted flag and the stage-2 scaler.
-    _scalers: tuple[Standardizer, Standardizer] = field(init=False, repr=False, compare=False)
+    # Neighbor methods only: the stage-1 scaler of the kind's weighted flag
+    # and the stage-2 scaler.
+    _scalers: Optional[tuple[Standardizer, Standardizer]] = field(
+        init=False, repr=False, compare=False)
     # Per stage: (training inputs, labels). The inputs are the standardized
     # feature columns for the neighbor methods and the 1-D axis for the
     # interpolators.
@@ -317,11 +321,11 @@ class HeuristicModel:
 
     def __post_init__(self):
         training, weighted = self.training, self.kind.weighted
-        scalers = (training.stage1_scalers[weighted], training.stage2_scaler)
         distance, rounds, log_ler = training.distance, training.rounds, training.log_ler
         rates = training.noise.T
-        decades, decade_values = None, ()
+        scalers, decades, decade_values = None, None, ()
         if self.kind.method in NEIGHBOR_METHODS:
+            scalers = training.scalers(weighted)
             stage1 = _standardized_columns(
                 _stage1_columns(weighted, training.weights, rates, log_ler), scalers[0])
             stage2 = _standardized_columns((distance, log_ler), scalers[1])
@@ -399,14 +403,8 @@ class HeuristicModel:
         check_below_threshold(request.noise, self.oracle)
         log_target = math.log10(request.target_logical_error_rate)
         raw_distance = max(self._stage1_raw(request.noise.as_tuple(), log_target), RAW_FLOOR)
-        rounded_distance = round_distance(raw_distance)
-        raw_rounds = max(self._stage2_raw(rounded_distance, log_target), RAW_FLOOR)
-        return PredictionResult(
-            raw_distance=float(raw_distance),
-            rounded_distance=rounded_distance,
-            raw_rounds=float(raw_rounds),
-            rounded_rounds=round_rounds(raw_rounds),
-        )
+        raw_rounds = max(self._stage2_raw(round_distance(raw_distance), log_target), RAW_FLOOR)
+        return PredictionResult(raw_distance=float(raw_distance), raw_rounds=float(raw_rounds))
 
     def predict_many(self, requests: list[PredictionRequest]) -> list[PredictionResult]:
         """One ``predict_result`` call per request."""
@@ -417,4 +415,4 @@ def fit_heuristic(records: Dataset, kind: HeuristicKind,
                   weights: HeuristicWeights = HeuristicWeights(),
                   oracle: OracleConfig = OracleConfig()) -> HeuristicModel:
     """Fit a ``kind`` heuristic over ``records`` under ``weights``."""
-    return HeuristicModel(kind, oracle, derive_training(records, weights, (kind,)))
+    return HeuristicModel(kind, oracle, HeuristicTraining(records, weights))

@@ -34,7 +34,6 @@ from ..core import (
     PredictionResult,
     ValidationError,
     round_distance,
-    round_rounds,
 )
 from ..oracle import (
     OracleConfig,
@@ -149,12 +148,8 @@ class PipelineModel:
         with np.errstate(over="ignore", invalid="ignore"):
             raw_distance, mat2 = stage2_features(self.stage1, stage1_features(requests))
             raw_rounds = np.maximum(self.stage2.predict(mat2), RAW_FLOOR)
-        return [PredictionResult(
-                    raw_distance=float(rd),
-                    rounded_distance=int(dd),
-                    raw_rounds=float(rr),
-                    rounded_rounds=round_rounds(float(rr)))
-                for rd, dd, rr in zip(raw_distance, mat2[:, 0], raw_rounds)]
+        return [PredictionResult(raw_distance=rd, raw_rounds=rr)
+                for rd, rr in zip(raw_distance.tolist(), raw_rounds.tolist())]
 
 
 def _fit_stages(cases: list[LabeledCase], fit_stage1, fit_stage2,

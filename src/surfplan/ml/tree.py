@@ -72,9 +72,6 @@ class TreeModel:
         # ensemble's packing, so only a stand-alone tree comes here.
         return pack_trees((self,)).predict(_as_feature_matrix(features, self.n_features))
 
-    def leaf_values(self) -> np.ndarray:
-        return self.value[self.feature == LEAF]
-
 
 @dataclass(frozen=True)
 class PackedTrees:

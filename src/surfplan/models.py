@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .core import Dataset, HeuristicWeights, ValidationError
-from .heuristics import HeuristicKind, HeuristicModel, HeuristicTraining, all_kinds, fit_heuristic
+from .heuristics import HeuristicKind, HeuristicModel, HeuristicTraining, all_kinds
 from .ml.ensemble import BoostConfig, ForestConfig
 from .ml.pipeline import (
     DEFAULT_TARGET_MENU,
@@ -63,8 +63,8 @@ def fit_named_model(name: str,
 
     Label-supervised models use ``cases`` (built from ``records`` when not
     given); heuristics embed ``records`` directly. A heuristic also takes
-    them as the training state ``heuristics.derive_training`` made of them
-    under ``weights`` for its kind, as ``evaluate.compare_models`` passes it.
+    them as a ``HeuristicTraining`` under ``weights``, as
+    ``evaluate.compare_models`` passes it.
     """
     check_model_name(name)
     kind = heuristic_kind(name)
@@ -72,10 +72,9 @@ def fit_named_model(name: str,
         if not records:
             raise ValidationError(f"model {name!r} needs training records")
         if isinstance(records, Dataset):
-            return fit_heuristic(records, kind, weights, oracle)
-        if records.weights != weights or kind.weighted not in records.stage1_scalers:
-            raise ValidationError(
-                f"the training state was not derived for {kind.label} with these weights")
+            records = HeuristicTraining(records, weights)
+        elif records.weights != weights:
+            raise ValidationError("the training state was not built with these weights")
         return HeuristicModel(kind, oracle, records)
     if cases is None:
         if not isinstance(records, Dataset) or not records:

@@ -10,8 +10,7 @@ rounds up to r = d, then climbs again: the sweet spot sits at r = d.
 ``rate_grids`` evaluates the whole (distance, rounds) grid of every profile in
 a (p, 4) table as one array, bit for bit equal to ``logical_error_rate`` at
 every point; dataset generation and training-label construction call it once
-per dataset, ``rate_grid`` is its one-profile case, and the property tests
-check both against the scalar oracle. ``find_optimal_params`` is the scalar
+per dataset, and the property tests check it against the scalar oracle. ``find_optimal_params`` is the scalar
 ground-truth search: the lexicographically smallest (distance, rounds) pair on
 the sweep grid that reaches the target rate. Table rows and code points are
 checked by the rules of ``NoiseProfile`` and ``CodeParams``.
@@ -285,14 +284,6 @@ def rate_grids(profiles, distances: Sequence[int], rounds: Sequence[int],
         rates = bases[:, index].reshape((p_eff.size,) + shortest_grid.shape)
         rates *= penalty
     return np.minimum(np.fmax(rates, config.floor, out=rates), 1.0, out=rates)
-
-
-def rate_grid(profile: NoiseProfile, distances: Sequence[int], rounds: Sequence[int],
-              config: OracleConfig = OracleConfig()) -> np.ndarray:
-    """``logical_error_rate`` at every (distance, rounds) pair of one profile:
-    the one-row case of ``rate_grids``, with entry [i, j] at (distances[i],
-    rounds[j])."""
-    return rate_grids([profile.as_tuple()], distances, rounds, config)[0]
 
 
 def sample_profiles(sweep: SweepConfig) -> list[NoiseProfile]:

@@ -6,11 +6,11 @@ textbook formula over Python floats. ``reference_fit_tree`` is the
 node-at-a-time recursive builder that the level-wise grower replaced; the
 grower must reproduce its trees bit for bit. ``reference_heuristic_predict``
 is the per-request heuristic computation that the models' derived state
-replaced: it shares none of the library's feature code, takes the request
-as one more row through its own weighted sum and ``(x - mean) / scale``,
-re-standardizes every training row, takes row-sum distances, a full lexsort
-for the k nearest and an uncached decade filter, and the models must
-reproduce its predictions bit for bit. ``reference_predict`` and
+replaced: it shares none of the library's feature or scaler code, takes the
+request as one more row through its own weighted sum, fits its own mean and
+scale and re-standardizes every training row with them, takes row-sum
+distances, a full lexsort for the k nearest and an uncached decade filter,
+and the models must reproduce its predictions bit for bit. ``reference_predict`` and
 ``reference_predict_row`` are the per-tree batch loops and the one-row walks
 that the packed traversal replaced; the stage models must reproduce both bit
 for bit. ``record_columns`` gives a dataset's per-record columns, from which
@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from surfplan.core import RAW_FLOOR, PredictionResult, round_distance, round_rounds
+from surfplan.core import RAW_FLOOR, PredictionResult, round_distance
 from surfplan.heuristics import IDW_NEIGHBORS, IDW_POWER, linear_interp, poly_interp
 from surfplan.ml.ensemble import BoostedModel, ForestModel
 from surfplan.ml.linear import LinearModel
@@ -32,6 +32,11 @@ from surfplan.oracle import AboveThresholdError, effective_error
 def record_columns(dataset):
     """Each record's (n, 4) rates, distance, rounds and logical error rate."""
     return dataset.noise(), dataset.distance, dataset.rounds, dataset.logical_error_rate
+
+
+def leaf_values(tree):
+    """The values of a tree's leaves, in node order."""
+    return tree.value[tree.feature == LEAF]
 
 
 def sse(values) -> float:
@@ -323,8 +328,12 @@ def _reference_scalarized(noise, weights):
             + weights.w_readout * noise[:, 3] + weights.w_reset * noise[:, 2])
 
 
-def _reference_standardized(features, scaler):
-    return (features - np.asarray(scaler.mean)) / np.asarray(scaler.scale)
+def _reference_standardized(train, query):
+    """The training rows and the query, standardized to the training rows'
+    mean and standard deviation; a zero deviation scales by 1."""
+    mean, scale = train.mean(axis=0), train.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    return (train - mean) / scale, (query - mean) / scale
 
 
 def _reference_decade_pairs(model, axis, labels, log_target, need):
@@ -357,22 +366,22 @@ def _reference_interp_1d(model, axis, labels, log_target, x_query):
     return linear_interp(pairs, x_query)
 
 
-def _reference_neighbor(model, features, labels, query):
+def _reference_neighbor(model, features, query, labels):
     if model.kind.method == "range_search":
         return _reference_range_search(features, labels, query)
     return _reference_multivariate(features, labels, query)
 
 
 def reference_heuristic_predict(model, request):
-    """A heuristic model's prediction, recomputed from its embedded records
-    and scalers on every call. The request's rates are one more (1, 4) row,
-    taken through the same array code as the training rows."""
+    """A heuristic model's prediction, recomputed from its embedded records on
+    every call, with scalers fitted here rather than read from the model. The
+    request's rates are one more (1, 4) row, taken through the same array
+    code as the training rows."""
     p_eff = effective_error(request.noise, model.oracle)
     if p_eff >= model.oracle.threshold:
         raise AboveThresholdError(f"effective error {p_eff:.3e} is at or above "
                                   f"threshold {model.oracle.threshold:.3e}")
     training = model.training
-    stage1_scaler = training.stage1_scalers[model.kind.weighted]
     rows = np.asarray([request.noise.as_tuple()], dtype=np.float64)
     log_target = math.log10(request.target_logical_error_rate)
     neighbor = model.kind.method in ("range_search", "multivariate_interp")
@@ -386,10 +395,9 @@ def reference_heuristic_predict(model, request):
                         for noise in (training.noise, rows))
     if neighbor:
         raw_distance = _reference_neighbor(
-            model,
-            _reference_standardized(np.column_stack([train, training.log_ler]), stage1_scaler),
-            training.distance,
-            _reference_standardized(np.append(query[0], log_target), stage1_scaler))
+            model, *_reference_standardized(np.column_stack([train, training.log_ler]),
+                                            np.append(query[0], log_target)),
+            training.distance)
     else:
         raw_distance = _reference_interp_1d(model, train[:, 0], training.distance, log_target,
                                             float(query[0, 0]))
@@ -397,15 +405,11 @@ def reference_heuristic_predict(model, request):
     rounded_distance = round_distance(raw_distance)
     if neighbor:
         raw_rounds = _reference_neighbor(
-            model,
-            _reference_standardized(np.column_stack([training.distance, training.log_ler]),
-                                    training.stage2_scaler),
-            training.rounds,
-            _reference_standardized(np.asarray([float(rounded_distance), log_target]),
-                                    training.stage2_scaler))
+            model, *_reference_standardized(np.column_stack([training.distance, training.log_ler]),
+                                            np.asarray([float(rounded_distance), log_target])),
+            training.rounds)
     else:
         raw_rounds = _reference_interp_1d(model, training.distance.astype(np.float64),
                                           training.rounds, log_target, float(rounded_distance))
     raw_rounds = max(raw_rounds, RAW_FLOOR)
-    return PredictionResult(raw_distance=float(raw_distance), rounded_distance=rounded_distance,
-                            raw_rounds=float(raw_rounds), rounded_rounds=round_rounds(raw_rounds))
+    return PredictionResult(raw_distance=float(raw_distance), raw_rounds=float(raw_rounds))

@@ -10,6 +10,9 @@ import pytest
 from surfplan import (
     BoostConfig,
     ForestConfig,
+    LinearModel,
+    OracleConfig,
+    PipelineModel,
     cli,
     fit_boosted,
     fit_forest,
@@ -389,6 +392,21 @@ class TestPredict:
         assert code == 3
         assert "infeasible" in err
 
+    def test_label_within_the_target_slack_exits_0(self, capsys, tmp_path):
+        # A model that recommends this profile's label at 1e-6, (3, 3), whose
+        # rate is one ulp above the target, meets it by the labels' rule.
+        path = tmp_path / "three.json"
+        constant = LinearModel(coefficients=np.zeros(5), intercept=3.0, n_features=5)
+        save_model(PipelineModel(stage1=constant, stage2=LinearModel(np.zeros(2), 3.0, 2),
+                                 oracle=OracleConfig(), min_target=1e-6, max_target=1e-6),
+                   str(path))
+        code, out, err = run_cli(capsys, "predict", "--model", str(path), "--depol", "0",
+                                 "--gate", "6.324555320336759e-05", "--reset", "0",
+                                 "--readout", "0", "--target", "1e-6")
+        assert (code, err) == (0, "")
+        assert "rounded_distance=3\nraw_rounds=3.0\nrounded_rounds=3\n" in out
+        assert "estimated_ler=1.0000000000000002e-06\n" in out
+
     def test_missing_rate_flags_exit_2(self, capsys, trained_model):
         code, _, err = run_cli(capsys, "predict", "--model", trained_model,
                                "--depol", "2e-4", "--target", "1e-6")
@@ -665,6 +683,42 @@ class TestEvaluateAndCompare:
         payload = json.loads((out_dir / "report.json").read_text())
         assert payload["dler_source"] == "synthetic-oracle"
         assert "timing_ms" in payload
+
+    def test_overflowing_pearson_is_undefined(self, capsys, trained_model, small_dataset,
+                                              small_config, tmp_path):
+        # Distinct huge finite rounds overflow the Pearson sums: the
+        # coefficient is undefined, not -0.0, and numpy does not warn.
+        data = json.loads(open(trained_model, encoding="utf-8").read())
+        values = data["model"]["stage2"]["value"]
+        data["model"]["stage2"]["value"] = [1e300 * (1 + i % 7) / 7 for i in range(len(values))]
+        model = tmp_path / "huge_rounds.json"
+        model.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "evaluate", "--model", str(model), "--data",
+                                 small_dataset, "--out-dir", str(tmp_path / "reports"),
+                                 "--config", small_config)
+        assert (code, err) == (0, "")
+        assert "pearson_raw_rounds=undefined\n" in out
+        assert "pearson_rounded_rounds=undefined\n" in out
+
+    def test_raw_distance_past_2_53_exits_2(self, capsys, trained_model, small_dataset,
+                                            small_config, tmp_path):
+        # Past 2**53 a float64 skips odd integers, so stage two could not
+        # read the recommended distance: both commands name the bound.
+        data = json.loads(open(trained_model, encoding="utf-8").read())
+        stage = data["model"]["stage1"]
+        stage["value"] = [1e300 if feature == -1 else value
+                          for feature, value in zip(stage["feature"], stage["value"])]
+        model = tmp_path / "huge_distance.json"
+        model.write_text(json.dumps(data))
+        for argv in (("predict", "--model", str(model), "--depol", "2e-4", "--gate", "1.2e-3",
+                      "--reset", "5e-4", "--readout", "3e-3", "--target", "1e-6"),
+                     ("evaluate", "--model", str(model), "--data", small_dataset,
+                      "--out-dir", str(tmp_path / "reports"), "--config", small_config)):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: raw distance must be below 2**53, got ")
+            assert len(err) < 100
 
     def test_compare_writes_rows_for_all_models(self, capsys, small_dataset,
                                                 small_config, tmp_path):

@@ -78,6 +78,15 @@ class TestRoundDistance:
         with pytest.raises(ValidationError):
             round_distance(bad)
 
+    def test_bound_is_where_a_float_stops_holding_odd_integers(self):
+        # Below 2**53 the rounded distance is a float64 exactly, so stage two
+        # reads the distance that was recommended; from 2**53 on it is not.
+        below = math.nextafter(2.0 ** 53, 0.0)
+        assert round_distance(below) == 2 ** 53 - 1 == float(2 ** 53 - 1)
+        for bad in (2.0 ** 53, 1e300):
+            with pytest.raises(ValidationError, match=r"raw distance must be below 2\*\*53"):
+                round_distance(bad)
+
     def test_idempotent_monotone_odd(self):
         rng = np.random.default_rng(7)
         values = np.concatenate([rng.uniform(0.01, 40, size=300),
@@ -181,14 +190,18 @@ class TestTypes:
                 PredictionRequest(noise=noise, target_logical_error_rate=bad)
 
     def test_result_invariants(self):
-        PredictionResult(raw_distance=4.2, rounded_distance=5,
-                         raw_rounds=12.3, rounded_rounds=13)
-        with pytest.raises(ValidationError):  # even distance
-            PredictionResult(raw_distance=4.2, rounded_distance=6,
-                             raw_rounds=12.3, rounded_rounds=13)
-        with pytest.raises(ValidationError):  # undercuts raw
-            PredictionResult(raw_distance=7.5, rounded_distance=7,
-                             raw_rounds=12.3, rounded_rounds=13)
-        with pytest.raises(ValidationError):  # rounds not the ceiling
-            PredictionResult(raw_distance=4.2, rounded_distance=5,
-                             raw_rounds=12.3, rounded_rounds=14)
+        # The rounded pair is derived from the raw one by round_distance and
+        # round_rounds, so no result holds an even, undercutting or
+        # non-ceiling rounding; a raw value they cannot round is rejected.
+        result = PredictionResult(raw_distance=4.2, raw_rounds=12.3)
+        assert (result.rounded_distance, result.rounded_rounds) == (5, 13)
+        assert repr(result) == ("PredictionResult(raw_distance=4.2, rounded_distance=5, "
+                                "raw_rounds=12.3, rounded_rounds=13)")
+        assert PredictionResult(raw_distance=7.5, raw_rounds=0.2).rounded_distance == 9
+        with pytest.raises(TypeError):
+            PredictionResult(raw_distance=4.2, rounded_distance=5, raw_rounds=12.3,
+                             rounded_rounds=13)
+        for raw_distance, raw_rounds in ((0.0, 1.0), (math.inf, 1.0), (3.0, math.nan),
+                                         (2.0 ** 53, 1.0)):
+            with pytest.raises(ValidationError):
+                PredictionResult(raw_distance=raw_distance, raw_rounds=raw_rounds)

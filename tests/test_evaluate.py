@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from helpers import pearson_reference
 from surfplan import (
+    Dataset,
     HeuristicWeights,
     LabeledCase,
     NoiseProfile,
@@ -22,6 +25,7 @@ from surfplan import (
     split,
 )
 from surfplan import models
+from surfplan.dataio import report_scalars
 from surfplan.heuristics import Standardizer
 from surfplan.ml.pipeline import predict_many
 
@@ -59,6 +63,28 @@ class TestPearson:
             pearson([1], [1])
         with pytest.raises(ValidationError, match="constant"):
             pearson([1, 1, 1], [1, 2, 3])
+
+    def test_overflowing_centered_sums_are_undefined(self):
+        # Finite inputs whose centered sums overflow have no coefficient; an
+        # overflow is not a correlation of -0.0 (pytest turns numpy's
+        # overflow warning into an error). Nor is a product of the sums
+        # that underflows to zero a division by zero.
+        huge = [1e300 * (1 + i % 7) / 7 for i in range(30)]
+        with pytest.raises(ValidationError, match="overflow"):
+            pearson(huge, list(range(30)))
+        with pytest.raises(ValidationError, match="overflow"):
+            pearson(list(range(30)), huge)
+        with pytest.raises(ValidationError, match="underflow"):
+            pearson([1e-160, 2e-160, 4e-160], [1e-5, 2e-5, 3e-5])
+
+    def test_ordinary_inputs_keep_their_bits(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            x, y = rng.normal(size=(2, int(rng.integers(2, 40)))) * 10.0 ** rng.integers(-5, 5)
+            dx, dy = x - x.mean(), y - y.mean()
+            expected = float(np.dot(dx, dy) / math.sqrt(float(np.dot(dx, dx))
+                                                        * float(np.dot(dy, dy))))
+            assert pearson(x, y).hex() == expected.hex()
 
 
 class TestSplit:
@@ -99,14 +125,12 @@ class _Memorizer(_PerRequest):
     def predict_result(self, request):
         d, r = self.answers[(request.noise.as_tuple(),
                              request.target_logical_error_rate)]
-        return PredictionResult(raw_distance=float(d), rounded_distance=d,
-                                raw_rounds=float(r), rounded_rounds=r)
+        return PredictionResult(raw_distance=float(d), raw_rounds=float(r))
 
 
 class _Constant(_PerRequest):
     def predict_result(self, request):
-        return PredictionResult(raw_distance=9.0, rounded_distance=9,
-                                raw_rounds=8.2, rounded_rounds=9)
+        return PredictionResult(raw_distance=9.0, raw_rounds=8.2)
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +152,20 @@ class TestEvaluateModel:
         assert report.pearson_rounded_rounds == pytest.approx(1.0)
         assert report.achievement_fraction == 1.0
         assert all(delta <= 0 for delta in report.dler_tler_deltas)
+
+    def test_label_within_the_target_slack_is_achieved(self):
+        # This profile's label at 1e-6 is (3, 3), where the rate is one ulp
+        # above the target: labels accept it through meets_target, and so
+        # must the achievement fraction, the p95 ratios and positive_count.
+        profile = NoiseProfile(0.0, 6.324555320336759e-05, 0.0, 0.0)
+        cases = build_training_cases(Dataset.from_rows([profile.as_tuple()], [3], [3], [1e-3]),
+                                     menu=(1e-6,))
+        assert [(case.distance, case.rounds) for case in cases] == [(3, 3)]
+        report = evaluate_model(_Memorizer(cases), cases)
+        assert report.dler == [1.0000000000000002e-06]
+        assert report.achievement_fraction == 1.0
+        assert report.positive_delta_over_target_p95 is None
+        assert report_scalars(report)["deltas"]["positive_count"] == 0
 
     def test_constant_prediction_reports_undefined(self, labeled_setup):
         sweep, oracle, cases = labeled_setup
@@ -255,7 +293,8 @@ class TestCompareModels:
             alone = fit_heuristic(records, shared.kind, weights, oracle)
             assert shared == alone
             assert shared._scalers == alone._scalers
-            assert shared.training.stage2_scaler == alone.training.stage2_scaler
+            assert (shared.training.scalers(shared.kind.weighted)
+                    == alone.training.scalers(shared.kind.weighted))
             for column in ("noise", "log_ler", "distance", "rounds"):
                 assert (getattr(shared.training, column).tobytes()
                         == getattr(alone.training, column).tobytes())

@@ -14,6 +14,7 @@ from surfplan import (
     HeuristicKind,
     HeuristicWeights,
     NoiseProfile,
+    OracleConfig,
     PredictionRequest,
     ValidationError,
     fit_heuristic,
@@ -21,6 +22,8 @@ from surfplan import (
     poly_interp,
 )
 from surfplan.heuristics import (
+    HeuristicModel,
+    HeuristicTraining,
     IDW_NEIGHBORS,
     IDW_POWER,
     NEIGHBOR_METHODS,
@@ -33,7 +36,6 @@ from surfplan.heuristics import (
     _stage1_columns,
     _standardized_columns,
     all_kinds,
-    derive_training,
 )
 from surfplan.ml.serialize import model_from_dict, model_to_dict
 from surfplan.models import fit_named_model
@@ -232,19 +234,49 @@ class TestHeuristicModel:
             fit_heuristic(Dataset.from_rows([], [], [], []), kind)
 
     def test_training_state_must_match_the_fit(self, small_records):
-        # A shared training state reaches a heuristic only through
-        # fit_named_model, which checks that it was derived for the kind's
-        # weighted flag and with the fit's weights.
-        kind = HeuristicKind("range_search", True)
-        training = derive_training(small_records, HeuristicWeights(), (kind,))
-        model = fit_named_model("heuristic:range_search_w", records=training)
-        assert model.training is training
-        assert model == fit_heuristic(small_records, kind)
-        with pytest.raises(ValidationError, match="not derived for range_search_n_w"):
-            fit_named_model("heuristic:range_search_n_w", records=training)
+        # A shared training state reaches a heuristic through fit_named_model,
+        # which checks that it was built with the fit's weights. Any kind may
+        # take it: a state fits each flag's scaler when first asked.
+        training = HeuristicTraining(small_records, HeuristicWeights())
+        for kind in all_kinds():
+            model = fit_named_model(f"heuristic:{kind.label}", records=training)
+            assert model.training is training
+            assert model == fit_heuristic(small_records, kind)
         with pytest.raises(ValidationError, match="with these weights"):
             fit_named_model("heuristic:range_search_w", records=training,
                             weights=HeuristicWeights(0.5, 0.25, 0.15, 0.1))
+
+    def test_model_built_from_a_state_equals_the_fit(self, small_records):
+        # Every kind built directly on a HeuristicTraining of its own is the
+        # model fit_heuristic gives, and predicts the same bits.
+        weights = HeuristicWeights(0.5, 0.25, 0.15, 0.1)
+        requests = [PredictionRequest(NoiseProfile(*record.noise.as_tuple()), target)
+                    for record in small_records for target in (1e-3, 1e-7)]
+        for kind in all_kinds():
+            built = HeuristicModel(kind, OracleConfig(),
+                                   HeuristicTraining(small_records, weights))
+            fitted = fit_heuristic(small_records, kind, weights)
+            assert built == fitted
+            assert ([_outcome(built.predict_result, r) for r in requests]
+                    == [_outcome(fitted.predict_result, r) for r in requests])
+
+    def test_interpolators_fit_no_scaler(self, small_records, monkeypatch):
+        # Only the neighbor methods standardize; a 1-D interpolator's fit and
+        # predictions fit no Standardizer.
+        fits, fit = [], Standardizer.fit
+
+        def counted(features):
+            fits.append(features.shape)
+            return fit(features)
+
+        monkeypatch.setattr(Standardizer, "fit", counted)
+        request = PredictionRequest(NoiseProfile(2e-4, 1.2e-3, 5e-4, 3e-3), 1e-6)
+        for kind in all_kinds():
+            if kind.method not in NEIGHBOR_METHODS:
+                fit_heuristic(small_records, kind).predict_result(request)
+        assert fits == []
+        fit_heuristic(small_records, HeuristicKind("range_search", False))
+        assert len(fits) == 2
 
     def test_equal_fits_compare_equal(self, small_records):
         # Equality is that of the records and weights; the derived arrays
@@ -259,9 +291,9 @@ class TestHeuristicModel:
     def test_fitted_model_is_frozen(self, small_records):
         model = fit_heuristic(small_records, HeuristicKind("multivariate_interp", False))
         with pytest.raises(dataclasses.FrozenInstanceError):
-            model.training = derive_training(small_records, HeuristicWeights(), all_kinds())
+            model.training = HeuristicTraining(small_records, HeuristicWeights())
         with pytest.raises(dataclasses.FrozenInstanceError):
-            model.training.stage2_scaler = Standardizer(mean=(0.0,) * 2, scale=(1.0,) * 2)
+            model.training.distance = model.training.distance.copy()
 
 
 class TestNeighborHelpers:
@@ -394,9 +426,8 @@ class TestMatchesPerRequestReference:
         records, kind, weights, requests = problem
         model = fit_heuristic(records, kind, weights)
         training = model.training
-        stages = ((_stage1_columns(kind.weighted, weights, training.noise.T, training.log_ler),
-                   training.stage1_scalers[kind.weighted]),
-                  ((training.distance, training.log_ler), training.stage2_scaler))
+        stages = zip((_stage1_columns(kind.weighted, weights, training.noise.T, training.log_ler),
+                      (training.distance, training.log_ler)), training.scalers(kind.weighted))
         for columns, scaler in stages:
             for column in _standardized_columns(columns, scaler):
                 spread = column.max() - column.min()
@@ -426,7 +457,8 @@ class TestQueryEqualsTrainingRow:
         fitted = fit_heuristic(records, kind, weights)
         for model in (fitted, _reloaded(fitted)):
             (stage1, _), (stage2, _) = model._stages
-            stage1_scaler, stage2_scaler = model._scalers
+            # Only a neighbor model holds scalers; an interpolator has none.
+            stage1_scaler, stage2_scaler = model._scalers or (None, None)
             for i, record in enumerate(records):
                 rates = record.noise.as_tuple()
                 log_ler = math.log10(record.logical_error_rate)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import reference_fit_boosted, reference_tree_predict
+from helpers import leaf_values, reference_fit_boosted, reference_tree_predict
 from surfplan import (
     BoostConfig,
     ForestConfig,
@@ -105,9 +105,9 @@ class TestBoosted:
                              tree=TreeConfig(max_depth=3))
         boosted = fit_boosted(features, targets, config)
         low = boosted.base_score + config.learning_rate * sum(
-            tree.leaf_values().min() for tree in boosted.trees)
+            leaf_values(tree).min() for tree in boosted.trees)
         high = boosted.base_score + config.learning_rate * sum(
-            tree.leaf_values().max() for tree in boosted.trees)
+            leaf_values(tree).max() for tree in boosted.trees)
         rng = np.random.default_rng(8)
         outputs = boosted.predict(rng.normal(scale=5, size=(200, 3)))
         assert outputs.min() >= low - 1e-9

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from helpers import (
     assert_same_tree,
+    leaf_values,
     reference_best_split,
     reference_fit_boosted,
     reference_fit_forest,
@@ -43,7 +44,7 @@ class TestFitTreeExamples:
         tree = fit_tree(features, targets, TreeConfig(max_depth=1))
         assert tree.feature[0] == 0
         assert tree.threshold[0] == pytest.approx(5.5)
-        assert sorted(tree.leaf_values().tolist()) == [0.0, 8.0]
+        assert sorted(leaf_values(tree).tolist()) == [0.0, 8.0]
 
     def test_depth_one_is_at_most_three_nodes(self):
         rng = np.random.default_rng(3)
@@ -124,7 +125,7 @@ class TestTreeProperties:
         features = rng.normal(size=(60, 3))
         targets = rng.normal(size=60)
         tree = fit_tree(features, targets, TreeConfig(max_depth=3))
-        leaves = set(tree.leaf_values().tolist())
+        leaves = set(leaf_values(tree).tolist())
         queries = rng.normal(size=(100, 3))
         assert all(value in leaves for value in tree.predict(queries).tolist())
 

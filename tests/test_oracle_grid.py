@@ -1,8 +1,8 @@
 """Property tests: the array oracle against the scalar oracle it replaces.
 
-``rate_grids`` and its one-profile case ``rate_grid`` must equal
+``rate_grids``, on one profile or a table of them, must equal
 ``logical_error_rate`` exactly at every grid point, and the dataset
-generation built on them must give the records the scalar sweep protocol
+generation built on it must give the records the scalar sweep protocol
 gives.
 """
 
@@ -28,7 +28,6 @@ from surfplan import (
     effective_error,
     generate_dataset,
     logical_error_rate,
-    rate_grid,
     rate_grids,
 )
 from surfplan.oracle import meets_target
@@ -63,11 +62,11 @@ round_grids = st.lists(st.integers(min_value=1, max_value=80),
 def test_rate_grid_equals_scalar_oracle(profile, config, distances, rounds):
     if effective_error(profile, config) >= config.threshold:
         with pytest.raises(AboveThresholdError):
-            rate_grid(profile, distances, rounds, config)
+            rate_grids([profile.as_tuple()], distances, rounds, config)[0]
         with pytest.raises(AboveThresholdError):
             logical_error_rate(distances[0], rounds[0], profile, config)
         return
-    grid = rate_grid(profile, distances, rounds, config)
+    grid = rate_grids([profile.as_tuple()], distances, rounds, config)[0]
     assert grid.shape == (len(distances), len(rounds))
     for row, distance in zip(grid.tolist(), distances):
         for rate, r in zip(row, rounds):
@@ -94,7 +93,7 @@ def test_integer_constants_reach_both_oracles_as_floats(decoherence):
 def test_rate_grid_rejects_bad_code_points(distances, rounds):
     profile = NoiseProfile(1e-4, 1e-3, 1e-4, 2e-3)
     with pytest.raises(ValidationError):
-        rate_grid(profile, distances, rounds)
+        rate_grids([profile.as_tuple()], distances, rounds)[0]
 
 
 table_profiles = profiles_of(st.one_of(st.sampled_from([0.0, -0.0]), rates))
@@ -112,7 +111,8 @@ def test_rate_grids_equal_scalar_oracle(rows, config, distances, rounds):
     grids = rate_grids([profile.as_tuple() for profile in cool], distances, rounds, config)
     assert grids.shape == (len(cool), len(distances), len(rounds))
     for grid, profile in zip(grids, cool):
-        assert grid.tobytes() == rate_grid(profile, distances, rounds, config).tobytes()
+        one = rate_grids([profile.as_tuple()], distances, rounds, config)[0]
+        assert grid.tobytes() == one.tobytes()
         for row, distance in zip(grid.tolist(), distances):
             for rate, r in zip(row, rounds):
                 assert rate == logical_error_rate(distance, r, profile, config)
@@ -225,7 +225,7 @@ def test_oracle_shape(profile, decoherence, rounds_max):
     rate is clamped at the floor, and the minimum does not rise with d."""
     config = OracleConfig(decoherence=decoherence)
     sweep = SweepConfig(rounds_max=rounds_max)
-    grid = rate_grid(profile, sweep.distances, sweep.rounds(), config)
+    grid = rate_grids([profile.as_tuple()], sweep.distances, sweep.rounds(), config)[0]
     for distance, row in zip(sweep.distances, grid):
         if distance <= rounds_max and row[distance - 1] > config.floor:
             assert int(row.argmin()) == distance - 1
