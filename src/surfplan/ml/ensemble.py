@@ -33,6 +33,9 @@ from .tree import (
 # tuning grids keep the configured count), so that a config cannot ask for
 # unbounded work.
 MAX_ESTIMATORS = 10_000
+# The most bootstrap rows a forest stacks into one ``grow_tree`` call; bounds
+# the stacked samples, their presort and each level's regroup.
+STACK_ROWS = 1 << 16
 
 
 def _check_estimators(value) -> None:
@@ -114,21 +117,31 @@ class BoostedModel:
 
 
 def fit_forest(features, targets, config: ForestConfig = ForestConfig()) -> ForestModel:
-    """Bagged trees; resamples are drawn with replacement at full size, and
-    each is presorted once for its tree."""
+    """Bagged trees; resamples are drawn with replacement at full size.
+
+    The resamples are stacked into one row space, presorted together, and
+    their trees grown in one call, at most ``STACK_ROWS`` stacked rows (or
+    one resample) at a time; each tree is the one its resample grows alone.
+    Without bootstrap every tree would see the same rows, and ``grow_tree``
+    is deterministic, so one tree is grown and repeated.
+    """
     mat = _as_feature_matrix(features)
     if mat.shape[0] == 0:
         raise ValidationError("cannot fit a forest on an empty dataset")
     y = _as_targets(targets, mat.shape[0])
     n = mat.shape[0]
+    if not config.bootstrap:
+        trees = grow_tree(mat, y, presort(mat), config.tree)[0] * config.n_estimators
+        return ForestModel(trees=tuple(trees), n_features=mat.shape[1])
+    per_call = max(1, STACK_ROWS // n)
     trees = []
-    for i in range(config.n_estimators):
-        sample, sample_y = mat, y
-        if config.bootstrap:
-            rng = np.random.default_rng((config.seed, i))
-            take = rng.integers(0, n, size=n)
-            sample, sample_y = mat[take], y[take]
-        trees.append(grow_tree(sample, sample_y, presort(sample), config.tree)[0])
+    for first in range(0, config.n_estimators, per_call):
+        batch = range(first, min(first + per_call, config.n_estimators))
+        take = np.concatenate([np.random.default_rng((config.seed, i)).integers(0, n, size=n)
+                               for i in batch])
+        sample = mat[take]
+        trees += grow_tree(sample, y[take], presort(sample, len(batch)), config.tree,
+                           np.full(len(batch), n))[0]
     return ForestModel(trees=tuple(trees), n_features=mat.shape[1])
 
 
@@ -155,8 +168,8 @@ def fit_boosted(features, targets, config: BoostConfig = BoostConfig()) -> Boost
     order = presort(mat)
     trees = []
     while len(trees) < config.n_estimators:
-        tree, leaf = grow_tree(mat, _as_targets(y - prediction, mat.shape[0]), order,
-                               config.tree)
+        (tree,), leaf = grow_tree(mat, _as_targets(y - prediction, mat.shape[0]), order,
+                                  config.tree)
         trees.append(tree)
         step = prediction + config.learning_rate * tree.value[leaf]
         if np.array_equal(step.view(np.uint64), prediction.view(np.uint64)):

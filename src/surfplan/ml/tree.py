@@ -10,14 +10,19 @@ leaf.
 
 Trees grow level by level from one presort per fit, after the exact greedy
 algorithm's presorted column blocks (Chen & Guestrin 2016, arXiv:1603.02754,
-section 4.1). ``presort`` stable-sorts each feature once. At every depth the
-presorted rows are stably regrouped by node, so each node sees its rows in
-feature order with ties in row order, and one padded (nodes x features x
-rows) scan scores every candidate split of the level. One pass then moves
-the rows of all split nodes to their children. Each node's prefix sums start
-at its own first row and its value is the mean of its targets taken in row
-order, so a tree is bit-identical to one grown a node at a time. Nodes are
-stored in pre-order: a node, then its left subtree, then its right subtree.
+section 4.1). ``presort`` stable-sorts each feature once. One call can grow
+several independent problems, such as a forest's bootstrap samples: their
+rows are stacked in one row space, the presort is block-diagonal, and each
+problem starts as its own root node of level 0. At every depth the presorted
+rows are stably regrouped by node, so each node sees its rows in feature
+order with ties in row order, and padded (nodes x features x rows) scans
+score every candidate split of the level: one scan when the level holds at
+most ``SCAN_CELLS`` padded cells, otherwise several, each within that bound
+or holding a single node. One pass then moves the rows of all split nodes to
+their children. Each node's prefix sums start at its own first row and its
+value is the mean of its targets taken in row order, so every tree is
+bit-identical to one grown alone, a node at a time. Nodes are stored in
+pre-order: a node, then its left subtree, then its right subtree.
 """
 
 from __future__ import annotations
@@ -32,6 +37,9 @@ from ..core import ValidationError, check_int, check_number
 LEAF = -1
 # Rows walked together at prediction; bounds each step's temporaries.
 BLOCK_ROWS = 64
+# Padded (nodes x features x rows) cells scored in one split scan; bounds the
+# scan's temporaries when a level holds many nodes of unequal size.
+SCAN_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -209,15 +217,20 @@ def _as_targets(targets, n_rows: int) -> np.ndarray:
     return vec
 
 
-def presort(features: np.ndarray) -> np.ndarray:
-    """Row orders that every tree grown on ``features`` starts from.
+def presort(features: np.ndarray, blocks: int = 1) -> np.ndarray:
+    """Row orders that every tree grown on ``features`` starts from, when
+    ``features`` stacks ``blocks`` problems of equal row count.
 
-    Row ``f`` of the result lists the training rows by ascending feature
-    ``f``, ties in row order; the last row lists them in row order.
+    Row ``f`` of the result lists each problem's rows by ascending feature
+    ``f``, ties in row order, problem after problem; the last row lists all
+    rows in row order. This is each problem's own presort, offset to its rows.
     """
     n_rows, n_features = features.shape
+    size = n_rows // blocks
+    within = np.argsort(features.reshape(blocks, size, n_features), axis=1, kind="stable")
+    within += (np.arange(blocks) * size)[:, None, None]
     order = np.empty((n_features + 1, n_rows), dtype=np.intp)
-    order[:n_features] = np.argsort(features, axis=0, kind="stable").T
+    order[:n_features] = within.transpose(2, 0, 1).reshape(n_features, n_rows)
     order[n_features] = np.arange(n_rows)
     return order
 
@@ -268,32 +281,82 @@ def _level_splits(values: np.ndarray, targets: np.ndarray, counts: np.ndarray,
     return best // (width - 1), thresholds.reshape(n_nodes, -1)[node, best], gain
 
 
-def _preorder(left: list, right: list) -> np.ndarray:
-    """Node ids in pre-order: a node, then its left subtree, then its right."""
-    order = []
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        if left[node] != LEAF:
-            stack.append(right[node])
-            stack.append(left[node])
-    return np.asarray(order)
+def _scans(open_nodes: np.ndarray, sizes: np.ndarray, n_features: int) -> list:
+    """Split a level's open nodes, of ``sizes`` rows, into scans of at most
+    ``SCAN_CELLS`` padded cells each, or of one node where a node alone
+    exceeds that. Returns (nodes, width) pairs, width being the scan's
+    largest node.
+
+    A level that fits is one scan. Otherwise nodes are taken largest first,
+    so each scan pads its nodes to the size of its first.
+    """
+    if not sizes.size:
+        return []
+    width = int(sizes.max())
+    if sizes.size * width * n_features <= SCAN_CELLS:
+        return [(open_nodes, width)]
+    by_size = np.argsort(-sizes, kind="stable")
+    scans, start = [], 0
+    while start < by_size.size:
+        width = int(sizes[by_size[start]])
+        take = max(1, SCAN_CELLS // (width * n_features))
+        scans.append((open_nodes[by_size[start:start + take]], width))
+        start += take
+    return scans
+
+
+def _key_type(n_keys: int) -> type:
+    """The integer type a level's regroup keys, all below ``n_keys``, are
+    sorted as.
+
+    Up to 16 bits it is the narrowest unsigned type that holds them, which
+    numpy's stable sort radix-sorts in linear time; wider keys stay ``intp``.
+    A stable sort's result is unique, so the order is the same for every
+    type that holds the keys.
+    """
+    return np.uint8 if n_keys <= 1 << 8 else np.uint16 if n_keys <= 1 << 16 else np.intp
+
+
+def _preorder(left: list, right: list, n_trees: int) -> tuple[np.ndarray, list, list]:
+    """Node ids in pre-order, tree after tree: a node, then its left subtree,
+    then its right. Nodes ``0`` to ``n_trees - 1`` are the roots.
+
+    Also returns each listed node's position within its own tree, and the
+    positions where the trees start, followed by the node count.
+    """
+    order, local, bounds = [], [], []
+    for root in range(n_trees):
+        bounds.append(len(order))
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            if left[node] != LEAF:
+                stack.append(right[node])
+                stack.append(left[node])
+        local.extend(range(len(order) - bounds[-1]))
+    return np.asarray(order), local, bounds + [len(order)]
 
 
 def grow_tree(features: np.ndarray, targets: np.ndarray, order: np.ndarray,
-              config: TreeConfig) -> tuple[TreeModel, np.ndarray]:
-    """Grow one tree level by level from ``order = presort(features)``.
+              config: TreeConfig, sizes: np.ndarray | None = None
+              ) -> tuple[list[TreeModel], np.ndarray]:
+    """Grow one tree per stacked problem, level by level, from their presort.
 
-    ``features`` and ``targets`` must already be validated. Returns the tree
-    and the pre-order id of the leaf that each training row falls in.
+    ``features`` and ``targets`` stack the problems' rows, problem after
+    problem, and ``sizes`` gives each problem's row count; by default one
+    problem holds every row. ``order`` is the block-diagonal presort: each
+    problem's ``presort``, offset to its rows and concatenated, as
+    ``presort(features, blocks)`` gives for equal sizes. ``features`` and
+    ``targets`` must already be validated. Returns each problem's tree, and
+    for each row the pre-order id of the leaf it falls in within its tree.
     """
     n_rows, n_features = features.shape
     order_axis = np.arange(n_features + 1)[:, None]
     feature_axis = np.arange(n_features)[:, None]
     rows = order  # the level's rows, grouped by node in every order
-    counts = np.array([n_rows])
-    key = np.empty(n_rows, dtype=np.intp)
+    counts = np.array([n_rows]) if sizes is None else np.asarray(sizes)
+    n_trees = counts.size
     leaf = np.empty(n_rows, dtype=np.intp)
     feature, threshold, value, left = [], [], [], []  # per level, level order
     first = 0  # id of the level's first node; ids count in level order
@@ -316,19 +379,18 @@ def grow_tree(features: np.ndarray, targets: np.ndarray, order: np.ndarray,
         split_threshold = np.zeros(n_nodes)
         if depth < config.max_depth:
             open_nodes = np.flatnonzero(counts >= config.min_samples_split)
-            if open_nodes.size:
-                sizes = counts[open_nodes]
+            for nodes, width in _scans(open_nodes, counts[open_nodes], n_features):
                 # Each node's window in every feature's order, as indices into
                 # ``rows.ravel()``; the row-order copy comes last, so a window
                 # never runs off the end.
-                window = (starts[open_nodes, None, None] + feature_axis * rows.shape[1]
-                          + np.arange(sizes.max()))
+                window = (starts[nodes, None, None] + feature_axis * rows.shape[1]
+                          + np.arange(width))
                 grid = rows.ravel()[window]
                 best, cut, gain = _level_splits(features[grid, feature_axis], targets[grid],
-                                                sizes, config.min_child_weight)
+                                                counts[nodes], config.min_child_weight)
                 taken = (gain > 0.0) & (gain >= config.gamma)
-                split_feature[open_nodes[taken]] = best[taken]
-                split_threshold[open_nodes[taken]] = cut[taken]
+                split_feature[nodes[taken]] = best[taken]
+                split_threshold[nodes[taken]] = cut[taken]
 
         is_split = split_feature != LEAF
         child = 2 * (is_split.cumsum() - 1)
@@ -339,36 +401,36 @@ def grow_tree(features: np.ndarray, targets: np.ndarray, order: np.ndarray,
         if not n_split:
             break
 
-        # Each row of a split node gets its child's index on the next level;
-        # rows of leaves get a negative key. Thresholds and features are never
+        # Each row of a split node gets 2 plus its child's index on the next
+        # level; rows of leaves get 0 or 1. Thresholds and features are never
         # NaN, so > is the exact complement of the <= that predict uses.
         goes_right = features[by_id, split_feature[node_of]] > split_threshold[node_of]
-        key[by_id] = np.where(is_split, child, -2)[node_of] + goes_right
+        key_type = _key_type(2 * n_split + 2)
+        key = np.empty(n_rows, dtype=key_type)
+        key[by_id] = np.where(is_split, child + 2, 0).astype(key_type)[node_of] + goes_right
         keys = key[rows]
         # A stable regroup by key keeps every order sorted within each child.
         kept = int(counts[is_split].sum())
         regroup = keys.argsort(axis=1, kind="stable")[:, keys.shape[1] - kept:]
         rows = rows[order_axis, regroup]
-        counts = np.bincount(keys[-1, regroup[-1]], minlength=2 * n_split)
+        counts = np.bincount(keys[-1], minlength=2 * n_split + 2)[2:]
         first += n_nodes
         depth += 1
 
     feature = np.concatenate(feature)
     left = np.concatenate(left)
     right = np.where(left == LEAF, LEAF, left + 1)
-    nodes = _preorder(left.tolist(), right.tolist())
-    rank = np.empty_like(nodes)
-    rank[nodes] = np.arange(nodes.size)
+    nodes, local, bounds = _preorder(left.tolist(), right.tolist(), n_trees)
+    rank = np.empty_like(nodes)  # each node's position in its own tree
+    rank[nodes] = local
     internal = feature[nodes] != LEAF
-    tree = TreeModel(
-        feature=feature[nodes],
-        threshold=np.concatenate(threshold)[nodes],
-        left=np.where(internal, rank[left[nodes]], LEAF),
-        right=np.where(internal, rank[right[nodes]], LEAF),
-        value=np.asarray(value, dtype=np.float64)[nodes],
-        n_features=n_features,
-    )
-    return tree, rank[leaf]
+    columns = (feature[nodes], np.concatenate(threshold)[nodes],
+               np.where(internal, rank[left[nodes]], LEAF),
+               np.where(internal, rank[right[nodes]], LEAF),
+               np.asarray(value, dtype=np.float64)[nodes])
+    trees = [TreeModel(*(column[lo:hi] for column in columns), n_features=n_features)
+             for lo, hi in zip(bounds, bounds[1:])]
+    return trees, rank[leaf]
 
 
 def fit_tree(features, targets, config: TreeConfig = TreeConfig()) -> TreeModel:
@@ -377,4 +439,4 @@ def fit_tree(features, targets, config: TreeConfig = TreeConfig()) -> TreeModel:
     if mat.shape[0] == 0:
         raise ValidationError("cannot fit a tree on an empty dataset")
     y = _as_targets(targets, mat.shape[0])
-    return grow_tree(mat, y, presort(mat), config)[0]
+    return grow_tree(mat, y, presort(mat), config)[0][0]

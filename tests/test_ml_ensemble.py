@@ -8,7 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import leaf_values, reference_fit_boosted, reference_tree_predict
+from helpers import (
+    assert_same_tree,
+    leaf_values,
+    reference_fit_boosted,
+    reference_fit_forest,
+    reference_tree_predict,
+)
 from surfplan import (
     BoostConfig,
     ForestConfig,
@@ -43,6 +49,29 @@ class TestForest:
                             ForestConfig(n_estimators=1, tree=tree_cfg, bootstrap=False))
         tree = fit_tree(features, targets, tree_cfg)
         assert np.array_equal(forest.predict(features), tree.predict(features))
+
+    def test_no_bootstrap_grows_one_tree(self, regression_data):
+        features, targets = regression_data
+        config = ForestConfig(n_estimators=10, bootstrap=False, tree=TreeConfig(max_depth=5))
+        with mock.patch.object(ensemble, "grow_tree", wraps=ensemble.grow_tree) as grow:
+            forest = fit_forest(features, targets, config)
+        assert grow.call_count == 1
+        assert all(tree is forest.trees[0] for tree in forest.trees)
+        assert _json(forest) == _json(reference_fit_forest(features, targets, config))
+
+    def test_bootstrap_samples_stack_up_to_the_row_bound(self, regression_data, monkeypatch):
+        features, targets = regression_data
+        config = ForestConfig(n_estimators=10, seed=3, tree=TreeConfig(max_depth=5))
+        expected = reference_fit_forest(features, targets, config)
+        for stack_rows, batches in ((ensemble.STACK_ROWS, [10]),
+                                    (3 * len(features) + 1, [3, 3, 3, 1]),
+                                    (1, [1] * 10)):
+            monkeypatch.setattr(ensemble, "STACK_ROWS", stack_rows)
+            with mock.patch.object(ensemble, "grow_tree", wraps=ensemble.grow_tree) as grow:
+                forest = fit_forest(features, targets, config)
+            assert [len(call.args[4]) for call in grow.call_args_list] == batches
+            for got, want in zip(forest.trees, expected.trees, strict=True):
+                assert_same_tree(got, want)
 
     def test_constant_targets(self, regression_data):
         features, _ = regression_data

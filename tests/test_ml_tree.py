@@ -1,8 +1,10 @@
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -28,7 +30,16 @@ from surfplan import (
     fit_tree,
 )
 from surfplan.ml.serialize import model_from_dict, model_to_dict
-from surfplan.ml.tree import BLOCK_ROWS, LEAF, _level_splits, grow_tree, presort
+from surfplan.ml import tree as tree_module
+from surfplan.ml.tree import (
+    BLOCK_ROWS,
+    LEAF,
+    SCAN_CELLS,
+    _key_type,
+    _level_splits,
+    grow_tree,
+    presort,
+)
 
 
 class TestFitTreeExamples:
@@ -242,7 +253,7 @@ class TestMatchesRecursiveBuilder:
         features, targets = problem
         with np.errstate(all="ignore"):
             expected = reference_fit_tree(features, targets, config)
-            tree, leaf = grow_tree(features, targets, presort(features), config)
+            (tree,), leaf = grow_tree(features, targets, presort(features), config)
             assert_same_tree(fit_tree(features, targets, config), expected)
         assert_same_tree(tree, expected)
         assert np.array_equal(leaf, _leaf_of(tree, features))
@@ -278,6 +289,117 @@ class TestMatchesRecursiveBuilder:
         assert len(actual.trees) == len(expected.trees)
         for got, want in zip(actual.trees, expected.trees):
             assert_same_tree(got, want)
+
+
+def _block_presort(blocks) -> np.ndarray:
+    """Each block's own presort, offset to its rows in the stacked row space."""
+    offsets = np.cumsum([0] + [len(block) for block in blocks[:-1]])
+    return np.concatenate([presort(block) + offset for block, offset in zip(blocks, offsets)],
+                          axis=1)
+
+
+@st.composite
+def _stacked_problems(draw):
+    """Problems with one feature count and unequal row counts: 1-row blocks,
+    constant-target blocks (single leaves) and ordinary ones."""
+    n_features = draw(st.integers(min_value=1, max_value=4))
+    features, targets = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        n_rows = draw(st.sampled_from([1, 2]) | st.integers(min_value=3, max_value=30))
+        features.append(draw(arrays(np.float64, (n_rows, n_features),
+                                    elements=draw(st.sampled_from(_feature_values)))))
+        targets.append(draw(
+            st.floats(min_value=-10.0, max_value=10.0).map(lambda value: np.full(n_rows, value))
+            | arrays(np.float64, n_rows, elements=draw(st.sampled_from(_target_values)))))
+    return features, targets
+
+
+class TestStackedProblems:
+    """One ``grow_tree`` call over stacked problems gives each problem's tree
+    and leaf ids bit for bit as growing it alone, however its levels are split
+    into scans."""
+
+    @given(problems=_stacked_problems(), config=_tree_configs,
+           scan_cells=st.sampled_from([SCAN_CELLS, 64, 1]))
+    @settings(max_examples=200)
+    @example(problems=([np.zeros((1, 2)), np.arange(8.0).reshape(4, 2),
+                        np.arange(40.0).reshape(20, 2) % 7],
+                       [np.ones(1), np.full(4, 2.5), np.arange(20.0) % 3]),
+             config=TreeConfig(min_samples_split=3), scan_cells=SCAN_CELLS)
+    def test_matches_growing_each_alone(self, problems, config, scan_cells):
+        features, targets = problems
+        sizes = np.asarray([len(block) for block in targets])
+        order = _block_presort(features)
+        with np.errstate(all="ignore"):
+            with mock.patch.object(tree_module, "SCAN_CELLS", scan_cells):
+                trees, leaf = grow_tree(np.vstack(features), np.concatenate(targets), order,
+                                        config, sizes)
+            assert len(trees) == sizes.size
+            for i, (block, block_targets) in enumerate(zip(features, targets)):
+                (alone,), alone_leaf = grow_tree(block, block_targets, presort(block), config)
+                assert_same_tree(trees[i], alone)
+                start = sizes[:i].sum()
+                assert leaf[start:start + sizes[i]].tobytes() == alone_leaf.tobytes()
+        if np.all(sizes == sizes[0]):
+            assert np.array_equal(presort(np.vstack(features), sizes.size), order)
+
+
+class TestLevelScan:
+    @pytest.mark.parametrize("n_keys, key_type", [
+        (2, np.uint8), (1 << 8, np.uint8), ((1 << 8) + 1, np.uint16),
+        (1 << 16, np.uint16), ((1 << 16) + 1, np.intp),
+    ], ids=["uint8", "uint8-limit", "uint16", "uint16-limit", "intp"])
+    def test_regroup_key_type_keeps_the_int64_order(self, n_keys, key_type):
+        # Heavy ties at both ends and the middle of the key range, then spread keys.
+        rng = np.random.default_rng(n_keys)
+        ends = np.asarray([0, 1, n_keys // 2, n_keys - 2, n_keys - 1])
+        keys = np.concatenate([rng.choice(ends, size=(3, 500)),
+                               rng.integers(0, n_keys, size=(3, 500))], axis=1)
+        assert _key_type(n_keys) is key_type
+        narrow = keys.astype(_key_type(n_keys))
+        assert np.array_equal(narrow, keys)
+        assert np.array_equal(narrow.argsort(axis=1, kind="stable"),
+                              keys.argsort(axis=1, kind="stable"))
+
+    @staticmethod
+    def _scanned_shapes(monkeypatch, sizes, config):
+        """Grow ``sizes`` stacked random problems of two features, recording
+        the shape of every scan's values; returns the shapes and the trees."""
+        rng = np.random.default_rng(0)
+        blocks = [rng.normal(size=(size, 2)) for size in sizes]
+        targets = rng.normal(size=sum(sizes))
+        shapes = []
+
+        def recording(values, *args):
+            shapes.append(values.shape)
+            return _level_splits(values, *args)
+
+        monkeypatch.setattr(tree_module, "_level_splits", recording)
+        trees, _ = grow_tree(np.vstack(blocks), targets, _block_presort(blocks), config,
+                             np.asarray(sizes))
+        return shapes, trees
+
+    def test_skewed_level_is_split_within_the_bound(self, monkeypatch):
+        # One large root beside sixty tiny ones: padded to the large one's
+        # width, the level would be 61 x 2 x 3000 cells.
+        sizes = [3000] + [3] * 60
+        assert len(sizes) * max(sizes) * 2 > SCAN_CELLS
+        shapes, trees = self._scanned_shapes(monkeypatch, sizes, TreeConfig(max_depth=1))
+        assert len(shapes) > 1
+        assert all(math.prod(shape) <= SCAN_CELLS for shape in shapes)
+        assert sum(shape[0] for shape in shapes) == len(sizes)
+        assert len(trees) == len(sizes)
+
+    @pytest.mark.parametrize("size, config", [
+        (94, TreeConfig(max_depth=2)),
+        (SCAN_CELLS // 20, TreeConfig(max_depth=1)),
+    ], ids=["default-forest", "at-the-bound"])
+    def test_level_that_fits_is_one_scan(self, monkeypatch, size, config):
+        # Ten problems of two features: the default forest's stage-two shape
+        # two levels deep, and a level 0 of just under SCAN_CELLS cells.
+        shapes, _ = self._scanned_shapes(monkeypatch, [size] * 10, config)
+        assert len(shapes) == config.max_depth
+        assert shapes[0] == (10, 2, size)
 
 
 @st.composite
