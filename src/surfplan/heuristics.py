@@ -21,25 +21,39 @@ interpolating.
 
 A model holds the training state it was fitted from. ``HeuristicTraining``
 takes one set of training records and weights and derives their columns and
-each record's log10 rate; the stage-1 scaler of a weighted flag and the
-stage-2 scaler are fitted when a neighbor model first asks for them, and
-kept. ``fit_heuristic`` builds a state for its one kind; a model comparison
-builds one for all eight kinds and hands it to ``models.fit_named_model``, so
-this per-dataset work is done once per comparison, not once per model, and
-the interpolators never fit a scaler.
+each record's log10 rate. When a neighbor model first asks for a weighted
+flag, the state fits that flag's stage-1 scaler and the stage-2 scaler and
+standardizes the training columns with them, and keeps both. ``fit_heuristic``
+builds a state for its one kind; a model comparison builds one for all eight
+kinds and hands it to ``models.fit_named_model``, so this per-dataset work is
+done once per comparison, not once per model, and the interpolators never
+fit a scaler.
 
-A fitted model derives its own state once, when it is built or loaded:
-the standardized training features of both stages as one contiguous column
-per feature, or, for the interpolators, both stages' axes and each record's
-decade. A request's query goes through the same feature functions as the
-training columns, on its four rates and log10 target as Python floats, so a
-query that repeats a training record gets that record's features bit for
-bit. The request then makes one distance pass over the training columns,
-adding squared differences column by column in feature order, which is
-numpy's row-sum order; the interpolators look up the aggregated pairs of a
-decade selection, memoised per model. The k nearest neighbors come from a
-partition instead of a full sort. Ties still go to the lower record index,
-so predictions are those of the plain per-request computation, bit for bit.
+A fitted model derives the rest of its state once, when it is built or
+loaded: the interpolators' 1-D axes and each record's decade. A request's
+query goes through the same feature functions as the training columns, on
+its four rates and log10 target as Python floats, so a query that repeats a
+training record gets that record's features bit for bit. A neighbor query
+makes one distance pass over the training columns, adding squared
+differences column by column in feature order, which is numpy's row-sum
+order, and takes the ``IDW_NEIGHBORS`` nearest rows from a partition instead
+of a full sort, in (distance, index) order. Range search answers from the
+first of those rows, the lowest-index nearest row that ``argmin`` picks;
+multivariate interpolation weighs all of them. So predictions are those of
+the plain per-request computation, bit for bit.
+
+The state memoises answered queries, since the models of one comparison ask
+the same ones again and again. A neighbor query's nearest rows and distances
+are kept under (stage, the weighted flag in stage 1 or None in stage 2, the
+standardized query): that names the columns they were computed from, so the
+range search and multivariate models of one flag share stage 1, and all four
+neighbor models share stage 2. An interpolator's stage-2 answer is kept under
+(method, log10 target, rounded distance), the only inputs of a stage that
+reads the distance axis, the rounds and the decades, which both flags share.
+A hit returns what a miss computes, so every answer keeps its bits. The memo
+holds at most ``MEMO_ENTRIES`` answers and is emptied when full, so a
+long-lived model cannot grow it without limit. The interpolators also look
+up the aggregated pairs of a decade selection, memoised per model.
 """
 
 from __future__ import annotations
@@ -68,6 +82,10 @@ NEIGHBOR_METHODS = ("range_search", "multivariate_interp")
 
 IDW_NEIGHBORS = 8
 IDW_POWER = 2.0
+# The most answers a training state memoises; the memo is emptied when full.
+# A neighbor entry (its key, and IDW_NEIGHBORS rows and distances) takes
+# about 0.8 KB, so a full memo holds about 3.5 MB.
+MEMO_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -149,18 +167,32 @@ def _k_nearest(distances: np.ndarray, k: int) -> np.ndarray:
     return np.lexsort((np.arange(n), distances))[:k]
 
 
-def _nearest_label(columns, labels: np.ndarray, query) -> float:
-    return float(labels[int(np.argmin(_distances(columns, query)))])
-
-
-def _idw(columns, labels: np.ndarray, query, k: int, power: float) -> float:
+def _nearest(columns, query) -> tuple[np.ndarray, np.ndarray]:
+    """The ``IDW_NEIGHBORS`` training points nearest ``query`` (all of them
+    when fewer) and their distances, in (distance, index) order: what either
+    neighbor method needs of a query."""
     distances = _distances(columns, query)
-    order = _k_nearest(distances, min(k, distances.shape[0]))
-    # The (distance, index) order puts the lowest-index exact match first.
-    if distances[order[0]] == 0.0:
-        return float(labels[order[0]])
-    weights = 1.0 / distances[order] ** power
-    return float(np.dot(weights, labels[order]) / weights.sum())
+    rows = _k_nearest(distances, min(IDW_NEIGHBORS, distances.shape[0]))
+    nearest = rows, distances[rows]
+    for array in nearest:
+        array.flags.writeable = False
+    return nearest
+
+
+def _neighbor_label(method: str, labels: np.ndarray, rows: np.ndarray,
+                    distances: np.ndarray) -> float:
+    """A neighbor method's answer from the nearest ``rows`` and their
+    ``distances``, as ``_nearest`` orders them.
+
+    Range search takes the first row's label. The (distance, index) order puts
+    the lowest index first among equal distances, so that is the row
+    ``argmin`` picks. Multivariate interpolation takes it too on an exact
+    match, and otherwise the inverse-distance-weighted mean of the labels.
+    """
+    if method == "range_search" or distances[0] == 0.0:
+        return float(labels[rows[0]])
+    weights = 1.0 / distances ** IDW_POWER
+    return float(np.dot(weights, labels[rows]) / weights.sum())
 
 
 def _nearest_order(xs: np.ndarray, x: float) -> np.ndarray:
@@ -249,10 +281,11 @@ def _standardized_columns(columns, scaler: Standardizer) -> tuple:
 class HeuristicTraining:
     """The state every heuristic fit derives from one set of training records
     and weights: the records' columns, read-only and shared by the models
-    fitted from it, and each record's log10 rate. ``scalers`` fits a weighted
-    flag's stage-1 scaler and the stage-2 scaler when first asked and keeps
-    them. Two states are equal when their records and weights are; the rest
-    derives from them."""
+    fitted from it, and each record's log10 rate. ``standardized`` fits a
+    weighted flag's stage-1 scaler and the stage-2 scaler when first asked,
+    standardizes the training columns with them and keeps both; ``recall``
+    memoises the models' answers to repeated queries. Two states are equal
+    when their records and weights are; the rest derives from them."""
 
     records: Dataset
     weights: HeuristicWeights
@@ -262,8 +295,11 @@ class HeuristicTraining:
     log_ler: np.ndarray = field(init=False, compare=False)
     distance: np.ndarray = field(init=False, compare=False)
     rounds: np.ndarray = field(init=False, compare=False)
-    # Weighted flag -> its stage-1 scaler; None -> the stage-2 scaler.
-    _scalers: dict = field(init=False, repr=False, compare=False)
+    # Weighted flag -> its stage-1 (scaler, standardized columns); None -> the
+    # stage-2 ones.
+    _standard: dict = field(init=False, repr=False, compare=False)
+    # Query key -> answer, at most MEMO_ENTRIES of them; see ``recall``.
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         records = self.records
@@ -276,17 +312,37 @@ class HeuristicTraining:
                              ("rounds", records.rounds.astype(np.float64))):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        object.__setattr__(self, "_scalers", {})
+        object.__setattr__(self, "_standard", {})
+        object.__setattr__(self, "_memo", {})
 
-    def scalers(self, weighted: bool) -> tuple[Standardizer, Standardizer]:
-        """The stage-1 scaler of the ``weighted`` flag and the stage-2 scaler."""
-        fitted = self._scalers
-        if weighted not in fitted:
-            fitted[weighted] = Standardizer.fit(np.column_stack(
-                _stage1_columns(weighted, self.weights, self.noise.T, self.log_ler)))
-        if None not in fitted:
-            fitted[None] = Standardizer.fit(np.column_stack([self.distance, self.log_ler]))
+    def standardized(self, weighted: bool) -> tuple[tuple[Standardizer, tuple],
+                                                    tuple[Standardizer, tuple]]:
+        """The (scaler, standardized training columns) of stage 1 under the
+        ``weighted`` flag and of stage 2."""
+        fitted = self._standard
+        for flag in (weighted, None):
+            if flag not in fitted:
+                columns = ((self.distance, self.log_ler) if flag is None else
+                           _stage1_columns(flag, self.weights, self.noise.T, self.log_ler))
+                scaler = Standardizer.fit(np.column_stack(columns))
+                standardized = _standardized_columns(columns, scaler)
+                for column in standardized:
+                    column.flags.writeable = False
+                fitted[flag] = scaler, standardized
         return fitted[weighted], fitted[None]
+
+    def recall(self, key: tuple, compute):
+        """The answer memoised under ``key``; on a miss, ``compute()``'s,
+        memoised. A key must name everything its answer depends on beyond this
+        state. The memo is emptied when it holds ``MEMO_ENTRIES`` answers."""
+        memo = self._memo
+        answer = memo.get(key)
+        if answer is None:
+            answer = compute()
+            if len(memo) >= MEMO_ENTRIES:
+                memo.clear()
+            memo[key] = answer
+        return answer
 
 
 @dataclass(frozen=True)
@@ -294,11 +350,12 @@ class HeuristicModel:
     """A fitted two-stage heuristic: its kind, its oracle and the training
     state it was fitted from.
 
-    ``__post_init__`` derives the kind's query state from ``training`` once,
+    ``__post_init__`` takes the kind's query state from ``training`` once,
     so fitting and loading pay for it and a request does not: the two stages'
-    scalers and the standardized feature columns (range search, multivariate)
-    or the 1-D axes and record decades (linear, polynomial), which need no
-    scaler. A saved model stores ``training.records`` and none of this state.
+    scalers and standardized feature columns (range search, multivariate),
+    which the state keeps for each weighted flag, or the 1-D axes and record
+    decades (linear, polynomial), which need no scaler. A saved model stores
+    ``training.records`` and none of this state.
     """
 
     kind: HeuristicKind
@@ -322,15 +379,12 @@ class HeuristicModel:
     def __post_init__(self):
         training, weighted = self.training, self.kind.weighted
         distance, rounds, log_ler = training.distance, training.rounds, training.log_ler
-        rates = training.noise.T
         scalers, decades, decade_values = None, None, ()
         if self.kind.method in NEIGHBOR_METHODS:
-            scalers = training.scalers(weighted)
-            stage1 = _standardized_columns(
-                _stage1_columns(weighted, training.weights, rates, log_ler), scalers[0])
-            stage2 = _standardized_columns((distance, log_ler), scalers[1])
+            (scaler1, stage1), (scaler2, stage2) = training.standardized(weighted)
+            scalers = scaler1, scaler2
         else:
-            stage1 = _stage1_axis(weighted, training.weights, rates)
+            stage1 = _stage1_axis(weighted, training.weights, training.noise.T)
             stage2 = distance
             decades = np.rint(log_ler).astype(np.int64)
             decade_values = tuple(np.unique(decades).tolist())
@@ -381,10 +435,12 @@ class HeuristicModel:
     # -- prediction ---------------------------------------------------------
 
     def _neighbor_raw(self, stage: int, query: tuple[float, ...]) -> float:
+        # Stage 1's columns are those of the kind's weighted flag; stage 2's
+        # are shared by both flags.
         columns, labels = self._stages[stage]
-        if self.kind.method == "range_search":
-            return _nearest_label(columns, labels, query)
-        return _idw(columns, labels, query, IDW_NEIGHBORS, IDW_POWER)
+        key = (stage, self.kind.weighted if stage == 0 else None, query)
+        rows, distances = self.training.recall(key, lambda: _nearest(columns, query))
+        return _neighbor_label(self.kind.method, labels, rows, distances)
 
     def _stage1_raw(self, rates: tuple[float, ...], log_target: float) -> float:
         weighted, weights = self.kind.weighted, self.training.weights
@@ -397,7 +453,10 @@ class HeuristicModel:
         if self.kind.method in NEIGHBOR_METHODS:
             return self._neighbor_raw(1, _standardized_columns(
                 (float(rounded_distance), log_target), self._scalers[1]))
-        return self._interp_1d(1, log_target, float(rounded_distance))
+        # Both flags of a method share the stage-2 axis, labels and decades.
+        return self.training.recall(
+            (self.kind.method, log_target, rounded_distance),
+            lambda: self._interp_1d(1, log_target, float(rounded_distance)))
 
     def predict_result(self, request: PredictionRequest) -> PredictionResult:
         check_below_threshold(request.noise, self.oracle)

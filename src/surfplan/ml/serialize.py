@@ -53,16 +53,20 @@ class CorruptModelError(ModelIOError):
 def _trees_to_dict(trees) -> dict:
     """The node arrays of the distinct trees, concatenated, their node counts,
     and ``tree_of``: each position's distinct tree, numbered in order of first
-    appearance. Trees are told apart by the bytes of their node arrays, so
-    a -0.0 leaf and a 0.0 leaf stay apart."""
-    numbers, distinct, tree_of = {}, [], []
+    appearance. A repeated tree object (boosting repeats its fixed point)
+    keeps its number; a new object is told apart by the bytes of its node
+    arrays, so a -0.0 leaf and a 0.0 leaf stay apart."""
+    by_object, numbers, distinct, tree_of = {}, {}, [], []
     for tree in trees:
-        columns = [np.asarray(getattr(tree, name), np.int64 if kinds == "i" else np.float64)
-                   for name, kinds in NODE_FIELDS]
-        number = numbers.setdefault(b"".join(column.tobytes() for column in columns),
-                                    len(distinct))
-        if number == len(distinct):
-            distinct.append(columns)
+        number = by_object.get(id(tree))
+        if number is None:
+            columns = [np.asarray(getattr(tree, name), np.int64 if kinds == "i" else np.float64)
+                       for name, kinds in NODE_FIELDS]
+            number = numbers.setdefault(b"".join(column.tobytes() for column in columns),
+                                        len(distinct))
+            if number == len(distinct):
+                distinct.append(columns)
+            by_object[id(tree)] = number
         tree_of.append(number)
     return {"node_counts": [len(columns[0]) for columns in distinct], "tree_of": tree_of,
             **{name: np.concatenate(column).tolist()

@@ -24,9 +24,15 @@ from surfplan import (
     pearson,
     split,
 )
-from surfplan import models
+from surfplan import heuristics, models
 from surfplan.dataio import report_scalars
-from surfplan.heuristics import Standardizer
+from surfplan.heuristics import (
+    NEIGHBOR_METHODS,
+    HeuristicTraining,
+    Standardizer,
+    _stage1_columns,
+    _standardized_columns,
+)
 from surfplan.ml.pipeline import predict_many
 
 
@@ -293,8 +299,12 @@ class TestCompareModels:
             alone = fit_heuristic(records, shared.kind, weights, oracle)
             assert shared == alone
             assert shared._scalers == alone._scalers
-            assert (shared.training.scalers(shared.kind.weighted)
-                    == alone.training.scalers(shared.kind.weighted))
+            for (shared_scaler, shared_columns), (alone_scaler, alone_columns) in zip(
+                    shared.training.standardized(shared.kind.weighted),
+                    alone.training.standardized(shared.kind.weighted)):
+                assert shared_scaler == alone_scaler
+                assert ([column.tobytes() for column in shared_columns]
+                        == [column.tobytes() for column in alone_columns])
             for column in ("noise", "log_ler", "distance", "rounds"):
                 assert (getattr(shared.training, column).tobytes()
                         == getattr(alone.training, column).tobytes())
@@ -317,3 +327,43 @@ class TestCompareModels:
         compare_models(list(models.MODEL_NAMES), train_records=records, train_cases=train,
                        test_cases=test, sweep=sweep, oracle=oracle)
         assert len(fits) == 3
+
+    def test_each_distinct_query_is_searched_once_per_comparison(self, labeled_setup,
+                                                                 monkeypatch):
+        # The four neighbor heuristics search the training columns once per
+        # distinct (stage, weighted flag, query) of the comparison and answer
+        # every repeat from the shared state's memo. Stage 1 has at most one
+        # query per test case and flag, stage 2 one per distinct (rounded
+        # distance, target) that the neighbor models predict.
+        from surfplan import compare_models
+        sweep, oracle, cases = labeled_setup
+        records = generate_dataset(sweep, oracle)
+        train, test = split(cases, SplitConfig(test_fraction=0.3, seed=1))
+        weights, requests = HeuristicWeights(), [case.request for case in test]
+        training = HeuristicTraining(records, weights)
+        expected = set()
+        for weighted in (True, False):
+            (stage1, _), (stage2, _) = training.standardized(weighted)
+            for request in requests:
+                log_target = math.log10(request.target_logical_error_rate)
+                expected.add((0, weighted, _standardized_columns(_stage1_columns(
+                    weighted, weights, request.noise.as_tuple(), log_target), stage1)))
+        assert len(expected) <= 2 * len(test)
+        for kind in heuristics.all_kinds():
+            if kind.method in NEIGHBOR_METHODS:
+                for request, result in zip(requests, predict_many(
+                        fit_heuristic(records, kind, weights, oracle), requests)):
+                    expected.add((1, None, _standardized_columns(
+                        (float(result.rounded_distance),
+                         math.log10(request.target_logical_error_rate)), stage2)))
+        searched, distances = [], heuristics._distances
+
+        def counted(columns, query):
+            searched.append(tuple(query))
+            return distances(columns, query)
+
+        monkeypatch.setattr(heuristics, "_distances", counted)
+        compare_models(list(models.MODEL_NAMES), train_records=records, train_cases=train,
+                       test_cases=test, sweep=sweep, oracle=oracle, weights=weights)
+        assert len(searched) == len(expected)
+        assert sorted(searched) == sorted(query for _, _, query in expected)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,17 +22,16 @@ from surfplan import (
     linear_interp,
     poly_interp,
 )
+from surfplan import heuristics
 from surfplan.heuristics import (
     HeuristicModel,
     HeuristicTraining,
-    IDW_NEIGHBORS,
-    IDW_POWER,
     NEIGHBOR_METHODS,
     Standardizer,
     _distances,
-    _idw,
     _k_nearest,
-    _nearest_label,
+    _nearest,
+    _neighbor_label,
     _stage1_axis,
     _stage1_columns,
     _standardized_columns,
@@ -48,18 +48,24 @@ def _columns(rows) -> tuple[np.ndarray, ...]:
     return tuple(np.asarray(rows, dtype=np.float64).T)
 
 
+def _answer(method, rows, labels, query) -> float:
+    """A neighbor method's answer to ``query`` over training points given as
+    rows."""
+    return _neighbor_label(method, np.asarray(labels, dtype=np.float64),
+                           *_nearest(_columns(rows), query))
+
+
 class TestRangeSearch:
     def test_exact_match_returns_its_label(self):
-        features = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
-        labels = np.array([10.0, 20.0, 30.0])
-        assert _nearest_label(_columns(features), labels, (2.0, 3.0)) == 20.0
+        features = [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+        assert _answer("range_search", features, [10.0, 20.0, 30.0], (2.0, 3.0)) == 20.0
 
     def test_nearer_point_wins(self):
-        assert _nearest_label(_columns([[0.0], [10.0]]), np.array([1.0, 9.0]), (2.0,)) == 1.0
+        assert _answer("range_search", [[0.0], [10.0]], [1.0, 9.0], (2.0,)) == 1.0
 
     def test_equidistant_tie_breaks_by_index(self):
-        assert _nearest_label(_columns([[0.0], [4.0]]), np.array([1.0, 9.0]), (2.0,)) == 1.0
-        assert _nearest_label(_columns([[4.0], [0.0]]), np.array([9.0, 1.0]), (2.0,)) == 9.0
+        assert _answer("range_search", [[0.0], [4.0]], [1.0, 9.0], (2.0,)) == 1.0
+        assert _answer("range_search", [[4.0], [0.0]], [9.0, 1.0], (2.0,)) == 9.0
 
 
 class TestLinearInterp:
@@ -110,8 +116,7 @@ class TestPolyInterp:
 class TestMultivariateInterp:
     @staticmethod
     def _interp(rows, labels, query) -> float:
-        return _idw(_columns(rows), np.asarray(labels, dtype=np.float64), query,
-                    IDW_NEIGHBORS, IDW_POWER)
+        return _answer("multivariate_interp", rows, labels, query)
 
     def test_exact_match_short_circuit(self):
         assert self._interp([[0.0, 0.0], [1.0, 1.0]], [3.0, 5.0], (1.0, 1.0)) == 5.0
@@ -425,11 +430,8 @@ class TestMatchesPerRequestReference:
         # computation does.
         records, kind, weights, requests = problem
         model = fit_heuristic(records, kind, weights)
-        training = model.training
-        stages = zip((_stage1_columns(kind.weighted, weights, training.noise.T, training.log_ler),
-                      (training.distance, training.log_ler)), training.scalers(kind.weighted))
-        for columns, scaler in stages:
-            for column in _standardized_columns(columns, scaler):
+        for _, columns in model.training.standardized(kind.weighted):
+            for column in columns:
                 spread = column.max() - column.min()
                 assert np.isfinite(column).all() and np.isfinite(spread * spread)
         for request in requests:
@@ -475,3 +477,65 @@ class TestQueryEqualsTrainingRow:
                 for query, row in zip(queries, rows):
                     assert all(type(value) is float for value in query)
                     assert _hex(query) == _hex(row)
+
+
+@st.composite
+def _repeated_requests(draw):
+    """``_heuristic_problems``' records and weights, with requests that repeat
+    profiles and targets: each mixes one drawn request's profile with
+    another's target, and some come again later in the sequence."""
+    records, _, weights, drawn = draw(_heuristic_problems())
+    picks = st.integers(0, len(drawn) - 1)
+    requests = [PredictionRequest(noise=drawn[draw(picks)].noise,
+                                  target_logical_error_rate=drawn[draw(picks)]
+                                  .target_logical_error_rate)
+                for _ in range(draw(st.integers(1, 8)))]
+    return records, weights, requests + draw(st.lists(st.sampled_from(requests), max_size=4))
+
+
+def _tied_records(weights):
+    """Two copies of one profile and rate with different labels, so their
+    distances to any query tie exactly, and a third record elsewhere."""
+    near, far = (1e-4, 1e-3, 2e-4, 2e-3), (3e-4, 2e-3, 4e-4, 4e-3)
+    records = Dataset.from_rows([near, near, far], [9, 5, 3], [8, 4, 2], [1e-5, 1e-5, 1e-3])
+    return records, weights, [PredictionRequest(NoiseProfile(*near), 1e-5),
+                              PredictionRequest(NoiseProfile(*near), 3e-6)]
+
+
+def _mirrored_records():
+    """Two records whose weighted stage-1 column and stage-2 column
+    standardize to exactly -1 and 1 in opposite orders, under one constant
+    rate. The stage-1 query of the second record's profile then equals,
+    float for float, the stage-2 query that the first record's profile
+    leads to, while their nearest rows differ."""
+    low, high = (0.0, 2.0 ** -10, 0.0, 0.0), (0.0, 2.0 ** -9, 0.0, 0.0)
+    records = Dataset.from_rows([low, high], [9, 3], [8, 2], [1e-5, 1e-5])
+    return records, HeuristicWeights(0.5, 0.25, 0.15, 0.1), [
+        PredictionRequest(NoiseProfile(*low), 1e-5), PredictionRequest(NoiseProfile(*high), 1e-5)]
+
+
+class TestSharedTrainingMemo:
+    @pytest.mark.parametrize("memo_entries", [heuristics.MEMO_ENTRIES, 2],
+                             ids=["default-bound", "overflowing"])
+    # Range search must answer from the lowest-index record among the tied
+    # nearest ones, as argmin does.
+    @example(problem=_tied_records(HeuristicWeights()))
+    @example(problem=_mirrored_records())
+    @given(problem=_repeated_requests())
+    @settings(max_examples=100)
+    def test_answers_equal_the_reference(self, memo_entries, problem):
+        # The eight kinds fitted from one state answer an interleaved request
+        # sequence through its memo. Each answer must be the per-request
+        # reference's and that of a model of its kind whose state was never
+        # shared. With a bound of 2 the memo overflows and is emptied.
+        records, weights, requests = problem
+        with mock.patch.object(heuristics, "MEMO_ENTRIES", memo_entries):
+            training = HeuristicTraining(records, weights)
+            shared = [HeuristicModel(kind, OracleConfig(), training) for kind in all_kinds()]
+            alone = [fit_heuristic(records, kind, weights) for kind in all_kinds()]
+            for request in requests:
+                for model, fresh in zip(shared, alone):
+                    expected = _outcome(lambda r: reference_heuristic_predict(model, r), request)
+                    assert _outcome(model.predict_result, request) == expected
+                    assert _outcome(fresh.predict_result, request) == expected
+            assert len(training._memo) <= memo_entries

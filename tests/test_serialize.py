@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from dataclasses import fields
 from unittest import mock
 
@@ -30,6 +31,7 @@ from surfplan import (
 )
 from surfplan.config import load_config
 from surfplan.evaluate import evaluate_model, split
+from surfplan.heuristics import HeuristicTraining
 from surfplan.ml import build_training_cases, fit_linear_pipeline
 from surfplan.ml.ensemble import MAX_ESTIMATORS, BoostedModel
 from surfplan.ml import serialize
@@ -184,6 +186,22 @@ def test_load_keeps_trees_that_differ_only_in_a_sign_bit(tmp_path):
                                                        for tree in model.trees]
 
 
+def test_repeated_tree_objects_are_numbered_by_identity():
+    # Boosting repeats one tree object for its fixed-point tail. A repeated
+    # object keeps its first number; a new object with the same node bytes
+    # gets that number too, and a sign-bit difference still tells two apart.
+    def leaf(value):
+        return TreeModel(feature=np.array([LEAF]), threshold=np.array([0.0]),
+                         left=np.array([LEAF]), right=np.array([LEAF]),
+                         value=np.array([value]), n_features=1)
+
+    zero, negative = leaf(0.0), leaf(-0.0)
+    out = serialize._trees_to_dict((zero, negative, zero, leaf(0.0), negative, leaf(-0.0)))
+    assert out["tree_of"] == [0, 1, 0, 0, 1, 1]
+    assert out["node_counts"] == [1, 1]
+    assert [math.copysign(1.0, value) for value in out["value"]] == [1.0, -1.0]
+
+
 def _node_digest(model) -> str:
     """SHA-256 over a pipeline's stage scalars and the node arrays of the tree
     at every position of both stages, as held in memory."""
@@ -275,6 +293,16 @@ def test_default_heuristic_predictions_are_pinned(default_heuristics):
     # training state once. A drift in any prediction's bits changes it.
     config, models, test_cases = default_heuristics
     assert _heuristic_digest(models, test_cases, config.oracle) == HEURISTIC_PIN
+
+
+def test_shared_state_heuristic_predictions_are_pinned(default_heuristics):
+    # The eight heuristics fitted from one training state, as compare fits
+    # them, answer repeated queries from its memo and give the same pin.
+    config, models, test_cases = default_heuristics
+    training = HeuristicTraining(models[0].training.records, config.heuristic_weights)
+    shared = [fit_named_model(name, records=training, oracle=config.oracle,
+                              weights=config.heuristic_weights) for name in HEURISTIC_NAMES]
+    assert _heuristic_digest(shared, test_cases, config.oracle) == HEURISTIC_PIN
 
 
 def test_reloaded_default_heuristic_predictions_are_pinned(default_heuristics, tmp_path):
