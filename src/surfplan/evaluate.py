@@ -191,10 +191,11 @@ def compare_models(names: list[str], train_records: Dataset, train_cases,
     fitted and scored one at a time. The state memoises the answers to the
     queries the models repeat: a neighbor query's nearest records, keyed by
     stage, weighted flag and standardized query, and an interpolator's
-    stage-2 answer, keyed by method, log10 target and rounded distance. So
-    each distinct query is searched once per comparison. A hit returns what
-    the search computes, so every prediction keeps its bits. The memo holds
-    at most ``heuristics.MEMO_ENTRIES`` answers and is emptied when full.
+    stage-2 answer, keyed by method, log10 target and rounded distance, and
+    the aggregated points of a decade selection. So each distinct query is
+    searched once per comparison. A hit returns what the search computes, so
+    every prediction keeps its bits. The memo holds at most
+    ``heuristics.MEMO_ENTRIES`` entries and is emptied when full.
     """
     models.check_model_names(names)
     heuristic = {name: models.heuristic_kind(name) is not None for name in names}

@@ -50,10 +50,11 @@ range search and multivariate models of one flag share stage 1, and all four
 neighbor models share stage 2. An interpolator's stage-2 answer is kept under
 (method, log10 target, rounded distance), the only inputs of a stage that
 reads the distance axis, the rounds and the decades, which both flags share.
-A hit returns what a miss computes, so every answer keeps its bits. The memo
-holds at most ``MEMO_ENTRIES`` answers and is emptied when full, so a
-long-lived model cannot grow it without limit. The interpolators also look
-up the aggregated pairs of a decade selection, memoised per model.
+The aggregated points of a decade selection are kept under ("pairs", stage,
+the weighted flag in stage 1 or None in stage 2, the decades). A hit returns
+what a miss computes, so every answer keeps its bits. The memo holds at most
+``MEMO_ENTRIES`` entries and is emptied when full, so a long-lived model
+cannot grow it without limit.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ NEIGHBOR_METHODS = ("range_search", "multivariate_interp")
 
 IDW_NEIGHBORS = 8
 IDW_POWER = 2.0
-# The most answers a training state memoises; the memo is emptied when full.
+# The most entries a training state memoises; the memo is emptied when full.
 # A neighbor entry (its key, and IDW_NEIGHBORS rows and distances) takes
 # about 0.8 KB, so a full memo holds about 3.5 MB.
 MEMO_ENTRIES = 4096
@@ -370,11 +371,10 @@ class HeuristicModel:
     # feature columns for the neighbor methods and the 1-D axis for the
     # interpolators.
     _stages: tuple = field(init=False, repr=False, compare=False)
-    # Interpolators only: each record's rint(log10 rate), the distinct
-    # decades, and the aggregated (x, mean y) pairs per (stage, decades).
+    # Interpolators only: each record's rint(log10 rate) and the distinct
+    # decades.
     _decades: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
     _decade_values: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _pairs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         training, weighted = self.training, self.kind.weighted
@@ -393,16 +393,16 @@ class HeuristicModel:
         derive(self, "_stages", ((stage1, distance), (stage2, rounds)))
         derive(self, "_decades", decades)
         derive(self, "_decade_values", decade_values)
-        derive(self, "_pairs", {})
 
     # -- decade filtering for the 1-D interpolators ------------------------
 
     def _decade_pairs(self, stage: int, chosen: list[int]) -> np.ndarray:
         """(x, mean y) over the stage's records in the chosen decades, with
-        duplicate abscissae aggregated by mean so interpolation stays defined."""
-        key = (stage, tuple(sorted(chosen)))
-        pairs = self._pairs.get(key)
-        if pairs is None:
+        duplicate abscissae aggregated by mean so interpolation stays defined.
+        Both interpolators of a weighted flag share stage 1's axis and labels,
+        and all four share stage 2's, so the state memoises the pairs."""
+
+        def aggregate():
             axis, labels = self._stages[stage]
             mask = np.isin(self._decades, chosen)
             unique_x, inverse = np.unique(axis[mask], return_inverse=True)
@@ -412,8 +412,10 @@ class HeuristicModel:
             np.add.at(counts, inverse, 1.0)
             pairs = np.column_stack([unique_x, sums / counts])
             pairs.flags.writeable = False
-            self._pairs[key] = pairs
-        return pairs
+            return pairs
+
+        flag = self.kind.weighted if stage == 0 else None
+        return self.training.recall(("pairs", stage, flag, tuple(sorted(chosen))), aggregate)
 
     def _interp_1d(self, stage: int, log_target: float, x_query: float) -> float:
         """Interpolate over the decades nearest the target, widening until
