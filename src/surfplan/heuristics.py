@@ -19,22 +19,22 @@ the requested target (widening to neighboring decades until enough distinct
 abscissae exist). Duplicate abscissae are aggregated by mean before
 interpolating.
 
-A model holds the training state it was fitted from. ``HeuristicTraining``
-takes one set of training records and weights and derives their columns and
-each record's log10 rate. When a neighbor model first asks for a weighted
-flag, the state fits that flag's stage-1 scaler and the stage-2 scaler and
-standardizes the training columns with them, and keeps both. ``fit_heuristic``
-builds a state for its one kind; a model comparison builds one for all eight
-kinds and hands it to ``models.fit_named_model``, so this per-dataset work is
-done once per comparison, not once per model, and the interpolators never
-fit a scaler.
+A model holds the training state it was fitted from, and the state is the
+one place that derives arrays from the records. ``HeuristicTraining`` takes
+one set of training records and weights and derives their columns and each
+record's log10 rate when it is built. The rest it derives the first time a
+model asks, and keeps: each stage's scaler and standardized columns (stage 1
+per weighted flag, stage 2 once) for the neighbor models, and for the
+interpolators the stage-1 axis per weighted flag and each record's decade.
+``fit_heuristic`` builds a state for its one kind; a model comparison builds
+one for all eight kinds and hands it to ``models.fit_named_model``, so this
+per-dataset work is done once per comparison, not once per model, and the
+interpolators never fit a scaler.
 
-A fitted model derives the rest of its state once, when it is built or
-loaded: the interpolators' 1-D axes and each record's decade. A request's
-query goes through the same feature functions as the training columns, on
-its four rates and log10 target as Python floats, so a query that repeats a
-training record gets that record's features bit for bit. A neighbor query
-makes one distance pass over the training columns, adding squared
+A request's query goes through the same feature functions as the training
+columns, on its four rates and log10 target as Python floats, so a query that
+repeats a training record gets that record's features bit for bit. A neighbor
+query makes one distance pass over the training columns, adding squared
 differences column by column in feature order, which is numpy's row-sum
 order, and takes the ``IDW_NEIGHBORS`` nearest rows from a partition instead
 of a full sort, in (distance, index) order. Range search answers from the
@@ -54,14 +54,14 @@ The aggregated points of a decade selection are kept under ("pairs", stage,
 the weighted flag in stage 1 or None in stage 2, the decades). A hit returns
 what a miss computes, so every answer keeps its bits. The memo holds at most
 ``MEMO_ENTRIES`` entries and is emptied when full, so a long-lived model
-cannot grow it without limit.
+cannot grow it without limit. The derived arrays are kept apart from it, so
+emptying the memo never drops them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -281,12 +281,14 @@ def _standardized_columns(columns, scaler: Standardizer) -> tuple:
 @dataclass(frozen=True)
 class HeuristicTraining:
     """The state every heuristic fit derives from one set of training records
-    and weights: the records' columns, read-only and shared by the models
-    fitted from it, and each record's log10 rate. ``standardized`` fits a
-    weighted flag's stage-1 scaler and the stage-2 scaler when first asked,
-    standardizes the training columns with them and keeps both; ``recall``
-    memoises the models' answers to repeated queries. Two states are equal
-    when their records and weights are; the rest derives from them."""
+    and weights, and the one place that derives arrays from them: the
+    records' columns, read-only and shared by the models fitted from it, and
+    each record's log10 rate, at construction; each stage's scaler and
+    standardized columns, the interpolators' stage-1 axes and the records'
+    decades, each the first time a model asks, kept for every later ask.
+    ``recall`` memoises the models' answers to repeated queries. Two states
+    are equal when their records and weights are; the rest derives from
+    them."""
 
     records: Dataset
     weights: HeuristicWeights
@@ -296,9 +298,10 @@ class HeuristicTraining:
     log_ler: np.ndarray = field(init=False, compare=False)
     distance: np.ndarray = field(init=False, compare=False)
     rounds: np.ndarray = field(init=False, compare=False)
-    # Weighted flag -> its stage-1 (scaler, standardized columns); None -> the
-    # stage-2 ones.
-    _standard: dict = field(init=False, repr=False, compare=False)
+    # The arrays derived when first asked for, apart from the memo so that
+    # emptying it keeps them: at most three standardized stages, two axes and
+    # the decades.
+    _derived: dict = field(init=False, repr=False, compare=False)
     # Query key -> answer, at most MEMO_ENTRIES of them; see ``recall``.
     _memo: dict = field(init=False, repr=False, compare=False)
 
@@ -313,24 +316,58 @@ class HeuristicTraining:
                              ("rounds", records.rounds.astype(np.float64))):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        object.__setattr__(self, "_standard", {})
+        object.__setattr__(self, "_derived", {})
         object.__setattr__(self, "_memo", {})
 
-    def standardized(self, weighted: bool) -> tuple[tuple[Standardizer, tuple],
-                                                    tuple[Standardizer, tuple]]:
-        """The (scaler, standardized training columns) of stage 1 under the
-        ``weighted`` flag and of stage 2."""
-        fitted = self._standard
-        for flag in (weighted, None):
-            if flag not in fitted:
-                columns = ((self.distance, self.log_ler) if flag is None else
-                           _stage1_columns(flag, self.weights, self.noise.T, self.log_ler))
-                scaler = Standardizer.fit(np.column_stack(columns))
-                standardized = _standardized_columns(columns, scaler)
-                for column in standardized:
-                    column.flags.writeable = False
-                fitted[flag] = scaler, standardized
-        return fitted[weighted], fitted[None]
+    def _derive(self, key: tuple, derive):
+        """What is kept under ``key``; on the first ask, ``derive()``'s."""
+        derived = self._derived
+        if key not in derived:
+            derived[key] = derive()
+        return derived[key]
+
+    def labels(self, stage: int) -> np.ndarray:
+        """What stage ``stage`` predicts: the distance (0), then the rounds."""
+        return self.rounds if stage else self.distance
+
+    def standardized(self, stage: int, weighted: bool) -> tuple[Standardizer, tuple]:
+        """The scaler and standardized training columns of stage ``stage``:
+        stage 1's under the ``weighted`` flag, stage 2's shared by both."""
+        flag = None if stage else weighted
+
+        def fit():
+            columns = ((self.distance, self.log_ler) if stage else
+                       _stage1_columns(weighted, self.weights, self.noise.T, self.log_ler))
+            scaler = Standardizer.fit(np.column_stack(columns))
+            standardized = _standardized_columns(columns, scaler)
+            for column in standardized:
+                column.flags.writeable = False
+            return scaler, standardized
+
+        return self._derive(("standardized", flag), fit)
+
+    def axis(self, stage: int, weighted: bool) -> np.ndarray:
+        """The interpolators' axis of stage ``stage``: stage 1's under the
+        ``weighted`` flag, the distance in stage 2."""
+        if stage:
+            return self.distance
+
+        def derive():
+            axis = _stage1_axis(weighted, self.weights, self.noise.T)
+            axis.flags.writeable = False
+            return axis
+
+        return self._derive(("axis", weighted), derive)
+
+    def decades(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """Each record's rint(log10 rate), and the distinct decades."""
+
+        def derive():
+            decades = np.rint(self.log_ler).astype(np.int64)
+            decades.flags.writeable = False
+            return decades, tuple(np.unique(decades).tolist())
+
+        return self._derive(("decades",), derive)
 
     def recall(self, key: tuple, compute):
         """The answer memoised under ``key``; on a miss, ``compute()``'s,
@@ -351,48 +388,16 @@ class HeuristicModel:
     """A fitted two-stage heuristic: its kind, its oracle and the training
     state it was fitted from.
 
-    ``__post_init__`` takes the kind's query state from ``training`` once,
-    so fitting and loading pay for it and a request does not: the two stages'
-    scalers and standardized feature columns (range search, multivariate),
-    which the state keeps for each weighted flag, or the 1-D axes and record
-    decades (linear, polynomial), which need no scaler. A saved model stores
-    ``training.records`` and none of this state.
+    A request reads the kind's arrays from ``training``, which derives each
+    once for every model that shares it: the two stages' scalers and
+    standardized feature columns (range search, multivariate), or the 1-D
+    axes and record decades (linear, polynomial), which need no scaler. A
+    saved model stores ``training.records`` and none of these arrays.
     """
 
     kind: HeuristicKind
     oracle: OracleConfig
     training: HeuristicTraining
-
-    # Neighbor methods only: the stage-1 scaler of the kind's weighted flag
-    # and the stage-2 scaler.
-    _scalers: Optional[tuple[Standardizer, Standardizer]] = field(
-        init=False, repr=False, compare=False)
-    # Per stage: (training inputs, labels). The inputs are the standardized
-    # feature columns for the neighbor methods and the 1-D axis for the
-    # interpolators.
-    _stages: tuple = field(init=False, repr=False, compare=False)
-    # Interpolators only: each record's rint(log10 rate) and the distinct
-    # decades.
-    _decades: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
-    _decade_values: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        training, weighted = self.training, self.kind.weighted
-        distance, rounds, log_ler = training.distance, training.rounds, training.log_ler
-        scalers, decades, decade_values = None, None, ()
-        if self.kind.method in NEIGHBOR_METHODS:
-            (scaler1, stage1), (scaler2, stage2) = training.standardized(weighted)
-            scalers = scaler1, scaler2
-        else:
-            stage1 = _stage1_axis(weighted, training.weights, training.noise.T)
-            stage2 = distance
-            decades = np.rint(log_ler).astype(np.int64)
-            decade_values = tuple(np.unique(decades).tolist())
-        derive = object.__setattr__
-        derive(self, "_scalers", scalers)
-        derive(self, "_stages", ((stage1, distance), (stage2, rounds)))
-        derive(self, "_decades", decades)
-        derive(self, "_decade_values", decade_values)
 
     # -- decade filtering for the 1-D interpolators ------------------------
 
@@ -401,10 +406,11 @@ class HeuristicModel:
         duplicate abscissae aggregated by mean so interpolation stays defined.
         Both interpolators of a weighted flag share stage 1's axis and labels,
         and all four share stage 2's, so the state memoises the pairs."""
+        training = self.training
 
         def aggregate():
-            axis, labels = self._stages[stage]
-            mask = np.isin(self._decades, chosen)
+            axis, labels = training.axis(stage, self.kind.weighted), training.labels(stage)
+            mask = np.isin(training.decades()[0], chosen)
             unique_x, inverse = np.unique(axis[mask], return_inverse=True)
             sums = np.zeros(unique_x.size)
             counts = np.zeros(unique_x.size)
@@ -415,13 +421,14 @@ class HeuristicModel:
             return pairs
 
         flag = self.kind.weighted if stage == 0 else None
-        return self.training.recall(("pairs", stage, flag, tuple(sorted(chosen))), aggregate)
+        return training.recall(("pairs", stage, flag, tuple(sorted(chosen))), aggregate)
 
     def _interp_1d(self, stage: int, log_target: float, x_query: float) -> float:
         """Interpolate over the decades nearest the target, widening until
         enough distinct abscissae exist (or every decade is in)."""
         need = 3 if self.kind.method == "poly_interp" else 2
-        by_closeness = sorted(self._decade_values, key=lambda d: (abs(d - log_target), d))
+        by_closeness = sorted(self.training.decades()[1],
+                              key=lambda d: (abs(d - log_target), d))
         chosen: list[int] = []
         for decade in by_closeness:
             chosen.append(decade)
@@ -436,25 +443,25 @@ class HeuristicModel:
 
     # -- prediction ---------------------------------------------------------
 
-    def _neighbor_raw(self, stage: int, query: tuple[float, ...]) -> float:
-        # Stage 1's columns are those of the kind's weighted flag; stage 2's
-        # are shared by both flags.
-        columns, labels = self._stages[stage]
+    def _neighbor_raw(self, stage: int, columns) -> float:
+        # Stage 1's scaler and columns are those of the kind's weighted flag;
+        # stage 2's are shared by both flags.
+        training = self.training
+        scaler, standardized = training.standardized(stage, self.kind.weighted)
+        query = _standardized_columns(columns, scaler)
         key = (stage, self.kind.weighted if stage == 0 else None, query)
-        rows, distances = self.training.recall(key, lambda: _nearest(columns, query))
-        return _neighbor_label(self.kind.method, labels, rows, distances)
+        rows, distances = training.recall(key, lambda: _nearest(standardized, query))
+        return _neighbor_label(self.kind.method, training.labels(stage), rows, distances)
 
     def _stage1_raw(self, rates: tuple[float, ...], log_target: float) -> float:
         weighted, weights = self.kind.weighted, self.training.weights
         if self.kind.method in NEIGHBOR_METHODS:
-            return self._neighbor_raw(0, _standardized_columns(
-                _stage1_columns(weighted, weights, rates, log_target), self._scalers[0]))
+            return self._neighbor_raw(0, _stage1_columns(weighted, weights, rates, log_target))
         return self._interp_1d(0, log_target, _stage1_axis(weighted, weights, rates))
 
     def _stage2_raw(self, rounded_distance: int, log_target: float) -> float:
         if self.kind.method in NEIGHBOR_METHODS:
-            return self._neighbor_raw(1, _standardized_columns(
-                (float(rounded_distance), log_target), self._scalers[1]))
+            return self._neighbor_raw(1, (float(rounded_distance), log_target))
         # Both flags of a method share the stage-2 axis, labels and decades.
         return self.training.recall(
             (self.kind.method, log_target, rounded_distance),

@@ -11,14 +11,13 @@ index, so models are bit-identical for identical data, config, and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from ..core import ValidationError, check_int, check_number
 from .tree import (
-    PackedTrees,
     TreeConfig,
     TreeModel,
     _as_feature_matrix,
@@ -84,13 +83,11 @@ class BoostConfig:
 class ForestModel:
     trees: tuple[TreeModel, ...]
     n_features: int
-    # The trees' packing, when the caller already has it (a load does).
-    _packing: InitVar[Optional[PackedTrees]] = None
-    # Derived at fit and at load; never serialized.
-    _packed: PackedTrees = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, _packing):
-        self._packed = pack_trees(self.trees) if _packing is None else _packing
+    def __post_init__(self):
+        # The trees' packing, built here at fit and at load alike; never
+        # serialized, compared or shown.
+        self._packed = pack_trees(self.trees)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         features = _as_feature_matrix(features, self.n_features)
@@ -103,13 +100,11 @@ class BoostedModel:
     learning_rate: float
     base_score: float
     n_features: int
-    # The trees' packing, when the caller already has it (a load does).
-    _packing: InitVar[Optional[PackedTrees]] = None
-    # Derived at fit and at load; never serialized.
-    _packed: PackedTrees = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, _packing):
-        self._packed = pack_trees(self.trees) if _packing is None else _packing
+    def __post_init__(self):
+        # The trees' packing, built here at fit and at load alike; never
+        # serialized, compared or shown.
+        self._packed = pack_trees(self.trees)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         features = _as_feature_matrix(features, self.n_features)

@@ -29,7 +29,7 @@ from ..oracle import OracleConfig
 from .ensemble import MAX_ESTIMATORS, BoostedModel, ForestModel
 from .linear import LinearModel
 from .pipeline import STAGE1_SCHEMA, STAGE2_SCHEMA, PipelineModel
-from .tree import LEAF, PackedTrees, TreeModel, pack_nodes
+from .tree import LEAF, TreeModel
 
 FORMAT_TAG = "surfplan-model"
 FORMAT_VERSION = 2
@@ -107,9 +107,8 @@ def _numbers(value, what: str, kinds: str = "if", shape: tuple = (-1,)) -> np.nd
     return array
 
 
-def _trees_from_dict(data: dict,
-                     n_features: int) -> tuple[tuple[TreeModel, ...], PackedTrees]:
-    """Parse one stage's trees, and pack each distinct tree once.
+def _trees_from_dict(data: dict, n_features: int) -> tuple[TreeModel, ...]:
+    """Parse one stage's trees: the tree at each position.
 
     The counts and ``tree_of`` are checked before anything is repeated: every
     count is >= 1 and the counts sum to each node array's length; ``tree_of``
@@ -120,6 +119,9 @@ def _trees_from_dict(data: dict,
     ``n_features`` and its children come after it in the same tree, so
     prediction always ends at a leaf. Each distinct tree is one ``TreeModel``,
     shared by its positions, as boosting's repeated fixed-point tree is at fit.
+    The distinct trees appear in ``tree_of``'s first-appearance order, the
+    numbering ``pack_trees`` gives them by identity, so the stage's
+    constructor packs a loaded stage as it packs the fitted one.
     """
     counts = _numbers(data["node_counts"], "stage 'node_counts'", "i")
     tree_of = _numbers(data["tree_of"], "stage 'tree_of'", "i")
@@ -159,8 +161,7 @@ def _trees_from_dict(data: dict,
     distinct = [TreeModel(feature[lo:hi], threshold[lo:hi], left[lo:hi], right[lo:hi],
                           value[lo:hi], n_features=n_features)
                 for lo, hi in zip(starts.tolist(), ends.tolist())]
-    return (tuple(distinct[number] for number in tree_of.tolist()),
-            pack_nodes(counts, *columns, positions=tree_of))
+    return tuple(distinct[number] for number in tree_of.tolist())
 
 
 def stage_to_dict(model) -> dict:
@@ -196,14 +197,14 @@ def stage_from_dict(data: dict):
                                   shape=(n_features,)),
             intercept=float(_numbers(data["intercept"], f"{owner} 'intercept'", shape=())),
             n_features=n_features)
-    trees, packed = _trees_from_dict(data, n_features)
+    trees = _trees_from_dict(data, n_features)
     if kind == "tree":
         if len(trees) != 1:
             raise CorruptModelError(f"a tree stage must hold one tree, got {len(trees)}")
         return trees[0]
     if kind == "forest":
-        return ForestModel(trees=trees, n_features=n_features, _packing=packed)
-    return BoostedModel(trees=trees, n_features=n_features, _packing=packed,
+        return ForestModel(trees=trees, n_features=n_features)
+    return BoostedModel(trees=trees, n_features=n_features,
                         **{name: float(_numbers(data[name], f"{owner} '{name}'", shape=()))
                            for name in ("learning_rate", "base_score")})
 

@@ -144,28 +144,23 @@ class PackedTrees:
 
 
 def pack_trees(trees) -> PackedTrees:
-    """Pack an ensemble's trees, laying out each distinct tree object once."""
-    numbers = {}
-    positions = np.asarray([numbers.setdefault(id(tree), len(numbers)) for tree in trees])
-    distinct = list({id(tree): tree for tree in trees}.values())
-    return pack_nodes(np.asarray([tree.node_count for tree in distinct]),
-                      *(np.concatenate([getattr(tree, name) for tree in distinct])
-                        for name in ("feature", "threshold", "left", "right", "value")),
-                      positions=positions)
-
-
-def pack_nodes(counts: np.ndarray, feature: np.ndarray, threshold: np.ndarray,
-               left: np.ndarray, right: np.ndarray, value: np.ndarray,
-               positions: np.ndarray | None = None) -> PackedTrees:
-    """Pack trees whose node arrays are already concatenated: tree ``t`` holds
-    the next ``counts[t]`` nodes, and its child indices count from its root.
-    Position ``i`` of the ensemble is tree ``positions[i]``, by default tree
-    ``i``.
+    """Pack an ensemble's trees, laying out each distinct tree object once.
+    The distinct trees' nodes are concatenated in order of first appearance,
+    their child indices, which count from each tree's root, made absolute,
+    and each position names its tree by that order. A fit and a load both
+    pack here.
 
     A tree's depth is its longest root-to-leaf path, found one level at a time
     for all trees at once. A level holds each node once, so a malformed tree
     whose nodes share children cannot blow up the frontier.
     """
+    numbers = {}
+    positions = np.asarray([numbers.setdefault(id(tree), len(numbers)) for tree in trees])
+    distinct = list({id(tree): tree for tree in trees}.values())
+    counts = np.asarray([tree.node_count for tree in distinct])
+    feature, threshold, left, right, value = (
+        np.concatenate([getattr(tree, name) for tree in distinct])
+        for name in ("feature", "threshold", "left", "right", "value"))
     starts = np.cumsum(counts) - counts
     leaf = feature == LEAF
     node = np.arange(feature.size)
@@ -183,8 +178,6 @@ def pack_nodes(counts: np.ndarray, feature: np.ndarray, threshold: np.ndarray,
         reached[left[inner]] = reached[right[inner]] = True
         frontier = np.flatnonzero(reached)
         level += 1
-    if positions is None:
-        positions = np.arange(counts.size)
     depth = depth[positions]
     order = np.argsort(-depth, kind="stable")
     active = np.count_nonzero(depth[:, None] > np.arange(depth.max()), axis=0)

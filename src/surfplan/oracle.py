@@ -10,10 +10,11 @@ rounds up to r = d, then climbs again: the sweet spot sits at r = d.
 ``rate_grids`` evaluates the whole (distance, rounds) grid of every profile in
 a (p, 4) table as one array, bit for bit equal to ``logical_error_rate`` at
 every point; dataset generation and training-label construction call it once
-per dataset, and the property tests check it against the scalar oracle. ``find_optimal_params`` is the scalar
-ground-truth search: the lexicographically smallest (distance, rounds) pair on
-the sweep grid that reaches the target rate. Table rows and code points are
-checked by the rules of ``NoiseProfile`` and ``CodeParams``.
+per dataset, and the property tests check it against the scalar oracle.
+``find_optimal_params`` is the scalar ground-truth search: the
+lexicographically smallest (distance, rounds) pair on the sweep grid that
+reaches the target rate. Table rows and code points are checked by the rules
+of ``NoiseProfile`` and ``CodeParams``.
 """
 
 from __future__ import annotations

@@ -298,13 +298,19 @@ class TestCompareModels:
         for _, shared in heuristics:
             alone = fit_heuristic(records, shared.kind, weights, oracle)
             assert shared == alone
-            assert shared._scalers == alone._scalers
-            for (shared_scaler, shared_columns), (alone_scaler, alone_columns) in zip(
-                    shared.training.standardized(shared.kind.weighted),
-                    alone.training.standardized(shared.kind.weighted)):
+            for stage in (0, 1):
+                (shared_scaler, shared_columns), (alone_scaler, alone_columns) = (
+                    model.training.standardized(stage, shared.kind.weighted)
+                    for model in (shared, alone))
                 assert shared_scaler == alone_scaler
                 assert ([column.tobytes() for column in shared_columns]
                         == [column.tobytes() for column in alone_columns])
+                assert (shared.training.axis(stage, shared.kind.weighted).tobytes()
+                        == alone.training.axis(stage, shared.kind.weighted).tobytes())
+            (shared_decades, shared_values), (alone_decades, alone_values) = (
+                model.training.decades() for model in (shared, alone))
+            assert shared_decades.tobytes() == alone_decades.tobytes()
+            assert shared_values == alone_values
             for column in ("noise", "log_ler", "distance", "rounds"):
                 assert (getattr(shared.training, column).tobytes()
                         == getattr(alone.training, column).tobytes())
@@ -312,21 +318,38 @@ class TestCompareModels:
 
     def test_scalers_are_fitted_once_per_comparison(self, labeled_setup, monkeypatch):
         # One stage-2 scaler and one stage-1 scaler per weighted flag for all
-        # eight heuristics, where fitting each alone takes two apiece.
+        # eight heuristics, where fitting each alone takes two apiece; and
+        # one interpolator stage-1 axis per weighted flag and one decade
+        # array, where each interpolator would derive its own.
         from surfplan import compare_models
         sweep, oracle, cases = labeled_setup
         records = generate_dataset(sweep, oracle)
         train, test = split(cases, SplitConfig(test_fraction=0.3, seed=1))
         fits, fit = [], Standardizer.fit
+        axes, stage1_axis = [], heuristics._stage1_axis
+        decades, rint = [], np.rint
 
         def counted(features):
             fits.append(features.shape)
             return fit(features)
 
+        def counted_axis(weighted, weights, rates):
+            if isinstance(rates, np.ndarray):  # the training columns, not a query
+                axes.append(weighted)
+            return stage1_axis(weighted, weights, rates)
+
+        def counted_rint(values, *args, **kwargs):
+            decades.append(np.shape(values))
+            return rint(values, *args, **kwargs)
+
         monkeypatch.setattr(Standardizer, "fit", counted)
+        monkeypatch.setattr(heuristics, "_stage1_axis", counted_axis)
+        monkeypatch.setattr(np, "rint", counted_rint)
         compare_models(list(models.MODEL_NAMES), train_records=records, train_cases=train,
                        test_cases=test, sweep=sweep, oracle=oracle)
         assert len(fits) == 3
+        assert sorted(axes) == [False, True]
+        assert decades == [(len(records),)]
 
     def test_each_distinct_query_is_searched_once_per_comparison(self, labeled_setup,
                                                                  monkeypatch):
@@ -343,7 +366,7 @@ class TestCompareModels:
         training = HeuristicTraining(records, weights)
         expected = set()
         for weighted in (True, False):
-            (stage1, _), (stage2, _) = training.standardized(weighted)
+            stage1, stage2 = (training.standardized(stage, weighted)[0] for stage in (0, 1))
             for request in requests:
                 log_target = math.log10(request.target_logical_error_rate)
                 expected.add((0, weighted, _standardized_columns(_stage1_columns(

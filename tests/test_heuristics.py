@@ -267,7 +267,8 @@ class TestHeuristicModel:
 
     def test_interpolators_fit_no_scaler(self, small_records, monkeypatch):
         # Only the neighbor methods standardize; a 1-D interpolator's fit and
-        # predictions fit no Standardizer.
+        # predictions fit no Standardizer, and a neighbor model's first
+        # request fits its two.
         fits, fit = [], Standardizer.fit
 
         def counted(features):
@@ -280,7 +281,7 @@ class TestHeuristicModel:
             if kind.method not in NEIGHBOR_METHODS:
                 fit_heuristic(small_records, kind).predict_result(request)
         assert fits == []
-        fit_heuristic(small_records, HeuristicKind("range_search", False))
+        fit_heuristic(small_records, HeuristicKind("range_search", False)).predict_result(request)
         assert len(fits) == 2
 
     def test_equal_fits_compare_equal(self, small_records):
@@ -430,8 +431,8 @@ class TestMatchesPerRequestReference:
         # computation does.
         records, kind, weights, requests = problem
         model = fit_heuristic(records, kind, weights)
-        for _, columns in model.training.standardized(kind.weighted):
-            for column in columns:
+        for stage in (0, 1):
+            for column in model.training.standardized(stage, kind.weighted)[1]:
                 spread = column.max() - column.min()
                 assert np.isfinite(column).all() and np.isfinite(spread * spread)
         for request in requests:
@@ -458,9 +459,13 @@ class TestQueryEqualsTrainingRow:
         records, kind, weights, _ = problem
         fitted = fit_heuristic(records, kind, weights)
         for model in (fitted, _reloaded(fitted)):
-            (stage1, _), (stage2, _) = model._stages
-            # Only a neighbor model holds scalers; an interpolator has none.
-            stage1_scaler, stage2_scaler = model._scalers or (None, None)
+            # A neighbor model reads standardized columns through scalers; an
+            # interpolator reads its 1-D axes and has none.
+            if kind.method in NEIGHBOR_METHODS:
+                (stage1_scaler, stage1), (stage2_scaler, stage2) = (
+                    model.training.standardized(stage, kind.weighted) for stage in (0, 1))
+            else:
+                stage1, stage2 = (model.training.axis(stage, kind.weighted) for stage in (0, 1))
             for i, record in enumerate(records):
                 rates = record.noise.as_tuple()
                 log_ler = math.log10(record.logical_error_rate)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import reference_predict
 from surfplan import (
     BoostConfig,
     ForestConfig,
@@ -118,8 +119,9 @@ def test_default_pipeline_model_is_pinned(default_pipeline, tmp_path):
 
 
 def test_load_packs_like_the_fit(default_pipeline, tmp_path):
-    # A load packs each ensemble from the node arrays it parsed; that packing
-    # must be the one pack_trees builds from the loaded trees, field by field.
+    # A load builds each ensemble through the constructor a fit uses, so its
+    # packing must be the one pack_trees builds from the loaded trees, field
+    # by field.
     _, model = default_pipeline
     path = tmp_path / "model.json"
     save_model(model, path)
@@ -167,6 +169,30 @@ def test_a_repeated_tree_is_packed_once(tmp_path):
         assert held._packed.feature.size == tree.node_count
         assert held._packed.roots.size == MAX_ESTIMATORS
     assert loaded.predict(features).tobytes() == model.predict(features).tobytes()
+
+
+def test_non_adjacent_repeated_trees_load_as_saved(tmp_path):
+    # Positions (A, B, A, C, B): a repeat need not follow its first use. The
+    # load numbers the distinct trees in first-appearance order, as the fit's
+    # packing numbers them by identity.
+    rng = np.random.default_rng(5)
+    features = rng.normal(size=(200, 3))
+    a, b, c = (fit_tree(features, rng.normal(size=200), TreeConfig(max_depth=depth))
+               for depth in (3, 5, 4))
+    model = BoostedModel(trees=(a, b, a, c, b), learning_rate=0.3, base_score=-0.25,
+                         n_features=3)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.predict(features).tobytes() == reference_predict(model, features).tobytes()
+    assert loaded._packed.feature.size == a.node_count + b.node_count + c.node_count
+    assert len(set(loaded._packed.roots.tolist())) == 3
+    pairs = range(len(model.trees))
+    assert ([[model.trees[i] is model.trees[j] for j in pairs] for i in pairs]
+            == [[loaded.trees[i] is loaded.trees[j] for j in pairs] for i in pairs])
+    again = tmp_path / "again.json"
+    save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_load_keeps_trees_that_differ_only_in_a_sign_bit(tmp_path):
