@@ -109,13 +109,17 @@ def cmd_train(args) -> int:
 
 
 def _request_from_args(args) -> PredictionRequest:
+    rates = (("--depol", args.depol), ("--gate", args.gate),
+             ("--reset", args.reset), ("--readout", args.readout))
     if args.calibration is not None:
-        snapshot = read_calibration(args.calibration)
-        profile = snapshot.profile
+        given = [name for name, value in rates if value is not None]
+        if given:
+            raise ValidationError(
+                f"--calibration and {' '.join(given)} both give the noise profile; "
+                "pass the snapshot or the rates, not both")
+        profile = read_calibration(args.calibration).profile
     else:
-        missing = [name for name, value in (
-            ("--depol", args.depol), ("--gate", args.gate),
-            ("--reset", args.reset), ("--readout", args.readout)) if value is None]
+        missing = [name for name, value in rates if value is None]
         if missing:
             raise ValidationError(
                 f"missing {' '.join(missing)} (or pass --calibration FILE)")
@@ -124,18 +128,9 @@ def _request_from_args(args) -> PredictionRequest:
     return PredictionRequest(noise=profile, target_logical_error_rate=args.target)
 
 
-def _load_predictor(path):
-    """The model in ``path``; a bare stage saved on its own is rejected."""
-    model = load_model(path)
-    if not hasattr(model, "predict_result"):
-        raise ValidationError(
-            f"model file {path} holds a bare {type(model).__name__} stage, not a predictor")
-    return model
-
-
 def cmd_predict(args) -> int:
     request = _request_from_args(args)
-    model = _load_predictor(args.model)
+    model = load_model(args.model)
     result = model.predict_result(request)
 
     d = result.rounded_distance
@@ -159,7 +154,7 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     config = _config_from_args(args)
     out_dir = args.out_dir if args.out_dir is not None else config.out_dir
-    model = _load_predictor(args.model)
+    model = load_model(args.model)
     _, cases = _labeled_cases(args.data, config)
     if not cases:
         raise ValidationError("no feasible (profile, target) pairs to evaluate on")

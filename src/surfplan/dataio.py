@@ -271,10 +271,8 @@ def report_scalars(report: EvalReport) -> dict:
 
 def write_report_json(report: EvalReport, path: str | os.PathLike) -> None:
     payload = report_scalars(report)
-    payload["timing_ms"] = {  # wall-clock; not covered by determinism checks
-        "mean": report.latency_mean_ms,
-        "stddev": report.latency_std_ms,
-    }
+    # Wall-clock; not covered by determinism checks.
+    payload["timing_ms"] = {"mean": report.latency_mean_ms}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=1)
         handle.write("\n")

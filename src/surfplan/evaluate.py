@@ -92,8 +92,8 @@ class EvalReport:
     """Everything the report writers need, per evaluated model.
 
     ``latency_mean_ms`` is the wall time of the one batch prediction over all
-    cases divided by the case count; ``latency_std_ms`` is 0.0, since no case
-    is timed on its own.
+    cases divided by the case count. No case is timed on its own, so there is
+    no per-case spread to report.
     """
 
     n_cases: int
@@ -112,7 +112,6 @@ class EvalReport:
     optimal_distance: list[int]
     optimal_rounds: list[int]
     latency_mean_ms: float
-    latency_std_ms: float
     positive_delta_over_target_p95: Optional[float] = None
 
 
@@ -161,7 +160,6 @@ def evaluate_model(model, cases: list[LabeledCase],
         optimal_distance=opt_d,
         optimal_rounds=opt_r,
         latency_mean_ms=elapsed_ms / len(cases),
-        latency_std_ms=0.0,
         positive_delta_over_target_p95=p95,
     )
 
@@ -187,15 +185,9 @@ def compare_models(names: list[str], train_records: Dataset, train_cases,
     optimal labels. All models are scored on the same ``test_cases``. Rows are
     sorted by raw-distance Pearson, descending (undefined sorts last).
 
-    The heuristics share one training state of ``train_records``. Models are
-    fitted and scored one at a time. The state memoises the answers to the
-    queries the models repeat: a neighbor query's nearest records, keyed by
-    stage, weighted flag and standardized query, and an interpolator's
-    stage-2 answer, keyed by method, log10 target and rounded distance, and
-    the aggregated points of a decade selection. So each distinct query is
-    searched once per comparison. A hit returns what the search computes, so
-    every prediction keeps its bits. The memo holds at most
-    ``heuristics.MEMO_ENTRIES`` entries and is emptied when full.
+    The heuristics share one training state of ``train_records``, fitted and
+    scored one model at a time, so each distinct query is searched once per
+    comparison; the ``heuristics`` module docstring defines its memo.
     """
     models.check_model_names(names)
     heuristic = {name: models.heuristic_kind(name) is not None for name in names}

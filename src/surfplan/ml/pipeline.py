@@ -45,7 +45,6 @@ from ..oracle import (
 from .ensemble import BoostConfig, BoostedModel, ForestConfig, ForestModel, fit_boosted, fit_forest
 from .linear import LinearModel, fit_linear
 from .search import grid_search, stage1_grid, stage2_grid
-from .tree import TreeModel
 
 logger = logging.getLogger(__name__)
 
@@ -54,7 +53,7 @@ DEFAULT_TARGET_MENU = (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9)
 STAGE1_SCHEMA = ("depolarizing", "gate", "reset", "readout", "log10_target")
 STAGE2_SCHEMA = ("rounded_distance", "log10_target")
 
-StageModel = Union[TreeModel, ForestModel, BoostedModel, LinearModel]
+StageModel = Union[ForestModel, BoostedModel, LinearModel]
 
 
 @dataclass(frozen=True)

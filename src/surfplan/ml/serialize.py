@@ -1,8 +1,11 @@
-"""Versioned JSON persistence for every fitted model kind.
+"""Versioned JSON persistence for predictors: pipelines and heuristic models.
 
+A model file holds one predictor, a ``pipeline`` or a ``heuristic``; any
+other object is refused by the writer, and any other ``kind`` by the reader.
 A model file is exactly ``json.dumps(model_to_dict(model), allow_nan=False)
 + "\n"``: with no indent, CPython writes it with its C encoder. Each model is
-stored as the arrays it was fitted from or holds. A tree stage stores one
+stored as the arrays it was fitted from or holds. A pipeline's stages are
+``forest``, ``boosted`` or ``linear``; a forest or boosted stage stores one
 concatenated array per node field for its distinct trees, their node counts,
 and ``tree_of``, the distinct tree at each position; a heuristic stores its
 training records as ``Dataset`` columns and is refitted from them at load.
@@ -33,7 +36,7 @@ from .tree import LEAF, TreeModel
 
 FORMAT_TAG = "surfplan-model"
 FORMAT_VERSION = 2
-# Each node field of a tree stage, with the kinds ``_numbers`` reads it as.
+# Each node field of an ensemble stage, with the kinds ``_numbers`` reads it as.
 NODE_FIELDS = (("feature", "i"), ("threshold", "if"), ("left", "i"), ("right", "i"),
                ("value", "if"))
 
@@ -165,8 +168,6 @@ def _trees_from_dict(data: dict, n_features: int) -> tuple[TreeModel, ...]:
 
 
 def stage_to_dict(model) -> dict:
-    if isinstance(model, TreeModel):
-        return {"kind": "tree", "n_features": model.n_features, **_trees_to_dict((model,))}
     if isinstance(model, ForestModel):
         return {"kind": "forest", "n_features": model.n_features,
                 **_trees_to_dict(model.trees)}
@@ -185,8 +186,9 @@ def stage_from_dict(data: dict):
     if not isinstance(data, dict):
         raise CorruptModelError(f"a stage must be a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
-    if kind not in ("tree", "forest", "boosted", "linear"):
-        raise CorruptModelError(f"unknown stage model kind {kind!r}")
+    if kind not in ("forest", "boosted", "linear"):
+        raise CorruptModelError(
+            f"unknown stage model kind {kind!r}; a stage is a forest, boosted or linear one")
     owner = f"{kind} stage"
     n_features = int(_numbers(data["n_features"], f"{owner} 'n_features'", "i", ()))
     if n_features < 1:
@@ -198,10 +200,6 @@ def stage_from_dict(data: dict):
             intercept=float(_numbers(data["intercept"], f"{owner} 'intercept'", shape=())),
             n_features=n_features)
     trees = _trees_from_dict(data, n_features)
-    if kind == "tree":
-        if len(trees) != 1:
-            raise CorruptModelError(f"a tree stage must hold one tree, got {len(trees)}")
-        return trees[0]
     if kind == "forest":
         return ForestModel(trees=trees, n_features=n_features)
     return BoostedModel(trees=trees, n_features=n_features,
@@ -254,8 +252,8 @@ def model_to_dict(model) -> dict:
             "logical_error_rate": records.logical_error_rate.tolist(),
         }
         return envelope
-    envelope["model"] = stage_to_dict(model)
-    return envelope
+    raise ModelIOError(f"cannot save a {type(model).__name__}: a model file holds a "
+                       "pipeline or a heuristic model")
 
 
 def model_from_dict(envelope: dict):
@@ -295,7 +293,9 @@ def model_from_dict(envelope: dict):
             )
         if kind == "heuristic":
             return _heuristic_from_dict(data)
-        return stage_from_dict(data)
+        raise CorruptModelError(
+            f"model kind {kind!r} is not a predictor: a model file holds a pipeline or a "
+            "heuristic model")
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CorruptModelError(f"malformed model file: {exc}") from exc
 

@@ -17,11 +17,10 @@ from surfplan import (
     fit_boosted,
     fit_forest,
     fit_linear,
-    fit_tree,
-    load_model,
     save_model,
 )
 from surfplan.cli import main
+from surfplan.ml.serialize import stage_to_dict
 
 
 def run_cli(capsys, *argv):
@@ -375,6 +374,18 @@ class TestPredict:
         assert code_a == code_b == 0
         assert out_a == out_b
 
+    @pytest.mark.parametrize("flag", ["--depol", "--gate", "--reset", "--readout"])
+    def test_calibration_with_a_rate_flag_exits_2(self, capsys, tmp_path, flag):
+        # Refused before the snapshot or the model is read: neither file
+        # exists, and reading one would exit 1. A rate above threshold is
+        # refused too, not dropped in favour of the snapshot.
+        code, out, err = run_cli(capsys, "predict", "--model", str(tmp_path / "model.json"),
+                                 "--calibration", str(tmp_path / "snap.json"), flag, "0.03",
+                                 "--target", "1e-6")
+        assert (code, out) == (2, "")
+        assert err == (f"error: --calibration and {flag} both give the noise profile; "
+                       "pass the snapshot or the rates, not both\n")
+
     def test_above_threshold_exits_3(self, capsys, trained_model):
         code, _, err = run_cli(capsys, "predict", "--model", trained_model,
                                "--depol", "1e-3", "--gate", "0.03",
@@ -510,31 +521,58 @@ def test_bad_rate_exits_2_with_the_profile_message(capsys, tmp_path, trained_mod
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("command", ["predict", "evaluate"])
-@pytest.mark.parametrize("stage", ["tree", "forest", "boosted", "linear"])
-def test_bare_stage_model_exits_2(capsys, tmp_path, small_dataset, stage, command):
+def _stage_dict(kind):
+    """A stage of ``kind`` on stage 1's five features, as a model file holds
+    it; a ``tree`` stage as the one-tree stage that files of earlier builds
+    held."""
     rng = np.random.default_rng(5)
     features, targets = rng.uniform(size=(40, 5)), rng.uniform(3, 9, size=40)
     fitted = {
-        "tree": lambda: fit_tree(features, targets),
+        "tree": lambda: fit_forest(features, targets, ForestConfig(n_estimators=1)),
         "forest": lambda: fit_forest(features, targets, ForestConfig(n_estimators=3)),
         "boosted": lambda: fit_boosted(features, targets, BoostConfig(n_estimators=3)),
         "linear": lambda: fit_linear(features, targets),
-    }[stage]()
-    path = tmp_path / f"{stage}.json"
-    save_model(fitted, path)
-    assert type(load_model(path)) is type(fitted)  # the library still loads it
-    argv = {
+    }[kind]()
+    return {**stage_to_dict(fitted), "kind": kind}
+
+
+def _model_argv(command, path, dataset, tmp_path):
+    return {
         "predict": ["predict", "--model", str(path), "--depol", "2e-4", "--gate", "1.2e-3",
                     "--reset", "5e-4", "--readout", "3e-3", "--target", "1e-6"],
-        "evaluate": ["evaluate", "--model", str(path), "--data", small_dataset,
+        "evaluate": ["evaluate", "--model", str(path), "--data", dataset,
                      "--out-dir", str(tmp_path / "reports")],
     }[command]
-    code, out, err = run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+@pytest.mark.parametrize("stage", ["tree", "forest", "boosted", "linear"])
+def test_bare_stage_model_exits_2(capsys, tmp_path, small_dataset, no_reading, stage, command):
+    # A model file holds a pipeline or a heuristic model; a v2 envelope
+    # around a bare stage is refused at load, before any data is read.
+    path = tmp_path / f"{stage}.json"
+    path.write_text(json.dumps({"format": "surfplan-model", "version": 2,
+                                "model": _stage_dict(stage)}))
+    code, out, err = run_cli(capsys, *_model_argv(command, path, small_dataset, tmp_path))
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
-    assert f"holds a bare {type(fitted).__name__} stage, not a predictor" in err
+    assert f"model kind '{stage}' is not a predictor" in err
+    assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_pipeline_with_a_tree_stage_exits_2(capsys, tmp_path, trained_model, small_dataset,
+                                            no_reading, command):
+    with open(trained_model, encoding="utf-8") as handle:
+        data = json.load(handle)
+    data["model"]["stage1"] = _stage_dict("tree")
+    path = tmp_path / "tree_stage.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, *_model_argv(command, path, small_dataset, tmp_path))
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert "unknown stage model kind 'tree'" in err
     assert not (tmp_path / "reports").exists()
 
 
@@ -683,6 +721,7 @@ class TestEvaluateAndCompare:
         payload = json.loads((out_dir / "report.json").read_text())
         assert payload["dler_source"] == "synthetic-oracle"
         assert "timing_ms" in payload
+        assert list(payload["timing_ms"]) == ["mean"]  # one batch is timed, not each case
 
     def test_overflowing_pearson_is_undefined(self, capsys, trained_model, small_dataset,
                                               small_config, tmp_path):

@@ -216,13 +216,11 @@ class TestEvaluateModel:
         assert report.predicted_distance == [r.rounded_distance for r in singles]
         assert report.predicted_raw_rounds == [r.raw_rounds for r in singles]
         assert report.predicted_rounds == [r.rounded_rounds for r in singles]
-        assert report.latency_std_ms == 0.0
 
     def test_latency_statistics_present(self, labeled_setup):
         sweep, oracle, cases = labeled_setup
         report = evaluate_model(_Constant(), cases, oracle)
         assert np.isfinite(report.latency_mean_ms)
-        assert np.isfinite(report.latency_std_ms)
         assert report.latency_mean_ms >= 0.0
 
     def test_empty_test_set_rejected(self, labeled_setup):

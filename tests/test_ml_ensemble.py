@@ -29,7 +29,7 @@ from surfplan import (
 from surfplan.config import load_config
 from surfplan.ml import build_training_cases, ensemble
 from surfplan.ml.pipeline import stage1_features
-from surfplan.ml.serialize import model_to_dict
+from surfplan.ml.serialize import stage_to_dict
 from surfplan.models import fit_named_model
 
 
@@ -164,7 +164,7 @@ def _fit_counting_stages(features, targets, config):
 
 
 def _json(model) -> str:
-    return json.dumps(model_to_dict(model))
+    return json.dumps(stage_to_dict(model))
 
 
 def _stages_to_fixed_point(model, features) -> int:

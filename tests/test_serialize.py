@@ -36,7 +36,14 @@ from surfplan.heuristics import HeuristicTraining
 from surfplan.ml import build_training_cases, fit_linear_pipeline
 from surfplan.ml.ensemble import MAX_ESTIMATORS, BoostedModel
 from surfplan.ml import serialize
-from surfplan.ml.serialize import CorruptModelError, ModelVersionError, model_to_dict
+from surfplan.ml.serialize import (
+    CorruptModelError,
+    ModelIOError,
+    ModelVersionError,
+    model_to_dict,
+    stage_from_dict,
+    stage_to_dict,
+)
 from surfplan.ml.tree import LEAF, PackedTrees, TreeModel, pack_trees
 from surfplan.models import HEURISTIC_NAMES, fit_named_model
 
@@ -59,6 +66,13 @@ def training_setup():
     return records, cases, requests
 
 
+def _stage_round_trip(model):
+    """A stage as a pipeline file holds it: its JSON text, and the stage read
+    back from that text."""
+    text = json.dumps(stage_to_dict(model), allow_nan=False)
+    return text, stage_from_dict(json.loads(text))
+
+
 class TestRoundTrips:
     def test_pipeline_predicts_identically(self, training_setup, tmp_path):
         records, cases, requests = training_setup
@@ -79,22 +93,29 @@ class TestRoundTrips:
             for request in requests[:25]:
                 assert loaded.predict_result(request) == model.predict_result(request)
 
-    def test_stage_models_round_trip(self, tmp_path):
+    def test_stage_models_round_trip(self):
         rng = np.random.default_rng(4)
         features = rng.normal(size=(60, 3))
         targets = rng.normal(size=60)
         queries = rng.normal(size=(40, 3))
         models = [
-            fit_tree(features, targets, TreeConfig(max_depth=4)),
             fit_forest(features, targets, ForestConfig(n_estimators=3, seed=1)),
             fit_boosted(features, targets, BoostConfig(n_estimators=5)),
             fit_linear(features, targets),
         ]
-        for i, model in enumerate(models):
-            path = tmp_path / f"stage{i}.json"
-            save_model(model, path)
-            loaded = load_model(path)
+        for model in models:
+            _, loaded = _stage_round_trip(model)
             assert np.array_equal(loaded.predict(queries), model.predict(queries))
+
+    def test_a_bare_stage_is_not_saved(self, tmp_path):
+        # A model file holds a predictor; a stage is saved only inside a pipeline.
+        rng = np.random.default_rng(4)
+        model = fit_forest(rng.normal(size=(60, 3)), rng.normal(size=60),
+                           ForestConfig(n_estimators=3, seed=1))
+        path = tmp_path / "forest.json"
+        with pytest.raises(ModelIOError, match="cannot save a ForestModel"):
+            save_model(model, path)
+        assert not path.exists()
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +175,7 @@ def test_load_shares_repeated_trees_like_the_fit(default_pipeline, tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
-def test_a_repeated_tree_is_packed_once(tmp_path):
+def test_a_repeated_tree_is_packed_once():
     # A file of one tree at every position loads with that tree's nodes laid
     # out once, as the fit packs it, not once per position.
     rng = np.random.default_rng(3)
@@ -162,16 +183,14 @@ def test_a_repeated_tree_is_packed_once(tmp_path):
     tree = fit_tree(features, rng.normal(size=200), TreeConfig(max_depth=8))
     model = BoostedModel(trees=(tree,) * MAX_ESTIMATORS, learning_rate=0.1, base_score=0.5,
                          n_features=3)
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    loaded = load_model(path)
+    _, loaded = _stage_round_trip(model)
     for held in (model, loaded):
         assert held._packed.feature.size == tree.node_count
         assert held._packed.roots.size == MAX_ESTIMATORS
     assert loaded.predict(features).tobytes() == model.predict(features).tobytes()
 
 
-def test_non_adjacent_repeated_trees_load_as_saved(tmp_path):
+def test_non_adjacent_repeated_trees_load_as_saved():
     # Positions (A, B, A, C, B): a repeat need not follow its first use. The
     # load numbers the distinct trees in first-appearance order, as the fit's
     # packing numbers them by identity.
@@ -181,21 +200,17 @@ def test_non_adjacent_repeated_trees_load_as_saved(tmp_path):
                for depth in (3, 5, 4))
     model = BoostedModel(trees=(a, b, a, c, b), learning_rate=0.3, base_score=-0.25,
                          n_features=3)
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    loaded = load_model(path)
+    text, loaded = _stage_round_trip(model)
     assert loaded.predict(features).tobytes() == reference_predict(model, features).tobytes()
     assert loaded._packed.feature.size == a.node_count + b.node_count + c.node_count
     assert len(set(loaded._packed.roots.tolist())) == 3
     pairs = range(len(model.trees))
     assert ([[model.trees[i] is model.trees[j] for j in pairs] for i in pairs]
             == [[loaded.trees[i] is loaded.trees[j] for j in pairs] for i in pairs])
-    again = tmp_path / "again.json"
-    save_model(loaded, again)
-    assert again.read_bytes() == path.read_bytes()
+    assert _stage_round_trip(loaded)[0] == text
 
 
-def test_load_keeps_trees_that_differ_only_in_a_sign_bit(tmp_path):
+def test_load_keeps_trees_that_differ_only_in_a_sign_bit():
     # -0.0 == 0.0, so a value comparison would merge these two trees.
     def leaf(value):
         return TreeModel(feature=np.array([LEAF]), threshold=np.array([0.0]),
@@ -204,9 +219,7 @@ def test_load_keeps_trees_that_differ_only_in_a_sign_bit(tmp_path):
 
     model = BoostedModel(trees=(leaf(0.0), leaf(-0.0), leaf(-0.0)), learning_rate=1.0,
                          base_score=0.0, n_features=1)
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    trees = load_model(path).trees
+    trees = _stage_round_trip(model)[1].trees
     assert trees[0] is not trees[1] and trees[1] is trees[2]
     assert [tree.value.tobytes() for tree in trees] == [tree.value.tobytes()
                                                        for tree in model.trees]
@@ -374,7 +387,7 @@ def _save_value(value, path):
 class TestWriter:
     """``save_model`` writes ``json.dumps(model_to_dict(model),
     allow_nan=False) + "\\n"`` for every model kind, and nothing when that
-    raises."""
+    raises. A stage is written the same way inside a pipeline."""
 
     @given(value=_json_values)
     @settings(max_examples=400)
@@ -414,27 +427,25 @@ class TestWriter:
 
     @given(features=arrays(np.float64, st.tuples(st.integers(2, 30), st.integers(1, 3)),
                            elements=st.sampled_from([-1.5, -0.0, 0.0, 0.25, 3.0])),
-           kind=st.sampled_from(["tree", "forest", "boosted", "linear"]),
+           kind=st.sampled_from(["forest", "boosted", "linear"]),
            constant=st.booleans(), seed=st.integers(0, 2 ** 16))
     @settings(max_examples=60)
     def test_save_model_writes_json_dumps_bytes_for_stages(self, features, kind, constant,
-                                                          seed, tmp_path_factory):
-        # Constant targets make boosting repeat its first tree from stage 2 on.
+                                                          seed):
+        # A stage is written as a pipeline file writes it, and a stage read
+        # back writes the same bytes. Constant targets make boosting repeat
+        # its first tree from stage 2 on.
         rng = np.random.default_rng(seed)
         targets = np.full(len(features), -0.0) if constant else rng.normal(size=len(features))
         tree = TreeConfig(max_depth=3)
-        model = {"tree": lambda: fit_tree(features, targets, tree),
-                 "forest": lambda: fit_forest(features, targets,
+        model = {"forest": lambda: fit_forest(features, targets,
                                               ForestConfig(n_estimators=3, tree=tree, seed=seed)),
                  "boosted": lambda: fit_boosted(features, targets,
                                                 BoostConfig(n_estimators=6, tree=tree)),
                  "linear": lambda: fit_linear(features, targets)}[kind]()
-        path = tmp_path_factory.mktemp("stage") / "model.json"
-        save_model(model, path)
-        assert path.read_bytes() == (_reference_text(model_to_dict(model)) + "\n").encode()
-        again = path.with_name("again.json")
-        save_model(load_model(path), again)
-        assert again.read_bytes() == path.read_bytes()
+        text, loaded = _stage_round_trip(model)
+        assert text == _reference_text(stage_to_dict(model))
+        assert _stage_round_trip(loaded)[0] == text
 
 
 @given(profiles=st.integers(2, 5), seed=st.integers(0, 2 ** 16),
