@@ -13,7 +13,7 @@ import logging
 import os
 import sys
 
-from .config import ConfigError, ToolConfig, load_config
+from .config import ToolConfig, load_config
 from .core import (
     NoiseProfile,
     PredictionRequest,
@@ -46,13 +46,16 @@ class InfeasibleRequestError(Exception):
 
 def _config_from_args(args) -> ToolConfig:
     config = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        config = config.with_seed(args.seed)
-    return config
+    return config if args.seed is None else config.with_seed(args.seed)
 
 
 def _fmt_maybe(value) -> str:
     return "undefined" if value is None else f"{value:.6f}"
+
+
+def _print_pearson(report, prefix: str) -> None:
+    for key in ("raw_distance", "raw_rounds", "rounded_distance", "rounded_rounds"):
+        print(f"{prefix}pearson_{key}={_fmt_maybe(getattr(report, 'pearson_' + key))}")
 
 
 # -- commands ----------------------------------------------------------------
@@ -68,10 +71,9 @@ def cmd_generate(args) -> int:
 
 
 def _labeled_cases(path, config: ToolConfig):
-    """The dataset CSV at ``path`` (rejected when empty) and its labeled cases."""
+    """The dataset CSV at ``path`` and its labeled cases, which
+    ``build_training_cases`` rejects when there are none."""
     records = read_dataset_csv(path)
-    if not records:
-        raise ValidationError(f"dataset {path} contains no records")
     return records, build_training_cases(records, config.sweep, config.oracle, config.targets)
 
 
@@ -83,10 +85,6 @@ def cmd_train(args) -> int:
     # Every model kind is evaluated on the labeled cases, so they are built
     # (and an unreachable target menu rejected) before anything is fitted.
     records, cases = _labeled_cases(args.data, config)
-    if not cases:
-        raise ValidationError(
-            "no feasible (profile, target) pairs to train on; every menu "
-            "target is out of reach for the dataset's profiles")
     if args.tune:
         model = fit_tuned_pipeline(cases, config.stage1, config.stage2, config.oracle,
                                    config.cv_seed)
@@ -96,14 +94,12 @@ def cmd_train(args) -> int:
             sweep=config.sweep, oracle=config.oracle,
             stage1_config=config.stage1, stage2_config=config.stage2,
             weights=config.heuristic_weights, menu=config.targets)
-    save_model(model, args.out_model)
+    # Evaluated before it is saved, so a model it rejects leaves no file.
     report = evaluate_model(model, cases, config.oracle)
+    save_model(model, args.out_model)
     print(f"model={args.model}")
     print(f"training_cases={len(cases)}")
-    print(f"train_pearson_raw_distance={_fmt_maybe(report.pearson_raw_distance)}")
-    print(f"train_pearson_raw_rounds={_fmt_maybe(report.pearson_raw_rounds)}")
-    print(f"train_pearson_rounded_distance={_fmt_maybe(report.pearson_rounded_distance)}")
-    print(f"train_pearson_rounded_rounds={_fmt_maybe(report.pearson_rounded_rounds)}")
+    _print_pearson(report, "train_")
     print(f"model_path={args.out_model}")
     return EXIT_OK
 
@@ -156,8 +152,6 @@ def cmd_evaluate(args) -> int:
     out_dir = args.out_dir if args.out_dir is not None else config.out_dir
     model = load_model(args.model)
     _, cases = _labeled_cases(args.data, config)
-    if not cases:
-        raise ValidationError("no feasible (profile, target) pairs to evaluate on")
     report = evaluate_model(model, cases, config.oracle)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -166,10 +160,7 @@ def cmd_evaluate(args) -> int:
     write_heatmap_csv(report, os.path.join(out_dir, "heatmap.csv"))
 
     print(f"cases={report.n_cases}")
-    print(f"pearson_raw_distance={_fmt_maybe(report.pearson_raw_distance)}")
-    print(f"pearson_raw_rounds={_fmt_maybe(report.pearson_raw_rounds)}")
-    print(f"pearson_rounded_distance={_fmt_maybe(report.pearson_rounded_distance)}")
-    print(f"pearson_rounded_rounds={_fmt_maybe(report.pearson_rounded_rounds)}")
+    _print_pearson(report, "")
     print(f"achievement_fraction={report.achievement_fraction:.6f}")
     print(f"latency_mean_ms={report.latency_mean_ms:.3f}")
     print(f"out_dir={out_dir}")
@@ -182,9 +173,6 @@ def cmd_compare(args) -> int:
     names = list(MODEL_NAMES) if args.models is None else args.models.split(",")
     check_model_names(names)
     records, cases = _labeled_cases(args.data, config)
-    if len(cases) < 5:
-        raise ValidationError(
-            f"only {len(cases)} labeled cases; too few to split for comparison")
     train_cases, test_cases = split(cases, config.split)
     rows = compare_models(
         names, train_records=records, train_cases=train_cases,
@@ -210,22 +198,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Recommend rotated-surface-code distance and rounds from a "
                     "noise profile and a target logical error rate.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # The options of every command that reads a config.
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", default=None)
+    configured.add_argument("--seed", type=int, default=None)
 
-    gen = sub.add_parser("generate", help="generate a dataset CSV with the synthetic oracle")
-    gen.add_argument("--config", default=None)
+    gen = sub.add_parser("generate", parents=[configured],
+                         help="generate a dataset CSV with the synthetic oracle")
     gen.add_argument("--out", required=True)
-    gen.add_argument("--seed", type=int, default=None)
     gen.set_defaults(func=cmd_generate)
 
-    train = sub.add_parser("train", help="train a model on a dataset CSV")
+    train = sub.add_parser("train", parents=[configured], help="train a model on a dataset CSV")
     train.add_argument("--data", required=True)
     train.add_argument("--model", default="pipeline",
                        help=f"one of: {', '.join(MODEL_NAMES)}")
     train.add_argument("--out-model", required=True)
     train.add_argument("--tune", action="store_true",
                        help="grid-search stage hyperparameters with 5-fold CV")
-    train.add_argument("--config", default=None)
-    train.add_argument("--seed", type=int, default=None)
     train.set_defaults(func=cmd_train)
 
     predict = sub.add_parser("predict", help="recommend (distance, rounds) for a request")
@@ -239,23 +228,21 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--target", type=float, required=True)
     predict.set_defaults(func=cmd_predict)
 
-    evaluate = sub.add_parser("evaluate", help="evaluate a model against a dataset")
+    evaluate = sub.add_parser("evaluate", parents=[configured],
+                              help="evaluate a model against a dataset")
     evaluate.add_argument("--model", required=True)
     evaluate.add_argument("--data", required=True)
     evaluate.add_argument("--out-dir", default=None,
                           help="defaults to the config's paths.out_dir")
-    evaluate.add_argument("--config", default=None)
-    evaluate.add_argument("--seed", type=int, default=None)
     evaluate.set_defaults(func=cmd_evaluate)
 
-    compare = sub.add_parser("compare", help="train and compare every model variant")
+    compare = sub.add_parser("compare", parents=[configured],
+                             help="train and compare every model variant")
     compare.add_argument("--data", required=True)
     compare.add_argument("--out-dir", default=None,
                           help="defaults to the config's paths.out_dir")
     compare.add_argument("--models", default=None,
                          help="comma-separated subset of model names")
-    compare.add_argument("--config", default=None)
-    compare.add_argument("--seed", type=int, default=None)
     compare.set_defaults(func=cmd_compare)
 
     return parser
@@ -271,7 +258,7 @@ def main(argv=None) -> int:
     except (AboveThresholdError, InfeasibleRequestError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ConfigError, ModelIOError, ValidationError, UnicodeDecodeError) as exc:
+    except (ModelIOError, ValidationError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:

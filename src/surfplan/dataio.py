@@ -227,14 +227,18 @@ def read_calibration(path: str | os.PathLike) -> CalibrationSnapshot:
     if missing or unknown:
         raise DataFormatError(
             f"calibration snapshot keys mismatch: missing {missing}, unknown {unknown}")
+    for key in ("device", "timestamp"):
+        if not isinstance(data[key], str):
+            raise DataFormatError(
+                f"calibration key '{key}' must be a string, got {type(data[key]).__name__}")
     for key in ("depolarizing", "gate", "reset", "readout"):
         try:
             check_number(f"calibration key '{key}'", data[key])
         except ValidationError as exc:
             raise DataFormatError(str(exc)) from None
     return CalibrationSnapshot(
-        device=str(data["device"]),
-        timestamp=str(data["timestamp"]),
+        device=data["device"],
+        timestamp=data["timestamp"],
         profile=NoiseProfile(
             depolarizing=float(data["depolarizing"]), gate=float(data["gate"]),
             reset=float(data["reset"]), readout=float(data["readout"])),

@@ -17,8 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import models
-from .core import Dataset, HeuristicWeights, ValidationError, check_int, check_number
-from .heuristics import HeuristicTraining
+from .core import Dataset, ValidationError, check_int, check_number
 from .ml import pipeline
 from .ml.pipeline import LabeledCase
 from .oracle import OracleConfig, SweepConfig, logical_error_rate, meets_target
@@ -68,10 +67,10 @@ class SplitConfig:
 
 
 def split(data: list, config: SplitConfig = SplitConfig()) -> tuple[list, list]:
-    """Seeded uniform shuffle; floor(n * test_fraction) items go to test."""
+    """Seeded uniform shuffle; floor(n * test_fraction) cases go to test."""
     n = len(data)
     if n < 5:
-        raise ValidationError(f"need at least 5 items to split, got {n}")
+        raise ValidationError(f"need at least 5 cases to split, got {n}")
     permutation = np.random.default_rng(config.seed).permutation(n)
     n_test = int(n * config.test_fraction)
     test_idx = set(permutation[:n_test].tolist())
@@ -185,19 +184,18 @@ def compare_models(names: list[str], train_records: Dataset, train_cases,
     optimal labels. All models are scored on the same ``test_cases``. Rows are
     sorted by raw-distance Pearson, descending (undefined sorts last).
 
-    The heuristics share one training state of ``train_records``, fitted and
-    scored one model at a time, so each distinct query is searched once per
-    comparison; the ``heuristics`` module docstring defines its memo.
+    The heuristics after the first are fitted from its training state, and
+    the models are scored one at a time, so each distinct query is searched
+    once per comparison; the ``heuristics`` module docstring defines the memo.
     """
     models.check_model_names(names)
-    heuristic = {name: models.heuristic_kind(name) is not None for name in names}
-    training = (HeuristicTraining(train_records, fit_options.get("weights", HeuristicWeights()))
-                if any(heuristic.values()) and train_records else None)
+    training = train_records  # the first heuristic's state once it is fitted
     rows = []
     for name in names:
-        records = training if heuristic[name] and training else train_records
-        model = models.fit_named_model(name, records=records, cases=train_cases,
+        model = models.fit_named_model(name, records=training, cases=train_cases,
                                        sweep=sweep, oracle=oracle, **fit_options)
+        if models.heuristic_kind(name) is not None:
+            training = model.training
         report = evaluate_model(model, test_cases, oracle)
         rows.append(ComparisonRow(
             model=name,

@@ -26,10 +26,10 @@ record's log10 rate when it is built. The rest it derives the first time a
 model asks, and keeps: each stage's scaler and standardized columns (stage 1
 per weighted flag, stage 2 once) for the neighbor models, and for the
 interpolators the stage-1 axis per weighted flag and each record's decade.
-``fit_heuristic`` builds a state for its one kind; a model comparison builds
-one for all eight kinds and hands it to ``models.fit_named_model``, so this
-per-dataset work is done once per comparison, not once per model, and the
-interpolators never fit a scaler.
+``fit_heuristic`` builds a state for its one kind; a model comparison hands
+the first heuristic's state to ``models.fit_named_model`` for every heuristic
+after it, so this per-dataset work is done once per comparison, not once per
+model, and the interpolators never fit a scaler.
 
 A request's query goes through the same feature functions as the training
 columns, on its four rates and log10 target as Python floats, so a query that

@@ -3,7 +3,8 @@
 Training labels are constructed from the ground-truth grid search: every
 distinct profile in the dataset is paired with each target in the menu, and
 the label is the lexicographically smallest (distance, rounds) on the sweep
-grid that reaches the target; infeasible pairs are dropped. The grids of all
+grid that reaches the target; infeasible pairs are dropped, and a dataset
+or menu that leaves no feasible pair is rejected. The grids of all
 the distinct profiles are evaluated as one array with ``rate_grids``, and the
 property tests check the labels against the scalar ``find_optimal_params``
 exactly. Stage one learns distance from the four noise rates plus log10 of the
@@ -80,11 +81,11 @@ def build_training_cases(records: Dataset,
 
     The label is the first grid point, in (distance, rounds) order, whose
     rate meets the target; the same answer ``find_optimal_params`` gives.
+    Raises ValidationError when the dataset is empty or no pair is feasible,
+    an empty menu included: such cases give nothing to learn from or score.
     """
     if not records:
         raise ValidationError("cannot build training cases from an empty dataset")
-    if not menu:
-        return []
     profiles = distinct_profiles(records)
     requests = [[PredictionRequest(noise=profile, target_logical_error_rate=target)
                  for target in menu] for profile in profiles]
@@ -102,6 +103,9 @@ def build_training_cases(records: Dataset,
                 cases.append(LabeledCase(request=request,
                                          distance=sweep.distances[d_index],
                                          rounds=rounds[r_index]))
+    if not cases:
+        raise ValidationError("no feasible (profile, target) pairs; every menu target "
+                              "is out of reach for the dataset's profiles")
     return cases
 
 
@@ -157,9 +161,7 @@ def _fit_stages(cases: list[LabeledCase], fit_stage1, fit_stage2,
     ``fit_stage2(features, rounds)`` on the stage-two matrix built from that
     fitted stage: the one place the two stages are chained."""
     if not cases:
-        raise ValidationError(
-            "no feasible (profile, target) pairs to train on; every menu "
-            "target is out of reach for the dataset's profiles")
+        raise ValidationError("cannot fit a pipeline on no labeled cases")
     mat1 = stage1_features([case.request for case in cases])
     y_distance = np.asarray([case.distance for case in cases], dtype=np.float64)
     y_rounds = np.asarray([case.rounds for case in cases], dtype=np.float64)

@@ -62,16 +62,14 @@ def fit_named_model(name: str,
     """Train the named model.
 
     Label-supervised models use ``cases`` (built from ``records`` when not
-    given); heuristics embed ``records`` directly. A heuristic also takes
-    them as a ``HeuristicTraining`` under ``weights``, as
-    ``evaluate.compare_models`` passes it.
+    given). A heuristic embeds a ``HeuristicTraining`` of ``records`` under
+    ``weights``, built here unless ``records`` is one already:
+    ``evaluate.compare_models`` hands the first heuristic's to the rest.
     """
     check_model_name(name)
     kind = heuristic_kind(name)
     if kind is not None:
-        if not records:
-            raise ValidationError(f"model {name!r} needs training records")
-        if isinstance(records, Dataset):
+        if not isinstance(records, HeuristicTraining):
             records = HeuristicTraining(records, weights)
         elif records.weights != weights:
             raise ValidationError("the training state was not built with these weights")

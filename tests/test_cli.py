@@ -29,6 +29,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+NO_RECORDS = "cannot build training cases from an empty dataset"
+NO_FEASIBLE = ("no feasible (profile, target) pairs; every menu target is out of reach "
+               "for the dataset's profiles")
+
+
 @pytest.fixture
 def no_reading(monkeypatch):
     """Fail any test in which the CLI reads a dataset CSV."""
@@ -252,10 +257,30 @@ class TestTrain:
         config.write_text(json.dumps({"seed": 11, "sweep": {"profiles_per_run": 6},
                                       "targets": [1e-30]}))
         model_path = tmp_path / "m.json"
-        code, _, err = run_cli(capsys, "train", "--data", small_dataset, "--model", model,
-                               "--out-model", str(model_path), "--config", str(config))
-        assert code == 2
-        assert "no feasible (profile, target) pairs" in err
+        code, out, err = run_cli(capsys, "train", "--data", small_dataset, "--model", model,
+                                 "--out-model", str(model_path), "--config", str(config))
+        assert (code, out, err) == (2, "", f"error: {NO_FEASIBLE}\n")
+        assert not model_path.exists()
+
+    def test_a_model_rejected_on_its_training_set_is_not_saved(self, capsys, small_dataset,
+                                                              small_config, tmp_path):
+        # Every record of the first profile claims a distance past 2**53, so
+        # range search recommends it for that profile's cases.
+        lines = open(small_dataset, encoding="utf-8").read().splitlines()
+        first = lines[1].split(",")[:4]
+        for i, line in enumerate(lines[1:], 1):
+            cells = line.split(",")
+            if cells[:4] == first:
+                cells[4] = str(2 ** 61 + 1)
+                lines[i] = ",".join(cells)
+        data = tmp_path / "far.csv"
+        data.write_text("\n".join(lines) + "\n")
+        model_path = tmp_path / "m.json"
+        code, out, err = run_cli(capsys, "train", "--data", str(data),
+                                 "--model", "heuristic:range_search_w",
+                                 "--out-model", str(model_path), "--config", small_config)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: raw distance must be below 2**53, got ")
         assert not model_path.exists()
 
     def test_too_many_estimators_exit_2_before_fitting(self, capsys, small_dataset, tmp_path):
@@ -499,6 +524,20 @@ def test_calibration_rate_too_large_for_float_exits_2(capsys, tmp_path, trained_
     assert "calibration key 'gate' is too large for a float" in err
 
 
+@pytest.mark.parametrize("key, value", [("device", None), ("device", 7),
+                                        ("timestamp", 5), ("timestamp", ["t"])])
+def test_non_string_calibration_field_exits_2(capsys, tmp_path, trained_model, key, value):
+    snap = tmp_path / "snap.json"
+    snap.write_text(json.dumps({
+        "device": "backend_a", "timestamp": "2026-08-01T00:00:00Z",
+        "depolarizing": 2e-4, "gate": 1.2e-3, "reset": 5e-4, "readout": 3e-3, key: value}))
+    code, out, err = run_cli(capsys, "predict", "--model", trained_model,
+                             "--calibration", str(snap), "--target", "1e-6")
+    assert (code, out) == (2, "")
+    assert err == (f"error: calibration key '{key}' must be a string, "
+                   f"got {type(value).__name__}\n")
+
+
 @pytest.mark.parametrize("source", ["flags", "calibration"])
 @pytest.mark.parametrize("rates,message", [
     (("2e-4", "1.5", "5e-4", "3e-3"), "gate out of range [0, 1): 1.5"),
@@ -705,6 +744,45 @@ def test_wrongly_typed_model_field_exits_2(capsys, tmp_path, trained_model, trai
     assert (code, out) == (2, "")
     assert "Traceback" not in err
     assert message in err
+
+
+@pytest.fixture(scope="module")
+def unusable_case_sets(tmp_path_factory, small_dataset):
+    """(data, config) per unusable case set: a header-only CSV, a menu that no
+    profile reaches, and one profile with two reachable targets."""
+    root = tmp_path_factory.mktemp("unusable")
+    header = open(small_dataset, encoding="utf-8").readline()
+    (root / "empty.csv").write_text(header)
+    for name, config in (("default", {}),
+                         ("unreachable", {"seed": 11, "sweep": {"profiles_per_run": 6},
+                                          "targets": [1e-30]}),
+                         ("two", {"seed": 11, "sweep": {"profiles_per_run": 1},
+                                  "targets": [1e-4, 1e-6]})):
+        (root / f"{name}.json").write_text(json.dumps(config))
+    assert main(["generate", "--config", str(root / "two.json"),
+                 "--out", str(root / "two.csv")]) == 0
+    return {"empty": (root / "empty.csv", root / "default.json"),
+            "unreachable": (small_dataset, root / "unreachable.json"),
+            "two": (root / "two.csv", root / "two.json")}
+
+
+# ``train`` on an unreachable menu is TestTrain's.
+@pytest.mark.parametrize("case_set, command", [
+    ("empty", "train"), ("empty", "evaluate"), ("empty", "compare"),
+    ("unreachable", "evaluate"), ("unreachable", "compare"), ("two", "compare"),
+])
+def test_unusable_case_set_exits_2_with_the_library_message(
+        capsys, tmp_path, trained_model, unusable_case_sets, case_set, command):
+    message = {"empty": NO_RECORDS, "unreachable": NO_FEASIBLE,
+               "two": "need at least 5 cases to split, got 2"}[case_set]
+    data, config = map(str, unusable_case_sets[case_set])
+    out_model, out_dir = tmp_path / "m.json", tmp_path / "reports"
+    argv = {"train": ["train", "--out-model", str(out_model)],
+            "evaluate": ["evaluate", "--model", trained_model, "--out-dir", str(out_dir)],
+            "compare": ["compare", "--out-dir", str(out_dir)]}[command]
+    code, out, err = run_cli(capsys, *argv, "--data", data, "--config", config)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not out_model.exists() and not out_dir.exists()
 
 
 class TestEvaluateAndCompare:

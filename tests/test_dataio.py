@@ -178,6 +178,16 @@ class TestCalibration:
         with pytest.raises(DataFormatError, match="extra"):
             read_calibration(path)
 
+    @pytest.mark.parametrize("key, value", [("device", None), ("device", 3),
+                                            ("timestamp", 5), ("timestamp", {})])
+    def test_non_string_device_or_timestamp_rejected(self, tmp_path, key, value):
+        path = tmp_path / "snap.json"
+        path.write_text(json.dumps({"device": "x", "timestamp": "t",
+                                    "depolarizing": 1e-4, "gate": 1e-3,
+                                    "reset": 1e-4, "readout": 1e-3, key: value}))
+        with pytest.raises(DataFormatError, match=f"calibration key '{key}' must be a string"):
+            read_calibration(path)
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "snap.json"
         path.write_text("{not json")

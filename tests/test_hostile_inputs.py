@@ -6,8 +6,10 @@ on a 3-profile dataset), replaces one field at any depth, array elements
 included, with a hostile JSON value or truncates the file, and runs
 ``predict``, ``evaluate`` or ``generate`` on it. The dataset CSV itself is
 fuzzed the same way, one cell replaced by a hostile string or the file
-truncated, and given to ``train`` and ``evaluate``. Whatever the input, the
-CLI must end with one of its documented exit codes and print no traceback.
+truncated, and given to ``train`` and ``evaluate``. Last, one bit of a saved
+pipeline file, a saved heuristic file or the dataset CSV is flipped, and the
+file is given to every command that reads it. Whatever the input, the CLI
+must end with one of its documented exit codes and print no traceback.
 """
 
 import contextlib
@@ -77,6 +79,14 @@ def _commands(kind, bad, paths):
                 evaluate + ["--model", paths["pipeline"], "--config", bad]]
     return [predict + ["--model", bad] + RATES,
             evaluate + ["--model", bad, "--config", paths["config"]]]
+
+
+def _csv_commands(bad, paths):
+    """The commands that read a dataset CSV, given ``bad`` in its place."""
+    return [["train", "--data", bad, "--config", paths["config"],
+             "--out-model", paths["out"] + ".json"],
+            ["evaluate", "--data", bad, "--model", paths["pipeline"],
+             "--config", paths["config"], "--out-dir", paths["out"]]]
 
 
 def test_the_valid_inputs_run(inputs):
@@ -163,11 +173,25 @@ def test_hostile_csv_exits_with_a_documented_code(inputs, tmp_path_factory, data
     bad = tmp_path_factory.getbasetemp() / "hostile_input.csv"
     with open(bad, "w", encoding="utf-8", newline="") as handle:
         handle.write(data.draw(hostile_csvs(text)))
-    argv = data.draw(st.sampled_from([
-        ["train", "--data", str(bad), "--config", paths["config"],
-         "--out-model", paths["out"] + ".json"],
-        ["evaluate", "--data", str(bad), "--model", paths["pipeline"],
-         "--config", paths["config"], "--out-dir", paths["out"]]]))
-    code, err = _run(argv)
+    code, err = _run(data.draw(st.sampled_from(_csv_commands(str(bad), paths))))
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+@given(data=st.data())
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+def test_bit_flip_exits_with_a_documented_code(inputs, tmp_path_factory, data):
+    _, paths = inputs
+    kind = data.draw(st.sampled_from(["pipeline", "heuristic:range_search_w", "data"]))
+    with open(paths[kind], "rb") as handle:
+        flipped = bytearray(handle.read())
+    flipped[data.draw(st.integers(0, len(flipped) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+    bad = tmp_path_factory.getbasetemp() / ("bit_flip.csv" if kind == "data" else "bit_flip.json")
+    bad.write_bytes(flipped)
+    if kind == "data":
+        commands = _csv_commands(str(bad), paths)
+    else:
+        commands = _commands(kind, str(bad), paths)
+    code, err = _run(data.draw(st.sampled_from(commands)))
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err

@@ -15,6 +15,7 @@ from surfplan import (
     OracleConfig,
     PredictionRequest,
     SweepConfig,
+    ValidationError,
     build_training_cases,
     find_optimal_params,
     fit_pipeline,
@@ -69,9 +70,9 @@ class TestLabelConstruction:
     @settings(max_examples=30)
     def test_labels_are_grid_optima(self, small_run, data):
         # Every (profile, target) pair gets the scalar search's answer, and a
-        # pair is dropped exactly when that search finds nothing. Targets on,
-        # just inside and just outside TARGET_REL_TOL of a grid rate probe
-        # the tolerance.
+        # pair is dropped exactly when that search finds nothing; a menu with
+        # no feasible pair is rejected. Targets on, just inside and just
+        # outside TARGET_REL_TOL of a grid rate probe the tolerance.
         sweep, oracle, records, cases = small_run
         assert cases == _scalar_labels(records, sweep, oracle, DEFAULT_TARGET_MENU)
         extra = data.draw(st.lists(st.builds(
@@ -87,8 +88,25 @@ class TestLabelConstruction:
         random_target = st.floats(-15.0, -1.0).map(lambda e: 10.0 ** e)
         menu = tuple(data.draw(st.lists(st.one_of(grid_rate, random_target),
                                         min_size=1, max_size=6)))
-        assert (build_training_cases(records, sweep, oracle, menu)
-                == _scalar_labels(records, sweep, oracle, menu))
+        expected = _scalar_labels(records, sweep, oracle, menu)
+        if not expected:
+            with pytest.raises(ValidationError, match="no feasible"):
+                build_training_cases(records, sweep, oracle, menu)
+        else:
+            assert build_training_cases(records, sweep, oracle, menu) == expected
+
+    @pytest.mark.parametrize("menu", [(1e-30,), (1e-30, 1e-40), ()])
+    def test_a_menu_without_a_feasible_pair_is_rejected(self, small_run, menu):
+        sweep, oracle, records, _ = small_run
+        with pytest.raises(ValidationError) as caught:
+            build_training_cases(records, sweep, oracle, menu)
+        assert str(caught.value) == ("no feasible (profile, target) pairs; every menu "
+                                     "target is out of reach for the dataset's profiles")
+
+    def test_an_empty_dataset_is_rejected(self, small_run):
+        sweep, oracle, records, _ = small_run
+        with pytest.raises(ValidationError, match="empty dataset"):
+            build_training_cases(Dataset.from_rows((), (), (), ()), sweep, oracle)
 
 
 class TestFitPipeline:
