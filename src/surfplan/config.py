@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from .core import HeuristicWeights, ValidationError, check_int
 from .evaluate import SplitConfig
 from .ml.ensemble import BoostConfig, ForestConfig
-from .ml.pipeline import DEFAULT_TARGET_MENU
+from .ml.pipeline import DEFAULT_TARGET_MENU, check_menu
 from .oracle import OracleConfig, SweepConfig
 
 SEED_SWEEP_OFFSET = 1
@@ -50,11 +50,7 @@ class ToolConfig:
         for value in self.targets:
             if not isinstance(value, float) or not 0.0 < value < 1.0:
                 raise ValidationError(f"target {value!r} out of range (0, 1)")
-        repeated = [value for i, value in enumerate(self.targets) if value in self.targets[:i]]
-        if repeated:
-            # Each repeat would label every profile again, and a split could
-            # then put a case in the test set and its twin in the training set.
-            raise ValidationError(f"target {repeated[0]!r} is repeated")
+        check_menu(self.targets)
         if not isinstance(self.out_dir, str):
             raise ValidationError(f"out_dir must be a string, got {self.out_dir!r}")
 

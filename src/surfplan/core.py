@@ -184,7 +184,9 @@ class Dataset:
     ``profiles`` is a (p, 4) float64 table in ``PROFILE_FIELDS`` order with one
     row per block of consecutive records that share a profile, and
     ``profile_index`` gives each record's row in it: it starts at 0 and steps
-    by 0 or 1. ``distance`` and ``rounds`` are int64 columns and
+    by 0 or 1. Neighbouring rows of the given table with equal bits are merged
+    into one, so a signed zero keeps its sign and the records do not change.
+    ``distance`` and ``rounds`` are int64 columns and
     ``logical_error_rate`` is a float64 column. Every array is a read-only
     copy of what was passed in, and every column is checked once, as a whole,
     against the rules of ``NoiseProfile``, ``CodeParams`` and
@@ -198,7 +200,7 @@ class Dataset:
     __slots__ = ("profiles", "profile_index", "distance", "rounds", "logical_error_rate")
 
     def __init__(self, profiles, profile_index, distance, rounds, logical_error_rate):
-        table = _frozen(profiles, np.float64)
+        table = np.asarray(profiles, dtype=np.float64)
         index = _integer_column("profile_index", profile_index)
         columns = (index, _integer_column("distance", distance),
                    _integer_column("rounds", rounds),
@@ -211,7 +213,13 @@ class Dataset:
         if not blocks:
             raise ValidationError(
                 "profile_index must start at 0 and step by 0 or 1 to the last profile")
-        for name, column in zip(self.__slots__, (table,) + columns):
+        bits = table.view(np.uint64)
+        starts = np.ones(table.shape[0], dtype=bool)
+        starts[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+        # Fresh arrays of their own, so frozen in place rather than copied.
+        table, index = table[starts], (np.cumsum(starts) - 1)[index]
+        table.flags.writeable = index.flags.writeable = False
+        for name, column in zip(self.__slots__, (table, index) + columns[1:]):
             object.__setattr__(self, name, column)
         self._validate()
 
@@ -231,26 +239,11 @@ class Dataset:
         raise AttributeError(f"Dataset is frozen; cannot set {name!r}")
 
     @classmethod
-    def from_blocks(cls, table, block_index, distance, rounds,
-                    logical_error_rate) -> "Dataset":
-        """A dataset whose record i has the rates ``table[block_index[i]]``,
-        where ``block_index`` starts at 0 and steps by 0 or 1; neighbouring
-        table rows with the same bits share one profile row, so a signed zero
-        keeps its sign."""
-        table = np.ascontiguousarray(table, dtype=np.float64).reshape(-1, len(PROFILE_FIELDS))
-        bits = table.view(np.uint64)
-        starts = np.ones(table.shape[0], dtype=bool)
-        starts[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-        return cls(table[starts], (np.cumsum(starts) - 1)[block_index], distance, rounds,
-                   logical_error_rate)
-
-    @classmethod
     def from_rows(cls, noise, distance, rounds, logical_error_rate) -> "Dataset":
         """A dataset from per-record (n, 4) rates; consecutive records whose
         rates have the same bits share one profile row."""
         noise = np.reshape(noise, (-1, len(PROFILE_FIELDS)))
-        return cls.from_blocks(noise, np.arange(noise.shape[0]), distance, rounds,
-                               logical_error_rate)
+        return cls(noise, np.arange(noise.shape[0]), distance, rounds, logical_error_rate)
 
     def noise(self) -> np.ndarray:
         """Each record's rates, shape (n, 4)."""

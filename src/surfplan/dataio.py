@@ -103,9 +103,9 @@ def _read_columns(path: str | os.PathLike) -> Optional[Dataset]:
     cell or any check fails.
 
     Each chunk gives a table with one row per run of identical profile text
-    and each record's run; ``Dataset.from_blocks`` then merges neighbouring
-    runs whose values are equal (``1e-4`` and ``0.0001``, or one block cut by
-    a chunk boundary) into one profile row.
+    and each record's run; the ``Dataset`` constructor then merges
+    neighbouring runs whose values have equal bits (``1e-4`` and ``0.0001``,
+    or one block cut by a chunk boundary) into one profile row.
     """
     tables, chunks, run_count = [], [], 0
     try:
@@ -122,8 +122,8 @@ def _read_columns(path: str | os.PathLike) -> Optional[Dataset]:
                 run_count += len(table)
         if not chunks:
             return Dataset.from_rows([], [], [], [])
-        return Dataset.from_blocks(np.concatenate(tables),
-                                   *[np.concatenate(column) for column in zip(*chunks)])
+        return Dataset(np.concatenate(tables),
+                       *[np.concatenate(column) for column in zip(*chunks)])
     except (ValueError, csv.Error):
         return None
 

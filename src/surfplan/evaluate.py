@@ -67,12 +67,16 @@ class SplitConfig:
 
 
 def split(data: list, config: SplitConfig = SplitConfig()) -> tuple[list, list]:
-    """Seeded uniform shuffle; floor(n * test_fraction) cases go to test."""
+    """Seeded uniform shuffle; floor(n * test_fraction) cases go to test,
+    and a split that leaves no test case is rejected."""
     n = len(data)
     if n < 5:
         raise ValidationError(f"need at least 5 cases to split, got {n}")
-    permutation = np.random.default_rng(config.seed).permutation(n)
     n_test = int(n * config.test_fraction)
+    if n_test == 0:
+        raise ValidationError(f"a test_fraction of {config.test_fraction!r} leaves no test "
+                              f"case among {n} cases")
+    permutation = np.random.default_rng(config.seed).permutation(n)
     test_idx = set(permutation[:n_test].tolist())
     train = [data[i] for i in range(n) if i not in test_idx]
     test = [data[i] for i in sorted(test_idx)]

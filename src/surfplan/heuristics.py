@@ -223,12 +223,10 @@ def linear_interp(points, x: float) -> float:
 
 def poly_interp(points, x: float) -> float:
     """Quadratic through the three nearest points; falls back to linear when
-    the abscissae repeat or only two points exist."""
+    fewer than three distinct abscissae are among them, two points included."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise ValidationError("poly_interp needs at least two (x, y) points")
-    if pts.shape[0] == 2:
-        return linear_interp(pts, x)
     xs, ys = pts[:, 0], pts[:, 1]
     order = _nearest_order(xs, x)[:3]
     x3, y3 = xs[order], ys[order]

@@ -73,6 +73,14 @@ def distinct_profiles(records: Dataset) -> list[NoiseProfile]:
     return [NoiseProfile(*row) for row in seen]
 
 
+def check_menu(menu: tuple[float, ...]) -> None:
+    """Raise when a menu target repeats: a split could then put a case in the
+    test set and its twin, labeled again, in the training set."""
+    repeated = [value for i, value in enumerate(menu) if value in menu[:i]]
+    if repeated:
+        raise ValidationError(f"target {repeated[0]!r} is repeated")
+
+
 def build_training_cases(records: Dataset,
                          sweep: SweepConfig = SweepConfig(),
                          oracle: OracleConfig = OracleConfig(),
@@ -81,11 +89,12 @@ def build_training_cases(records: Dataset,
 
     The label is the first grid point, in (distance, rounds) order, whose
     rate meets the target; the same answer ``find_optimal_params`` gives.
-    Raises ValidationError when the dataset is empty or no pair is feasible,
-    an empty menu included: such cases give nothing to learn from or score.
+    Raises ValidationError when the dataset is empty, a menu target repeats or
+    no pair is feasible, an empty menu included: nothing to learn from or score.
     """
     if not records:
         raise ValidationError("cannot build training cases from an empty dataset")
+    check_menu(menu)
     profiles = distinct_profiles(records)
     requests = [[PredictionRequest(noise=profile, target_logical_error_rate=target)
                  for target in menu] for profile in profiles]
@@ -112,7 +121,7 @@ def build_training_cases(records: Dataset,
 def stage1_features(requests: list[PredictionRequest]) -> np.ndarray:
     rows = [(r.noise.depolarizing, r.noise.gate, r.noise.reset, r.noise.readout,
              math.log10(r.target_logical_error_rate)) for r in requests]
-    return np.asarray(rows, dtype=np.float64)
+    return np.asarray(rows, dtype=np.float64).reshape(-1, len(STAGE1_SCHEMA))
 
 
 def stage2_features(stage1: StageModel, mat1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,8 +151,6 @@ class PipelineModel:
     def predict_many(self, requests: list[PredictionRequest]) -> list[PredictionResult]:
         """One result per request; a request's result does not depend on the
         batch it comes in."""
-        if not requests:
-            return []
         for request in requests:
             check_below_threshold(request.noise, self.oracle)
         # A model file can hold finite numbers whose sums overflow: the stage

@@ -78,7 +78,7 @@ class TreeModel:
     def predict(self, features: np.ndarray) -> np.ndarray:
         # Packed per call: a tree inside an ensemble is predicted through its
         # ensemble's packing, so only a stand-alone tree comes here.
-        return pack_trees((self,)).predict(_as_feature_matrix(features, self.n_features))
+        return pack_trees((self,)).predict(_as_feature_matrix(features, self.n_features), -0.0)
 
 
 @dataclass(frozen=True)
@@ -117,11 +117,10 @@ class PackedTrees:
         out[self.order[:deep]] = self.value[current]
         out[self.order[deep:]] = self.value[self.roots[deep:], None]
 
-    def predict(self, features: np.ndarray, base: float | None = None,
-                weight: float = 1.0) -> np.ndarray:
+    def predict(self, features: np.ndarray, base: float, weight: float = 1.0) -> np.ndarray:
         """``base`` plus ``weight`` times each tree's leaf value, added in
-        tree order, for every row of ``features``; with no ``base``, the leaf
-        values of the one packed tree.
+        tree order, for every row of ``features``; a base of -0.0 and weight
+        1.0 give a lone tree's leaf values bit for bit, signed zeros included.
 
         Rows are walked ``BLOCK_ROWS`` at a time, so the working set does not
         grow with the batch. The sum is a running sum down a (trees + 1,
@@ -134,9 +133,6 @@ class PackedTrees:
             block = features[start:start + BLOCK_ROWS]
             stack = np.empty((self.roots.size + 1, block.shape[0]))
             self._leaf_values(block, stack[1:])
-            if base is None:
-                out[start:start + BLOCK_ROWS] = stack[1]
-                continue
             stack[0] = base
             stack[1:] *= weight
             out[start:start + BLOCK_ROWS] = np.cumsum(stack, axis=0, out=stack)[-1]

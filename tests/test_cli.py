@@ -19,6 +19,7 @@ from surfplan import (
     fit_linear,
     save_model,
 )
+from surfplan import models
 from surfplan.cli import main
 from surfplan.ml.serialize import stage_to_dict
 
@@ -783,6 +784,52 @@ def test_unusable_case_set_exits_2_with_the_library_message(
     code, out, err = run_cli(capsys, *argv, "--data", data, "--config", config)
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert not out_model.exists() and not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "predict-model",
+                                     "predict-calibration", "evaluate"])
+def test_io_failure_exits_1_with_one_line(capsys, tmp_path, trained_model, small_dataset,
+                                          small_config, command):
+    missing = tmp_path / "missing"
+    blocker = tmp_path / "reports"
+    blocker.write_text("not a directory")
+    rates = ["--depol", "2e-4", "--gate", "1.2e-3", "--reset", "5e-4", "--readout", "3e-3"]
+    argv = {
+        "generate": ["generate", "--config", small_config, "--out", str(missing / "data.csv")],
+        "train": ["train", "--config", small_config, "--data", str(missing / "data.csv"),
+                  "--out-model", str(tmp_path / "model.json")],
+        "predict-model": ["predict", "--model", str(missing / "model.json"), *rates,
+                          "--target", "1e-6"],
+        "predict-calibration": ["predict", "--model", trained_model, "--calibration",
+                                str(missing / "snapshot.json"), "--target", "1e-6"],
+        "evaluate": ["evaluate", "--config", small_config, "--model", trained_model,
+                     "--data", small_dataset, "--out-dir", str(blocker)],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["reports"]
+    assert blocker.read_text() == "not a directory"
+
+
+def test_compare_rejects_an_empty_test_split_before_fitting(capsys, tmp_path, monkeypatch):
+    # Two profiles label at most 12 cases, and floor(12 * 0.05) is 0.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"sweep": {"profiles_per_run": 2},
+                                  "split": {"test_fraction": 0.05}}))
+    data, out_dir = tmp_path / "data.csv", tmp_path / "cmp"
+    assert run_cli(capsys, "generate", "--config", str(config), "--out", str(data))[0] == 0
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a model was fitted")
+
+    monkeypatch.setattr(models, "fit_named_model", fail)
+    code, out, err = run_cli(capsys, "compare", "--config", str(config), "--data", str(data),
+                             "--out-dir", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a test_fraction of 0.05 leaves no test case among ")
+    assert not out_dir.exists()
 
 
 class TestEvaluateAndCompare:

@@ -137,6 +137,44 @@ def test_library_rejects_what_the_config_file_rejects(tmp_path, payload):
         load_config(_write(tmp_path, payload))
 
 
+# Well-typed values that break a value rule, each with the start of the rule's
+# message, which names the key it is about.
+OUT_OF_RANGE_VALUES = [
+    ({"targets": []}, "targets must be a non-empty list"),
+    ({"targets": [2.0]}, "target 2.0 out of range"),
+    ({"targets": [1]}, "target 1 out of range"),
+    ({"heuristic_weights": {"w_reset": -0.1}}, "w_reset must be finite and >= 0"),
+    ({"heuristic_weights": {"w_gate": math.inf}}, "w_gate must be finite and >= 0"),
+    ({"heuristic_weights": {"w_depol": math.nan}}, "w_depol must be finite and >= 0"),
+    ({"split": {"test_fraction": 0.0}}, "test_fraction must be in (0, 1)"),
+    ({"split": {"test_fraction": 1.0}}, "test_fraction must be in (0, 1)"),
+    ({"stage1": {"learning_rate": 0.0}}, "learning_rate must be in (0, 1]"),
+    ({"stage1": {"learning_rate": 1.5}}, "learning_rate must be in (0, 1]"),
+    ({"stage1": {"gamma": -0.5}}, "gamma must be >= 0"),
+    ({"stage2": {"gamma": math.nan}}, "gamma must be >= 0"),
+    ({"sweep": {"gate_range": [0.0, math.inf]}}, "gate_range bounds must be finite"),
+    ({"sweep": {"reset_range": [math.nan, 0.1]}}, "reset_range bounds must be finite"),
+    ({"sweep": {"readout_range": [0.2, 0.1]}}, "readout_range must satisfy 0 <= lo <= hi < 1"),
+    ({"sweep": {"depolarizing_range": [0.0, 1.0]}},
+     "depolarizing_range must satisfy 0 <= lo <= hi < 1"),
+    ({"sweep": {"distances": []}}, "distances must be non-empty"),
+    ({"sweep": {"distances": [5, 3]}}, "distances must be strictly increasing"),
+    ({"sweep": {"distances": [3, 3]}}, "distances must be strictly increasing"),
+    ({"sweep": {"rounds_min": 5, "rounds_max": 4}}, "need rounds_min <= rounds_max"),
+    ({"sweep": {"termination_rate": 0.0}}, "termination_rate must be in (0, 1)"),
+    ({"sweep": {"termination_rate": 1.0}}, "termination_rate must be in (0, 1)"),
+]
+
+
+@pytest.mark.parametrize("payload, message", OUT_OF_RANGE_VALUES, ids=repr)
+def test_out_of_range_value_names_its_section_and_key(tmp_path, payload, message):
+    (section, value), = payload.items()
+    where = f"'{section}' section: " if isinstance(value, dict) else ""
+    path = _write(tmp_path, payload)
+    with pytest.raises(ConfigError, match=re.escape(f"config file {path}: {where}{message}")):
+        load_config(path)
+
+
 @pytest.mark.parametrize("cls, key, value", [
     (OracleConfig, "floor", math.nan),
     (OracleConfig, "floor", math.inf),

@@ -36,6 +36,9 @@ _RATE = st.one_of(st.sampled_from([0.0, -0.0, 1e-4, 5e-3]),
                   st.floats(min_value=1e-12, max_value=0.999))
 _PROFILES = st.tuples(_RATE, _RATE, _RATE, _RATE).filter(
     lambda rates: any(rate != 0.0 for rate in rates)).map(lambda rates: NoiseProfile(*rates))
+# Profile rows as tuples; the first two differ only in the sign of a zero.
+_ROWS = st.one_of(st.sampled_from([(0.0, 1e-3, 1e-4, 1e-3), (-0.0, 1e-3, 1e-4, 1e-3)]),
+                  _PROFILES.map(NoiseProfile.as_tuple))
 _LER = st.one_of(st.sampled_from([1.0, 1e-15, 5e-324]),
                  st.floats(min_value=5e-324, max_value=1.0))
 
@@ -173,13 +176,36 @@ class TestColumns:
         block = [0, 1, 1, 2, 3, 4, 5, 5]
         n = len(block)
         columns = ([3] * n, list(range(1, n + 1)), [1e-3] * n)
-        dataset = Dataset.from_blocks(table, block, *columns)
+        dataset = Dataset(table, block, *columns)
         assert dataset.profiles.tobytes() == np.array([a, [0.0] + b[1:], [-0.0] + b[1:],
                                                        b, a]).tobytes()
         assert dataset.profile_index.tolist() == [0, 0, 0, 1, 2, 3, 4, 4]
         assert _bits(dataset) == _bits(Dataset.from_rows(np.array(table)[block], *columns))
         with pytest.raises(ValidationError, match="profile_index"):
-            Dataset.from_blocks(table, [0, 3, 3, 3, 4, 4, 5, 5], *columns)
+            Dataset(table, [0, 3, 3, 3, 4, 4, 5, 5], *columns)
+
+    @given(runs=st.lists(st.tuples(_ROWS, st.integers(1, 3)), min_size=1, max_size=6),
+           data=st.data())
+    @settings(max_examples=60)
+    def test_no_two_neighbouring_profile_rows_have_equal_bits(self, runs, data):
+        # A table with repeated neighbouring rows, signed zeros among them,
+        # builds the dataset that the same records give row by row.
+        table = np.array([row for row, copies in runs for _ in range(copies)])
+        per_row = data.draw(st.lists(st.integers(1, 3), min_size=len(table),
+                                     max_size=len(table)))
+        block = np.repeat(np.arange(len(table)), per_row)
+        columns = ([3] * block.size, list(range(1, block.size + 1)), [1e-3] * block.size)
+        dataset = Dataset(table, block, *columns)
+        bits = dataset.profiles.view(np.uint64)
+        assert (bits[1:] != bits[:-1]).any(axis=1).all()
+        assert dataset.noise().tobytes() == table[block].tobytes()
+        for column in (dataset.profiles, dataset.profile_index, dataset.distance,
+                       dataset.rounds, dataset.logical_error_rate):
+            assert column.flags.writeable is False
+        by_rows = Dataset.from_rows(table[block], *columns)
+        assert dataset == by_rows
+        assert dataset.profiles.tobytes() == by_rows.profiles.tobytes()
+        assert dataset.profile_index.tolist() == by_rows.profile_index.tolist()
 
     def test_integer_columns_only(self):
         with pytest.raises(ValidationError, match="distance must be an integer column"):

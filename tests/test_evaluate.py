@@ -37,6 +37,10 @@ from surfplan.ml.pipeline import predict_many
 
 
 class TestPearson:
+    def test_two_dimensional_input_rejected(self):
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            pearson([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0])
+
     def test_perfect_correlation(self):
         assert pearson([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0)
 
@@ -111,6 +115,13 @@ class TestSplit:
     def test_too_few_records(self):
         with pytest.raises(ValidationError):
             split([1, 2, 3], SplitConfig())
+
+    def test_a_split_that_leaves_no_test_case_is_rejected(self):
+        # floor(12 * 0.05) is 0: the split would leave nothing to score.
+        with pytest.raises(ValidationError) as caught:
+            split(list(range(12)), SplitConfig(test_fraction=0.05))
+        assert str(caught.value) == "a test_fraction of 0.05 leaves no test case among 12 cases"
+        assert len(split(list(range(20)), SplitConfig(test_fraction=0.05))[1]) == 1
 
 
 class _PerRequest:

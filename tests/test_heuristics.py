@@ -107,6 +107,19 @@ class TestPolyInterp:
     def test_two_points_use_linear(self):
         assert poly_interp([(0.0, 0.0), (2.0, 4.0)], 1.0) == pytest.approx(2.0)
 
+    @given(points=st.lists(st.tuples(st.integers(-1000, 1000).map(float),
+                                     st.floats(-1e3, 1e3)),
+                           min_size=2, max_size=2).filter(lambda p: p[0][0] != p[1][0]),
+           x=st.floats(-1e3, 1e3))
+    @settings(max_examples=50)
+    def test_two_points_equal_linear_interp_bit_for_bit(self, points, x):
+        assert poly_interp(points, x).hex() == linear_interp(points, x).hex()
+
+    @pytest.mark.parametrize("points", [[], [(0.0, 0.0)]])
+    def test_too_few_points(self, points):
+        with pytest.raises(ValidationError, match="poly_interp needs at least two"):
+            poly_interp(points, 1.0)
+
     def test_uses_three_nearest(self):
         # x = 10 region is quadratic, far points would distort it
         points = [(9.0, 81.0), (10.0, 100.0), (11.0, 121.0), (0.0, 5.0)]

@@ -27,8 +27,14 @@ from surfplan import (
     rate_grids,
     round_distance,
 )
+from surfplan.ml import fit_linear_pipeline
 from surfplan.ml.ensemble import fit_boosted, fit_forest
-from surfplan.ml.pipeline import distinct_profiles, stage1_features, stage2_features
+from surfplan.ml.pipeline import (
+    STAGE1_SCHEMA,
+    distinct_profiles,
+    stage1_features,
+    stage2_features,
+)
 from surfplan.models import MODEL_NAMES, fit_named_model
 
 
@@ -70,9 +76,10 @@ class TestLabelConstruction:
     @settings(max_examples=30)
     def test_labels_are_grid_optima(self, small_run, data):
         # Every (profile, target) pair gets the scalar search's answer, and a
-        # pair is dropped exactly when that search finds nothing; a menu with
-        # no feasible pair is rejected. Targets on, just inside and just
-        # outside TARGET_REL_TOL of a grid rate probe the tolerance.
+        # pair is dropped exactly when that search finds nothing; a menu that
+        # repeats a target, or has no feasible pair, is rejected. Targets on,
+        # just inside and just outside TARGET_REL_TOL of a grid rate probe the
+        # tolerance.
         sweep, oracle, records, cases = small_run
         assert cases == _scalar_labels(records, sweep, oracle, DEFAULT_TARGET_MENU)
         extra = data.draw(st.lists(st.builds(
@@ -89,7 +96,10 @@ class TestLabelConstruction:
         menu = tuple(data.draw(st.lists(st.one_of(grid_rate, random_target),
                                         min_size=1, max_size=6)))
         expected = _scalar_labels(records, sweep, oracle, menu)
-        if not expected:
+        if len(set(menu)) < len(menu):
+            with pytest.raises(ValidationError, match="is repeated"):
+                build_training_cases(records, sweep, oracle, menu)
+        elif not expected:
             with pytest.raises(ValidationError, match="no feasible"):
                 build_training_cases(records, sweep, oracle, menu)
         else:
@@ -108,8 +118,24 @@ class TestLabelConstruction:
         with pytest.raises(ValidationError, match="empty dataset"):
             build_training_cases(Dataset.from_rows((), (), (), ()), sweep, oracle)
 
+    def test_a_repeated_target_is_rejected_before_the_feasibility_check(self, small_run):
+        sweep, oracle, records, _ = small_run
+        # (1e-30, 1e-30) has no feasible pair either: the repeat is found first.
+        for menu in ((1e-6, 1e-6), (1e-4, 1e-30, 1e-30), (1e-30, 1e-30)):
+            with pytest.raises(ValidationError, match=f"target {menu[-1]!r} is repeated"):
+                build_training_cases(records, sweep, oracle, menu)
+
 
 class TestFitPipeline:
+    def test_no_cases_rejected(self):
+        with pytest.raises(ValidationError, match="no labeled cases"):
+            fit_pipeline_cases([])
+
+    def test_neither_records_nor_cases_rejected(self):
+        for records in (None, Dataset.from_rows((), (), (), ())):
+            with pytest.raises(ValidationError, match="needs records or labeled cases"):
+                fit_named_model("pipeline", records=records)
+
     def test_memorizes_single_pattern(self):
         profile = NoiseProfile(1e-4, 1e-3, 1e-4, 2e-3)
         cases = [_case(profile, 1e-5, 9, 8)]
@@ -147,6 +173,13 @@ class TestFitPipeline:
 
 
 class TestPredict:
+    def test_an_empty_batch_gives_no_results(self, small_run):
+        sweep, oracle, records, cases = small_run
+        assert stage1_features([]).shape == (0, len(STAGE1_SCHEMA))
+        for model in (fit_pipeline_cases(cases, BoostConfig(n_estimators=5), oracle=oracle),
+                      fit_linear_pipeline(cases, oracle)):
+            assert predict_many(model, []) == []
+
     def test_result_invariants_on_random_requests(self, small_run):
         sweep, oracle, records, cases = small_run
         model = fit_pipeline_cases(cases, BoostConfig(n_estimators=20))

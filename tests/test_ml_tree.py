@@ -69,6 +69,24 @@ class TestFitTreeExamples:
         with pytest.raises(ValidationError):
             fit_tree(np.empty((0, 2)), np.empty(0))
 
+    def test_one_dimensional_features_are_one_column(self):
+        tree = fit_tree([0.0, 1.0, 10.0, 11.0], [0.0, 0.0, 8.0, 8.0])
+        assert tree.n_features == 1
+        assert tree.predict([0.5, 10.5]).tolist() == [0.0, 8.0]
+
+    def test_three_dimensional_features_rejected(self):
+        with pytest.raises(ValidationError, match="features must be 2-D"):
+            fit_tree(np.zeros((2, 2, 2)), [0.0, 1.0])
+
+    @pytest.mark.parametrize("targets, message", [
+        ([0.0, 1.0], "targets length 2 does not match 3 feature rows"),
+        ([0.0, math.nan, 1.0], "targets must be finite"),
+        ([0.0, math.inf, 1.0], "targets must be finite"),
+    ])
+    def test_bad_targets_rejected(self, targets, message):
+        with pytest.raises(ValidationError, match=message):
+            fit_tree([[0.0], [1.0], [2.0]], targets)
+
     def test_min_child_weight_respected(self):
         features = np.array([[0.0], [1.0], [2.0], [3.0]])
         targets = np.array([0.0, 0.0, 0.0, 100.0])

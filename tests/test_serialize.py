@@ -474,6 +474,17 @@ def test_fitted_pipelines_round_trip(profiles, seed, n_estimators, data, tmp_pat
 
 
 class TestFailureModes:
+    def test_a_non_stage_cannot_be_serialized(self):
+        with pytest.raises(ModelIOError, match="cannot serialize stage model of type dict"):
+            stage_to_dict({})
+
+    @pytest.mark.parametrize("n_features", [0, -1])
+    def test_a_stage_without_features_is_rejected(self, n_features):
+        data = {"kind": "linear", "n_features": n_features, "coefficients": [],
+                "intercept": 0.0}
+        with pytest.raises(CorruptModelError, match="'n_features' must be >= 1"):
+            stage_from_dict(data)
+
     def _saved_pipeline(self, training_setup, tmp_path):
         records, cases, requests = training_setup
         model = fit_pipeline_cases(cases, BoostConfig(n_estimators=3))
