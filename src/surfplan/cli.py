@@ -9,9 +9,11 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import errno
 import logging
 import os
 import sys
+from pathlib import Path
 
 from .config import ToolConfig, load_config
 from .core import (
@@ -58,6 +60,20 @@ def _print_pearson(report, prefix: str) -> None:
         print(f"{prefix}pearson_{key}={_fmt_maybe(getattr(report, 'pearson_' + key))}")
 
 
+def _check_output(path, directory: bool) -> None:
+    """Fail now, creating nothing, where making the directory or writing the
+    file ``path`` would fail after the work."""
+    target = Path(path).absolute()
+    if not directory and target.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    place = target if directory else target.parent  # must be, or become, a directory
+    found = next(head for head in (place, *place.parents) if os.path.lexists(head))
+    if not found.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+    if found != place and not directory:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 # -- commands ----------------------------------------------------------------
 
 
@@ -82,6 +98,7 @@ def cmd_train(args) -> int:
     check_model_name(args.model)
     if args.tune and args.model != "pipeline":
         raise ValidationError(f"--tune applies only to the pipeline model, not {args.model!r}")
+    _check_output(args.out_model, directory=False)
     # Every model kind is evaluated on the labeled cases, so they are built
     # (and an unreachable target menu rejected) before anything is fitted.
     records, cases = _labeled_cases(args.data, config)
@@ -150,6 +167,7 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     config = _config_from_args(args)
     out_dir = args.out_dir if args.out_dir is not None else config.out_dir
+    _check_output(out_dir, directory=True)
     model = load_model(args.model)
     _, cases = _labeled_cases(args.data, config)
     report = evaluate_model(model, cases, config.oracle)
@@ -172,6 +190,7 @@ def cmd_compare(args) -> int:
     out_dir = args.out_dir if args.out_dir is not None else config.out_dir
     names = list(MODEL_NAMES) if args.models is None else args.models.split(",")
     check_model_names(names)
+    _check_output(out_dir, directory=True)
     records, cases = _labeled_cases(args.data, config)
     train_cases, test_cases = split(cases, config.split)
     rows = compare_models(

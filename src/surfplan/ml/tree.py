@@ -21,8 +21,8 @@ most ``SCAN_CELLS`` padded cells, otherwise several, each within that bound
 or holding a single node. One pass then moves the rows of all split nodes to
 their children. Each node's prefix sums start at its own first row and its
 value is the mean of its targets taken in row order, so every tree is
-bit-identical to one grown alone, a node at a time. Nodes are stored in
-pre-order: a node, then its left subtree, then its right subtree.
+bit-identical to one grown alone, a node at a time. Nodes are stored as they
+grow, level by level, each split's two children side by side, left first.
 """
 
 from __future__ import annotations
@@ -306,27 +306,6 @@ def _key_type(n_keys: int) -> type:
     return np.uint8 if n_keys <= 1 << 8 else np.uint16 if n_keys <= 1 << 16 else np.intp
 
 
-def _preorder(left: list, right: list, n_trees: int) -> tuple[np.ndarray, list, list]:
-    """Node ids in pre-order, tree after tree: a node, then its left subtree,
-    then its right. Nodes ``0`` to ``n_trees - 1`` are the roots.
-
-    Also returns each listed node's position within its own tree, and the
-    positions where the trees start, followed by the node count.
-    """
-    order, local, bounds = [], [], []
-    for root in range(n_trees):
-        bounds.append(len(order))
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            if left[node] != LEAF:
-                stack.append(right[node])
-                stack.append(left[node])
-        local.extend(range(len(order) - bounds[-1]))
-    return np.asarray(order), local, bounds + [len(order)]
-
-
 def grow_tree(features: np.ndarray, targets: np.ndarray, order: np.ndarray,
               config: TreeConfig, sizes: np.ndarray | None = None
               ) -> tuple[list[TreeModel], np.ndarray]:
@@ -338,7 +317,7 @@ def grow_tree(features: np.ndarray, targets: np.ndarray, order: np.ndarray,
     problem's ``presort``, offset to its rows and concatenated, as
     ``presort(features, blocks)`` gives for equal sizes. ``features`` and
     ``targets`` must already be validated. Returns each problem's tree, and
-    for each row the pre-order id of the leaf it falls in within its tree.
+    for each row the id of the leaf it falls in within its tree.
     """
     n_rows, n_features = features.shape
     order_axis = np.arange(n_features + 1)[:, None]
@@ -347,7 +326,8 @@ def grow_tree(features: np.ndarray, targets: np.ndarray, order: np.ndarray,
     counts = np.array([n_rows]) if sizes is None else np.asarray(sizes)
     n_trees = counts.size
     leaf = np.empty(n_rows, dtype=np.intp)
-    feature, threshold, value, left = [], [], [], []  # per level, level order
+    problem = np.arange(n_trees)  # the level's nodes' problems
+    feature, threshold, value, left, owner = [], [], [], [], []  # per level, level order
     first = 0  # id of the level's first node; ids count in level order
     depth = 0
     while True:
@@ -386,6 +366,7 @@ def grow_tree(features: np.ndarray, targets: np.ndarray, order: np.ndarray,
         feature.append(split_feature)
         threshold.append(split_threshold)
         left.append(np.where(is_split, first + n_nodes + child, LEAF))
+        owner.append(problem)
         n_split = np.count_nonzero(is_split)
         if not n_split:
             break
@@ -403,20 +384,19 @@ def grow_tree(features: np.ndarray, targets: np.ndarray, order: np.ndarray,
         regroup = keys.argsort(axis=1, kind="stable")[:, keys.shape[1] - kept:]
         rows = rows[order_axis, regroup]
         counts = np.bincount(keys[-1], minlength=2 * n_split + 2)[2:]
+        problem = np.repeat(problem[is_split], 2)
         first += n_nodes
         depth += 1
 
-    feature = np.concatenate(feature)
-    left = np.concatenate(left)
-    right = np.where(left == LEAF, LEAF, left + 1)
-    nodes, local, bounds = _preorder(left.tolist(), right.tolist(), n_trees)
+    owner = np.concatenate(owner)
+    nodes = np.argsort(owner, kind="stable")  # tree after tree, each in level order
+    bounds = np.concatenate(([0], np.bincount(owner, minlength=n_trees).cumsum()))
     rank = np.empty_like(nodes)  # each node's position in its own tree
-    rank[nodes] = local
-    internal = feature[nodes] != LEAF
-    columns = (feature[nodes], np.concatenate(threshold)[nodes],
-               np.where(internal, rank[left[nodes]], LEAF),
-               np.where(internal, rank[right[nodes]], LEAF),
-               np.asarray(value, dtype=np.float64)[nodes])
+    rank[nodes] = np.arange(nodes.size) - bounds[owner[nodes]]
+    left = np.concatenate(left)[nodes]
+    left = np.where(left == LEAF, LEAF, rank[left])  # a right child follows its sibling
+    columns = (np.concatenate(feature)[nodes], np.concatenate(threshold)[nodes], left,
+               np.where(left == LEAF, LEAF, left + 1), np.asarray(value, dtype=np.float64)[nodes])
     trees = [TreeModel(*(column[lo:hi] for column in columns), n_features=n_features)
              for lo, hi in zip(bounds, bounds[1:])]
     return trees, rank[leaf]

@@ -3,13 +3,14 @@
 These deliberately avoid the library's code paths: gains are computed from
 explicit sum-of-squares loops rather than prefix sums, and pearson is the
 textbook formula over Python floats. ``reference_fit_tree`` is the
-node-at-a-time recursive builder that the level-wise grower replaced; the
-grower must reproduce its trees bit for bit. ``reference_heuristic_predict``
-is the per-request heuristic computation that the models' derived state
-replaced: it shares none of the library's feature or scaler code, takes the
-request as one more row through its own weighted sum, fits its own mean and
-scale and re-standardizes every training row with them, takes row-sum
-distances, a full lexsort for the k nearest and an uncached decade filter,
+node-at-a-time builder that the level-wise grower replaced, numbering its
+nodes breadth-first; the grower must reproduce its trees bit for bit.
+``reference_heuristic_predict`` is the per-request heuristic computation
+that the models' derived state replaced: it shares none of the library's
+feature or scaler code, takes the request as one more row through its own
+weighted sum, fits its own mean and scale and re-standardizes every
+training row with them, takes row-sum distances, a full lexsort for the k
+nearest and an uncached decade filter,
 and the models must reproduce its predictions bit for bit. ``reference_predict`` and
 ``reference_predict_row`` are the per-tree batch loops and the one-row walks
 that the packed traversal replaced; the stage models must reproduce both bit
@@ -18,6 +19,7 @@ tests build subsets and joins with ``Dataset.from_rows``.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -156,22 +158,30 @@ def _reference_split_scan(values, targets, min_leaf):
 
 
 def reference_fit_tree(features, targets, config):
-    """Recursive CART builder: one node at a time, each feature argsorted at
-    every node, nodes numbered in pre-order."""
+    """CART builder: one node at a time, each feature argsorted at every
+    node, nodes numbered breadth-first from a queue, a split's two children
+    taking the next two ids, left first."""
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     columns = {name: [] for name in ("feature", "threshold", "left", "right", "value")}
+    queue = deque()
 
-    def grow(index, depth):
+    def add(index, depth):
         node = len(columns["feature"])
-        y = targets[index]
         columns["feature"].append(LEAF)
         columns["threshold"].append(0.0)
         columns["left"].append(LEAF)
         columns["right"].append(LEAF)
-        columns["value"].append(float(np.mean(y)))
+        columns["value"].append(float(np.mean(targets[index])))
+        queue.append((node, index, depth))
+        return node
+
+    add(np.arange(features.shape[0]), 0)
+    while queue:
+        node, index, depth = queue.popleft()
+        y = targets[index]
         if depth >= config.max_depth or index.shape[0] < config.min_samples_split:
-            return node
+            continue
         best_gain, best_feature, best_threshold = float("-inf"), LEAF, 0.0
         for f in range(features.shape[1]):
             column = features[index, f]
@@ -182,15 +192,13 @@ def reference_fit_tree(features, targets, config):
             if gain > best_gain:
                 best_gain, best_feature, best_threshold = gain, f, threshold
         if best_feature == LEAF or best_gain <= 0.0 or best_gain < config.gamma:
-            return node
+            continue
         go_left = features[index, best_feature] <= best_threshold
         columns["feature"][node] = best_feature
         columns["threshold"][node] = best_threshold
-        columns["left"][node] = grow(index[go_left], depth + 1)
-        columns["right"][node] = grow(index[~go_left], depth + 1)
-        return node
+        columns["left"][node] = add(index[go_left], depth + 1)
+        columns["right"][node] = add(index[~go_left], depth + 1)
 
-    grow(np.arange(features.shape[0]), 0)
     return TreeModel(
         feature=np.asarray(columns["feature"], dtype=np.int64),
         threshold=np.asarray(columns["threshold"], dtype=np.float64),

@@ -19,7 +19,7 @@ from surfplan import (
     fit_linear,
     save_model,
 )
-from surfplan import models
+from surfplan import evaluate, models
 from surfplan.cli import main
 from surfplan.ml.serialize import stage_to_dict
 
@@ -333,10 +333,11 @@ class TestTrain:
                                    "--tune")
         assert code == 0
         assert any(message.startswith("tuned stage1=") for message in caplog.messages)
-        # The tuned model's bytes in format version 2 (version 1 wrote
-        # 49d14977..., pinned before the search moved out of the CLI).
+        # The tuned model's bytes in format version 2, nodes in level order
+        # (version 1 wrote 49d14977..., pinned before the search moved out of
+        # the CLI, and version 2 with nodes in pre-order 1df84d15...).
         assert (hashlib.sha256(model_path.read_bytes()).hexdigest()
-                == "1df84d15e87e242abef8a2e93dda45d2d72056cb279d84f332bbd704976d6608")
+                == "65f69fc4da80a04f2b5b01ecfbd51d99c18e13865fdb1054749be3b34d743f06")
 
     def test_malformed_csv_exits_2_with_location(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -811,6 +812,38 @@ def test_io_failure_exits_1_with_one_line(capsys, tmp_path, trained_model, small
     assert "Traceback" not in err
     assert sorted(path.name for path in tmp_path.iterdir()) == ["reports"]
     assert blocker.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("command, target", [
+    ("evaluate", "blocker"), ("evaluate", "blocker/sub"), ("compare", "blocker"),
+    ("train", "missing/model.json"), ("train", "directory"),
+])
+def test_unusable_output_fails_before_the_work(capsys, tmp_path, monkeypatch, trained_model,
+                                               small_dataset, small_config, command, target):
+    # An output location that cannot be written fails before the model or
+    # the dataset is read, so nothing is labeled, fitted or scored first, and
+    # nothing is created.
+    (tmp_path / "blocker").write_text("not a directory")
+    (tmp_path / "directory").mkdir()
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the work started before the output was checked")
+
+    for module, name in ((models, "fit_named_model"), (cli, "fit_named_model"),
+                         (evaluate, "evaluate_model"), (cli, "evaluate_model"),
+                         (cli, "load_model"), (cli, "read_dataset_csv")):
+        monkeypatch.setattr(module, name, fail)
+    out = str(tmp_path / target)
+    argv = {"train": ["train", "--out-model", out],
+            "evaluate": ["evaluate", "--model", trained_model, "--out-dir", out],
+            "compare": ["compare", "--out-dir", out]}[command]
+    code, stdout, err = run_cli(capsys, *argv, "--data", small_dataset,
+                                "--config", small_config)
+    assert (code, stdout) == (1, "")
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["blocker", "directory"]
+    assert not any((tmp_path / "directory").iterdir())
 
 
 def test_compare_rejects_an_empty_test_split_before_fitting(capsys, tmp_path, monkeypatch):

@@ -274,4 +274,4 @@ def test_default_stage_one_stops_at_its_fixed_point(tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     assert (hashlib.sha256(path.read_bytes()).hexdigest()
-            == "a15d988c218e402eeaf4e5134729866a835e5a18fc027556549d24f181da5ef6")
+            == "c58e8a10d1c05fecdb2bd2d24f014f4a7e2b29952746bd06731c2de5aa6d9c96")

@@ -244,8 +244,8 @@ def _leaf_of(tree, features):
 
 
 class TestMatchesRecursiveBuilder:
-    """The level-wise grower must give the recursive builder's trees, bit for
-    bit and in the same pre-order node layout."""
+    """The level-wise grower must give the node-at-a-time builder's trees, bit
+    for bit and in the same level-order node layout."""
 
     def test_gain_equal_to_gamma_splits(self):
         # The split's gain is exactly 2.0; only a gain below gamma blocks it.
@@ -361,6 +361,23 @@ class TestStackedProblems:
                 assert leaf[start:start + sizes[i]].tobytes() == alone_leaf.tobytes()
         if np.all(sizes == sizes[0]):
             assert np.array_equal(presort(np.vstack(features), sizes.size), order)
+
+    @given(problems=_stacked_problems(), config=_tree_configs)
+    @settings(max_examples=50)
+    def test_nodes_are_in_level_order(self, problems, config):
+        # Each tree lists its nodes as they grow: the root, then level by
+        # level, each split's two children next to each other, left first.
+        # So the k-th split node's children are nodes 2k + 1 and 2k + 2.
+        features, targets = problems
+        sizes = np.asarray([len(block) for block in targets])
+        with np.errstate(all="ignore"):
+            trees, _ = grow_tree(np.vstack(features), np.concatenate(targets),
+                                 _block_presort(features), config, sizes)
+        for tree in trees:
+            split = np.flatnonzero(tree.feature != LEAF)
+            assert tree.node_count == 2 * split.size + 1
+            assert tree.left[split].tolist() == list(range(1, tree.node_count, 2))
+            assert tree.right[split].tolist() == list(range(2, tree.node_count, 2))
 
 
 class TestLevelScan:

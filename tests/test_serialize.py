@@ -1,7 +1,8 @@
 import hashlib
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -130,13 +131,14 @@ def default_pipeline():
 
 def test_default_pipeline_model_is_pinned(default_pipeline, tmp_path):
     # SHA-256 of the saved default-config (seed 42) pipeline model in format
-    # version 2 (version 1 wrote b226cc96...). A drift in any tree's bits or
-    # node order, or in the file layout, changes it.
+    # version 2, nodes in level order (version 1 wrote b226cc96..., and
+    # version 2 with nodes in pre-order a15d988c...). A drift in any tree's
+    # bits or node order, or in the file layout, changes it.
     _, model = default_pipeline
     path = tmp_path / "model.json"
     save_model(model, path)
     assert (hashlib.sha256(path.read_bytes()).hexdigest()
-            == "a15d988c218e402eeaf4e5134729866a835e5a18fc027556549d24f181da5ef6")
+            == "c58e8a10d1c05fecdb2bd2d24f014f4a7e2b29952746bd06731c2de5aa6d9c96")
 
 
 def test_load_packs_like_the_fit(default_pipeline, tmp_path):
@@ -256,27 +258,92 @@ def _node_digest(model) -> str:
 
 
 def test_default_pipeline_nodes_are_pinned(default_pipeline, tmp_path):
-    # The pinned model itself, independent of the file format: the digest
-    # was taken from the fitted model before the format changed, and a
-    # saved and reloaded model must have the same trees at every position.
+    # The pinned model itself, independent of the file format: a saved and
+    # reloaded model must have the same trees at every position. With nodes
+    # in pre-order the same trees gave b8c1d92a...
     _, model = default_pipeline
     path = tmp_path / "model.json"
     save_model(model, path)
     for held in (model, load_model(path)):
         assert (_node_digest(held)
-                == "b8c1d92adf1a6d6d8198615e1f03def0bf96eea9b9d44a462c7dd8661ce299de")
+                == "b7e2258baec98975eb6995735f6a768bdec30e8cf22adce913988dd75d226911")
 
 
-def _prediction_digest(model, sweep) -> str:
-    rng = np.random.default_rng(1024)
-    requests = [PredictionRequest(
+def _relabelled(tree, order) -> TreeModel:
+    """``tree`` with its nodes listed in ``order``, a permutation of its node
+    ids that puts every parent before its children."""
+    order = np.asarray(order)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    inner = tree.feature[order] != LEAF
+    return TreeModel(feature=tree.feature[order], threshold=tree.threshold[order],
+                     left=np.where(inner, rank[tree.left[order]], LEAF),
+                     right=np.where(inner, rank[tree.right[order]], LEAF),
+                     value=tree.value[order], n_features=tree.n_features)
+
+
+def _node_order(tree, pick) -> list:
+    """Node ids from the root, parents first: the next is ``reachable[pick(
+    reachable)]``, where ``reachable`` lists the nodes whose parent is
+    already listed, and a split appends its right child, then its left."""
+    order, reachable = [], [0]
+    while reachable:
+        node = reachable.pop(pick(reachable))
+        order.append(node)
+        if tree.feature[node] != LEAF:
+            reachable += [int(tree.right[node]), int(tree.left[node])]
+    return order
+
+
+def _preorder(tree) -> list:
+    """A node, then its left subtree, then its right: the order of files
+    written before trees kept their nodes in level order."""
+    return _node_order(tree, lambda reachable: -1)
+
+
+def _stage_relabelled(stage, order_of):
+    """``stage`` with each distinct tree's nodes listed in ``order_of(tree)``;
+    a tree repeated at several positions stays one object."""
+    trees = {}
+    for tree in stage.trees:
+        trees.setdefault(id(tree), _relabelled(tree, order_of(tree)))
+    return replace(stage, trees=tuple(trees[id(tree)] for tree in stage.trees))
+
+
+def _pipeline_relabelled(model, order_of):
+    return replace(model, stage1=_stage_relabelled(model.stage1, order_of),
+                   stage2=_stage_relabelled(model.stage2, order_of))
+
+
+def test_default_pipeline_in_preorder_is_the_earlier_file(default_pipeline, tmp_path):
+    # Node for node the trees that were pinned while nodes were stored in
+    # pre-order: relabelled into pre-order, the default pipeline gives that
+    # file's bytes and that node digest again.
+    _, model = default_pipeline
+    preorder = _pipeline_relabelled(model, _preorder)
+    path = tmp_path / "model.json"
+    save_model(preorder, path)
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "a15d988c218e402eeaf4e5134729866a835e5a18fc027556549d24f181da5ef6")
+    assert (_node_digest(preorder)
+            == "b8c1d92adf1a6d6d8198615e1f03def0bf96eea9b9d44a462c7dd8661ce299de")
+
+
+def _requests(sweep, count: int, seed: int) -> list:
+    """``count`` seeded requests with rates in the sweep's ranges."""
+    rng = np.random.default_rng(seed)
+    return [PredictionRequest(
         noise=NoiseProfile(
             depolarizing=float(rng.uniform(*sweep.depolarizing_range)),
             gate=float(rng.uniform(*sweep.gate_range)),
             reset=float(rng.uniform(*sweep.reset_range)),
             readout=float(rng.uniform(*sweep.readout_range))),
         target_logical_error_rate=float(10 ** rng.uniform(-9, -3)))
-        for _ in range(1024)]
+        for _ in range(count)]
+
+
+def _prediction_digest(model, sweep) -> str:
+    requests = _requests(sweep, 1024, 1024)
     return hashlib.sha256(repr(predict_many(model, requests)).encode()).hexdigest()
 
 
@@ -297,6 +364,72 @@ def test_reloaded_default_pipeline_predictions_are_pinned(default_pipeline, tmp_
     path = tmp_path / "model.json"
     save_model(model, path)
     assert _prediction_digest(load_model(path), config.sweep) == PREDICTION_PIN
+
+
+# A pipeline file written while trees stored their nodes in pre-order, by
+# ``surfplan train`` on ``TINY_CONFIG`` (the CI console-script config).
+PREORDER_FILE = Path(__file__).parent / "data" / "preorder_pipeline.json"
+TINY_CONFIG = {"seed": 11, "sweep": {"profiles_per_run": 3}, "stage1": {"n_estimators": 10}}
+
+
+@pytest.fixture(scope="module")
+def tiny_pipeline(tmp_path_factory):
+    """A fresh fit of the pipeline in ``PREORDER_FILE``, as ``surfplan train``
+    fits it."""
+    path = tmp_path_factory.mktemp("tiny") / "tiny.json"
+    path.write_text(json.dumps(TINY_CONFIG))
+    config = load_config(path)
+    return config, fit_named_model(
+        "pipeline", records=generate_dataset(config.sweep, config.oracle),
+        sweep=config.sweep, oracle=config.oracle, stage1_config=config.stage1,
+        stage2_config=config.stage2, menu=config.targets)
+
+
+class TestPreorderFile:
+    """A file whose trees list their nodes in pre-order still loads, predicts
+    and saves as it did."""
+
+    def test_predicts_like_a_fresh_fit(self, tiny_pipeline):
+        config, model = tiny_pipeline
+        requests = _requests(config.sweep, 256, 11)
+        assert (repr(predict_many(load_model(PREORDER_FILE), requests))
+                == repr(predict_many(model, requests)))
+
+    def test_writes_back_its_own_bytes(self, tmp_path):
+        save_model(load_model(PREORDER_FILE), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == PREORDER_FILE.read_bytes()
+
+    def test_holds_a_fresh_fit_in_preorder(self, tiny_pipeline, tmp_path):
+        # The same trees, node for node, in another order than a fit writes.
+        _, model = tiny_pipeline
+        save_model(model, tmp_path / "level.json")
+        save_model(_pipeline_relabelled(model, _preorder), tmp_path / "preorder.json")
+        assert (tmp_path / "level.json").read_bytes() != PREORDER_FILE.read_bytes()
+        assert (tmp_path / "preorder.json").read_bytes() == PREORDER_FILE.read_bytes()
+
+
+@given(seed=st.integers(0, 2 ** 16), rows=st.integers(2, 60),
+       kind=st.sampled_from(["forest", "boosted"]), max_depth=st.integers(1, 6),
+       random=st.randoms(use_true_random=False))
+@settings(max_examples=60)
+def test_any_parent_first_node_order_round_trips(seed, rows, kind, max_depth, random):
+    # A fitted stage whose trees list their nodes in a random order that puts
+    # every parent before its children saves, loads and saves again to the
+    # same text, and predicts the fit's bits throughout.
+    rng = np.random.default_rng(seed)
+    features = np.column_stack([rng.normal(size=(rows, 2)), rng.integers(0, 3, size=rows)])
+    targets = rng.normal(size=rows)
+    config = TreeConfig(max_depth=max_depth)
+    stage = (fit_forest(features, targets, ForestConfig(n_estimators=4, tree=config, seed=seed))
+             if kind == "forest" else
+             fit_boosted(features, targets, BoostConfig(n_estimators=6, tree=config)))
+    relabelled = _stage_relabelled(
+        stage, lambda tree: _node_order(tree, lambda reachable: random.randrange(len(reachable))))
+    text, loaded = _stage_round_trip(relabelled)
+    assert _stage_round_trip(loaded)[0] == text
+    queries = np.vstack([features, rng.normal(size=(20, 3))])
+    expected = stage.predict(queries).tobytes()
+    assert relabelled.predict(queries).tobytes() == loaded.predict(queries).tobytes() == expected
 
 
 HEURISTIC_PIN = "95f56362806869ac91b5db0b67f6b88da66281d49e434a07b5bfe254e2e1a251"
