@@ -62,7 +62,9 @@ def _print_pearson(report, prefix: str) -> None:
 
 def _check_output(path, directory: bool) -> None:
     """Fail now, creating nothing, where making the directory or writing the
-    file ``path`` would fail after the work."""
+    file ``path`` would fail after the work. An empty path names nothing."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     target = Path(path).absolute()
     if not directory and target.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -79,6 +81,7 @@ def _check_output(path, directory: bool) -> None:
 
 def cmd_generate(args) -> int:
     config = _config_from_args(args)
+    _check_output(args.out, directory=False)
     records = generate_dataset(config.sweep, config.oracle)
     count = write_dataset_csv(records, args.out)
     print(f"records={count}")

@@ -13,7 +13,7 @@ import json
 import os
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
-from .core import HeuristicWeights, ValidationError, check_int
+from .core import HeuristicWeights, ValidationError, check_int, check_number
 from .evaluate import SplitConfig
 from .ml.ensemble import BoostConfig, ForestConfig
 from .ml.pipeline import DEFAULT_TARGET_MENU, check_menu
@@ -48,8 +48,7 @@ class ToolConfig:
         if not isinstance(self.targets, tuple) or not self.targets:
             raise ValidationError("targets must be a non-empty list of rates")
         for value in self.targets:
-            if not isinstance(value, float) or not 0.0 < value < 1.0:
-                raise ValidationError(f"target {value!r} out of range (0, 1)")
+            check_number("target", value, gt=0.0, lt=1.0)
         check_menu(self.targets)
         if not isinstance(self.out_dir, str):
             raise ValidationError(f"out_dir must be a string, got {self.out_dir!r}")

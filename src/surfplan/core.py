@@ -7,11 +7,12 @@ errs on the side of more protection rather than less. A ``PredictionResult``
 takes the raw pair and derives the rounded one by these rules; a raw distance
 at or above 2**53, past which a float64 skips odd integers, is rejected.
 
-Each type checks itself when built; ``check_profile_table``,
-``invalid_profiles`` and ``check_code_point`` apply the ``Dataset``,
-``NoiseProfile`` and ``CodeParams`` rules to a rate table and to a bare
-(distance, rounds). A dataset travels as a ``Dataset``: one column per field,
-checked column by column, rather than one ``DatasetRecord`` object per row.
+Each type checks itself when built, and every number passes the one rule
+``check_number``; ``check_profile_table``, ``invalid_profiles`` and
+``check_code_point`` apply the ``Dataset``, ``NoiseProfile`` and
+``CodeParams`` rules to a rate table and to a bare (distance, rounds). A
+dataset travels as a ``Dataset``: one column per field, checked column by
+column, rather than one ``DatasetRecord`` object per row.
 """
 
 from __future__ import annotations
@@ -40,11 +41,7 @@ class NoiseProfile:
 
     def __post_init__(self):
         for name, value in zip(PROFILE_FIELDS, self.as_tuple()):
-            check_number(name, value)
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
-            if not 0.0 <= value < 1.0:
-                raise ValidationError(f"{name} out of range [0, 1): {value!r}")
+            check_number(name, value, ge=0.0, lt=1.0)
         if all(value == 0.0 for value in self.as_tuple()):
             raise ValidationError("all-zero noise profile")
 
@@ -65,13 +62,6 @@ def invalid_profiles(table: np.ndarray) -> np.ndarray:
             | (table == 0.0).all(axis=1))
 
 
-def _check_positive_finite(value: float, name: str) -> float:
-    check_number(name, value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
-    return float(value)
-
-
 def check_int(name: str, value, minimum: int) -> None:
     """Reject bools, non-integers and integers below ``minimum``."""
     if not isinstance(value, int) or isinstance(value, bool):
@@ -80,15 +70,36 @@ def check_int(name: str, value, minimum: int) -> None:
         raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
 
 
-def check_number(name: str, value) -> None:
-    """Reject bools, anything that is not an int or a float, and ints too
-    large for a float."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+def check_number(name: str, value, *, gt=-math.inf, ge=-math.inf, lt=math.inf,
+                 le=math.inf) -> float:
+    """The rule of every config and domain number: ``value`` as a float, if it
+    is a finite int or float (not a bool) inside the interval of at most one
+    lower end, ``gt`` or ``ge``, and one upper end, ``lt`` or ``le``. Else
+    raise, e.g. ``NAME must be finite, got VALUE``, ``NAME must be in (0, 1],
+    got VALUE`` or ``NAME must be >= 0, got VALUE``."""
+    if type(value) is float:
+        number = value
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            raise ValidationError(f"{name} is too large for a float") from None
+    else:
         raise ValidationError(f"{name} must be a number, got {value!r}")
-    try:
-        float(value)
-    except OverflowError:
-        raise ValidationError(f"{name} is too large for a float") from None
+    # The default ends are infinite and open, so NaN and infinities fail too.
+    if gt < number < lt and ge <= number <= le:
+        return number
+    if not math.isfinite(number):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    ends = [(bracket, op, bound) for bracket, op, bound in (
+        ("(", ">", gt), ("[", ">=", ge), (")", "<", lt), ("]", "<=", le)) if math.isfinite(bound)]
+    if len(ends) == 2:
+        (left, _, low), (right, _, high) = ends
+        rule = f"in {left}{low:g}, {high:g}{right}"
+    else:
+        (_, op, bound), = ends
+        rule = f"{op} {bound:g}"
+    raise ValidationError(f"{name} must be {rule}, got {value!r}")
 
 
 # Raw stage outputs are clipped here before rounding, so rounding always sees
@@ -104,7 +115,7 @@ def round_distance(raw: float) -> int:
     every odd integer, so stage two would read another distance than the one
     recommended.
     """
-    value = _check_positive_finite(raw, "raw distance")
+    value = check_number("raw distance", raw, gt=0.0)
     if value >= 2.0 ** 53:
         raise ValidationError(f"raw distance must be below 2**53, got {value!r}")
     rounded = math.ceil(max(value, 3.0))
@@ -115,7 +126,7 @@ def round_distance(raw: float) -> int:
 
 def round_rounds(raw: float) -> int:
     """Ceiling of ``raw``, floored at 1."""
-    value = _check_positive_finite(raw, "raw rounds")
+    value = check_number("raw rounds", raw, gt=0.0)
     return max(1, math.ceil(value))
 
 
@@ -155,10 +166,7 @@ class DatasetRecord:
     def __post_init__(self):
         if not isinstance(self.noise, NoiseProfile):
             raise ValidationError(f"noise must be a NoiseProfile, got {type(self.noise).__name__}")
-        ler = self.logical_error_rate
-        check_number("logical_error_rate", ler)
-        if not math.isfinite(ler) or not 0.0 < ler <= 1.0:
-            raise ValidationError(f"logical_error_rate out of range (0, 1]: {ler!r}")
+        check_number("logical_error_rate", self.logical_error_rate, gt=0.0, le=1.0)
 
 
 def _frozen(value, dtype) -> np.ndarray:
@@ -295,10 +303,7 @@ class PredictionRequest:
     def __post_init__(self):
         if not isinstance(self.noise, NoiseProfile):
             raise ValidationError(f"noise must be a NoiseProfile, got {type(self.noise).__name__}")
-        target = self.target_logical_error_rate
-        check_number("target rate", target)
-        if not math.isfinite(target) or not 0.0 < target < 1.0:
-            raise ValidationError(f"target rate out of range (0, 1): {target!r}")
+        check_number("target rate", self.target_logical_error_rate, gt=0.0, lt=1.0)
 
 
 @dataclass(frozen=True)
@@ -333,9 +338,7 @@ class HeuristicWeights:
     def __post_init__(self):
         values = (self.w_gate, self.w_depol, self.w_readout, self.w_reset)
         for name, value in zip(("w_gate", "w_depol", "w_readout", "w_reset"), values):
-            check_number(name, value)
-            if not math.isfinite(value) or value < 0.0:
-                raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+            check_number(name, value, ge=0.0)
         if abs(sum(values) - 1.0) > 1e-9:
             raise ValidationError(f"weights must sum to 1, got {sum(values)!r}")
         if not (self.w_gate > self.w_depol > self.w_readout > self.w_reset):

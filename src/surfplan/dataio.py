@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    PROFILE_FIELDS,
     CodeParams,
     Dataset,
     DatasetRecord,
@@ -214,7 +215,9 @@ class CalibrationSnapshot:
 
 
 def read_calibration(path: str | os.PathLike) -> CalibrationSnapshot:
-    """Load a calibration snapshot; the keys must match the schema exactly."""
+    """Load a calibration snapshot. The keys must match the schema exactly,
+    ``device`` and ``timestamp`` must be strings, and each rate must pass
+    ``check_number`` (a finite number) before the profile checks its range."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -231,18 +234,12 @@ def read_calibration(path: str | os.PathLike) -> CalibrationSnapshot:
         if not isinstance(data[key], str):
             raise DataFormatError(
                 f"calibration key '{key}' must be a string, got {type(data[key]).__name__}")
-    for key in ("depolarizing", "gate", "reset", "readout"):
-        try:
-            check_number(f"calibration key '{key}'", data[key])
-        except ValidationError as exc:
-            raise DataFormatError(str(exc)) from None
-    return CalibrationSnapshot(
-        device=data["device"],
-        timestamp=data["timestamp"],
-        profile=NoiseProfile(
-            depolarizing=float(data["depolarizing"]), gate=float(data["gate"]),
-            reset=float(data["reset"]), readout=float(data["readout"])),
-    )
+    try:
+        rates = [check_number(f"calibration key '{key}'", data[key]) for key in PROFILE_FIELDS]
+    except ValidationError as exc:
+        raise DataFormatError(str(exc)) from None
+    return CalibrationSnapshot(device=data["device"], timestamp=data["timestamp"],
+                               profile=NoiseProfile(*rates))
 
 
 # -- report files -----------------------------------------------------------

@@ -59,10 +59,7 @@ class SplitConfig:
     seed: int = 42
 
     def __post_init__(self):
-        check_number("test_fraction", self.test_fraction)
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValidationError(
-                f"test_fraction must be in (0, 1), got {self.test_fraction!r}")
+        check_number("test_fraction", self.test_fraction, gt=0.0, lt=1.0)
         check_int("seed", self.seed, 0)
 
 

@@ -10,7 +10,6 @@ index, so models are bit-identical for identical data, config, and seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -68,15 +67,9 @@ class BoostConfig:
 
     def __post_init__(self):
         _check_estimators(self.n_estimators)
-        check_number("learning_rate", self.learning_rate)
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValidationError(
-                f"learning_rate must be in (0, 1], got {self.learning_rate!r}")
+        check_number("learning_rate", self.learning_rate, gt=0.0, le=1.0)
         if self.base_score is not None:
             check_number("base_score", self.base_score)
-            if not math.isfinite(self.base_score):
-                raise ValidationError(
-                    f"base_score must be finite or None, got {self.base_score!r}")
 
 
 @dataclass

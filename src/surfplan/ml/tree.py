@@ -55,9 +55,7 @@ class TreeConfig:
         check_int("max_depth", self.max_depth, 1)
         check_int("min_samples_split", self.min_samples_split, 2)
         check_int("min_child_weight", self.min_child_weight, 1)
-        check_number("gamma", self.gamma)
-        if not self.gamma >= 0.0:
-            raise ValidationError(f"gamma must be >= 0, got {self.gamma!r}")
+        check_number("gamma", self.gamma, ge=0.0)
 
 
 @dataclass

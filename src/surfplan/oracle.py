@@ -20,8 +20,7 @@ of ``NoiseProfile`` and ``CodeParams``.
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -68,38 +67,26 @@ class OracleConfig:
     physical rate beyond which the code stops helping, the channel weights
     combine the four rates into one effective rate, ``decoherence`` scales the
     per-extra-round penalty, and ``floor`` is the smallest reportable rate.
-    Every constant must be a finite number, and is stored as a float, so the
-    scalar and the array oracle compute in the same type (an int past int64
-    cannot multiply an int64 array).
+    Every constant must be a finite number, inside the interval its field's
+    metadata gives or else >= 0, and is stored as a float, so the scalar and
+    the array oracle compute in the same type (an int past int64 cannot
+    multiply an int64 array).
     """
 
-    amplitude: float = 0.1
-    threshold: float = 0.01
+    amplitude: float = field(default=0.1, metadata={"gt": 0.0, "le": 1.0})
+    threshold: float = field(default=0.01, metadata={"gt": 0.0, "lt": 1.0})
     gate_weight: float = 0.5
     depolarizing_weight: float = 0.3
     readout_weight: float = 0.15
     reset_weight: float = 0.05
     decoherence: float = 1.0
-    floor: float = 1e-15
+    floor: float = field(default=1e-15, metadata={"gt": 0.0})
 
     def __post_init__(self):
         for item in fields(self):
-            value = getattr(self, item.name)
-            check_number(item.name, value)
-            if not math.isfinite(value):
-                raise ValidationError(f"{item.name} must be finite, got {value!r}")
-            object.__setattr__(self, item.name, float(value))
-        if not 0.0 < self.amplitude <= 1.0:
-            raise ValidationError(f"amplitude must be in (0, 1], got {self.amplitude!r}")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValidationError(f"threshold must be in (0, 1), got {self.threshold!r}")
-        if self.floor <= 0.0:
-            raise ValidationError(f"floor must be > 0, got {self.floor!r}")
-        for name in ("decoherence", "gate_weight", "depolarizing_weight", "readout_weight",
-                     "reset_weight"):
-            value = getattr(self, name)
-            if value < 0.0:
-                raise ValidationError(f"{name} must be >= 0, got {value!r}")
+            interval = item.metadata or {"ge": 0.0}
+            object.__setattr__(self, item.name,
+                               check_number(item.name, getattr(self, item.name), **interval))
 
 
 # The most (distance, rounds) points a sweep may visit per profile, and the
@@ -114,12 +101,8 @@ MAX_SWEEP_CELLS = 10_000_000
 def _check_range(name: str, bounds: tuple[float, float]) -> None:
     if not isinstance(bounds, tuple) or len(bounds) != 2:
         raise ValidationError(f"{name} must be a pair (lo, hi), got {bounds!r}")
-    for value in bounds:
-        check_number(name, value)
-    lo, hi = bounds
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValidationError(f"{name} bounds must be finite, got {bounds!r}")
-    if not 0.0 <= lo <= hi < 1.0:
+    lo, hi = (check_number(name, value, ge=0.0, lt=1.0) for value in bounds)
+    if lo > hi:
         raise ValidationError(f"{name} must satisfy 0 <= lo <= hi < 1, got {bounds!r}")
 
 
@@ -160,10 +143,7 @@ class SweepConfig:
         if self.rounds_min > self.rounds_max:
             raise ValidationError(
                 f"need rounds_min <= rounds_max, got {self.rounds_min}..{self.rounds_max}")
-        check_number("termination_rate", self.termination_rate)
-        if not 0.0 < self.termination_rate < 1.0:
-            raise ValidationError(
-                f"termination_rate must be in (0, 1), got {self.termination_rate!r}")
+        check_number("termination_rate", self.termination_rate, gt=0.0, lt=1.0)
         _check_range("depolarizing_range", self.depolarizing_range)
         _check_range("gate_range", self.gate_range)
         _check_range("readout_range", self.readout_range)

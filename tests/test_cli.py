@@ -542,8 +542,11 @@ def test_non_string_calibration_field_exits_2(capsys, tmp_path, trained_model, k
 
 @pytest.mark.parametrize("source", ["flags", "calibration"])
 @pytest.mark.parametrize("rates,message", [
-    (("2e-4", "1.5", "5e-4", "3e-3"), "gate out of range [0, 1): 1.5"),
-    (("2e-4", "-1e-3", "5e-4", "3e-3"), "gate out of range [0, 1): -0.001"),
+    # These keep the ids their earlier messages gave them.
+    pytest.param(("2e-4", "1.5", "5e-4", "3e-3"), "gate must be in [0, 1), got 1.5",
+                 id="rates0-gate out of range [0, 1): 1.5"),
+    pytest.param(("2e-4", "-1e-3", "5e-4", "3e-3"), "gate must be in [0, 1), got -0.001",
+                 id="rates1-gate out of range [0, 1): -0.001"),
     (("2e-4", "nan", "5e-4", "3e-3"), "gate must be finite, got nan"),
     (("0", "0", "0", "0"), "all-zero noise profile")])
 def test_bad_rate_exits_2_with_the_profile_message(capsys, tmp_path, trained_model, source,
@@ -557,6 +560,9 @@ def test_bad_rate_exits_2_with_the_profile_message(capsys, tmp_path, trained_mod
             "device": "backend_a", "timestamp": "2026-08-01T00:00:00Z",
             **dict(zip(("depolarizing", "gate", "reset", "readout"), map(float, rates)))}))
         profile = ["--calibration", str(snap)]
+        if message == "gate must be finite, got nan":
+            # The snapshot reader checks each rate is a finite number first.
+            message = "calibration key 'gate' must be finite, got nan"
     code, out, err = run_cli(capsys, "predict", "--model", trained_model, *profile,
                              "--target", "1e-6")
     assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -664,7 +670,8 @@ def _empty_first_block(model):
     ("heuristic", _empty_first_block, "'block_lengths' must be >= 1"),
     ("heuristic", lambda m: m["block_lengths"].__setitem__(0, 2 ** 62),
      "'block_lengths' must be >= 1 and sum to the record count"),
-    ("heuristic", lambda m: m["profiles"][0].__setitem__(1, 1.0), "gate out of range [0, 1): 1.0"),
+    ("heuristic", lambda m: m["profiles"][0].__setitem__(1, 1.0),
+     "gate must be in [0, 1), got 1.0"),
     ("heuristic", lambda m: m["distance"].__setitem__(0, 4), "distance must be odd, got 4"),
 ], ids=["tree_of_past_the_trees", "negative_tree_of", "non_canonical_tree_of",
         "tree_of_past_max_estimators", "node_counts_off_by_one", "node_count_2**62",
@@ -817,12 +824,17 @@ def test_io_failure_exits_1_with_one_line(capsys, tmp_path, trained_model, small
 @pytest.mark.parametrize("command, target", [
     ("evaluate", "blocker"), ("evaluate", "blocker/sub"), ("compare", "blocker"),
     ("train", "missing/model.json"), ("train", "directory"),
+    ("generate", "missing/data.csv"), ("generate", "directory"),
+    ("generate", "blocker/data.csv"),
+    ("evaluate", ""), ("compare", ""), ("generate", ""), ("evaluate-config", ""),
 ])
 def test_unusable_output_fails_before_the_work(capsys, tmp_path, monkeypatch, trained_model,
                                                small_dataset, small_config, command, target):
     # An output location that cannot be written fails before the model or
-    # the dataset is read, so nothing is labeled, fitted or scored first, and
-    # nothing is created.
+    # the dataset is read or generated, so nothing is labeled, fitted or
+    # scored first, and nothing is created. An empty path names nothing,
+    # and ``evaluate-config`` takes it from the config's ``paths.out_dir``.
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "blocker").write_text("not a directory")
     (tmp_path / "directory").mkdir()
 
@@ -831,19 +843,28 @@ def test_unusable_output_fails_before_the_work(capsys, tmp_path, monkeypatch, tr
 
     for module, name in ((models, "fit_named_model"), (cli, "fit_named_model"),
                          (evaluate, "evaluate_model"), (cli, "evaluate_model"),
-                         (cli, "load_model"), (cli, "read_dataset_csv")):
+                         (cli, "load_model"), (cli, "read_dataset_csv"),
+                         (cli, "generate_dataset")):
         monkeypatch.setattr(module, name, fail)
-    out = str(tmp_path / target)
-    argv = {"train": ["train", "--out-model", out],
-            "evaluate": ["evaluate", "--model", trained_model, "--out-dir", out],
-            "compare": ["compare", "--out-dir", out]}[command]
-    code, stdout, err = run_cli(capsys, *argv, "--data", small_dataset,
-                                "--config", small_config)
+    out = str(tmp_path / target) if target else ""
+    config = small_config
+    if command == "evaluate-config":
+        with open(small_config, encoding="utf-8") as handle:
+            values = {**json.load(handle), "paths": {"out_dir": ""}}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+    before = sorted(tmp_path.rglob("*"))
+    argv = {"train": ["train", "--data", small_dataset, "--out-model", out],
+            "evaluate": ["evaluate", "--model", trained_model, "--data", small_dataset,
+                         "--out-dir", out],
+            "evaluate-config": ["evaluate", "--model", trained_model, "--data", small_dataset],
+            "compare": ["compare", "--data", small_dataset, "--out-dir", out],
+            "generate": ["generate", "--out", out]}[command]
+    code, stdout, err = run_cli(capsys, *argv, "--config", str(config))
     assert (code, stdout) == (1, "")
     assert err.startswith("i/o error: ") and err.count("\n") == 1
     assert "Traceback" not in err
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["blocker", "directory"]
-    assert not any((tmp_path / "directory").iterdir())
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_compare_rejects_an_empty_test_split_before_fitting(capsys, tmp_path, monkeypatch):

@@ -137,32 +137,49 @@ def test_library_rejects_what_the_config_file_rejects(tmp_path, payload):
         load_config(_write(tmp_path, payload))
 
 
+def _kept(payload, message, old_message):
+    """A row whose message changed, under the id its earlier message gave it."""
+    return pytest.param(payload, message, id=f"{payload!r}-{old_message!r}")
+
+
 # Well-typed values that break a value rule, each with the start of the rule's
 # message, which names the key it is about.
 OUT_OF_RANGE_VALUES = [
     ({"targets": []}, "targets must be a non-empty list"),
-    ({"targets": [2.0]}, "target 2.0 out of range"),
-    ({"targets": [1]}, "target 1 out of range"),
-    ({"heuristic_weights": {"w_reset": -0.1}}, "w_reset must be finite and >= 0"),
-    ({"heuristic_weights": {"w_gate": math.inf}}, "w_gate must be finite and >= 0"),
-    ({"heuristic_weights": {"w_depol": math.nan}}, "w_depol must be finite and >= 0"),
+    _kept({"targets": [2.0]}, "target must be in (0, 1), got 2.0", "target 2.0 out of range"),
+    _kept({"targets": [1]}, "target must be in (0, 1), got 1", "target 1 out of range"),
+    _kept({"heuristic_weights": {"w_reset": -0.1}}, "w_reset must be >= 0, got -0.1",
+          "w_reset must be finite and >= 0"),
+    _kept({"heuristic_weights": {"w_gate": math.inf}}, "w_gate must be finite, got inf",
+          "w_gate must be finite and >= 0"),
+    _kept({"heuristic_weights": {"w_depol": math.nan}}, "w_depol must be finite, got nan",
+          "w_depol must be finite and >= 0"),
     ({"split": {"test_fraction": 0.0}}, "test_fraction must be in (0, 1)"),
     ({"split": {"test_fraction": 1.0}}, "test_fraction must be in (0, 1)"),
     ({"stage1": {"learning_rate": 0.0}}, "learning_rate must be in (0, 1]"),
     ({"stage1": {"learning_rate": 1.5}}, "learning_rate must be in (0, 1]"),
     ({"stage1": {"gamma": -0.5}}, "gamma must be >= 0"),
-    ({"stage2": {"gamma": math.nan}}, "gamma must be >= 0"),
-    ({"sweep": {"gate_range": [0.0, math.inf]}}, "gate_range bounds must be finite"),
-    ({"sweep": {"reset_range": [math.nan, 0.1]}}, "reset_range bounds must be finite"),
+    _kept({"stage2": {"gamma": math.nan}}, "gamma must be finite, got nan", "gamma must be >= 0"),
+    _kept({"sweep": {"gate_range": [0.0, math.inf]}}, "gate_range must be finite, got inf",
+          "gate_range bounds must be finite"),
+    _kept({"sweep": {"reset_range": [math.nan, 0.1]}}, "reset_range must be finite, got nan",
+          "reset_range bounds must be finite"),
     ({"sweep": {"readout_range": [0.2, 0.1]}}, "readout_range must satisfy 0 <= lo <= hi < 1"),
-    ({"sweep": {"depolarizing_range": [0.0, 1.0]}},
-     "depolarizing_range must satisfy 0 <= lo <= hi < 1"),
+    _kept({"sweep": {"depolarizing_range": [0.0, 1.0]}},
+          "depolarizing_range must be in [0, 1), got 1.0",
+          "depolarizing_range must satisfy 0 <= lo <= hi < 1"),
     ({"sweep": {"distances": []}}, "distances must be non-empty"),
     ({"sweep": {"distances": [5, 3]}}, "distances must be strictly increasing"),
     ({"sweep": {"distances": [3, 3]}}, "distances must be strictly increasing"),
     ({"sweep": {"rounds_min": 5, "rounds_max": 4}}, "need rounds_min <= rounds_max"),
     ({"sweep": {"termination_rate": 0.0}}, "termination_rate must be in (0, 1)"),
     ({"sweep": {"termination_rate": 1.0}}, "termination_rate must be in (0, 1)"),
+    ({"oracle": {"amplitude": 0.0}}, "amplitude must be in (0, 1], got 0.0"),
+    ({"oracle": {"amplitude": 1.5}}, "amplitude must be in (0, 1], got 1.5"),
+    ({"oracle": {"threshold": 1.0}}, "threshold must be in (0, 1), got 1.0"),
+    ({"oracle": {"floor": 0.0}}, "floor must be > 0, got 0.0"),
+    ({"oracle": {"decoherence": -1.0}}, "decoherence must be >= 0, got -1.0"),
+    ({"stage1": {"gamma": math.inf}}, "gamma must be finite, got inf"),
 ]
 
 

@@ -1,7 +1,11 @@
 import math
+import operator
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfplan import (
     CodeParams,
@@ -14,6 +18,7 @@ from surfplan import (
     round_distance,
     round_rounds,
 )
+from surfplan.core import check_number
 from surfplan.heuristics import _scalarized
 
 
@@ -44,9 +49,13 @@ class TestValidateProfile:
         ((float("nan"), 1e-3, 0, 0), "depolarizing must be finite, got nan"),
         ((1e-4, float("inf"), 0, 0), "gate must be finite, got inf"),
         ((1e-4, 1e-3, float("-inf"), 0), "reset must be finite, got -inf"),
-        ((1e-4, 1e-3, -1e-4, 0), "reset out of range [0, 1): -0.0001"),
-        ((1e-4, 1e-3, 0, 1.0), "readout out of range [0, 1): 1.0"),
-        ((1e-4, 1e-3, 0, 1.5), "readout out of range [0, 1): 1.5"),
+        # These keep the ids their earlier messages gave them.
+        pytest.param((1e-4, 1e-3, -1e-4, 0), "reset must be in [0, 1), got -0.0001",
+                     id="rates3-reset out of range [0, 1): -0.0001"),
+        pytest.param((1e-4, 1e-3, 0, 1.0), "readout must be in [0, 1), got 1.0",
+                     id="rates4-readout out of range [0, 1): 1.0"),
+        pytest.param((1e-4, 1e-3, 0, 1.5), "readout must be in [0, 1), got 1.5",
+                     id="rates5-readout out of range [0, 1): 1.5"),
         ((0.0, -0.0, 0, 0), "all-zero noise profile"),
         ((True, 1e-3, 0, 0), "depolarizing must be a number, got True"),
         (("1e-3", 1e-3, 0, 0), "depolarizing must be a number, got '1e-3'"),
@@ -205,3 +214,63 @@ class TestTypes:
                                          (2.0 ** 53, 1.0)):
             with pytest.raises(ValidationError):
                 PredictionResult(raw_distance=raw_distance, raw_rounds=raw_rounds)
+
+
+def _reference_number(value, ends):
+    """The number rule written out plainly: the float, or None to reject."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    if not math.isfinite(number) or not all(
+            getattr(operator, end)(number, bound) for end, bound in ends.items()):
+        return None
+    return number
+
+
+def _ends(kinds):
+    return st.one_of(st.just({}), st.builds(lambda kind, bound: {kind: bound},
+                                            st.sampled_from(kinds), st.floats(-2.0, 2.0)))
+
+
+MESSAGE_CASES = [
+    (math.nan, {"gt": 0.0}, "x must be finite, got nan"),
+    (-math.inf, {}, "x must be finite, got -inf"),
+    (1.0, {"ge": 0.0, "lt": 1.0}, "x must be in [0, 1), got 1.0"),
+    (0, {"gt": 0.0, "le": 1.0}, "x must be in (0, 1], got 0"),
+    (1.5, {"gt": 0.0, "lt": 1.0}, "x must be in (0, 1), got 1.5"),
+    (-1.0, {"ge": 0.0}, "x must be >= 0, got -1.0"),
+    (0.0, {"gt": 0.0}, "x must be > 0, got 0.0"),
+    (2.0, {"lt": 1.0}, "x must be < 1, got 2.0"),
+    (2.5, {"le": 2.0}, "x must be <= 2, got 2.5"),
+]
+
+
+class TestCheckNumber:
+    """``check_number`` is the one number rule of every config and domain value."""
+
+    @settings(max_examples=400)
+    @given(value=st.one_of(
+        st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, math.inf]),
+        st.floats().map(np.float64), st.integers(-2 ** 1100, 2 ** 1100), st.integers(-3, 3),
+        st.booleans(), st.text(max_size=3), st.none()),
+        lower=_ends(["gt", "ge"]), upper=_ends(["lt", "le"]))
+    def test_matches_the_reference_rule(self, value, lower, upper):
+        ends = {**lower, **upper}
+        expected = _reference_number(value, ends)
+        if expected is None:
+            with pytest.raises(ValidationError, match="^x "):
+                check_number("x", value, **ends)
+        else:
+            got = check_number("x", value, **ends)
+            assert type(got) is float
+            assert struct.pack("<d", got) == struct.pack("<d", expected)
+
+    @pytest.mark.parametrize("value, ends, message", MESSAGE_CASES,
+                             ids=[message for _, _, message in MESSAGE_CASES])
+    def test_messages(self, value, ends, message):
+        with pytest.raises(ValidationError) as caught:
+            check_number("x", value, **ends)
+        assert str(caught.value) == message

@@ -266,8 +266,8 @@ class TestColumns:
 
     def test_record_faults_are_named_code_point_then_profile_then_rate(self, tmp_path):
         faults = [("-1e-4", "4", "0", "distance must be odd, got 4"),
-                  ("-1e-4", "3", "0", "depolarizing out of range [0, 1): -0.0001"),
-                  ("1e-4", "3", "0", "logical_error_rate out of range (0, 1]: 0.0")]
+                  ("-1e-4", "3", "0", "depolarizing must be in [0, 1), got -0.0001"),
+                  ("1e-4", "3", "0", "logical_error_rate must be in (0, 1], got 0.0")]
         path = tmp_path / "faults.csv"
         for depolarizing, distance, ler, message in faults:
             with pytest.raises(ValidationError) as got:
