@@ -7,12 +7,12 @@ errs on the side of more protection rather than less. A ``PredictionResult``
 takes the raw pair and derives the rounded one by these rules; a raw distance
 at or above 2**53, past which a float64 skips odd integers, is rejected.
 
-Each type checks itself when built, and every number passes the one rule
-``check_number``; ``check_profile_table``, ``invalid_profiles`` and
-``check_code_point`` apply the ``Dataset``, ``NoiseProfile`` and
-``CodeParams`` rules to a rate table and to a bare (distance, rounds). A
-dataset travels as a ``Dataset``: one column per field, checked column by
-column, rather than one ``DatasetRecord`` object per row.
+Each type checks itself when built, every number passes the one rule
+``check_number`` and every integer ``check_int``; ``check_profile_table``,
+``invalid_profiles`` and ``check_code_point`` apply the ``Dataset``,
+``NoiseProfile`` and ``CodeParams`` rules to a rate table and to a bare
+(distance, rounds). A dataset travels as a ``Dataset``: one column per field,
+checked column by column, rather than one ``DatasetRecord`` object per row.
 """
 
 from __future__ import annotations
@@ -62,12 +62,15 @@ def invalid_profiles(table: np.ndarray) -> np.ndarray:
             | (table == 0.0).all(axis=1))
 
 
-def check_int(name: str, value, minimum: int) -> None:
-    """Reject bools, non-integers and integers below ``minimum``."""
+def check_int(name: str, value, minimum: int, maximum: int | None = None) -> None:
+    """Reject bools, non-integers, and integers below ``minimum`` or above
+    ``maximum``."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ValidationError(f"{name} must be <= {maximum}, got {value!r}")
 
 
 def check_number(name: str, value, *, gt=-math.inf, ge=-math.inf, lt=math.inf,
@@ -132,16 +135,10 @@ def round_rounds(raw: float) -> int:
 
 def check_code_point(distance: int, rounds: int) -> None:
     """The rule of ``CodeParams``, without building one."""
-    if not isinstance(distance, int) or isinstance(distance, bool):
-        raise ValidationError(f"distance must be an integer, got {distance!r}")
-    if not isinstance(rounds, int) or isinstance(rounds, bool):
-        raise ValidationError(f"rounds must be an integer, got {rounds!r}")
-    if distance < 3:
-        raise ValidationError(f"distance must be >= 3, got {distance}")
+    check_int("distance", distance, 3)
     if distance % 2 == 0:
         raise ValidationError(f"distance must be odd, got {distance}")
-    if rounds < 1:
-        raise ValidationError(f"rounds must be >= 1, got {rounds}")
+    check_int("rounds", rounds, 1)
 
 
 @dataclass(frozen=True)

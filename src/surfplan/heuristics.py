@@ -23,9 +23,10 @@ A model holds the training state it was fitted from, and the state is the
 one place that derives arrays from the records. ``HeuristicTraining`` takes
 one set of training records and weights and derives their columns and each
 record's log10 rate when it is built. The rest it derives the first time a
-model asks, and keeps: each stage's scaler and standardized columns (stage 1
-per weighted flag, stage 2 once) for the neighbor models, and for the
-interpolators the stage-1 axis per weighted flag and each record's decade.
+model asks, and keeps in its memo: each stage's scaler and standardized
+columns (stage 1 per weighted flag, stage 2 once) for the neighbor models,
+and for the interpolators the stage-1 axis per weighted flag and each
+record's decade.
 ``fit_heuristic`` builds a state for its one kind; a model comparison hands
 the first heuristic's state to ``models.fit_named_model`` for every heuristic
 after it, so this per-dataset work is done once per comparison, not once per
@@ -52,10 +53,10 @@ neighbor models share stage 2. An interpolator's stage-2 answer is kept under
 reads the distance axis, the rounds and the decades, which both flags share.
 The aggregated points of a decade selection are kept under ("pairs", stage,
 the weighted flag in stage 1 or None in stage 2, the decades). A hit returns
-what a miss computes, so every answer keeps its bits. The memo holds at most
-``MEMO_ENTRIES`` entries and is emptied when full, so a long-lived model
-cannot grow it without limit. The derived arrays are kept apart from it, so
-emptying the memo never drops them.
+what a miss computes, so every answer keeps its bits, and every array in it
+is read-only. The memo holds at most ``MEMO_ENTRIES`` entries and is emptied
+when full, so a long-lived model cannot grow it without limit; an emptied
+derived array is derived again, bit for bit, when next asked for.
 """
 
 from __future__ import annotations
@@ -174,10 +175,7 @@ def _nearest(columns, query) -> tuple[np.ndarray, np.ndarray]:
     neighbor method needs of a query."""
     distances = _distances(columns, query)
     rows = _k_nearest(distances, min(IDW_NEIGHBORS, distances.shape[0]))
-    nearest = rows, distances[rows]
-    for array in nearest:
-        array.flags.writeable = False
-    return nearest
+    return rows, distances[rows]
 
 
 def _neighbor_label(method: str, labels: np.ndarray, rows: np.ndarray,
@@ -270,6 +268,17 @@ def _stage1_columns(weighted: bool, weights: HeuristicWeights, rates, log_ler) -
     return ([_scalarized(weights, rates)] if weighted else list(rates)) + [log_ler]
 
 
+def _read_only(answer):
+    """``answer``, with every array in it, at any depth of tuples, made
+    read-only."""
+    if isinstance(answer, np.ndarray):
+        answer.flags.writeable = False
+    elif isinstance(answer, tuple):
+        for part in answer:
+            _read_only(part)
+    return answer
+
+
 def _standardized_columns(columns, scaler: Standardizer) -> tuple:
     # A training column comes out as a fresh contiguous array, a float as a float.
     return tuple((column - mean) / scale
@@ -283,10 +292,10 @@ class HeuristicTraining:
     records' columns, read-only and shared by the models fitted from it, and
     each record's log10 rate, at construction; each stage's scaler and
     standardized columns, the interpolators' stage-1 axes and the records'
-    decades, each the first time a model asks, kept for every later ask.
-    ``recall`` memoises the models' answers to repeated queries. Two states
-    are equal when their records and weights are; the rest derives from
-    them."""
+    decades, each the first time a model asks. ``recall`` keeps these and
+    the models' answers to repeated queries in one bounded memo, and makes
+    every array it hands out read-only. Two states are equal when their
+    records and weights are; the rest derives from them."""
 
     records: Dataset
     weights: HeuristicWeights
@@ -296,10 +305,6 @@ class HeuristicTraining:
     log_ler: np.ndarray = field(init=False, compare=False)
     distance: np.ndarray = field(init=False, compare=False)
     rounds: np.ndarray = field(init=False, compare=False)
-    # The arrays derived when first asked for, apart from the memo so that
-    # emptying it keeps them: at most three standardized stages, two axes and
-    # the decades.
-    _derived: dict = field(init=False, repr=False, compare=False)
     # Query key -> answer, at most MEMO_ENTRIES of them; see ``recall``.
     _memo: dict = field(init=False, repr=False, compare=False)
 
@@ -314,15 +319,7 @@ class HeuristicTraining:
                              ("rounds", records.rounds.astype(np.float64))):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        object.__setattr__(self, "_derived", {})
         object.__setattr__(self, "_memo", {})
-
-    def _derive(self, key: tuple, derive):
-        """What is kept under ``key``; on the first ask, ``derive()``'s."""
-        derived = self._derived
-        if key not in derived:
-            derived[key] = derive()
-        return derived[key]
 
     def labels(self, stage: int) -> np.ndarray:
         """What stage ``stage`` predicts: the distance (0), then the rounds."""
@@ -331,50 +328,41 @@ class HeuristicTraining:
     def standardized(self, stage: int, weighted: bool) -> tuple[Standardizer, tuple]:
         """The scaler and standardized training columns of stage ``stage``:
         stage 1's under the ``weighted`` flag, stage 2's shared by both."""
-        flag = None if stage else weighted
 
         def fit():
             columns = ((self.distance, self.log_ler) if stage else
                        _stage1_columns(weighted, self.weights, self.noise.T, self.log_ler))
             scaler = Standardizer.fit(np.column_stack(columns))
-            standardized = _standardized_columns(columns, scaler)
-            for column in standardized:
-                column.flags.writeable = False
-            return scaler, standardized
+            return scaler, _standardized_columns(columns, scaler)
 
-        return self._derive(("standardized", flag), fit)
+        return self.recall(("standardized", None if stage else weighted), fit)
 
     def axis(self, stage: int, weighted: bool) -> np.ndarray:
         """The interpolators' axis of stage ``stage``: stage 1's under the
         ``weighted`` flag, the distance in stage 2."""
         if stage:
             return self.distance
-
-        def derive():
-            axis = _stage1_axis(weighted, self.weights, self.noise.T)
-            axis.flags.writeable = False
-            return axis
-
-        return self._derive(("axis", weighted), derive)
+        return self.recall(("axis", weighted),
+                           lambda: _stage1_axis(weighted, self.weights, self.noise.T))
 
     def decades(self) -> tuple[np.ndarray, tuple[int, ...]]:
         """Each record's rint(log10 rate), and the distinct decades."""
 
         def derive():
             decades = np.rint(self.log_ler).astype(np.int64)
-            decades.flags.writeable = False
             return decades, tuple(np.unique(decades).tolist())
 
-        return self._derive(("decades",), derive)
+        return self.recall(("decades",), derive)
 
     def recall(self, key: tuple, compute):
         """The answer memoised under ``key``; on a miss, ``compute()``'s,
-        memoised. A key must name everything its answer depends on beyond this
-        state. The memo is emptied when it holds ``MEMO_ENTRIES`` answers."""
+        with every array in it made read-only, memoised. A key must name
+        everything its answer depends on beyond this state. The memo is
+        emptied when it holds ``MEMO_ENTRIES`` answers."""
         memo = self._memo
         answer = memo.get(key)
         if answer is None:
-            answer = compute()
+            answer = _read_only(compute())
             if len(memo) >= MEMO_ENTRIES:
                 memo.clear()
             memo[key] = answer
@@ -414,9 +402,7 @@ class HeuristicModel:
             counts = np.zeros(unique_x.size)
             np.add.at(sums, inverse, labels[mask])
             np.add.at(counts, inverse, 1.0)
-            pairs = np.column_stack([unique_x, sums / counts])
-            pairs.flags.writeable = False
-            return pairs
+            return np.column_stack([unique_x, sums / counts])
 
         flag = self.kind.weighted if stage == 0 else None
         return training.recall(("pairs", stage, flag, tuple(sorted(chosen))), aggregate)

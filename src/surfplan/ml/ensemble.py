@@ -21,6 +21,7 @@ from .tree import (
     TreeModel,
     _as_feature_matrix,
     _as_targets,
+    _training_set,
     grow_tree,
     pack_trees,
     presort,
@@ -36,12 +37,6 @@ MAX_ESTIMATORS = 10_000
 STACK_ROWS = 1 << 16
 
 
-def _check_estimators(value) -> None:
-    check_int("n_estimators", value, 1)
-    if value > MAX_ESTIMATORS:
-        raise ValidationError(f"n_estimators must be <= {MAX_ESTIMATORS}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ForestConfig:
     n_estimators: int = 10
@@ -51,7 +46,7 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_estimators(self.n_estimators)
+        check_int("n_estimators", self.n_estimators, 1, MAX_ESTIMATORS)
         if not isinstance(self.bootstrap, bool):
             raise ValidationError(f"bootstrap must be true or false, got {self.bootstrap!r}")
         check_int("seed", self.seed, 0)
@@ -66,21 +61,24 @@ class BoostConfig:
     base_score: Optional[float] = None  # None: use the training-target mean
 
     def __post_init__(self):
-        _check_estimators(self.n_estimators)
+        check_int("n_estimators", self.n_estimators, 1, MAX_ESTIMATORS)
         check_number("learning_rate", self.learning_rate, gt=0.0, le=1.0)
         if self.base_score is not None:
             check_number("base_score", self.base_score)
 
 
-@dataclass
-class ForestModel:
-    trees: tuple[TreeModel, ...]
-    n_features: int
+class _Ensemble:
+    """A model of several trees, which predicts through their packing: built
+    at fit and at load alike, never serialized, compared or shown."""
 
     def __post_init__(self):
-        # The trees' packing, built here at fit and at load alike; never
-        # serialized, compared or shown.
         self._packed = pack_trees(self.trees)
+
+
+@dataclass
+class ForestModel(_Ensemble):
+    trees: tuple[TreeModel, ...]
+    n_features: int
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         features = _as_feature_matrix(features, self.n_features)
@@ -88,16 +86,11 @@ class ForestModel:
 
 
 @dataclass
-class BoostedModel:
+class BoostedModel(_Ensemble):
     trees: tuple[TreeModel, ...]
     learning_rate: float
     base_score: float
     n_features: int
-
-    def __post_init__(self):
-        # The trees' packing, built here at fit and at load alike; never
-        # serialized, compared or shown.
-        self._packed = pack_trees(self.trees)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         features = _as_feature_matrix(features, self.n_features)
@@ -113,10 +106,7 @@ def fit_forest(features, targets, config: ForestConfig = ForestConfig()) -> Fore
     Without bootstrap every tree would see the same rows, and ``grow_tree``
     is deterministic, so one tree is grown and repeated.
     """
-    mat = _as_feature_matrix(features)
-    if mat.shape[0] == 0:
-        raise ValidationError("cannot fit a forest on an empty dataset")
-    y = _as_targets(targets, mat.shape[0])
+    mat, y = _training_set(features, targets, "a forest")
     n = mat.shape[0]
     if not config.bootstrap:
         trees = grow_tree(mat, y, presort(mat), config.tree)[0] * config.n_estimators
@@ -147,10 +137,7 @@ def fit_boosted(features, targets, config: BoostConfig = BoostConfig()) -> Boost
     full loop builds. Bits are compared, not values, because ``-0.0 + 0.0``
     is ``0.0``: equal in value, but a different residual.
     """
-    mat = _as_feature_matrix(features)
-    if mat.shape[0] == 0:
-        raise ValidationError("cannot fit a boosted model on an empty dataset")
-    y = _as_targets(targets, mat.shape[0])
+    mat, y = _training_set(features, targets, "a boosted model")
     base = float(np.mean(y)) if config.base_score is None else float(config.base_score)
     prediction = np.full(mat.shape[0], base)
     order = presort(mat)

@@ -204,6 +204,15 @@ def _as_targets(targets, n_rows: int) -> np.ndarray:
     return vec
 
 
+def _training_set(features, targets, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The checked feature matrix and targets a fit of ``what`` grows from;
+    an empty set is rejected."""
+    mat = _as_feature_matrix(features)
+    if mat.shape[0] == 0:
+        raise ValidationError(f"cannot fit {what} on an empty dataset")
+    return mat, _as_targets(targets, mat.shape[0])
+
+
 def presort(features: np.ndarray, blocks: int = 1) -> np.ndarray:
     """Row orders that every tree grown on ``features`` starts from, when
     ``features`` stacks ``blocks`` problems of equal row count.
@@ -402,8 +411,5 @@ def grow_tree(features: np.ndarray, targets: np.ndarray, order: np.ndarray,
 
 def fit_tree(features, targets, config: TreeConfig = TreeConfig()) -> TreeModel:
     """Grow one regression tree; deterministic for identical inputs."""
-    mat = _as_feature_matrix(features)
-    if mat.shape[0] == 0:
-        raise ValidationError("cannot fit a tree on an empty dataset")
-    y = _as_targets(targets, mat.shape[0])
+    mat, y = _training_set(features, targets, "a tree")
     return grow_tree(mat, y, presort(mat), config)[0][0]

@@ -3,6 +3,7 @@ import json
 import logging
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,7 +268,7 @@ class TestTrain:
                                                               small_config, tmp_path):
         # Every record of the first profile claims a distance past 2**53, so
         # range search recommends it for that profile's cases.
-        lines = open(small_dataset, encoding="utf-8").read().splitlines()
+        lines = Path(small_dataset).read_text(encoding="utf-8").splitlines()
         first = lines[1].split(",")[:4]
         for i, line in enumerate(lines[1:], 1):
             cells = line.split(",")
@@ -760,7 +761,8 @@ def unusable_case_sets(tmp_path_factory, small_dataset):
     """(data, config) per unusable case set: a header-only CSV, a menu that no
     profile reaches, and one profile with two reachable targets."""
     root = tmp_path_factory.mktemp("unusable")
-    header = open(small_dataset, encoding="utf-8").readline()
+    with open(small_dataset, encoding="utf-8") as handle:
+        header = handle.readline()
     (root / "empty.csv").write_text(header)
     for name, config in (("default", {}),
                          ("unreachable", {"seed": 11, "sweep": {"profiles_per_run": 6},
@@ -906,7 +908,7 @@ class TestEvaluateAndCompare:
                                               small_config, tmp_path):
         # Distinct huge finite rounds overflow the Pearson sums: the
         # coefficient is undefined, not -0.0, and numpy does not warn.
-        data = json.loads(open(trained_model, encoding="utf-8").read())
+        data = json.loads(Path(trained_model).read_text(encoding="utf-8"))
         values = data["model"]["stage2"]["value"]
         data["model"]["stage2"]["value"] = [1e300 * (1 + i % 7) / 7 for i in range(len(values))]
         model = tmp_path / "huge_rounds.json"
@@ -922,7 +924,7 @@ class TestEvaluateAndCompare:
                                             small_config, tmp_path):
         # Past 2**53 a float64 skips odd integers, so stage two could not
         # read the recommended distance: both commands name the bound.
-        data = json.loads(open(trained_model, encoding="utf-8").read())
+        data = json.loads(Path(trained_model).read_text(encoding="utf-8"))
         stage = data["model"]["stage1"]
         stage["value"] = [1e300 if feature == -1 else value
                           for feature, value in zip(stage["feature"], stage["value"])]

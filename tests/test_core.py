@@ -18,7 +18,7 @@ from surfplan import (
     round_distance,
     round_rounds,
 )
-from surfplan.core import check_number
+from surfplan.core import check_int, check_number
 from surfplan.heuristics import _scalarized
 
 
@@ -273,4 +273,56 @@ class TestCheckNumber:
     def test_messages(self, value, ends, message):
         with pytest.raises(ValidationError) as caught:
             check_number("x", value, **ends)
+        assert str(caught.value) == message
+
+
+def _reference_int(value, minimum, maximum) -> bool:
+    """The integer rule written out plainly."""
+    return (type(value) is int and minimum <= value
+            and (maximum is None or value <= maximum))
+
+
+_BOUNDS = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))
+
+INT_MESSAGE_CASES = [
+    (1.0, 1, None, "x must be an integer, got 1.0"),
+    (True, 0, None, "x must be an integer, got True"),
+    (None, 0, 5, "x must be an integer, got None"),
+    (0, 1, None, "x must be >= 1, got 0"),
+    (10_001, 1, 10_000, "x must be <= 10000, got 10001"),
+]
+
+
+class TestCheckInt:
+    """``check_int`` is the one integer rule of every config and domain value."""
+
+    @settings(max_examples=400)
+    @given(value=st.one_of(
+        st.integers(-2 ** 70, 2 ** 70), st.integers(-4, 4), st.booleans(), st.floats(),
+        st.text(max_size=3), st.none()),
+        minimum=_BOUNDS, maximum=st.one_of(st.none(), _BOUNDS))
+    def test_matches_the_reference_rule(self, value, minimum, maximum):
+        if _reference_int(value, minimum, maximum):
+            assert check_int("x", value, minimum, maximum) is None
+        else:
+            with pytest.raises(ValidationError, match="^x must be "):
+                check_int("x", value, minimum, maximum)
+
+    @pytest.mark.parametrize("value, minimum, maximum, message", INT_MESSAGE_CASES,
+                             ids=[message for *_, message in INT_MESSAGE_CASES])
+    def test_messages(self, value, minimum, maximum, message):
+        with pytest.raises(ValidationError) as caught:
+            check_int("x", value, minimum, maximum)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("distance, rounds, message", [
+        (1, 1.5, "distance must be >= 3, got 1"),
+        (3.0, 1, "distance must be an integer, got 3.0"),
+        (4, 0, "distance must be odd, got 4"),
+        (5, True, "rounds must be an integer, got True"),
+        (5, 0, "rounds must be >= 1, got 0"),
+    ])
+    def test_code_point_checks_the_distance_then_the_rounds(self, distance, rounds, message):
+        with pytest.raises(ValidationError) as caught:
+            CodeParams(distance, rounds)
         assert str(caught.value) == message

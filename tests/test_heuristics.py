@@ -557,3 +557,76 @@ class TestSharedTrainingMemo:
                     assert _outcome(model.predict_result, request) == expected
                     assert _outcome(fresh.predict_result, request) == expected
             assert len(training._memo) <= memo_entries
+
+
+def _arrays(answer) -> list[np.ndarray]:
+    """Every array in ``answer``, at any depth of tuples."""
+    if isinstance(answer, np.ndarray):
+        return [answer]
+    if isinstance(answer, tuple):
+        return [array for part in answer for array in _arrays(part)]
+    return []
+
+
+class TestOneTrainingCache:
+    """``HeuristicTraining.recall`` keeps every array the state derives, the
+    answers' and the per-stage ones alike, and freezes what it hands out."""
+
+    def test_every_array_handed_out_is_read_only(self, small_records):
+        training = HeuristicTraining(small_records, HeuristicWeights())
+        request = PredictionRequest(NoiseProfile(2e-4, 1.2e-3, 5e-4, 3e-3), 1e-6)
+        for kind in all_kinds():
+            HeuristicModel(kind, OracleConfig(), training).predict_result(request)
+        interpolator = HeuristicModel(HeuristicKind("linear_interp", True), OracleConfig(),
+                                      training)
+        decades = training.decades()
+        handed = {
+            "standardized": [training.standardized(stage, weighted)
+                             for stage, weighted in ((0, True), (0, False), (1, False))],
+            "axes": [training.axis(0, True), training.axis(0, False)],
+            "decades": [decades],
+            "decade pairs": [interpolator._decade_pairs(stage, [decade])
+                             for stage in (0, 1) for decade in decades[1]],
+            # Nearest rows and distances, kept under (stage, flag, query).
+            "nearest": [answer for key, answer in training._memo.items()
+                        if isinstance(key[0], int)],
+        }
+        for what, answers in handed.items():
+            arrays = _arrays(tuple(answers))
+            assert arrays, what
+            for array in arrays:
+                assert not array.flags.writeable, what
+                with pytest.raises(ValueError):
+                    array.flat[0] = 0
+        # Stage 1 under each flag, and stage 2 once per rounded distance.
+        assert len(handed["nearest"]) >= 3
+        assert len(_arrays(tuple(handed["nearest"]))) == 2 * len(handed["nearest"])
+
+    def test_an_answer_is_frozen_at_every_depth(self, small_records):
+        training = HeuristicTraining(small_records, HeuristicWeights())
+        answer = training.recall(("probe",), lambda: (np.zeros(2), (np.ones(3), (np.ones(1),)),
+                                                      1.5))
+        assert [array.flags.writeable for array in _arrays(answer)] == [False] * 3
+        assert training.recall(("probe",), lambda: None) is answer
+
+    def test_an_emptied_memo_derives_the_same_bytes(self, small_records):
+        # With room for two entries, asking for the six derived entries in
+        # turn empties the memo again and again, so the second round derives
+        # every one afresh.
+        with mock.patch.object(heuristics, "MEMO_ENTRIES", 2):
+            training = HeuristicTraining(small_records, HeuristicWeights(0.5, 0.25, 0.15, 0.1))
+
+            def derived():
+                return ([training.standardized(stage, weighted)
+                         for stage, weighted in ((0, True), (0, False), (1, False))]
+                        + [training.axis(0, True), training.axis(0, False), training.decades()])
+
+            first, second = derived(), derived()
+            assert len(training._memo) <= 2
+        for old, new in zip(first, second):
+            assert new is not old
+            assert [array.tobytes() for array in _arrays(new)] == [
+                array.tobytes() for array in _arrays(old)]
+        for (old, _), (new, _) in zip(first[:3], second[:3]):
+            assert _hex(new.mean + new.scale) == _hex(old.mean + old.scale)
+        assert second[5][1] == first[5][1]
