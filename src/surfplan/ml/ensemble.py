@@ -147,7 +147,7 @@ def fit_boosted(features, targets, config: BoostConfig = BoostConfig()) -> Boost
                                   config.tree)
         trees.append(tree)
         step = prediction + config.learning_rate * tree.value[leaf]
-        if np.array_equal(step.view(np.uint64), prediction.view(np.uint64)):
+        if not (step.view(np.uint64) != prediction.view(np.uint64)).any():
             trees += [tree] * (config.n_estimators - len(trees))
             break
         prediction = step

@@ -1,12 +1,13 @@
 """CART regression trees grown by greedy variance reduction.
 
 Split gain is the reduction in the sum of squared errors; thresholds are
-midpoints between consecutive distinct sorted feature values. Gain ties are
-broken toward the lower feature index, then the lower threshold. A node stays
-a leaf when the depth or size limits bite, when no split clears the minimum
-gain, or when every candidate would starve a child below the minimum leaf
-size. Zero-gain splits are never taken, so constant targets yield a single
-leaf.
+midpoints between consecutive sorted feature values that fall strictly below
+the right-hand value, so never between equal values nor where the midpoint
+rounds up or overflows. Gain ties are broken toward the lower feature index,
+then the lower threshold. A node stays a leaf when the depth or size limits
+bite, when no split clears the minimum gain, or when every candidate would
+starve a child below the minimum leaf size. Zero-gain splits are never taken,
+so constant targets yield a single leaf.
 
 Trees grow level by level from one presort per fit, after the exact greedy
 algorithm's presorted column blocks (Chen & Guestrin 2016, arXiv:1603.02754,
@@ -16,13 +17,15 @@ rows are stacked in one row space, the presort is block-diagonal, and each
 problem starts as its own root node of level 0. At every depth the presorted
 rows are stably regrouped by node, so each node sees its rows in feature
 order with ties in row order, and padded (nodes x features x rows) scans
-score every candidate split of the level: one scan when the level holds at
-most ``SCAN_CELLS`` padded cells, otherwise several, each within that bound
-or holding a single node. One pass then moves the rows of all split nodes to
-their children. Each node's prefix sums start at its own first row and its
-value is the mean of its targets taken in row order, so every tree is
-bit-identical to one grown alone, a node at a time. Nodes are stored as they
-grow, level by level, each split's two children side by side, left first.
+score every candidate split of the level's nodes of at least
+``max(min_samples_split, 2 * min_child_weight)`` rows, the only ones that can
+split: one scan when they hold at most ``SCAN_CELLS`` padded cells, otherwise
+several, each within that bound or holding a single node. One pass then moves
+the rows of all split nodes to their children. Each node's prefix sums start
+at its own first row and its value is the mean of its targets taken in row
+order, so every tree is bit-identical to one grown alone, a node at a time.
+Nodes are stored as they grow, level by level, each split's two children side
+by side, left first.
 """
 
 from __future__ import annotations
@@ -238,31 +241,40 @@ def _level_splits(values: np.ndarray, targets: np.ndarray, counts: np.ndarray,
     ``values`` and ``targets`` are (nodes, features, width) arrays: for each
     feature, node k's ``counts[k]`` rows in ascending feature order (ties in
     row order), padded on the right to the common width. Candidates are
-    midpoints between consecutive distinct values whose children both hold at
-    least ``min_leaf`` >= 1 rows, so the padding is never a candidate; gain is
-    the reduction in the sum of squared errors. Gain ties go to the lower
-    feature, then the lower threshold, and a feature with a NaN gain (from
-    overflowing targets) is passed over. Returns (feature, threshold, gain)
-    arrays with one entry per node; gain is -inf where no candidate exists.
+    midpoints strictly below the right-hand value (so above the left-hand one)
+    between neighbours whose children both hold at least ``min_leaf`` >= 1
+    rows, so the padding is never a candidate; gain is the reduction in the
+    sum of squared errors. Gain ties go to the lower feature, then the lower
+    threshold, and a feature with a NaN gain (from overflowing targets) is
+    passed over. Returns (feature, threshold, gain) arrays with one entry per
+    node; gain is -inf where no candidate exists. The caller ignores
+    floating-point errors: the padding divides by zero.
     """
     n_nodes, _, width = values.shape
     node = np.arange(n_nodes)
     # Each node's prefix sums start at its own first row, as a per-node
     # cumsum would; past its last row they run on into the padding.
-    csum = np.cumsum(targets, axis=2)
+    csum = targets.cumsum(axis=2)
     total = csum[node, :, counts - 1][:, :, None]
     parent_term = total * total / counts[:, None, None]
     left_n = np.arange(1, width)
     right_n = counts[:, None, None] - left_n
     left_sum = csum[:, :, :-1]
     right_sum = total - left_sum
-    with np.errstate(all="ignore"):
-        gains = left_sum * left_sum / left_n + right_sum * right_sum / right_n - parent_term
-        thresholds = (values[:, :, :-1] + values[:, :, 1:]) * 0.5
+    # ls * ls / ln + rs * rs / rn - parent, in place and in that order.
+    gains = left_sum * left_sum
+    gains /= left_n
+    right_sum *= right_sum
+    right_sum /= right_n
+    gains += right_sum
+    gains -= parent_term
+    upper = values[:, :, 1:]
+    thresholds = (values[:, :, :-1] + upper) * 0.5
     # A midpoint that rounds up to the right-hand value cannot separate the two.
-    valid = ((values[:, :, 1:] > values[:, :, :-1]) & (thresholds < values[:, :, 1:])
-             & ((left_n >= min_leaf) & (right_n >= min_leaf)))
-    gains = np.where(valid, gains, -np.inf).reshape(n_nodes, -1)
+    invalid = thresholds >= upper
+    invalid |= (left_n < min_leaf) | (right_n < min_leaf)
+    gains[invalid] = -np.inf
+    gains = gains.reshape(n_nodes, -1)
     # The first maximum over (feature, threshold) pairs is the lowest threshold
     # of the lowest feature among the best.
     best = gains.argmax(axis=1)
@@ -284,10 +296,9 @@ def _scans(open_nodes: np.ndarray, sizes: np.ndarray, n_features: int) -> list:
     largest node.
 
     A level that fits is one scan. Otherwise nodes are taken largest first,
-    so each scan pads its nodes to the size of its first.
+    so each scan pads its nodes to the size of its first. At least one node
+    is open.
     """
-    if not sizes.size:
-        return []
     width = int(sizes.max())
     if sizes.size * width * n_features <= SCAN_CELLS:
         return [(open_nodes, width)]
@@ -313,6 +324,7 @@ def _key_type(n_keys: int) -> type:
     return np.uint8 if n_keys <= 1 << 8 else np.uint16 if n_keys <= 1 << 16 else np.intp
 
 
+@np.errstate(all="ignore")  # the scans' padding divides by zero
 def grow_tree(features: np.ndarray, targets: np.ndarray, order: np.ndarray,
               config: TreeConfig, sizes: np.ndarray | None = None
               ) -> tuple[list[TreeModel], np.ndarray]:
@@ -329,6 +341,11 @@ def grow_tree(features: np.ndarray, targets: np.ndarray, order: np.ndarray,
     n_rows, n_features = features.shape
     order_axis = np.arange(n_features + 1)[:, None]
     feature_axis = np.arange(n_features)[:, None]
+    # Both children of a split hold min_child_weight rows, so a smaller node
+    # has no candidate and is not scanned.
+    min_rows = max(config.min_samples_split, 2 * config.min_child_weight)
+    # gamma >= 0, so a gain clears gamma and zero with one comparison.
+    clears = np.greater_equal if config.gamma > 0.0 else np.greater
     rows = order  # the level's rows, grouped by node in every order
     counts = np.array([n_rows]) if sizes is None else np.asarray(sizes)
     n_trees = counts.size
@@ -348,23 +365,24 @@ def grow_tree(features: np.ndarray, targets: np.ndarray, order: np.ndarray,
         # another order and differs in the last bits).
         value += [float(np.add.reduce(in_row_order[lo:hi]) / (hi - lo))
                   for lo, hi in zip(starts.tolist(), ends.tolist())]
-        node_of = np.repeat(np.arange(n_nodes), counts)
+        node_of = np.arange(n_nodes).repeat(counts)
         leaf[by_id] = first + node_of
 
-        split_feature = np.full(n_nodes, LEAF, dtype=np.int64)
+        split_feature = np.empty(n_nodes, dtype=np.int64)
+        split_feature.fill(LEAF)
         split_threshold = np.zeros(n_nodes)
-        if depth < config.max_depth:
-            open_nodes = np.flatnonzero(counts >= config.min_samples_split)
+        open_nodes = (counts >= min_rows).nonzero()[0]
+        if depth < config.max_depth and open_nodes.size:
+            # Each node's window in every feature's order starts here, as an
+            # index into ``rows.ravel()``; the row-order copy comes last, so a
+            # window never runs off the end.
+            window_starts = starts[:, None, None] + feature_axis * rows.shape[1]
+            flat_rows = rows.ravel()
             for nodes, width in _scans(open_nodes, counts[open_nodes], n_features):
-                # Each node's window in every feature's order, as indices into
-                # ``rows.ravel()``; the row-order copy comes last, so a window
-                # never runs off the end.
-                window = (starts[nodes, None, None] + feature_axis * rows.shape[1]
-                          + np.arange(width))
-                grid = rows.ravel()[window]
+                grid = flat_rows[window_starts[nodes] + np.arange(width)]
                 best, cut, gain = _level_splits(features[grid, feature_axis], targets[grid],
                                                 counts[nodes], config.min_child_weight)
-                taken = (gain > 0.0) & (gain >= config.gamma)
+                taken = clears(gain, config.gamma)
                 split_feature[nodes[taken]] = best[taken]
                 split_threshold[nodes[taken]] = cut[taken]
 
@@ -391,7 +409,7 @@ def grow_tree(features: np.ndarray, targets: np.ndarray, order: np.ndarray,
         regroup = keys.argsort(axis=1, kind="stable")[:, keys.shape[1] - kept:]
         rows = rows[order_axis, regroup]
         counts = np.bincount(keys[-1], minlength=2 * n_split + 2)[2:]
-        problem = np.repeat(problem[is_split], 2)
+        problem = problem[is_split].repeat(2)
         first += n_nodes
         depth += 1
 

@@ -5,6 +5,8 @@ explicit sum-of-squares loops rather than prefix sums, and pearson is the
 textbook formula over Python floats. ``reference_fit_tree`` is the
 node-at-a-time builder that the level-wise grower replaced, numbering its
 nodes breadth-first; the grower must reproduce its trees bit for bit.
+``reference_level_splits`` is the padded level scan that the grower's
+in-place scan replaced; the scan must return its splits bit for bit.
 ``reference_heuristic_predict`` is the per-request heuristic computation
 that the models' derived state replaced: it shares none of the library's
 feature or scaler code, takes the request as one more row through its own
@@ -155,6 +157,37 @@ def _reference_split_scan(values, targets, min_leaf):
     gains = np.where(valid, gains, -np.inf)
     best = int(np.argmax(gains))
     return float(gains[best]), float(thresholds[best])
+
+
+def reference_level_splits(values, targets, counts, min_leaf):
+    """The padded level scan that ``tree._level_splits`` replaced: separate
+    distinct-value and midpoint tests, a size mask built at full shape, the
+    invalid cells blanked by ``np.where``, and every gain term a new array.
+    The library's scan must return its (feature, threshold, gain) bit for
+    bit."""
+    n_nodes, _, width = values.shape
+    node = np.arange(n_nodes)
+    csum = np.cumsum(targets, axis=2)
+    total = csum[node, :, counts - 1][:, :, None]
+    parent_term = total * total / counts[:, None, None]
+    left_n = np.arange(1, width)
+    right_n = counts[:, None, None] - left_n
+    left_sum = csum[:, :, :-1]
+    right_sum = total - left_sum
+    with np.errstate(all="ignore"):
+        gains = left_sum * left_sum / left_n + right_sum * right_sum / right_n - parent_term
+        thresholds = (values[:, :, :-1] + values[:, :, 1:]) * 0.5
+    valid = ((values[:, :, 1:] > values[:, :, :-1]) & (thresholds < values[:, :, 1:])
+             & ((left_n >= min_leaf) & (right_n >= min_leaf)))
+    gains = np.where(valid, gains, -np.inf).reshape(n_nodes, -1)
+    best = gains.argmax(axis=1)
+    gain = gains[node, best]
+    if math.isnan(gain.sum()):
+        per_feature = gains.reshape(n_nodes, -1, width - 1)
+        per_feature[np.isnan(per_feature.max(axis=2))] = -np.inf
+        best = gains.argmax(axis=1)
+        gain = gains[node, best]
+    return best // (width - 1), thresholds.reshape(n_nodes, -1)[node, best], gain
 
 
 def reference_fit_tree(features, targets, config):

@@ -15,6 +15,7 @@ from helpers import (
     reference_fit_boosted,
     reference_fit_forest,
     reference_fit_tree,
+    reference_level_splits,
     reference_predict,
     reference_predict_row,
     reference_tree_predict_row,
@@ -94,6 +95,19 @@ class TestFitTreeExamples:
                         TreeConfig(max_depth=3, min_child_weight=2))
         # the only admissible split is the middle one
         assert tree.threshold[0] == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("pair, node_count", [
+        ((1.0 - 2.0 ** -53, 1.0), 1),
+        ((1e308, 1.5e308), 1),
+        ((1.0, 1.0 + 2.0 ** -52), 3),
+    ], ids=["midpoint-rounds-up", "sum-overflows", "midpoint-below"])
+    def test_candidate_is_a_midpoint_below_the_right_value(self, pair, node_count):
+        # The first pair's midpoint rounds up to 1.0 and the second's sum to
+        # inf, so neither can separate its two rows; the third's is 1.0.
+        tree = fit_tree(np.reshape(pair, (-1, 1)), [0.0, 10.0], TreeConfig(min_child_weight=1))
+        assert tree.node_count == node_count
+        if node_count == 3:
+            assert tree.threshold[0] == 1.0
 
     def test_gamma_blocks_small_gains(self):
         features = np.array([[0.0], [1.0], [2.0], [3.0]])
@@ -202,11 +216,13 @@ class TestSplitScan:
 
 
 # Feature columns: continuous, quantized to a few levels, or heavy with
-# duplicates and signed zeros.
+# duplicates, signed zeros and neighbours whose midpoint rounds up to the
+# right-hand value or overflows.
 _feature_values = (
     st.floats(min_value=-1e6, max_value=1e6),
     st.integers(min_value=-3, max_value=3).map(float),
-    st.sampled_from([0.0, -0.0, 1.0, 1.0 + 2.0 ** -52, 2.5]),
+    st.sampled_from([0.0, -0.0, 1.0, 1.0 + 2.0 ** -52, 2.5, 1.0 - 2.0 ** -53, 1e308,
+                     1.5e308]),
 )
 # Targets: small, large enough that squared sums overflow, and negative.
 _target_values = (
@@ -230,6 +246,22 @@ def _problems(draw, targets=_target_values, max_rows=60):
     features = draw(arrays(np.float64, (n_rows, n_features),
                            elements=draw(st.sampled_from(_feature_values))))
     return features, draw(arrays(np.float64, n_rows, elements=draw(st.sampled_from(targets))))
+
+
+@st.composite
+def _padded_levels(draw):
+    """A level as ``_level_splits`` takes it: per node and feature, the
+    node's rows in ascending value order, padded with unsorted values to a
+    common width of at least two; nodes of unequal row counts."""
+    counts = np.asarray(draw(st.lists(st.integers(min_value=1, max_value=9), min_size=1,
+                                      max_size=5)))
+    width = max(int(counts.max()), 2) + draw(st.integers(min_value=0, max_value=2))
+    shape = (counts.size, draw(st.integers(min_value=1, max_value=3)), width)
+    values = draw(arrays(np.float64, shape, elements=draw(st.sampled_from(_feature_values))))
+    for node, count in enumerate(counts):
+        values[node, :, :count].sort(axis=1)
+    targets = draw(arrays(np.float64, shape, elements=draw(st.sampled_from(_target_values))))
+    return values, targets, counts
 
 
 def _leaf_of(tree, features):
@@ -398,17 +430,20 @@ class TestLevelScan:
                               keys.argsort(axis=1, kind="stable"))
 
     @staticmethod
-    def _scanned_shapes(monkeypatch, sizes, config):
+    def _scanned_shapes(monkeypatch, sizes, config, scanned=None):
         """Grow ``sizes`` stacked random problems of two features, recording
-        the shape of every scan's values; returns the shapes and the trees."""
+        the shape of every scan's values, and each scan's node sizes into the
+        list ``scanned`` when one is given; returns the shapes and the trees."""
         rng = np.random.default_rng(0)
         blocks = [rng.normal(size=(size, 2)) for size in sizes]
         targets = rng.normal(size=sum(sizes))
         shapes = []
 
-        def recording(values, *args):
+        def recording(values, targets, counts, min_leaf):
             shapes.append(values.shape)
-            return _level_splits(values, *args)
+            if scanned is not None:
+                scanned.append(counts.tolist())
+            return _level_splits(values, targets, counts, min_leaf)
 
         monkeypatch.setattr(tree_module, "_level_splits", recording)
         trees, _ = grow_tree(np.vstack(blocks), targets, _block_presort(blocks), config,
@@ -436,6 +471,35 @@ class TestLevelScan:
         shapes, _ = self._scanned_shapes(monkeypatch, [size] * 10, config)
         assert len(shapes) == config.max_depth
         assert shapes[0] == (10, 2, size)
+
+    @pytest.mark.parametrize("config", [
+        TreeConfig(max_depth=6, min_child_weight=5),
+        TreeConfig(max_depth=6, min_samples_split=12, min_child_weight=5),
+    ], ids=["min-child-weight", "min-samples-split"])
+    def test_nodes_too_small_to_split_are_not_scanned(self, monkeypatch, config):
+        # Below max(min_samples_split, 2 * min_child_weight) rows no candidate
+        # leaves min_child_weight rows on both sides, so the node is not
+        # scanned, and a level of such nodes makes no scan at all.
+        bound = max(config.min_samples_split, 2 * config.min_child_weight)
+        shapes, trees = self._scanned_shapes(monkeypatch, [bound - 1] * 10, config)
+        assert shapes == []
+        assert [tree.node_count for tree in trees] == [1] * 10
+        scanned = []
+        shapes, trees = self._scanned_shapes(monkeypatch, [bound - 1] * 10 + [94], config,
+                                             scanned)
+        assert shapes[0][0] == 1
+        assert trees[-1].node_count > 3
+        assert min(min(counts) for counts in scanned) >= bound
+
+    @given(level=_padded_levels(), min_leaf=st.integers(min_value=1, max_value=6))
+    @settings(max_examples=300)
+    def test_scan_matches_the_previous_scan_bit_for_bit(self, level, min_leaf):
+        values, targets, counts = level
+        with np.errstate(all="ignore"):
+            expected = reference_level_splits(values, targets, counts, min_leaf)
+            actual = _level_splits(values, targets, counts, min_leaf)
+        for got, want in zip(actual, expected):
+            assert got.tobytes() == want.tobytes()
 
 
 @st.composite
