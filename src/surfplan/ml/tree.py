@@ -241,14 +241,15 @@ def _level_splits(values: np.ndarray, targets: np.ndarray, counts: np.ndarray,
     ``values`` and ``targets`` are (nodes, features, width) arrays: for each
     feature, node k's ``counts[k]`` rows in ascending feature order (ties in
     row order), padded on the right to the common width. Candidates are
-    midpoints strictly below the right-hand value (so above the left-hand one)
-    between neighbours whose children both hold at least ``min_leaf`` >= 1
-    rows, so the padding is never a candidate; gain is the reduction in the
-    sum of squared errors. Gain ties go to the lower feature, then the lower
-    threshold, and a feature with a NaN gain (from overflowing targets) is
-    passed over. Returns (feature, threshold, gain) arrays with one entry per
-    node; gain is -inf where no candidate exists. The caller ignores
-    floating-point errors: the padding divides by zero.
+    midpoints strictly below the right-hand value, which for finite values
+    also puts that value above the left-hand one, between neighbours whose
+    children both hold at least ``min_leaf`` >= 1 rows, so the padding is
+    never a candidate; gain is the reduction in the sum of squared errors.
+    Gain ties go to the lower feature, then the lower threshold, and a
+    feature with a NaN gain (from overflowing targets) is passed over.
+    Returns (feature, threshold, gain) arrays with one entry per node; gain is
+    -inf where no candidate exists. The caller ignores floating-point errors:
+    the padding divides by zero.
     """
     n_nodes, _, width = values.shape
     node = np.arange(n_nodes)

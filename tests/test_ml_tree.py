@@ -439,11 +439,11 @@ class TestLevelScan:
         targets = rng.normal(size=sum(sizes))
         shapes = []
 
-        def recording(values, targets, counts, min_leaf):
+        def recording(values, level_targets, counts, min_leaf):
             shapes.append(values.shape)
             if scanned is not None:
                 scanned.append(counts.tolist())
-            return _level_splits(values, targets, counts, min_leaf)
+            return _level_splits(values, level_targets, counts, min_leaf)
 
         monkeypatch.setattr(tree_module, "_level_splits", recording)
         trees, _ = grow_tree(np.vstack(blocks), targets, _block_presort(blocks), config,
