@@ -38,8 +38,9 @@ import numpy as np
 from ..core import ValidationError, check_int, check_number
 
 LEAF = -1
-# Rows walked together at prediction; bounds each step's temporaries.
-BLOCK_ROWS = 64
+# Rows walked together at prediction; bounds each step's temporaries. 128 was
+# the fastest of 64-1,024 for a 1,024-row batch on the default model.
+BLOCK_ROWS = 128
 # Padded (nodes x features x rows) cells scored in one split scan; bounds the
 # scan's temporaries when a level holds many nodes of unequal size.
 SCAN_CELLS = 1 << 15

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import logging
@@ -26,7 +27,11 @@ from surfplan.ml.serialize import stage_to_dict
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """``main``'s exit code, or the code it exits with, and its output."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -1003,3 +1008,38 @@ class TestEvaluateAndCompare:
         assert "Traceback" not in err
         assert message in err
         assert not out_dir.exists()
+
+
+def test_repeated_in_process_calls_repeat_their_outcomes(capsys, trained_model,
+                                                         trained_heuristic):
+    rates = ["--depol", "2e-4", "--gate", "1.2e-3", "--reset", "5e-4", "--readout", "3e-3"]
+    calls = [
+        ["predict", "--model", trained_model, *rates, "--target", "1e-6"],
+        ["predict", *rates, "--target", "1e-6"],
+        ["--help"],
+        ["predict", "--model", trained_model, *rates, "--target", "tiny"],
+        ["predict", "--model", trained_heuristic, *rates, "--target", "1e-6"],
+    ]
+    first = [run_cli(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in first] == [0, 2, 0, 2, 0]
+    assert first[2] == (0, cli.build_parser().format_help(), "")
+    assert "the following arguments are required: --model" in first[1][2]
+    assert "invalid float value: 'tiny'" in first[3][2]
+    assert run_cli(capsys, *calls[0]) == first[0]
+    assert [run_cli(capsys, *argv) for argv in calls] == first
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch, tmp_path):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(5):
+        code, out, _ = run_cli(capsys, "predict", "--model", str(tmp_path / "model.json"),
+                               "--depol", "2e-4", "--target", "1e-6")
+        assert (code, out) == (2, "")
+    assert len(built) <= 7
