@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import functools
 import logging
 import os
 import sys
@@ -215,73 +214,65 @@ def cmd_compare(args) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The options of every command that reads a config.
+_CONFIG_OPTIONS = (("--config", {"default": None}), ("--seed", {"type": int, "default": None}))
+
+# Each command: its help line, the function it runs, whether it reads a config,
+# and its own options, in the order ``--help`` lists them after -h.
+COMMANDS = {
+    "generate": ("generate a dataset CSV with the synthetic oracle", cmd_generate, True, (
+        ("--out", {"required": True}),)),
+    "train": ("train a model on a dataset CSV", cmd_train, True, (
+        ("--data", {"required": True}),
+        ("--model", {"default": "pipeline", "help": f"one of: {', '.join(MODEL_NAMES)}"}),
+        ("--out-model", {"required": True}),
+        ("--tune", {"action": "store_true",
+                    "help": "grid-search stage hyperparameters with 5-fold CV"}))),
+    "predict": ("recommend (distance, rounds) for a request", cmd_predict, False, (
+        ("--model", {"required": True}),
+        ("--depol", {"type": float, "default": None}),
+        ("--gate", {"type": float, "default": None}),
+        ("--reset", {"type": float, "default": None}),
+        ("--readout", {"type": float, "default": None}),
+        ("--calibration", {"default": None,
+                           "help": "calibration snapshot JSON instead of explicit rates"}),
+        ("--target", {"type": float, "required": True}))),
+    "evaluate": ("evaluate a model against a dataset", cmd_evaluate, True, (
+        ("--model", {"required": True}),
+        ("--data", {"required": True}),
+        ("--out-dir", {"default": None, "help": "defaults to the config's paths.out_dir"}))),
+    "compare": ("train and compare every model variant", cmd_compare, True, (
+        ("--data", {"required": True}),
+        ("--out-dir", {"default": None, "help": "defaults to the config's paths.out_dir"}),
+        ("--models", {"default": None, "help": "comma-separated subset of model names"}))),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser. Every command is listed, but with ``command`` named
+    only that command gets its options, -h included. An argv that starts
+    with ``command`` reaches no other command's, so it parses, fails and
+    prints help as on the full parser (``command`` None)."""
     parser = argparse.ArgumentParser(
         prog="surfplan",
         description="Recommend rotated-surface-code distance and rounds from a "
                     "noise profile and a target logical error rate.")
     sub = parser.add_subparsers(dest="command", required=True)
-    # The options of every command that reads a config.
-    configured = argparse.ArgumentParser(add_help=False)
-    configured.add_argument("--config", default=None)
-    configured.add_argument("--seed", type=int, default=None)
-
-    gen = sub.add_parser("generate", parents=[configured],
-                         help="generate a dataset CSV with the synthetic oracle")
-    gen.add_argument("--out", required=True)
-    gen.set_defaults(func=cmd_generate)
-
-    train = sub.add_parser("train", parents=[configured], help="train a model on a dataset CSV")
-    train.add_argument("--data", required=True)
-    train.add_argument("--model", default="pipeline",
-                       help=f"one of: {', '.join(MODEL_NAMES)}")
-    train.add_argument("--out-model", required=True)
-    train.add_argument("--tune", action="store_true",
-                       help="grid-search stage hyperparameters with 5-fold CV")
-    train.set_defaults(func=cmd_train)
-
-    predict = sub.add_parser("predict", help="recommend (distance, rounds) for a request")
-    predict.add_argument("--model", required=True)
-    predict.add_argument("--depol", type=float, default=None)
-    predict.add_argument("--gate", type=float, default=None)
-    predict.add_argument("--reset", type=float, default=None)
-    predict.add_argument("--readout", type=float, default=None)
-    predict.add_argument("--calibration", default=None,
-                         help="calibration snapshot JSON instead of explicit rates")
-    predict.add_argument("--target", type=float, required=True)
-    predict.set_defaults(func=cmd_predict)
-
-    evaluate = sub.add_parser("evaluate", parents=[configured],
-                              help="evaluate a model against a dataset")
-    evaluate.add_argument("--model", required=True)
-    evaluate.add_argument("--data", required=True)
-    evaluate.add_argument("--out-dir", default=None,
-                          help="defaults to the config's paths.out_dir")
-    evaluate.set_defaults(func=cmd_evaluate)
-
-    compare = sub.add_parser("compare", parents=[configured],
-                             help="train and compare every model variant")
-    compare.add_argument("--data", required=True)
-    compare.add_argument("--out-dir", default=None,
-                          help="defaults to the config's paths.out_dir")
-    compare.add_argument("--models", default=None,
-                         help="comma-separated subset of model names")
-    compare.set_defaults(func=cmd_compare)
-
+    for name, (help_line, func, configured, options) in COMMANDS.items():
+        wanted = command in (None, name)
+        child = sub.add_parser(name, help=help_line, add_help=wanted)
+        child.set_defaults(func=func)
+        if wanted:
+            for flag, settings in (_CONFIG_OPTIONS if configured else ()) + options:
+                child.add_argument(flag, **settings)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on its first call and reused, since
-    ``parse_args`` returns a new namespace and leaves the parser as it was."""
-    return build_parser()
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except (AboveThresholdError, InfeasibleRequestError) as exc:

@@ -42,14 +42,10 @@ DATASET_HEADER = ("depolarizing", "gate", "reset", "readout",
                   "distance", "rounds", "logical_error_rate")
 
 # Body rows per bulk-parse chunk. A chunk's profile cells are held as bytes
-# fields of _CELL_BYTES, or as wide as its longest line when a cell may have
-# been cut, so the chunk and the widest line the bulk parse takes bound that
-# buffer (16 MiB); a longer line is read row-wise.
+# fields as wide as its longest line, so the chunk and the widest line the bulk
+# parse takes bound that buffer (16 MiB); a longer line is read row-wise.
 _CHUNK_ROWS = 4096
 _MAX_BULK_WIDTH = 1024
-# Bytes per profile field in the first parse of a chunk; a ``.17e`` cell is at
-# most 24 characters.
-_CELL_BYTES = 32
 
 CALIBRATION_KEYS = ("device", "timestamp", "depolarizing", "gate", "reset", "readout")
 
@@ -66,8 +62,7 @@ def write_dataset_csv(dataset: Dataset, path: str | os.PathLike) -> int:
     """Write records; returns the row count. Output is byte-deterministic.
 
     The profile cells are formatted once per profile block, and each block's
-    rows are formatted by one ``%`` operation (``%.17e`` is ``format(v,
-    ".17e")``) and written in one call.
+    rows are written in one call.
     """
     bounds = dataset.block_bounds().tolist()
     distance, rounds = dataset.distance.tolist(), dataset.rounds.tolist()
@@ -76,9 +71,8 @@ def write_dataset_csv(dataset: Dataset, path: str | os.PathLike) -> int:
         handle.write(",".join(DATASET_HEADER) + "\n")
         for profile, start, stop in zip(dataset.profiles.tolist(), bounds, bounds[1:]):
             prefix = ",".join([_fmt(value) for value in profile] + [""])
-            cells = itertools.chain.from_iterable(
-                zip(distance[start:stop], rounds[start:stop], ler[start:stop]))
-            handle.write((prefix + "%d,%d,%.17e\n") * (stop - start) % tuple(cells))
+            handle.write("".join([f"{prefix}{d},{r},{v:.17e}\n" for d, r, v in zip(
+                distance[start:stop], rounds[start:stop], ler[start:stop])]))
     return len(dataset)
 
 
@@ -140,41 +134,27 @@ def _parse_chunk(lines: list[str]) -> tuple[np.ndarray, ...]:
     rounds and logical_error_rate columns.
 
     A run is a stretch of lines with identical profile text. The profile
-    cells are parsed as ``_CELL_BYTES``-byte fields; when any cell fills its
-    field, so that it may have been cut, the chunk is parsed again with fields
-    as wide as its longest line. Each run's cells are converted once, with
-    ``float`` as the row-wise reader does. Raises ValueError on any cell that
-    ``loadtxt`` or ``float`` rejects, and on a line over ``_MAX_BULK_WIDTH``
-    characters.
+    cells are parsed as bytes fields as wide as the longest line, so none is
+    truncated, and each run's cells are converted once, with ``float`` as the
+    row-wise reader does. Raises ValueError on any cell that ``loadtxt`` or
+    ``float`` rejects, and on a line over ``_MAX_BULK_WIDTH`` characters.
     """
     width = max(map(len, lines))
     if width > _MAX_BULK_WIDTH:
         raise ValueError(f"a {width}-character line is left to the row-wise reader")
-    field = _CELL_BYTES
-    rows = _load_chunk(lines, field)
-    # The cells fill the first 4 * field bytes of a row, NUL-padded, so a cell
-    # whose last byte is not NUL fills its field.
-    cells = rows.view(np.uint8).reshape(len(rows), rows.dtype.itemsize)[:, :4 * field]
-    if cells[:, field - 1::field].any():
-        field = width
-        rows = _load_chunk(lines, field)
-    # With no NUL in the text, equal text means equal words.
-    words = rows.view(np.uint32).reshape(len(rows), rows.dtype.itemsize // 4)[:, :field]
+    dtype = np.dtype([("noise", f"S{width}", (4,)), ("distance", np.int64),
+                      ("rounds", np.int64), ("logical_error_rate", np.float64)])
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    # The cells fill the first 4 * width bytes of a row, NUL-padded; with no
+    # NUL in the text, equal text means equal words.
+    words = rows.view(np.uint32).reshape(len(rows), dtype.itemsize // 4)[:, :width]
     starts = np.ones(len(rows), dtype=bool)
     starts[1:] = (words[1:] != words[:-1]).any(axis=1)
     table = np.array([float(cell) for cell in rows["noise"][starts].ravel().tolist()])
     return (table.reshape(-1, 4), np.cumsum(starts) - 1, rows["distance"].copy(),
             rows["rounds"].copy(), rows["logical_error_rate"].copy())
-
-
-def _load_chunk(lines: list[str], field: int) -> np.ndarray:
-    """Body lines as records whose four profile cells are ``field``-byte
-    fields; ``loadtxt`` cuts a longer cell to its field."""
-    dtype = np.dtype([("noise", f"S{field}", (4,)), ("distance", np.int64),
-                      ("rounds", np.int64), ("logical_error_rate", np.float64)])
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 
 def _numbered_rows(handle):

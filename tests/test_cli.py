@@ -1,5 +1,6 @@
-import argparse
+import contextlib
 import hashlib
+import io
 import json
 import logging
 import tracemalloc
@@ -27,11 +28,7 @@ from surfplan.ml.serialize import stage_to_dict
 
 
 def run_cli(capsys, *argv):
-    """``main``'s exit code, or the code it exits with, and its output."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -1010,36 +1007,61 @@ class TestEvaluateAndCompare:
         assert not out_dir.exists()
 
 
-def test_repeated_in_process_calls_repeat_their_outcomes(capsys, trained_model,
-                                                         trained_heuristic):
-    rates = ["--depol", "2e-4", "--gate", "1.2e-3", "--reset", "5e-4", "--readout", "3e-3"]
-    calls = [
-        ["predict", "--model", trained_model, *rates, "--target", "1e-6"],
-        ["predict", *rates, "--target", "1e-6"],
-        ["--help"],
-        ["predict", "--model", trained_model, *rates, "--target", "tiny"],
-        ["predict", "--model", trained_heuristic, *rates, "--target", "1e-6"],
-    ]
-    first = [run_cli(capsys, *argv) for argv in calls]
-    assert [code for code, _, _ in first] == [0, 2, 0, 2, 0]
-    assert first[2] == (0, cli.build_parser().format_help(), "")
-    assert "the following arguments are required: --model" in first[1][2]
-    assert "invalid float value: 'tiny'" in first[3][2]
-    assert run_cli(capsys, *calls[0]) == first[0]
-    assert [run_cli(capsys, *argv) for argv in calls] == first
+def _parse(parser, argv):
+    """What ``parser.parse_args(argv)`` gives: its namespace (the command
+    function by name) or its exit code, and its output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(parser.parse_args(argv))
+            namespace["func"] = namespace["func"].__name__
+        except SystemExit as exc:
+            namespace = exc.code
+    return namespace, out.getvalue(), err.getvalue()
 
 
-def test_main_builds_the_parser_once(capsys, monkeypatch, tmp_path):
+RATES = ["--depol", "2e-4", "--gate", "1.2e-3", "--reset", "5e-4", "--readout", "3e-3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--out", "d.csv", "--seed", "3"],
+    ["generate", "--help"],
+    ["generate", "--seed", "x", "--out", "d.csv"],
+    ["train", "--data", "d.csv", "--out-model", "m.json", "--tune", "--config", "c.json"],
+    ["train", "-h"],
+    ["train", "--data"],
+    ["predict", "--model", "m.json", *RATES, "--target", "1e-6"],
+    ["predict", "--mod", "m.json", "--calibration", "c.json", "--targ", "1e-6"],
+    ["predict", "--help"],
+    ["predict", "--model", "m.json", *RATES],
+    ["predict", "--model", "m.json", *RATES, "--target", "tiny"],
+    ["predict", "--model", "m.json", *RATES, "--target", "1e-6", "--seed", "3"],
+    ["predict", "--model", "m.json", *RATES, "--target", "1e-6", "compare"],
+    ["evaluate", "--model", "m.json", "--data", "d.csv", "--out-dir", "out"],
+    ["evaluate", "--help"],
+    ["compare", "--data", "d.csv", "--models", "pipeline,forest"],
+    ["compare", "--help"],
+    ["compare", "--data", "d.csv", "--out-model", "m.json"],
+])
+def test_a_command_parses_as_on_the_full_parser(argv):
+    full = _parse(cli.build_parser(), argv)
+    assert _parse(cli.build_parser(argv[0]), argv) == full
+    assert full[0] not in (None, 0) or full[1]  # a namespace, an error, or help text
+
+
+def test_main_builds_only_the_named_command(capsys, monkeypatch, tmp_path):
     built = []
-    original = argparse.ArgumentParser.__init__
+    build = cli.build_parser
 
-    def counted(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        original(self, *args, **kwargs)
+    def recorded(command=None):
+        built.append(command)
+        return build(command)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    for _ in range(5):
-        code, out, _ = run_cli(capsys, "predict", "--model", str(tmp_path / "model.json"),
-                               "--depol", "2e-4", "--target", "1e-6")
-        assert (code, out) == (2, "")
-    assert len(built) <= 7
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    model = str(tmp_path / "missing.json")
+    assert run_cli(capsys, "predict", "--model", model, *RATES, "--target", "1e-6")[0] == 1
+    for argv in ([], ["--help"], ["bogus"], ["--seed", "3", "generate"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert built == ["predict", None, None, None, None]
+    assert capsys.readouterr().out == build().format_help()

@@ -330,32 +330,6 @@ class TestCsv:
 
     GOOD = "1e-4,2e-3,1e-4,3e-3,3,1,1e-3"
     SEEN = "1e-4,2e-3,1e-4,3e-3,"
-    # 40-byte cells, first and last of the profile: cut to their first 32
-    # bytes they would read as 0.0.
-    PADDED = "0" * 33 + "1.0e-04,2e-3,1e-4,3e-3,3,2,1e-3"
-    PADDED_LAST = SEEN[:-5] + "0" * 33 + "3.0e-03,3,2,1e-3"
-
-    @pytest.mark.parametrize("body, widths", [  # a line's width counts its newline
-        ([PADDED, GOOD], [32, len(PADDED) + 1]),
-        ([GOOD] * dataio._CHUNK_ROWS + [PADDED_LAST], [32, 32, len(PADDED_LAST) + 1]),
-    ])
-    def test_cut_profile_cells_are_parsed_again_at_line_width(self, tmp_path, monkeypatch,
-                                                              body, widths):
-        path = tmp_path / "padded.csv"
-        path.write_text("\n".join([HEADER] + body) + "\n")
-        parsed = []
-        load = dataio._load_chunk
-
-        def recorded(lines, field):
-            parsed.append(field)
-            return load(lines, field)
-
-        monkeypatch.setattr(dataio, "_load_chunk", recorded)
-        bulk = dataio._read_columns(path)
-        assert parsed == widths
-        assert bulk is not None
-        assert _bits(bulk) == _bits(dataio._read_rows(path))
-        assert bulk.profiles.tobytes() == dataio._read_rows(path).profiles.tobytes()
 
     @pytest.mark.parametrize("body", [
         [GOOD, SEEN + "+3,2,1e-3"],
