@@ -2,9 +2,10 @@
 
 Every section is optional and falls back to the documented defaults. Unknown
 keys are rejected at every level. All randomness flows from the single master
-seed, fanned out to fixed per-purpose sub-seeds (sweep sampling, splitting,
-the rounds-stage forest, cross-validation), so a config plus a seed pins the
-whole generate/train/evaluate flow.
+seed: a ``ToolConfig`` derives its per-purpose sub-seeds (sweep sampling,
+splitting, the rounds-stage forest, cross-validation) from it when it is
+built, however it is built, so ``ToolConfig()`` is the default config and a
+config plus a seed pins the whole generate/train/evaluate flow.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ class ToolConfig:
 
     def __post_init__(self):
         check_int("seed", self.seed, 0)
+        for name, offset in (("sweep", SEED_SWEEP_OFFSET), ("split", SEED_SPLIT_OFFSET),
+                             ("stage2", SEED_FOREST_OFFSET)):
+            object.__setattr__(self, name,
+                               replace(getattr(self, name), seed=self.seed + offset))
         if not isinstance(self.targets, tuple) or not self.targets:
             raise ValidationError("targets must be a non-empty list of rates")
         for value in self.targets:
@@ -52,17 +57,18 @@ class ToolConfig:
         check_menu(self.targets)
         if not isinstance(self.out_dir, str):
             raise ValidationError(f"out_dir must be a string, got {self.out_dir!r}")
+        try:
+            nameable = b"\0" not in os.fsencode(self.out_dir)
+        except UnicodeEncodeError:
+            nameable = False
+        if not nameable:
+            raise ValidationError(
+                f"out_dir must be a name the file system can take, got {self.out_dir!r}")
 
     def with_seed(self, seed: int) -> "ToolConfig":
-        """Re-derive every sub-seed from a new master seed."""
-        check_int("seed", seed, 0)
-        return replace(
-            self,
-            seed=seed,
-            sweep=replace(self.sweep, seed=seed + SEED_SWEEP_OFFSET),
-            split=replace(self.split, seed=seed + SEED_SPLIT_OFFSET),
-            stage2=replace(self.stage2, seed=seed + SEED_FOREST_OFFSET),
-        )
+        """This config under a new master seed, every sub-seed derived from it;
+        the same as ``replace(self, seed=seed)``."""
+        return replace(self, seed=seed)
 
     @property
     def cv_seed(self) -> int:
@@ -129,15 +135,13 @@ def _build_config(data: dict) -> ToolConfig:
             values[name] = _section_config(name, getattr(config, name), _section(data, name))
         else:
             values[name] = _as_value(data[name])
-    config = replace(config, **values)
-    # Fan the master seed out to the per-purpose sub-seeds.
-    return config.with_seed(config.seed)
+    return replace(config, **values)
 
 
 def load_config(path: str | os.PathLike | None = None) -> ToolConfig:
     """Load a config file, or the defaults when ``path`` is None."""
     if path is None:
-        return ToolConfig().with_seed(DEFAULT_SEED)
+        return ToolConfig()
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     try:

@@ -38,8 +38,7 @@ from .core import (
 from .evaluate import ComparisonRow, EvalReport
 from .oracle import meets_target
 
-DATASET_HEADER = ("depolarizing", "gate", "reset", "readout",
-                  "distance", "rounds", "logical_error_rate")
+DATASET_HEADER = PROFILE_FIELDS + ("distance", "rounds", "logical_error_rate")
 
 # Body rows per bulk-parse chunk. A chunk's profile cells are held as bytes
 # fields as wide as its longest line, so the chunk and the widest line the bulk
@@ -47,7 +46,7 @@ DATASET_HEADER = ("depolarizing", "gate", "reset", "readout",
 _CHUNK_ROWS = 4096
 _MAX_BULK_WIDTH = 1024
 
-CALIBRATION_KEYS = ("device", "timestamp", "depolarizing", "gate", "reset", "readout")
+CALIBRATION_KEYS = ("device", "timestamp") + PROFILE_FIELDS
 
 
 class DataFormatError(ValidationError):

@@ -28,6 +28,7 @@ from typing import Union
 import numpy as np
 
 from ..core import (
+    PROFILE_FIELDS,
     RAW_FLOOR,
     Dataset,
     NoiseProfile,
@@ -51,7 +52,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_TARGET_MENU = (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9)
 
-STAGE1_SCHEMA = ("depolarizing", "gate", "reset", "readout", "log10_target")
+STAGE1_SCHEMA = PROFILE_FIELDS + ("log10_target",)
 STAGE2_SCHEMA = ("rounded_distance", "log10_target")
 
 StageModel = Union[ForestModel, BoostedModel, LinearModel]
@@ -119,8 +120,7 @@ def build_training_cases(records: Dataset,
 
 
 def stage1_features(requests: list[PredictionRequest]) -> np.ndarray:
-    rows = [(r.noise.depolarizing, r.noise.gate, r.noise.reset, r.noise.readout,
-             math.log10(r.target_logical_error_rate)) for r in requests]
+    rows = [(*r.noise.as_tuple(), math.log10(r.target_logical_error_rate)) for r in requests]
     return np.asarray(rows, dtype=np.float64).reshape(-1, len(STAGE1_SCHEMA))
 
 

@@ -871,6 +871,35 @@ def test_unusable_output_fails_before_the_work(capsys, tmp_path, monkeypatch, tr
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("out_dir", ["a\x00b", "r\ud800"], ids=repr)
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+def test_unnameable_config_out_dir_exits_2_before_the_work(capsys, tmp_path, monkeypatch,
+                                                          trained_model, small_dataset,
+                                                          small_config, command, out_dir):
+    # No file system can name a NUL or a lone surrogate, so the config is
+    # rejected as it loads, not in os.makedirs after the work.
+    monkeypatch.chdir(tmp_path)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the work started before the config was checked")
+
+    for name in ("fit_named_model", "evaluate_model", "load_model", "read_dataset_csv"):
+        monkeypatch.setattr(cli, name, fail)
+    with open(small_config, encoding="utf-8") as handle:
+        values = {**json.load(handle), "paths": {"out_dir": out_dir}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    argv = {"evaluate": ["evaluate", "--model", trained_model],
+            "compare": ["compare"]}[command]
+    code, stdout, err = run_cli(capsys, *argv, "--data", small_dataset,
+                                "--config", str(config))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "out_dir" in err
+    assert "Traceback" not in err
+    assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_compare_rejects_an_empty_test_split_before_fitting(capsys, tmp_path, monkeypatch):
     # Two profiles label at most 12 cases, and floor(12 * 0.05) is 0.
     config = tmp_path / "config.json"

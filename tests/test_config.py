@@ -5,7 +5,7 @@ are held to the same rules."""
 import json
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -243,12 +243,35 @@ def test_negative_seed_is_rejected(cls):
     assert cls(seed=0).seed == 0
 
 
-@pytest.mark.parametrize("out_dir", [None, 5, ["runs"]], ids=repr)
+# The last two are strings that no file system can name: a NUL, and a lone
+# surrogate that the file system encoding cannot encode. Either would fail
+# only in os.makedirs, after all the work.
+@pytest.mark.parametrize("out_dir", [None, 5, ["runs"], "a\x00b", "r\ud800"], ids=repr)
 def test_out_dir_must_be_a_string(tmp_path, out_dir):
     with pytest.raises(ConfigError, match="out_dir"):
         load_config(_write(tmp_path, {"paths": {"out_dir": out_dir}}))
     with pytest.raises(ValidationError, match="out_dir"):
         ToolConfig(out_dir=out_dir)
+
+
+def test_out_dir_may_hold_an_undecodable_argv_byte(tmp_path):
+    # Python decodes the byte 0xff of an argv or a path to "\udcff", which
+    # encodes back to it, so a file system can take the name.
+    assert load_config(_write(tmp_path, {"paths": {"out_dir": "r\udcff"}})).out_dir == "r\udcff"
+
+
+def test_every_config_derives_its_sub_seeds_from_its_seed():
+    assert ToolConfig() == load_config()
+    configs = [ToolConfig(seed=7), replace(ToolConfig(), seed=7), ToolConfig().with_seed(7),
+               ToolConfig(seed=7, sweep=SweepConfig(seed=0), split=SplitConfig(seed=0),
+                          stage2=ForestConfig(seed=99))]
+    for config in configs:
+        assert config == configs[0]
+        assert (config.sweep.seed, config.split.seed, config.stage2.seed,
+                config.cv_seed) == (8, 9, 10, 11)
+    # A sub-config's other values are kept.
+    config = ToolConfig(sweep=SweepConfig(seed=0, profiles_per_run=3))
+    assert (config.sweep.seed, config.sweep.profiles_per_run) == (43, 3)
 
 
 def test_with_seed_rejects_negative_and_non_integer_seeds():
